@@ -379,8 +379,8 @@ let tables_cmd =
     (* dialect campaigns parallelise across domains; tables are rendered
        from the merged per-dialect results, so the output is identical
        at any job count. Shards default to 1 here: campaign jobs are
-       already one domain each, and nesting shard pools inside them
-       would run jobs x (shards + 1) domains. *)
+       already one domain each, and sharding inside them would run up
+       to jobs x shards domains. *)
     let jobs =
       if jobs <= 0 then Domain.recommended_domain_count () else jobs
     in

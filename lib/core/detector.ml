@@ -551,16 +551,14 @@ let run_scenario t ?case_number (sc : Patterns.scenario) =
    [Patterns.batch_stmt] rebuilds one lazily when a crash needs its
    PoC, byte-identical to the unbatched pretty-print because the
    reconstruction is structurally equal to the unbatched statement. *)
-let run_batch t ?case_numbers (b : Patterns.batch) =
+let run_batch t ?first_case (b : Patterns.batch) =
   let n = Patterns.batch_size b in
   if n > 0 then begin
     Telemetry.batch_flush t.tel ~cases:n;
     let pattern = b.Patterns.b_pattern in
     let pat = Pattern_id.to_string pattern in
     let dialect = t.prof.Dialect.id in
-    let number i =
-      match case_numbers with Some a -> Some a.(i) | None -> None
-    in
+    let number i = Option.map (fun n0 -> n0 + i) first_case in
     match t.plans with
     | None ->
       (* --no-compile: the interpreter path memoizes (the partition
@@ -655,8 +653,8 @@ let run_batch t ?case_numbers (b : Patterns.batch) =
                (fun i vec ->
                  t.executed <- t.executed + 1;
                  let case_number =
-                   match case_numbers with
-                   | Some a -> a.(i)
+                   match first_case with
+                   | Some n0 -> n0 + i
                    | None -> t.executed
                  in
                  (* [t.engine] is re-read each member: a crash restart

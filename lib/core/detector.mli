@@ -113,7 +113,7 @@ val run_scenario : t -> ?case_number:int -> Patterns.scenario -> verdict
     engine). Stateful scenarios are memoized under
     {!Sqlfun_ast.Ast_util.fingerprint_stmts} over the whole list. *)
 
-val run_batch : t -> ?case_numbers:int array -> Patterns.batch -> unit
+val run_batch : t -> ?first_case:int -> Patterns.batch -> unit
 (** Execute one skeleton-sharing family as a batch: the telemetry
     span, plan-cache probe and memo/compile partition are resolved
     once, and the member loop is fill-window → eval → classify, with
@@ -125,8 +125,9 @@ val run_batch : t -> ?case_numbers:int array -> Patterns.batch -> unit
     identical to interpretation. Families without a usable plan
     (unadmitted, uncompilable, or [compile:false]) fall back to
     per-member execution, reconstructing each AST lazily.
-    [case_numbers.(i)] overrides member [i]'s global case number,
-    exactly like [case_number] on {!run_case}. *)
+    [first_case] makes member [i] global case [first_case + i],
+    overriding the detector-local index exactly like [case_number] on
+    {!run_case}. *)
 
 val run_cases : t -> ?budget:int -> Patterns.case Seq.t -> int
 (** Executes cases until the sequence or the budget is exhausted; returns

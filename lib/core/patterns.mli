@@ -103,8 +103,8 @@ val work_cases : work -> case Seq.t
 
 val split_batch : batch -> int -> batch * batch
 (** [split_batch b k] splits the member list at [k] (clamped), sharing
-    the skeleton — how the sharded producer cuts a family at a budget
-    or shard boundary without re-deriving it. *)
+    the skeleton — how the budgeted enumeration cuts a family at a
+    budget-share boundary without re-deriving it. *)
 
 val generate_work :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->

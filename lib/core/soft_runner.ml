@@ -5,7 +5,6 @@ module Telemetry = Sqlfun_telemetry.Telemetry
 module Profile = Sqlfun_telemetry.Profile
 module Timeseries = Sqlfun_telemetry.Timeseries
 module Pool = Sqlfun_parallel.Pool
-module Chunk_queue = Sqlfun_parallel.Chunk_queue
 module Progress = Sqlfun_parallel.Progress
 module Value = Sqlfun_value.Value
 
@@ -78,13 +77,13 @@ let drain_share emit works n =
   in
   go works 0
 
-(* The budgeted enumeration both the sequential and the sharded path
-   share — they MUST emit the same stream in the same order, or sharding
-   would change results. Each round splits the remaining budget over the
-   streams still live (pattern order, {!split_budget} shares); a stream
-   that runs dry below its share drops out and its unused share is
-   re-split in the next round, so a campaign executes exactly [b] cases
-   whenever the patterns can supply them. Terminates because every
+(* The budgeted enumeration every worker repeats — each MUST emit the
+   same stream in the same order, or sharding would change results.
+   Each round splits the remaining budget over the streams still live
+   (pattern order, {!split_budget} shares); a stream that runs dry below
+   its share drops out and its unused share is re-split in the next
+   round, so a campaign executes exactly [b] cases whenever the
+   patterns can supply them. Terminates because every
    round either spends budget or removes a dry stream. *)
 let emit_budgeted ~budget ~streams ~emit =
   match budget with
@@ -107,11 +106,11 @@ let emit_budgeted ~budget ~streams ~emit =
              !live shares)
     done
 
-(* One snapshot probe per campaign side (a shard, or the sequential
-   whole): branch/function counts from the coverage recorder, bug counts
-   from the detector, memo counters from the telemetry collector, and
-   the campaign-wide per-shard progress view. Probes run at snapshot
-   cadence only, so the O(bugs) length walk is fine. *)
+(* One snapshot probe per shard: branch/function counts from the
+   coverage recorder, bug counts from the detector, memo counters from
+   the telemetry collector, and the campaign-wide per-shard progress
+   view. Probes run at snapshot cadence only, so the O(bugs) length walk
+   is fine. *)
 let probe_of det tel progress =
   {
     Timeseries.p_branches =
@@ -165,14 +164,15 @@ let count_all_positions ~registry ~seeds ~stateful =
          (Patterns.generate_scenarios ~registry ~seeds ())
      else 0)
 
-(* The budgeted streams both paths share: every pattern's stateless
-   work in paper order, then — by default — the synthesized stateful
-   stream as an eleventh source. With [batch] the skeleton-sharing
-   families arrive as [Patterns.Batched] slot-stream runs; with
-   [batch:false] (and always for the stateful stream, whose scenarios
-   are atomic) every item is a [Single], reproducing the historical
-   per-case enumeration. Flattening either form yields the same cases
-   in the same order, so the two modes execute identical streams. *)
+(* The budgeted streams every worker enumerates: every pattern's
+   stateless work in paper order, then — by default — the synthesized
+   stateful stream as an eleventh source. With [batch] the
+   skeleton-sharing families arrive as [Patterns.Batched] slot-stream
+   runs; with [batch:false] (and always for the stateful stream, whose
+   scenarios are atomic) every item is a [Single], reproducing the
+   historical per-case enumeration. Flattening either form yields the
+   same cases in the same order, so the two modes execute identical
+   streams. *)
 let work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch =
   List.map
     (fun p ->
@@ -190,131 +190,40 @@ let work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch =
        ]
      else [])
 
-(* ----- the sequential path (shards = 1) ----- *)
+(* ----- the campaign: producer-free shards -----
 
-let fuzz_sequential ?budget ?cov ?telemetry ?timeseries
-    ?(patterns = Pattern_id.all) ?(memo = true) ?(compile = true)
-    ?(compact = true) ?(stateful = true) ?(batch = true) prof =
-  let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
-  let t0 = Telemetry.now_ns () in
-  (* compact hit/spill cells are domain-local; the whole sequential
-     campaign runs on this domain, so one before/after delta attributes
-     its compact activity exactly *)
-  let compact0 = Value.Compact.read () in
-  (* the result record is built after the campaign span closes so the
-     "campaign" stage itself shows up in [timings]; the flush guard runs
-     even when a case raises, so streaming sinks survive an abnormal
-     termination with the campaign's tail intact *)
-  let registry, seeds, detector =
-    Fun.protect ~finally:(fun () -> Telemetry.flush tel) @@ fun () ->
-    Telemetry.with_span tel ~dialect:prof.Dialect.id "campaign" @@ fun () ->
-    let registry = Dialect.registry prof in
-    let seeds =
-      Collector.collect ~telemetry:tel ~registry ~suite:prof.Dialect.seeds ()
-    in
-    let detector =
-      Detector.create ?cov ~telemetry:tel ~memo ~compile ~compact prof
-    in
-    let progress = Progress.create 1 in
-    let recorder =
-      Option.map
-        (fun cfg -> Timeseries.recorder cfg ~shard:0 (probe_of detector tel progress))
-        timeseries
-    in
-    let tick () =
-      Progress.tick progress 0;
-      Option.iter Timeseries.tick recorder
-    in
-    (* Sanity pass: the regression suite must run on the armed server too —
-       the paper's tool replays the suite it scanned. *)
-    Telemetry.with_span tel ~dialect:prof.Dialect.id "seed-replay" (fun () ->
-        List.iter
-          (fun (seed : Collector.seed) ->
-            ignore (Detector.run_stmt detector seed.Collector.stmt);
-            tick ())
-          seeds);
-    emit_budgeted ~budget
-      ~streams:(work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch)
-      ~emit:(function
-        | Patterns.Single sc ->
-          ignore (Detector.run_scenario detector sc);
-          tick ()
-        | Patterns.Batched b ->
-          Detector.run_batch detector b;
-          for _ = 1 to Patterns.batch_size b do
-            tick ()
-          done);
-    Option.iter Timeseries.finalize recorder;
-    (registry, seeds, detector)
-  in
-  let cdelta = Value.Compact.since compact0 in
-  Telemetry.compact_add tel ~hits:cdelta.Value.Compact.hits
-    ~spills:cdelta.Value.Compact.spills;
-  Option.iter
-    (fun cfg ->
-      let memo_c = Telemetry.memo_counts tel in
-      ignore
-        (Timeseries.campaign_final cfg
-           ~elapsed_ns:(Telemetry.now_ns () - t0)
-           ~cases:(Detector.executed detector)
-           ~branches:(Coverage.count (Detector.coverage detector))
-           ~functions:
-             (Coverage.prefixed_count (Detector.coverage detector) "fn/")
-           ~new_bugs:(List.length (Detector.bugs detector))
-           ~dup_bugs:(Detector.dup_crashes detector)
-           ~memo_hits:memo_c.Telemetry.hits
-           ~memo_misses:memo_c.Telemetry.misses
-           ~shard_cases:[| Detector.executed detector |]))
-    timeseries;
-  mk_result ~prof ~seeds ~tel
-    ~cov:(Detector.coverage detector)
-    ~profile:(Detector.exec_profile detector)
-    ~positions:(count_all_positions ~registry ~seeds ~stateful)
-    ~cases_executed:(Detector.executed detector)
-    ~cases_memoized:(Detector.cases_memoized detector)
-    ~scenarios_executed:(Detector.scenarios_executed detector)
-    ~prereq_statements:(Detector.prereq_statements detector)
-    ~stage_verdicts:(Detector.stage_verdicts detector)
-    ~passed:(Detector.passed detector)
-    ~clean_errors:(Detector.clean_errors detector)
-    ~false_positives:(Detector.false_positives detector)
-    ~fp_signatures:(Detector.fp_signatures detector)
-    ~known_crashes:(Detector.known_crashes detector)
-    ~bugs:(Detector.bugs detector)
-
-(* ----- the sharded path -----
-
-   The main thread is the producer: it enumerates exactly the stream a
-   sequential run would execute (seed replay first, then every pattern
-   in paper order under the same per-pattern budgets) and labels each
-   work item with its 1-based index in that stream. Item [n] belongs to
-   shard [(n - 1) mod shards]; shard [s] is owned by worker domain
-   [s mod jobs], and every worker feeds from its own chunked queue so a
-   slow shard never blocks the dispatch of another worker's cases.
+   Every worker domain enumerates the whole deterministic stream itself
+   (seed replay, then the budgeted pattern streams), numbering cases
+   globally, and executes only the work items its shards own.
+   Generation reads nothing but the immutable seeds and registry, so
+   repeating it on each domain is safe, and no case ever crosses a
+   domain. Ownership is per whole item — a seed statement, a scenario or
+   an entire family batch goes to the shard with the fewest cases so
+   far, lowest index on ties — and every worker computes the same
+   assignment. Shard [s] runs on worker [s mod jobs]; worker 0 is the
+   calling domain, so [jobs - 1] domains are spawned.
 
    Each shard runs a private engine/detector/coverage/telemetry —
    engines are mutable and crash-restart, so nothing is shared between
-   domains. Because a shard receives its sub-stream in increasing
-   global order, merging is pure bookkeeping afterwards: counters and
-   histograms add, coverage points union, and the New-vs-Dup split is
-   re-derived by globally ordering crash records on case number
-   ([Detector.merge_bugs]). *)
+   domains. Because a shard executes its items in enumeration order, it
+   sees its sub-stream in increasing global order, so merging is pure
+   bookkeeping afterwards: counters and histograms add, coverage points
+   union, and the New-vs-Dup split is re-derived by globally ordering
+   crash records on case number ([Detector.merge_bugs]). With one shard
+   the inline worker records straight into the campaign's coverage,
+   collector and profile, and there is nothing to merge. *)
 
-type shard_work =
-  | Seed_stmt of Sqlfun_ast.Ast.stmt
-  | Gen_scenario of Patterns.scenario
-      (* one scenario is one atomic work item: its prerequisites and
-         probe never split across shards *)
-  | Gen_batch of Patterns.batch * int array
-      (* one shard's slice of a family batch, paired with each member's
-         global case number: member [i] of the slice is global case
-         [nums.(i)], so merged bug records and verdict events carry the
-         numbers a sequential run would have produced *)
+(* [shards] fresh per-shard recorders, or the campaign's own when it
+   runs as a single shard *)
+let per_shard ~shards ~create campaign =
+  if shards = 1 then [| campaign |] else Array.init shards (fun _ -> create ())
 
-let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
-    ?(patterns = Pattern_id.all) ?(memo = true) ?(compile = true)
-    ?(compact = true) ?(stateful = true) ?(batch = true) ~shards ?jobs
-    prof =
+let merge_shards merge_into ~dst parts =
+  if Array.length parts > 1 then Array.iter (fun p -> merge_into ~dst p) parts
+
+let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
+    ?(memo = true) ?(compile = true) ?(compact = true) ?(stateful = true)
+    ?(batch = true) ?(shards = 1) ?jobs prof =
   let shards = Stdlib.max 1 shards in
   let jobs =
     match jobs with
@@ -322,171 +231,132 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
     | None -> shards
   in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
-  let campaign_cov = match cov with Some c -> c | None -> Coverage.create () in
+  let cov = match cov with Some c -> c | None -> Coverage.create () in
+  let profile = Profile.create () in
   let dialect = prof.Dialect.id in
   let t0 = Telemetry.now_ns () in
-  (* per-shard attribution profilers, allocated on the main domain but
-     only ever charged by the shard's owning worker; merged (in shard
-     order) into the campaign profile afterwards *)
-  let shard_profiles = Array.init shards (fun _ -> Profile.create ()) in
+  let shard_covs = per_shard ~shards ~create:Coverage.create cov in
+  let shard_tels = per_shard ~shards ~create:Telemetry.create tel in
+  let shard_profiles = per_shard ~shards ~create:Profile.create profile in
   let progress = Progress.create shards in
-  let registry, seeds, shard_covs, shard_tels, detectors =
+  (* the result record is built after the campaign span closes so the
+     "campaign" stage itself shows up in [timings]; the flush guard runs
+     even when a case raises, so streaming sinks survive an abnormal
+     termination with the campaign's tail intact *)
+  let registry, seeds, detectors =
     Fun.protect ~finally:(fun () -> Telemetry.flush tel) @@ fun () ->
     Telemetry.with_span tel ~dialect "campaign" @@ fun () ->
     let registry = Dialect.registry prof in
     let seeds =
       Collector.collect ~telemetry:tel ~registry ~suite:prof.Dialect.seeds ()
     in
-    let shard_covs = Array.init shards (fun _ -> Coverage.create ()) in
-    let shard_tels = Array.init shards (fun _ -> Telemetry.create ()) in
-    let queues =
-      Array.init jobs (fun _ ->
-          Chunk_queue.create ~chunk_size:128 ~max_chunks:32 ())
-    in
     let worker w () =
       (* engines are armed inside the worker domain, so even startup
-         cost parallelises; detector [s] only ever runs on this domain.
-         Compact hit/spill cells are domain-local, so a before/after
-         delta taken inside the worker attributes exactly this worker's
-         compact activity; it is credited to the worker's first owned
-         shard's collector (totals merge shard-wise afterwards). *)
+         cost parallelises. Worker 0 times its campaign-level spans
+         (seed replay, generation) on the campaign collector, so a
+         streaming sink sees them; every other worker on its first
+         shard's. Compact hit/spill cells are domain-local, so a
+         before/after delta taken inside the worker attributes exactly
+         this worker's compact activity; it is credited to the worker's
+         first shard's collector. *)
+      let span_tel = if w = 0 then tel else shard_tels.(w) in
       let compact0 = Value.Compact.read () in
-      let dets =
-        List.filter (fun s -> s mod jobs = w) (List.init shards Fun.id)
-        |> List.map (fun s ->
-               let det =
-                 Detector.create ~cov:shard_covs.(s)
-                   ~telemetry:shard_tels.(s) ~profile:shard_profiles.(s)
-                   ~memo ~compile ~compact prof
-               in
-               let recorder =
-                 Option.map
-                   (fun cfg ->
-                     Timeseries.recorder cfg ~shard:s
-                       (probe_of det shard_tels.(s) progress))
-                   timeseries
-               in
-               (s, det, recorder))
-      in
-      let rec drain () =
-        match Chunk_queue.pop_chunk queues.(w) with
-        | None ->
-          List.iter
-            (fun (_, _, recorder) -> Option.iter Timeseries.finalize recorder)
-            dets;
-          (match dets with
-           | (s, _, _) :: _ ->
-             let d = Value.Compact.since compact0 in
-             Telemetry.compact_add shard_tels.(s)
-               ~hits:d.Value.Compact.hits ~spills:d.Value.Compact.spills
-           | [] -> ());
-          List.map (fun (s, det, _) -> (s, det)) dets
-        | Some chunk ->
-          Array.iter
-            (fun (case_number, s, work) ->
-              let _, det, recorder =
-                List.find (fun (s', _, _) -> s' = s) dets
+      let local =
+        Array.init shards (fun s ->
+            if s mod jobs <> w then None
+            else begin
+              let det =
+                Detector.create ~cov:shard_covs.(s) ~telemetry:shard_tels.(s)
+                  ~profile:shard_profiles.(s) ~memo ~compile ~compact prof
               in
-              match work with
-              | Seed_stmt stmt ->
-                ignore (Detector.run_stmt det ~case_number stmt);
-                Progress.tick progress s;
-                Option.iter Timeseries.tick recorder
-              | Gen_scenario sc ->
-                ignore (Detector.run_scenario det ~case_number sc);
-                Progress.tick progress s;
-                Option.iter Timeseries.tick recorder
-              | Gen_batch (b, nums) ->
-                Detector.run_batch det ~case_numbers:nums b;
-                for _ = 1 to Array.length nums do
-                  Progress.tick progress s;
-                  Option.iter Timeseries.tick recorder
-                done)
-            chunk;
-          drain ()
+              let recorder =
+                Option.map
+                  (fun cfg ->
+                    Timeseries.recorder cfg ~shard:s
+                      (probe_of det shard_tels.(s) progress))
+                  timeseries
+              in
+              Some (det, recorder)
+            end)
       in
-      drain ()
+      let loads = Array.make shards 0 in
+      let next = ref 0 in
+      (* [item size exec] assigns the next [size] global case numbers to
+         the least-loaded shard and runs [exec det first_case] when this
+         worker owns it *)
+      let item size exec =
+        let s = ref 0 in
+        for i = 1 to shards - 1 do
+          if loads.(i) < loads.(!s) then s := i
+        done;
+        let s = !s in
+        let first = !next + 1 in
+        loads.(s) <- loads.(s) + size;
+        next := !next + size;
+        match local.(s) with
+        | None -> ()
+        | Some (det, recorder) ->
+          exec det first;
+          Option.iter
+            (fun r ->
+              for _ = 1 to size do
+                Progress.tick progress s;
+                Timeseries.tick r
+              done)
+            recorder
+      in
+      (* Sanity pass: the regression suite must run on the armed server
+         too — the paper's tool replays the suite it scanned. *)
+      Telemetry.with_span span_tel ~dialect "seed-replay" (fun () ->
+          List.iter
+            (fun (seed : Collector.seed) ->
+              item 1 (fun det case_number ->
+                  ignore
+                    (Detector.run_stmt det ~case_number seed.Collector.stmt)))
+            seeds);
+      emit_budgeted ~budget
+        ~streams:
+          (work_streams ~tel:span_tel ~registry ~seeds ~patterns ~stateful
+             ~batch)
+        ~emit:(function
+          | Patterns.Single sc ->
+            item 1 (fun det case_number ->
+                ignore (Detector.run_scenario det ~case_number sc))
+          | Patterns.Batched b ->
+            item (Patterns.batch_size b) (fun det first_case ->
+                Detector.run_batch det ~first_case b));
+      Array.iter
+        (Option.iter (fun (_, r) -> Option.iter Timeseries.finalize r))
+        local;
+      let d = Value.Compact.since compact0 in
+      Telemetry.compact_add shard_tels.(w) ~hits:d.Value.Compact.hits
+        ~spills:d.Value.Compact.spills;
+      Array.map (Option.map fst) local
     in
     let per_worker =
-      Pool.with_pool jobs @@ fun pool ->
-      let handles = List.init jobs (fun w -> Pool.submit pool (worker w)) in
-      let next = ref 0 in
-      let dispatch work =
-        incr next;
-        let n = !next in
-        let s = (n - 1) mod shards in
-        Chunk_queue.push queues.(s mod jobs) (n, s, work)
-      in
-      (* a family batch reserves one global number per member and is
-         split by shard exactly as the per-case dispatch would have
-         split its members: member at global index [n] goes to shard
-         [(n - 1) mod shards]. Each shard receives its slice as one
-         queue item (pushed while [next] is frozen past the family, so
-         per-shard FIFO order equals global order), keeping the
-         one-probe-per-batch economics on every shard. *)
-      let dispatch_batch (b : Patterns.batch) =
-        let m = Patterns.batch_size b in
-        let n0 = !next + 1 in
-        next := !next + m;
-        if shards = 1 then
-          Chunk_queue.push queues.(0)
-            (n0, 0, Gen_batch (b, Array.init m (fun i -> n0 + i)))
-        else begin
-          let per_shard = Array.make shards [] in
-          List.iteri
-            (fun i vec ->
-              let n = n0 + i in
-              let s = (n - 1) mod shards in
-              per_shard.(s) <- (vec, n) :: per_shard.(s))
-            b.Patterns.b_vecs;
-          Array.iteri
-            (fun s members ->
-              match List.rev members with
-              | [] -> ()
-              | (_, first_n) :: _ as members ->
-                let sub = { b with Patterns.b_vecs = List.map fst members } in
-                let nums = Array.of_list (List.map snd members) in
-                Chunk_queue.push
-                  queues.(s mod jobs)
-                  (first_n, s, Gen_batch (sub, nums)))
-            per_shard
-        end
-      in
-      (* the queues must close even when generation raises, or the
-         workers (and then [shutdown]) would block forever *)
-      Fun.protect
-        ~finally:(fun () -> Array.iter Chunk_queue.close queues)
-        (fun () ->
-          Telemetry.with_span tel ~dialect "seed-replay" (fun () ->
-              List.iter
-                (fun (seed : Collector.seed) ->
-                  dispatch (Seed_stmt seed.Collector.stmt))
-                seeds);
-          emit_budgeted ~budget
-            ~streams:
-              (work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch)
-            ~emit:(function
-              | Patterns.Single sc -> dispatch (Gen_scenario sc)
-              | Patterns.Batched b -> dispatch_batch b));
-      List.map Pool.await handles
+      if jobs = 1 then [ worker 0 () ]
+      else
+        (* a worker that raises is re-raised here; the pool joins its
+           domains on the way out either way *)
+        Pool.with_pool (jobs - 1) @@ fun pool ->
+        let spawned =
+          List.init (jobs - 1) (fun w -> Pool.submit pool (worker (w + 1)))
+        in
+        let own = worker 0 () in
+        own :: List.map Pool.await spawned
     in
-    let detectors = Array.make shards None in
-    List.iter
-      (List.iter (fun (s, det) -> detectors.(s) <- Some det))
-      per_worker;
     let detectors =
-      Array.map
-        (function Some d -> d | None -> assert false (* every shard owned *))
-        detectors
+      Array.init shards (fun s ->
+          Option.get (List.nth per_worker (s mod jobs)).(s))
     in
-    (registry, seeds, shard_covs, shard_tels, detectors)
+    (registry, seeds, detectors)
   in
   (* deterministic merge, in shard order *)
-  Array.iter (fun c -> Coverage.merge_into ~dst:campaign_cov c) shard_covs;
-  Array.iter (fun t -> Telemetry.merge_into ~dst:tel t) shard_tels;
+  merge_shards Coverage.merge_into ~dst:cov shard_covs;
+  merge_shards Telemetry.merge_into ~dst:tel shard_tels;
+  merge_shards Profile.merge_into ~dst:profile shard_profiles;
   let bugs, demoted =
-    Detector.merge_bugs
-      (Array.to_list (Array.map Detector.bugs detectors))
+    Detector.merge_bugs (Array.to_list (Array.map Detector.bugs detectors))
   in
   List.iter
     (fun (b : Detector.found_bug) ->
@@ -498,10 +368,6 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
       Telemetry.reclassify_verdict tel ~dialect ~pattern
         ~from_:Telemetry.New_bug ~to_:Telemetry.Dup_bug)
     demoted;
-  let campaign_profile = Profile.create () in
-  Array.iter
-    (fun p -> Profile.merge_into ~dst:campaign_profile p)
-    shard_profiles;
   let sum f = Array.fold_left (fun acc d -> acc + f d) 0 detectors in
   let fp_signatures =
     List.sort_uniq String.compare
@@ -509,7 +375,7 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
   in
   (* the campaign-final snapshot is computed from the deterministically
      merged totals, never from racing shard streams: its
-     cases/branches/functions/new_bugs/dup_bugs match a sequential run
+     cases/branches/functions/new_bugs/dup_bugs match a single-shard run
      of the same campaign bit-for-bit (memo counters and rates are
      throughput metadata and do not) *)
   Option.iter
@@ -523,13 +389,13 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
         (Timeseries.campaign_final cfg
            ~elapsed_ns:(Telemetry.now_ns () - t0)
            ~cases:(sum Detector.executed)
-           ~branches:(Coverage.count campaign_cov)
-           ~functions:(Coverage.prefixed_count campaign_cov "fn/")
+           ~branches:(Coverage.count cov)
+           ~functions:(Coverage.prefixed_count cov "fn/")
            ~new_bugs:(List.length bugs)
            ~dup_bugs:(sum Detector.dup_crashes + List.length demoted)
            ~memo_hits:(sum_tel (fun c -> c.Telemetry.hits))
            ~memo_misses:(sum_tel (fun c -> c.Telemetry.misses))
-           ~shard_cases:(Progress.read progress)))
+           ~shard_cases:(Array.map Detector.executed detectors)))
     timeseries;
   let stage_verdicts =
     Array.fold_left
@@ -543,7 +409,7 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
       { Detector.parse = 0; execute = 0; storage = 0 }
       detectors
   in
-  mk_result ~prof ~seeds ~tel ~cov:campaign_cov ~profile:campaign_profile
+  mk_result ~prof ~seeds ~tel ~cov ~profile
     ~positions:(count_all_positions ~registry ~seeds ~stateful)
     ~cases_executed:(sum Detector.executed)
     ~cases_memoized:(sum Detector.cases_memoized)
@@ -554,15 +420,6 @@ let fuzz_sharded ?budget ?cov ?telemetry ?timeseries
     ~clean_errors:(sum Detector.clean_errors)
     ~false_positives:(sum Detector.false_positives)
     ~fp_signatures ~known_crashes:(sum Detector.known_crashes) ~bugs
-
-let fuzz ?budget ?cov ?telemetry ?timeseries ?patterns ?memo ?compile
-    ?compact ?stateful ?batch ?(shards = 1) ?jobs prof =
-  if shards <= 1 then
-    fuzz_sequential ?budget ?cov ?telemetry ?timeseries ?patterns ?memo
-      ?compile ?compact ?stateful ?batch prof
-  else
-    fuzz_sharded ?budget ?cov ?telemetry ?timeseries ?patterns ?memo ?compile
-      ?compact ?stateful ?batch ~shards ?jobs prof
 
 let fuzz_all ?budget ?telemetry ?timeseries ?memo ?compile ?compact
     ?stateful ?batch ?(jobs = 1) ?(shards = 1) () =

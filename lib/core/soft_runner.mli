@@ -7,11 +7,11 @@
     ({!Sqlfun_parallel.Pool}):
 
     - {b shard-level} — {!fuzz} [~shards:k] partitions the case stream
-      round-robin across [k] shards, each with a private
+      across [k] shards, each with a private
       engine/detector/coverage/telemetry, and merges the shard results
       deterministically: verdict counters, bug lists (order and case
       numbers included) and FP-signature sets are bit-identical to a
-      sequential run regardless of shard count or completion order.
+      single-shard run regardless of shard count or completion order.
     - {b dialect-level} — {!fuzz_all} [~jobs:n] runs whole campaigns on
       separate domains.
 
@@ -116,24 +116,29 @@ val fuzz :
     of the other toggles and any [shards]/[jobs]; batch counters are
     reported on the collector
     ({!Sqlfun_telemetry.Telemetry.batch_counts}). Under sharding a
-    family batch is split by member across shards along the same
-    round-robin the per-case dispatch uses, so every shard keeps the
-    one-probe-per-batch economics. Compact construction/spill
-    counts are credited to the campaign collector
-    ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per campaign
-    side (per worker domain under sharding).
+    family batch is one work item owned whole by one shard, so every
+    batch keeps the one-probe-per-batch economics. Compact
+    construction/spill counts are credited to the campaign collector
+    ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per worker
+    domain.
     [telemetry] plugs in a shared collector/sink; without it a private
     null-sink collector still populates [timings] — verdicts and bug
     lists are bit-identical either way.
 
     [shards] (default 1) partitions the case stream across that many
     independent engine instances; [jobs] (default [shards], clamped to
-    it) is the number of worker domains executing them. [shards = 1]
-    is exactly the sequential path. Results are deterministic in
-    [shards] and [on jobs]: only timings change. With [shards > 1] a
-    [--trace]-style event sink on [telemetry] sees campaign-level
-    spans but not per-case events (shard collectors are merged as
-    aggregates).
+    it) is the number of domains executing them, the calling domain
+    included — [jobs - 1] are spawned. Every worker enumerates the
+    whole case stream and executes the work items its shards own: a
+    seed statement, a scenario or a whole family batch goes to the
+    shard with the fewest cases so far. [shards = 1] runs one worker
+    inline, recording straight into [cov], [telemetry] and the result
+    profile. Results are deterministic in [shards] and [jobs]: only
+    timings change. With [shards > 1] a [--trace]-style event sink on
+    [telemetry] sees campaign-level spans but not per-case events
+    (shard collectors are merged as aggregates). An exception raised
+    on any worker propagates out of [fuzz] once every spawned domain
+    has been joined.
 
     [timeseries] enables periodic campaign snapshots
     ({!Sqlfun_telemetry.Timeseries}): every executed case ticks a
@@ -147,26 +152,6 @@ val fuzz :
     run when the campaign ends {e and} when it unwinds on an exception,
     and on every engine crash-restart, so streaming sinks are never
     left with a silently truncated tail. *)
-
-val fuzz_sharded :
-  ?budget:int ->
-  ?cov:Sqlfun_coverage.Coverage.t ->
-  ?telemetry:Sqlfun_telemetry.Telemetry.t ->
-  ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
-  ?patterns:Pattern_id.t list ->
-  ?memo:bool ->
-  ?compile:bool ->
-  ?compact:bool ->
-  ?stateful:bool ->
-  ?batch:bool ->
-  shards:int ->
-  ?jobs:int ->
-  Dialect.profile ->
-  result
-(** The sharded pipeline itself, without {!fuzz}'s [shards <= 1]
-    short-circuit — exposed so tests can pin a [shards:1] run of the
-    shard/merge machinery against the plain sequential path
-    field-for-field. *)
 
 val fuzz_all :
   ?budget:int ->

@@ -1,9 +1,17 @@
 type job = unit -> unit
 
+(* the job queue: FIFO under one mutex; [nonempty] wakes idle workers
+   on a push and on [shutdown] *)
+type queue = {
+  mutex : Mutex.t;
+  nonempty : Condition.t;
+  jobs : job Queue.t;
+  mutable closed : bool;
+}
+
 type t = {
-  queue : job Chunk_queue.t;
+  queue : queue;
   domains : unit Domain.t array;
-  shutdown_mutex : Mutex.t;
   mutable joined : bool;
 }
 
@@ -20,29 +28,38 @@ type 'a handle = {
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-let worker queue () =
-  let rec loop () =
-    match Chunk_queue.pop_chunk queue with
-    | None -> ()
-    | Some jobs ->
-      (* [submit]'s wrapper already catches everything the job raises;
-         the extra handler keeps a misbehaving raw job from killing the
-         worker and starving the pool. *)
-      Array.iter (fun job -> try job () with _ -> ()) jobs;
-      loop ()
-  in
-  loop ()
+(* the next job, or [None] once the queue is closed and drained *)
+let pop q =
+  Mutex.lock q.mutex;
+  while Queue.is_empty q.jobs && not q.closed do
+    Condition.wait q.nonempty q.mutex
+  done;
+  let job = Queue.take_opt q.jobs in
+  Mutex.unlock q.mutex;
+  job
+
+let rec worker q () =
+  match pop q with
+  | None -> ()
+  | Some job ->
+    (* [submit]'s wrapper already catches everything the job raises;
+       the extra handler keeps a misbehaving raw job from killing the
+       worker and starving the pool. *)
+    (try job () with _ -> ());
+    worker q ()
 
 let create n =
-  let n = Stdlib.max 1 n in
-  (* jobs are coarse-grained, so publish each immediately (chunk_size 1)
-     and keep the job queue effectively unbounded: backpressure belongs
-     on the fine-grained case streams, not on job submission. *)
-  let queue = Chunk_queue.create ~chunk_size:1 ~max_chunks:max_int () in
+  let queue =
+    {
+      mutex = Mutex.create ();
+      nonempty = Condition.create ();
+      jobs = Queue.create ();
+      closed = false;
+    }
+  in
   {
     queue;
-    domains = Array.init n (fun _ -> Domain.spawn (worker queue));
-    shutdown_mutex = Mutex.create ();
+    domains = Array.init (Stdlib.max 1 n) (fun _ -> Domain.spawn (worker queue));
     joined = false;
   }
 
@@ -56,10 +73,20 @@ let submit t f =
     Condition.broadcast h.h_cond;
     Mutex.unlock h.h_mutex
   in
-  Chunk_queue.push t.queue (fun () ->
-      match f () with
-      | v -> finish (Done v)
-      | exception e -> finish (Failed (e, Printexc.get_raw_backtrace ())));
+  let job () =
+    match f () with
+    | v -> finish (Done v)
+    | exception e -> finish (Failed (e, Printexc.get_raw_backtrace ()))
+  in
+  let q = t.queue in
+  Mutex.lock q.mutex;
+  if q.closed then begin
+    Mutex.unlock q.mutex;
+    invalid_arg "Pool.submit: pool is shut down"
+  end;
+  Queue.add job q.jobs;
+  Condition.signal q.nonempty;
+  Mutex.unlock q.mutex;
   h
 
 let await h =
@@ -82,11 +109,13 @@ let run t thunks =
   List.map (function Ok v -> v | Error e -> raise e) outcomes
 
 let shutdown t =
-  Chunk_queue.close t.queue;
-  Mutex.lock t.shutdown_mutex;
+  let q = t.queue in
+  Mutex.lock q.mutex;
+  q.closed <- true;
+  Condition.broadcast q.nonempty;
   let first = not t.joined in
   t.joined <- true;
-  Mutex.unlock t.shutdown_mutex;
+  Mutex.unlock q.mutex;
   if first then Array.iter Domain.join t.domains
 
 let with_pool n f =

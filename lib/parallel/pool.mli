@@ -1,4 +1,4 @@
-(** A fixed-size pool of OCaml 5 domains fed by a chunked work queue.
+(** A fixed-size pool of OCaml 5 domains fed by a FIFO job queue.
 
     Domains are expensive to spawn (each carries a minor heap and takes
     part in every stop-the-world section), so a campaign creates one
@@ -7,7 +7,7 @@
     handles, so one pool can carry jobs of different result types.
 
     The pool makes no fairness or ordering promise between jobs — any
-    idle worker takes the next chunk of jobs. Determinism of the fuzzing
+    idle worker takes the next job. Determinism of the fuzzing
     campaigns is established one level up, by the shard/merge protocol
     in [Soft_runner], never by scheduling. *)
 

@@ -1,7 +1,5 @@
 type t = int Atomic.t array
 
 let create n = Array.init (max 1 n) (fun _ -> Atomic.make 0)
-let shards = Array.length
 let tick t shard = Atomic.incr t.(shard)
 let read t = Array.map Atomic.get t
-let total t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t

@@ -4,11 +4,10 @@
    4 worker domains must produce verdict counters, bug lists (order and
    case numbers included) and FP-signature sets bit-identical to the
    sequential run. Everything above it tests the pieces that property is
-   assembled from — the pool, the chunked queue, the budget split, and
-   the merge algebra on coverage and telemetry. *)
+   assembled from — the pool, the budget split, and the merge algebra on
+   coverage and telemetry. *)
 
 module Pool = Sqlfun_parallel.Pool
-module Chunk_queue = Sqlfun_parallel.Chunk_queue
 module Coverage = Sqlfun_coverage.Coverage
 module Telemetry = Sqlfun_telemetry.Telemetry
 open Sqlfun_dialects
@@ -46,41 +45,6 @@ let test_pool_parallel_sum () =
         (Printf.sprintf "all 100 jobs ran at jobs=%d" jobs)
         (100 * 99 / 2) (Atomic.get counter))
     [ 1; 3; 8 ]
-
-(* ----- Chunk_queue ----- *)
-
-let test_queue_preserves_order () =
-  let q = Chunk_queue.create ~chunk_size:7 ~max_chunks:4 () in
-  let n = 1000 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let out = ref [] in
-        let rec drain () =
-          match Chunk_queue.pop_chunk q with
-          | None -> List.rev !out
-          | Some chunk ->
-            Array.iter (fun x -> out := x :: !out) chunk;
-            drain ()
-        in
-        drain ())
-  in
-  for i = 1 to n do
-    Chunk_queue.push q i
-  done;
-  Chunk_queue.close q;
-  Alcotest.(check (list int)) "FIFO across chunk boundaries"
-    (List.init n (fun i -> i + 1))
-    (Domain.join consumer)
-
-let test_queue_close_flushes_partial_chunk () =
-  let q = Chunk_queue.create ~chunk_size:64 ~max_chunks:2 () in
-  Chunk_queue.push q "only";
-  Chunk_queue.close q;
-  (match Chunk_queue.pop_chunk q with
-   | Some [| "only" |] -> ()
-   | Some _ -> Alcotest.fail "wrong chunk contents"
-   | None -> Alcotest.fail "partial chunk lost on close");
-  Alcotest.(check bool) "drained" true (Chunk_queue.pop_chunk q = None)
 
 (* ----- split_budget (satellite a) ----- *)
 
@@ -270,18 +234,6 @@ let verdict_key tel =
       (r.Telemetry.dialect, r.Telemetry.pattern, r.Telemetry.by_class))
     (Telemetry.verdict_rows tel)
 
-let test_shards_one_equals_sequential () =
-  (* shards=1 routes through the queue/worker/merge machinery; it must
-     agree with the plain sequential path field for field *)
-  let prof = Dialect.find_exn "mariadb" in
-  let seq = Soft.Soft_runner.fuzz ~budget:1500 prof in
-  let sh = Soft.Soft_runner.fuzz_sharded ~budget:1500 ~shards:1 prof in
-  Alcotest.(check bool) "result fields agree" true
-    (result_key seq = result_key sh);
-  Alcotest.(check bool) "verdict counters agree" true
-    (verdict_key seq.Soft.Soft_runner.telemetry
-    = verdict_key sh.Soft.Soft_runner.telemetry)
-
 let test_sharded_campaign_deterministic () =
   (* the ISSUE's gating regression: jobs=1/shards=1 vs jobs=4/shards=4
      on a real campaign — identical verdict counters, identical bug
@@ -314,7 +266,7 @@ let test_sharded_campaign_deterministic () =
     = verdict_key par.Soft.Soft_runner.telemetry)
 
 let test_more_shards_than_jobs () =
-  (* jobs < shards exercises the multi-shard-per-worker queues *)
+  (* jobs < shards puts several shards on one worker *)
   let prof = Dialect.find_exn "postgresql" in
   let seq = Soft.Soft_runner.fuzz ~budget:1200 prof in
   let par = Soft.Soft_runner.fuzz ~budget:1200 ~shards:7 ~jobs:2 prof in
@@ -364,10 +316,10 @@ let test_stateful_sharded_deterministic () =
     = verdict_key par.Soft.Soft_runner.telemetry)
 
 let test_batched_sharded_deterministic () =
-  (* the batch gating regression: a family batch is split by member
-     across shards along the per-case round-robin, so batch-on at any
-     jobs/shards combination must match the batch-off sequential run on
-     every result field — and batches must actually execute on the
+  (* the batch gating regression: a family batch is owned whole by one
+     shard, so batch-on at any jobs/shards combination — more shards
+     than jobs included — must match the batch-off sequential run on
+     every result field, and batches must actually execute on the
      sharded legs for the check to mean anything *)
   let prof = Dialect.find_exn "clickhouse" in
   let baseline = Soft.Soft_runner.fuzz ~budget:3000 ~batch:false prof in
@@ -435,6 +387,37 @@ let test_timeseries_final_snapshot_shard_invariant () =
   Alcotest.(check int) "shard_cases sums to cases" par.Timeseries.cases
     (Array.fold_left ( + ) 0 par.Timeseries.shard_cases)
 
+let test_failing_worker_propagates () =
+  (* a shard whose timeseries emit raises must take the campaign down
+     with that exception, whether the shard runs on the spawned domain
+     (shard 1) or on the inline worker 0 (shard 0) — without hanging on
+     the other worker, and leaving nothing behind that stops the next
+     campaign. The budget is well past the first snapshot, so the
+     surviving worker has thousands of cases left to run. *)
+  let module Timeseries = Sqlfun_telemetry.Timeseries in
+  let prof = Dialect.find_exn "mariadb" in
+  List.iter
+    (fun bad ->
+      let cfg =
+        {
+          Timeseries.every_cases = 100;
+          every_ms = 0;
+          emit = (fun s -> if s.Timeseries.shard = bad then failwith "emit");
+        }
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "shard %d failure surfaces" bad)
+        (Failure "emit")
+        (fun () ->
+          ignore
+            (Soft.Soft_runner.fuzz ~budget:20000 ~timeseries:cfg ~shards:2
+               ~jobs:2 prof)))
+    [ 1; 0 ];
+  let seq = Soft.Soft_runner.fuzz ~budget:600 prof in
+  let par = Soft.Soft_runner.fuzz ~budget:600 ~shards:2 ~jobs:2 prof in
+  Alcotest.(check bool) "a following campaign still runs" true
+    (result_key seq = result_key par)
+
 let test_fuzz_all_parallel_deterministic () =
   let seq = Soft.Soft_runner.fuzz_all ~budget:400 () in
   let par = Soft.Soft_runner.fuzz_all ~budget:400 ~jobs:4 ~shards:2 () in
@@ -454,10 +437,6 @@ let suite =
         test_pool_propagates_exceptions;
       Alcotest.test_case "pool drains at any job count" `Quick
         test_pool_parallel_sum;
-      Alcotest.test_case "chunk queue preserves order" `Quick
-        test_queue_preserves_order;
-      Alcotest.test_case "chunk queue close flushes" `Quick
-        test_queue_close_flushes_partial_chunk;
       Alcotest.test_case "split_budget exact" `Quick test_split_budget_exact;
       Alcotest.test_case "split_budget qcheck" `Quick test_split_budget_qcheck;
       Alcotest.test_case "budget executed exactly" `Slow
@@ -467,8 +446,6 @@ let suite =
       Alcotest.test_case "telemetry merge algebra" `Quick
         test_telemetry_merge_algebra;
       Alcotest.test_case "reclassify verdict" `Quick test_reclassify_verdict;
-      Alcotest.test_case "shards=1 equals sequential" `Slow
-        test_shards_one_equals_sequential;
       Alcotest.test_case "4-shard campaign deterministic" `Slow
         test_sharded_campaign_deterministic;
       Alcotest.test_case "more shards than jobs" `Slow
@@ -481,6 +458,8 @@ let suite =
         test_batched_sharded_deterministic;
       Alcotest.test_case "timeseries final snapshot shard-invariant" `Slow
         test_timeseries_final_snapshot_shard_invariant;
+      Alcotest.test_case "failing worker propagates" `Slow
+        test_failing_worker_propagates;
       Alcotest.test_case "parallel fuzz_all deterministic" `Slow
         test_fuzz_all_parallel_deterministic;
     ] )
