@@ -48,22 +48,15 @@ type parallel_run = {
 
 type campaign_timing = {
   wall_s_sequential : float;
-      (* the observatory baseline: memoization on, plus timeseries
+      (* the observatory baseline: the default pipeline plus timeseries
          recording and snapshot bookkeeping *)
-  wall_s_memo : float;
-      (* a fresh plain memo-on sweep, timed like the memo-off one — the
-         honest numerator-free leg of the memo ratio (the observatory
-         baseline carries instrumentation the ~memo:false run doesn't) *)
-  wall_s_nomemo : float;      (* same sequential sweep, ~memo:false *)
-  memo_deterministic : bool;
+  wall_s_default : float;
+      (* a fresh plain default sweep, timed like the compact-off one —
+         the honest denominator of the compact ratio (the observatory
+         baseline carries instrumentation the ~compact:false run
+         doesn't) *)
   wall_s_nocompact : float;   (* same sequential sweep, ~compact:false *)
   compact_deterministic : bool;
-  wall_s_batch : float;
-      (* the default pipeline: slot-stream batched execution on — the
-         only timed leg where [~batch] is not pinned off *)
-  batch_deterministic : bool;
-  batch_cases : int;          (* members executed through run_batch *)
-  batch_flushes : int;        (* family batches those members formed *)
   wall_s_stateful : float;
       (* one full sweep with the stateful scenario stream on — the only
          leg where the parse/storage fault stages are reachable; every
@@ -95,15 +88,13 @@ type observatory = {
   obs_curve : (int * int) list;  (* (cases, branches), chronological *)
 }
 
-(* Up to three full runs of the exhaustive campaign: the sequential
-   baseline with verdict memoization on (the default pipeline; its stage
-   timings feed the trajectory artifact, as before), the same sweep with
-   [~memo:false] (every case pays the engine round-trip), and — on
-   multi-core hosts only — a multi-domain run at jobs = 4. The memo-off
-   and parallel runs are checked field-for-field against the baseline —
-   a speedup is only worth reporting if the answers agree. The memo
-   ratio does not depend on cores, only on how much of the case stream
-   repeats.
+(* The timed runs of the exhaustive campaign: the sequential baseline
+   (the default pipeline; its stage timings feed the trajectory
+   artifact), plain default and [~compact:false] sweeps timed
+   min-of-two, one stateful sweep, and — on multi-core hosts only — a
+   multi-domain run at jobs = 4. The compact-off and parallel runs are
+   checked field-for-field against the baseline — a speedup is only
+   worth reporting if the answers agree.
 
    The baseline run doubles as the observatory pass: each campaign
    carries a timeseries recorder whose periodic snapshots, offset by the
@@ -135,12 +126,8 @@ let campaign tel =
         in
         let tc0 = Unix.gettimeofday () in
         let r =
-          (* [~batch:false]: the observatory baseline keeps the
-             historical per-case pipeline so wall_s_sequential stays
-             comparable with pre-batch snapshots; the batched leg below
-             times the default *)
           Soft.Soft_runner.fuzz ~telemetry:tel ~timeseries:cfg
-            ~stateful:false ~batch:false prof
+            ~stateful:false prof
         in
         dialect_walls :=
           ( prof.Dialect.id,
@@ -179,8 +166,8 @@ let campaign tel =
                  profiled engine time):\n\n"
     (100. *. Profile.attribution agg_profile);
   print_string (Profile.top_markdown agg_profile);
-  (* the two plain legs are timed min-of-two: this host's wall-clock
-     noise (±15% run to run) is larger than the memo-on/memo-off gap,
+  (* the plain legs are timed min-of-two: wall-clock noise (±15% run
+     to run on a shared host) is larger than the gaps being measured,
      and the minimum of two interleaved runs is the standard symmetric
      estimator for "what the sweep costs when the machine isn't busy" *)
   let timed_leg f =
@@ -189,27 +176,6 @@ let campaign tel =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let nomemo_results, nm1 =
-    timed_leg
-      (Soft.Soft_runner.fuzz_all ~memo:false ~stateful:false ~batch:false)
-  in
-  (* a plain memo-on sweep under the same conditions as the memo-off
-     one (no shared collector, no timeseries recorders), so the memo
-     ratio compares two like-for-like runs instead of reusing the
-     instrumented observatory baseline *)
-  let memo_results, m1 =
-    timed_leg (fun () ->
-        Soft.Soft_runner.fuzz_all ~stateful:false ~batch:false ())
-  in
-  let nomemo_results2, nm2 =
-    timed_leg
-      (Soft.Soft_runner.fuzz_all ~memo:false ~stateful:false ~batch:false)
-  in
-  let memo_results2, m2 =
-    timed_leg (fun () ->
-        Soft.Soft_runner.fuzz_all ~stateful:false ~batch:false ())
-  in
-  let nomemo_s = Float.min nm1 nm2 and memo_s = Float.min m1 m2 in
   let same_result (a : Soft.Soft_runner.result) (b : Soft.Soft_runner.result) =
     let bug_key (x : Soft.Detector.found_bug) =
       (x.Soft.Detector.spec.Fault.site, x.Soft.Detector.case_number)
@@ -223,33 +189,25 @@ let campaign tel =
     && List.map bug_key a.Soft.Soft_runner.bugs
        = List.map bug_key b.Soft.Soft_runner.bugs
   in
-  let memo_deterministic =
-    List.for_all2 same_result results nomemo_results
-    && List.for_all2 same_result results memo_results
-    && List.for_all2 same_result results nomemo_results2
-    && List.for_all2 same_result results memo_results2
-  in
-  Printf.printf
-    "\nmemoization: %.1f s with, %.1f s without (%.2fx, %.1f%% hit rate, \
-     results %s)\n"
-    memo_s nomemo_s
-    (if memo_s > 0. then nomemo_s /. memo_s else 0.)
-    (100. *. Telemetry.memo_hit_rate tel)
-    (if memo_deterministic then "identical" else "DIVERGED");
   (* the compact-representation before/after: a ~compact:false sweep
-     materializes every RANGE array and REPEAT/pad string eagerly — the
-     pre-PR-8 pipeline. Timed min-of-two like the memo legs; its merged
+     materializes every RANGE array and REPEAT/pad string eagerly.
+     Default and compact-off legs interleave; the compact-off merged
      attribution profile is the "before" half of the hottest-function
-     table in the telemetry artifact (the plain memo leg is "after"). *)
+     table in the telemetry artifact (the plain default leg is
+     "after"). *)
+  let default_results, d1 =
+    timed_leg (fun () -> Soft.Soft_runner.fuzz_all ~stateful:false ())
+  in
   let nocompact_results, kc1 =
-    timed_leg
-      (Soft.Soft_runner.fuzz_all ~compact:false ~stateful:false ~batch:false)
+    timed_leg (Soft.Soft_runner.fuzz_all ~compact:false ~stateful:false)
+  in
+  let _, d2 =
+    timed_leg (fun () -> Soft.Soft_runner.fuzz_all ~stateful:false ())
   in
   let nocompact_results2, kc2 =
-    timed_leg
-      (Soft.Soft_runner.fuzz_all ~compact:false ~stateful:false ~batch:false)
+    timed_leg (Soft.Soft_runner.fuzz_all ~compact:false ~stateful:false)
   in
-  let nocompact_s = Float.min kc1 kc2 in
+  let default_s = Float.min d1 d2 and nocompact_s = Float.min kc1 kc2 in
   let compact_deterministic =
     List.for_all2 same_result results nocompact_results
     && List.for_all2 same_result results nocompact_results2
@@ -263,52 +221,10 @@ let campaign tel =
     p
   in
   Printf.printf
-    "compact values: %.1f s with, %.1f s without (%.2fx, results %s)\n"
-    memo_s nocompact_s
-    (if memo_s > 0. then nocompact_s /. memo_s else 0.)
+    "\ncompact values: %.1f s with, %.1f s without (%.2fx, results %s)\n"
+    default_s nocompact_s
+    (if default_s > 0. then nocompact_s /. default_s else 0.)
     (if compact_deterministic then "identical" else "DIVERGED");
-  (* the batched before/after: every pinned leg above runs the
-     historical per-case pipeline, so the plain memo-on leg doubles as
-     the unbatched baseline under identical conditions (no shared
-     collector, no recorders); the leg here is the same sweep with
-     slot-stream batching on — the default pipeline. Timed min-of-two
-     like the others. *)
-  let batch_results, bt1 =
-    timed_leg (fun () -> Soft.Soft_runner.fuzz_all ~stateful:false ())
-  in
-  let batch_results2, bt2 =
-    timed_leg (fun () -> Soft.Soft_runner.fuzz_all ~stateful:false ())
-  in
-  let batch_s = Float.min bt1 bt2 in
-  let nobatch_s = memo_s in
-  let batch_deterministic =
-    List.for_all2 same_result results batch_results
-    && List.for_all2 same_result results batch_results2
-  in
-  let batch_cases, batch_flushes =
-    List.fold_left
-      (fun (c, f) (r : Soft.Soft_runner.result) ->
-        let bc = Telemetry.batch_counts r.Soft.Soft_runner.telemetry in
-        (c + bc.Telemetry.b_cases, f + bc.Telemetry.b_flushes))
-      (0, 0) batch_results
-  in
-  let total_cases =
-    List.fold_left
-      (fun acc (r : Soft.Soft_runner.result) ->
-        acc + r.Soft.Soft_runner.cases_executed)
-      0 batch_results
-  in
-  Printf.printf
-    "batched execution: %.1f s with, %.1f s without (%.2fx, %d cases in %d \
-     family batches, results %s)\n"
-    batch_s nobatch_s
-    (if batch_s > 0. then nobatch_s /. batch_s else 0.)
-    batch_cases batch_flushes
-    (if batch_deterministic then "identical" else "DIVERGED");
-  if total_cases > 0 then
-    Printf.printf
-      "  fixed overhead recovered: %.0f ns/case (sweep-wide delta)\n"
-      ((nobatch_s -. batch_s) *. 1e9 /. float_of_int total_cases);
   (* the stateful leg: scenario synthesis, prerequisite execution and
      baseline restores all on — the campaign the default CLI runs *)
   let stateful_results, stateful_s =
@@ -351,7 +267,7 @@ let campaign tel =
       Gc.compact ();
       let t1 = Unix.gettimeofday () in
       let par_results =
-        Soft.Soft_runner.fuzz_all ~stateful:false ~batch:false ~jobs ()
+        Soft.Soft_runner.fuzz_all ~stateful:false ~jobs ()
       in
       let par_s = Unix.gettimeofday () -. t1 in
       let deterministic = List.for_all2 same_result results par_results in
@@ -373,22 +289,16 @@ let campaign tel =
   ( results,
     {
       wall_s_sequential = seq_s;
-      wall_s_memo = memo_s;
-      wall_s_nomemo = nomemo_s;
-      memo_deterministic;
+      wall_s_default = default_s;
       wall_s_nocompact = nocompact_s;
       compact_deterministic;
-      wall_s_batch = batch_s;
-      batch_deterministic;
-      batch_cases;
-      batch_flushes;
       wall_s_stateful = stateful_s;
       stateful_scenarios;
       stateful_prereqs;
       stateful_stages;
       per_dialect = List.rev !dialect_walls;
       prof_boxed = merge_profiles nocompact_results;
-      prof_compact = merge_profiles memo_results;
+      prof_compact = merge_profiles default_results;
       parallel;
       cores;
     },
@@ -624,86 +534,11 @@ let per_case_costs () =
     (if batched_ns > 0. then interp_ns /. batched_ns else 0.);
   (interp_ns, compiled_ns, batched_ns)
 
-(* The fixed per-case overhead the batching actually recovers lives
-   outside [exec]: per-case AST materialization, the skeleton
-   fingerprint + plan-cache probe, span entry, the PoC closure. The
-   engine-level triple above cannot see it, so this leg times the full
-   detector round-trip over one dialect's real batchable families —
-   member-for-member the same statements — through [run_scenario]
-   (the --no-batch pipeline) and through [run_batch]. Min-of-two with
-   [Gc.compact] isolation like every other leg. *)
-let batch_member_costs () =
-  section "Per-case pipeline cost on batchable families (unbatched vs batched)";
-  let prof = Dialect.find_exn "mysql" in
-  let registry =
-    Sqlfun_engine.Engine.registry (Dialect.make_engine prof)
-  in
-  let seeds =
-    Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
-  in
-  let batchable =
-    List.filter Sqlfun_fault.Pattern_id.shares_skeleton
-      Sqlfun_fault.Pattern_id.all
-  in
-  let each_batch f () =
-    let det = Soft.Detector.create ~memo:true ~compile:true prof in
-    let n = ref 0 in
-    List.iter
-      (fun p ->
-        Seq.iter
-          (function
-            | Soft.Patterns.Single _ -> ()
-            | Soft.Patterns.Batched b ->
-              n := !n + Soft.Patterns.batch_size b;
-              f det b)
-          (Soft.Patterns.generate_work ~registry ~seeds p))
-      batchable;
-    !n
-  in
-  let unbatched_leg =
-    each_batch (fun det b ->
-        Seq.iter
-          (fun c ->
-            ignore
-              (Soft.Detector.run_scenario det (Soft.Patterns.stateless c)))
-          (Soft.Patterns.batch_cases b))
-  in
-  let batched_leg = each_batch (fun det b -> Soft.Detector.run_batch det b) in
-  (* host load drifts on the scale of one leg, so the two legs are
-     *interleaved* — three alternating rounds, min per leg — rather
-     than timed back to back; a slow phase then hits both legs instead
-     of whichever ran during it *)
-  let once f =
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    let n = f () in
-    ((Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int n, n)
-  in
-  ignore (unbatched_leg ());
-  ignore (batched_leg ());
-  let unb = ref infinity and bat = ref infinity and members = ref 0 in
-  for _ = 1 to 3 do
-    let wu, n = once unbatched_leg in
-    let wb, _ = once batched_leg in
-    if wu < !unb then unb := wu;
-    if wb < !bat then bat := wb;
-    members := n
-  done;
-  let unbatched_ns = !unb and batched_ns = !bat and members = !members in
-  Printf.printf
-    "  unbatched pipeline %8.0f ns/case\n  batched pipeline   %8.0f ns/case \
-     (%.2fx, %d members, %.0f ns/case fixed overhead recovered)\n"
-    unbatched_ns batched_ns
-    (if batched_ns > 0. then unbatched_ns /. batched_ns else 0.)
-    members (unbatched_ns -. batched_ns);
-  (unbatched_ns, batched_ns)
-
 (* The perf trajectory artifact: stage wall-times, verdict counters,
    execute-stage attribution and the coverage-growth curve of the
    exhaustive campaign, diffable across PRs. *)
 let write_telemetry tel results timing obs ~ns_per_case_interp
-    ~ns_per_case_compiled ~ns_per_case_batched ~member_unbatched_ns
-    ~member_batched_ns =
+    ~ns_per_case_compiled ~ns_per_case_batched =
   let path = "BENCH_telemetry.json" in
   let campaign_json (r : Soft.Soft_runner.result) =
     let wall_s =
@@ -726,15 +561,6 @@ let write_telemetry tel results timing obs ~ns_per_case_interp
                wall_s *. 1e9
                /. float_of_int r.Soft.Soft_runner.cases_executed) );
         ("cases_executed", Json.Int r.Soft.Soft_runner.cases_executed);
-        ("cases_memoized", Json.Int r.Soft.Soft_runner.cases_memoized);
-        (* from the campaign's own counts — [r.telemetry] is the shared
-           collector here, whose rate is the cross-dialect aggregate *)
-        ( "memo_hit_rate",
-          Json.Float
-            (if r.Soft.Soft_runner.cases_executed = 0 then 0.
-             else
-               float_of_int r.Soft.Soft_runner.cases_memoized
-               /. float_of_int r.Soft.Soft_runner.cases_executed) );
         ("bugs", Json.Int (List.length r.Soft.Soft_runner.bugs));
         ( "functions_triggered",
           Json.Int r.Soft.Soft_runner.functions_triggered );
@@ -750,24 +576,10 @@ let write_telemetry tel results timing obs ~ns_per_case_interp
         ("kind", Json.Str "bench");
         ("campaigns", Json.Arr (List.map campaign_json results));
         ("wall_s_sequential", Json.Float timing.wall_s_sequential);
-        ("wall_s_memo", Json.Float timing.wall_s_memo);
-        ("wall_s_nomemo", Json.Float timing.wall_s_nomemo);
-        ( "memo_speedup",
-          Json.Float
-            (if timing.wall_s_memo > 0. then
-               timing.wall_s_nomemo /. timing.wall_s_memo
-             else 0.) );
+        ("wall_s_default", Json.Float timing.wall_s_default);
         ("ns_per_case_interp", Json.Float ns_per_case_interp);
         ("ns_per_case_compiled", Json.Float ns_per_case_compiled);
         ("ns_per_case_batched", Json.Float ns_per_case_batched);
-        ("memo_hit_rate", Json.Float (Telemetry.memo_hit_rate tel));
-        ( "cases_memoized",
-          Json.Int
-            (List.fold_left
-               (fun acc (r : Soft.Soft_runner.result) ->
-                 acc + r.Soft.Soft_runner.cases_memoized)
-               0 results) );
-        ("memo_deterministic", Json.Bool timing.memo_deterministic);
         ("cores", Json.Int timing.cores);
         ( "parallel_comparison",
           Json.Str
@@ -795,41 +607,10 @@ let write_telemetry tel results timing obs ~ns_per_case_interp
         ("wall_s_nocompact", Json.Float timing.wall_s_nocompact);
         ( "compact_speedup",
           Json.Float
-            (if timing.wall_s_memo > 0. then
-               timing.wall_s_nocompact /. timing.wall_s_memo
+            (if timing.wall_s_default > 0. then
+               timing.wall_s_nocompact /. timing.wall_s_default
              else 0.) );
         ("compact_deterministic", Json.Bool timing.compact_deterministic);
-        (* the batched before/after: wall_s_nobatch is the plain memo-on
-           leg (every pinned leg runs the per-case pipeline, so it is
-           the like-for-like unbatched baseline). Only ~30% of the
-           sweep is batchable, so the sweep-wide ratio sits near the
-           host's noise floor; the member-level pair below times the
-           same batchable statements through both detector pipelines,
-           which is where the recovered fixed overhead is actually
-           visible — fixed_overhead_ns is that member-level delta *)
-        ("wall_s_nobatch", Json.Float timing.wall_s_memo);
-        ("wall_s_batch", Json.Float timing.wall_s_batch);
-        ( "batch_speedup",
-          Json.Float
-            (if timing.wall_s_batch > 0. then
-               timing.wall_s_memo /. timing.wall_s_batch
-             else 0.) );
-        ("ns_per_case_member_unbatched", Json.Float member_unbatched_ns);
-        ("ns_per_case_member_batched", Json.Float member_batched_ns);
-        ( "batch_member_speedup",
-          Json.Float
-            (if member_batched_ns > 0. then
-               member_unbatched_ns /. member_batched_ns
-             else 0.) );
-        ( "fixed_overhead_ns",
-          Json.Float (member_unbatched_ns -. member_batched_ns) );
-        ("batch_deterministic", Json.Bool timing.batch_deterministic);
-        ( "batch",
-          Json.Obj
-            [
-              ("flushes", Json.Int timing.batch_flushes);
-              ("cases", Json.Int timing.batch_cases);
-            ] );
         ("wall_s_stateful", Json.Float timing.wall_s_stateful);
         ("scenarios_executed", Json.Int timing.stateful_scenarios);
         ("prereq_statements", Json.Int timing.stateful_prereqs);
@@ -878,7 +659,6 @@ let write_telemetry tel results timing obs ~ns_per_case_interp
                (Profile.hottest ~n:10 timing.prof_boxed)) );
         ("stages", Telemetry.stages_to_json tel);
         ("verdicts", Telemetry.verdicts_to_json tel);
-        ("memo", Telemetry.memo_to_json tel);
         ("compile", Telemetry.compile_to_json tel);
         ("compact", Telemetry.compact_to_json tel);
         ("attribution", Profile.to_json ~top:10 obs.obs_profile);
@@ -927,9 +707,7 @@ let () =
   let ns_per_case_interp, ns_per_case_compiled, ns_per_case_batched =
     per_case_costs ()
   in
-  let member_unbatched_ns, member_batched_ns = batch_member_costs () in
   write_telemetry tel results timing obs ~ns_per_case_interp
-    ~ns_per_case_compiled ~ns_per_case_batched ~member_unbatched_ns
-    ~member_batched_ns;
+    ~ns_per_case_compiled ~ns_per_case_batched;
   print_newline ();
   print_endline "bench: all tables and figures regenerated."

@@ -56,22 +56,16 @@ let trace_arg =
            ~doc:"Stream telemetry events (spans, verdicts, bugs, FP \
                  signatures) to $(docv) as JSON lines.")
 
-let no_memo_arg =
-  Arg.(value & flag
-       & info [ "no-memo" ]
-           ~doc:"Disable verdict memoization (every case takes the \
-                 engine round-trip). Verdicts, bug lists and FP \
-                 signatures are bit-identical with memoization on or \
-                 off; the flag exists to verify that and to time it.")
-
 let no_compile_arg =
   Arg.(value & flag
        & info [ "no-compile" ]
            ~doc:"Disable closure compilation (every case is evaluated by \
-                 the AST interpreter instead of a cached compiled plan). \
-                 Verdicts, bug lists and FP signatures are bit-identical \
-                 with compilation on or off; the flag exists to verify \
-                 that and to time it.")
+                 the AST interpreter, skeleton-sharing family members \
+                 from their reconstructed statements, instead of a \
+                 cached compiled plan). Verdicts, bug lists, FP \
+                 signatures and coverage are bit-identical with \
+                 compilation on or off; the flag exists to verify that \
+                 and to time it.")
 
 let no_compact_arg =
   Arg.(value & flag
@@ -81,17 +75,6 @@ let no_compact_arg =
                  instead of lazily). Verdicts, bug lists and FP \
                  signatures are bit-identical with compaction on or \
                  off; the flag exists to verify that and to time it.")
-
-let no_batch_arg =
-  Arg.(value & flag
-       & info [ "no-batch" ]
-           ~doc:"Disable slot-stream batched execution (skeleton-sharing \
-                 pattern families are enumerated and classified one \
-                 materialized statement at a time instead of one \
-                 skeleton plus slot vectors per family). Verdicts, bug \
-                 lists and FP signatures are bit-identical with batching \
-                 on or off; the flag exists to verify that and to time \
-                 it.")
 
 let no_stateful_arg =
   Arg.(value & flag
@@ -121,7 +104,7 @@ let timeseries_arg =
   Arg.(value & opt (some string) None
        & info [ "timeseries" ] ~docv:"FILE"
            ~doc:"Stream periodic campaign snapshots (cases/s, coverage, \
-                 bug counts, memo hit rate, per-shard progress) to \
+                 bug counts, per-shard progress) to \
                  $(docv) as JSON lines. The final $(b,shard=-1) \
                  snapshot is computed from merged totals and is \
                  identical at any shard/job count.")
@@ -209,9 +192,8 @@ let progress_renderer dialect_id =
     Mutex.unlock m
 
 let fuzz_cmd =
-  let run dialect budget jobs shards no_memo no_compile no_compact
-      no_stateful no_batch verbose report trace json profile_out
-      timeseries_out progress =
+  let run dialect budget jobs shards no_compile no_compact no_stateful verbose
+      report trace json profile_out timeseries_out progress =
     match resolve_dialect dialect with
     | Error msg ->
       prerr_endline msg;
@@ -243,9 +225,8 @@ let fuzz_cmd =
           in
           let r =
             Soft.Soft_runner.fuzz ?budget ~telemetry:tel ?timeseries
-              ~memo:(not no_memo) ~compile:(not no_compile)
-              ~compact:(not no_compact) ~stateful:(not no_stateful)
-              ~batch:(not no_batch) ~shards ~jobs prof
+              ~compile:(not no_compile) ~compact:(not no_compact)
+              ~stateful:(not no_stateful) ~shards ~jobs prof
           in
           if progress then prerr_newline ();
           Option.iter close_out ts_oc;
@@ -281,9 +262,6 @@ let fuzz_cmd =
               sv.Soft.Detector.parse sv.Soft.Detector.execute
               sv.Soft.Detector.storage
           end;
-          Printf.printf "  cases memoized:       %d (%.1f%% hit rate)\n"
-            r.Soft.Soft_runner.cases_memoized
-            (100. *. Telemetry.memo_hit_rate r.Soft.Soft_runner.telemetry);
           (let cc = Telemetry.compile_counts r.Soft.Soft_runner.telemetry in
            Printf.printf
              "  plans compiled:       %d (%.1f%% plan-cache hit rate, %d \
@@ -327,9 +305,9 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run a SOFT campaign against a simulated dialect")
     Term.(const run $ dialect_arg $ budget_arg 0 $ jobs_arg $ shards_arg
-          $ no_memo_arg $ no_compile_arg $ no_compact_arg $ no_stateful_arg
-          $ no_batch_arg $ verbose $ report $ trace_arg $ json_arg
-          $ profile_arg $ timeseries_arg $ progress_arg)
+          $ no_compile_arg $ no_compact_arg $ no_stateful_arg $ verbose
+          $ report $ trace_arg $ json_arg $ profile_arg $ timeseries_arg
+          $ progress_arg)
 
 let study_cmd =
   let run () =

@@ -284,7 +284,7 @@ let replace_nth_call stmt n replacement =
 
 (* ----- structural fingerprinting -----
 
-   [fingerprint] is FNV-1a over a canonical post-order serialization of
+   [fp_stmt] is FNV-1a over a canonical post-order serialization of
    the statement: children are folded into the hash before their node's
    tag, every variable-length sequence is terminated by its length, and
    strings are hashed byte-wise then length-terminated, so two distinct
@@ -294,9 +294,8 @@ let replace_nth_call stmt n replacement =
 
    Arithmetic is on OCaml's native int (63-bit on 64-bit platforms) with
    the standard 64-bit FNV prime; the offset basis has its top bit
-   dropped to fit. The result is widened to [int64] at the end. A
-   fingerprint is a cache key, never an identity: callers must confirm
-   candidate hits with {!equal_stmt}. *)
+   dropped to fit. The skeleton fingerprint below reuses it verbatim for
+   DDL/DML statements, which carry no slots. *)
 
 let fnv_prime = 0x100000001B3
 let fnv_basis = 0x4bf29ce484222325 (* 64-bit FNV basis, top bit cleared *)
@@ -313,7 +312,7 @@ let binop_tag = function
 let join_tag = function Ast.Inner -> 1 | Ast.Left_outer -> 2 | Ast.Cross -> 3
 
 (* Accumulator-passing: the hash state is threaded as an immediate int
-   through top-level functions, so a [fingerprint] call allocates
+   through top-level functions, so a fingerprint walk allocates
    nothing but the final [int64] box — no closure group is rebuilt per
    call and no ref cell escapes to the heap. *)
 
@@ -441,22 +440,9 @@ let rec fp_stmt h = function
   | Drop_table { drop_name; if_exists } ->
     mix (mix (fp_str h drop_name) (if if_exists then 1 else 0)) 194
 
-let fingerprint stmt = Int64.of_int (fp_stmt fnv_basis stmt)
-
-(* A scenario's memo key covers its whole statement list: the same fold
-   as [fingerprint], length-terminated like every other sequence in the
-   serialization, so [stmts] and [stmts @ [s]] never collide trivially
-   and a single statement hashes differently as [s] vs [[s]]. *)
-let fingerprint_stmts stmts =
-  let h = List.fold_left fp_stmt fnv_basis stmts in
-  Int64.of_int (mix h (List.length stmts))
-
 (* The AST is strings/ints/bools/variants all the way down, so the
    polymorphic structural equality is exactly statement identity. *)
 let equal_stmt (a : Ast.stmt) (b : Ast.stmt) = a = b
-
-let equal_stmts (a : Ast.stmt list) (b : Ast.stmt list) =
-  List.compare_lengths a b = 0 && List.for_all2 equal_stmt a b
 
 (* ----- slot-normalized skeletons -----
 
@@ -478,7 +464,7 @@ let equal_stmts (a : Ast.stmt list) (b : Ast.stmt list) =
    the closure compiler: statements with equal skeletons share one
    compiled plan, and [fold_slots] extracts the varying literal nodes in
    the compiler's slot order (pre-order, projection → from → where →
-   group_by → having → order_by, same field order as [fingerprint]).
+   group_by → having → order_by, same field order as [fp_stmt]).
 
    A statement containing a subquery in slot-bearing position has NO
    skeleton ([fingerprint_skeleton] returns [None]): its case family

@@ -20,19 +20,6 @@ type found_bug = {
   case_number : int;
 }
 
-(* The cached image of a verdict: everything needed to replay the
-   classification without the engine round-trip. New-vs-Dup for crashes
-   is NOT cached — it depends on execution order, so it is re-derived
-   from the [sites] table at replay time (within one detector a cached
-   crash always replays as a duplicate: the miss that populated the
-   entry registered the site). *)
-type cached_verdict =
-  | C_passed
-  | C_clean of string
-  | C_fp of string
-  | C_crash of Fault.spec
-  | C_blown
-
 type t = {
   prof : Dialect.profile;
   cov : Coverage.t;
@@ -41,7 +28,6 @@ type t = {
   compact : bool;  (* compact value representations in the engine *)
   mutable engine : Engine.t;
   mutable executed : int;
-  mutable memoized : int;  (* how many of [executed] skipped the engine *)
   mutable passed : int;
   mutable clean_errors : int;
   mutable false_positives : int;
@@ -60,7 +46,6 @@ type t = {
   fp_signatures : (string, unit) Hashtbl.t;
   fp_buf : Buffer.t;  (* reused across FP-signature normalizations *)
   mutable found : found_bug list;  (* reversed *)
-  memo : cached_verdict Verdict_cache.t option;  (* [None] = --no-memo *)
   plans : Compile.Cache.t option;  (* [None] = --no-compile *)
   mutable slot_buf : Sqlfun_ast.Ast.expr array;
       (* reused across compiled executions; holds each case's literal
@@ -74,8 +59,7 @@ let fresh_engine tel cov xprof ~compact prof =
   Telemetry.with_span tel ~dialect:prof.Dialect.id "restart-after-crash"
     (fun () -> Dialect.make_engine ~cov ~armed:true ~compact ~profile:xprof prof)
 
-let create ?cov ?telemetry ?profile ?(memo = true) ?(compile = true)
-    ?(compact = true) prof =
+let create ?cov ?telemetry ?profile ?(compile = true) ?(compact = true) prof =
   let cov = match cov with Some c -> c | None -> Coverage.create () in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let xprof = match profile with Some p -> p | None -> Profile.create () in
@@ -89,7 +73,6 @@ let create ?cov ?telemetry ?profile ?(memo = true) ?(compile = true)
     compact;
     engine;
     executed = 0;
-    memoized = 0;
     passed = 0;
     clean_errors = 0;
     false_positives = 0;
@@ -105,7 +88,6 @@ let create ?cov ?telemetry ?profile ?(memo = true) ?(compile = true)
     fp_signatures = Hashtbl.create 16;
     fp_buf = Buffer.create 128;
     found = [];
-    memo = (if memo then Some (Verdict_cache.create ()) else None);
     plans = (if compile then Some (Compile.Cache.create ()) else None);
     slot_buf = Array.make 16 Sqlfun_ast.Ast.Null;
   }
@@ -139,9 +121,9 @@ let verdict_class = function
 (* The verdict bookkeeping for one executed outcome — counter updates,
    FP-signature dedup, crash restart, site registration, bug events.
    The single source of truth shared by [classify] (one engine
-   round-trip per call) and [run_batch] (one call per batch member
-   inside the batched loop): both paths produce bit-identical verdicts,
-   counters and events because both end here. *)
+   round-trip per call) and [run_batch]'s compiled loop (one call per
+   batch member): both paths produce bit-identical verdicts, counters
+   and events because both end here. *)
 let settle t ~pattern ~pat ~dialect ~case_number ~poc outcome =
   match outcome with
   | `Res (Ok _) ->
@@ -262,213 +244,22 @@ let run_sql t ?pattern ?case_number sql =
     ~poc:(fun () -> sql)
     (fun () -> Engine.exec_sql t.engine sql)
 
-(* ----- verdict memoization -----
-
-   A verdict is a pure function of the *statement list* it classifies,
-   because every scenario starts from the same engine state: the
-   session is reset at the top of [classify], and table state is always
-   the post-seed baseline — stateless probes never touch storage, a
-   stateful scenario restores the baseline when it completes, and a
-   crash rebuilds the engine and re-pins the baseline in [restart]. So
-   a statement list seen before can replay its recorded verdict without
-   the engine round-trip, bit-identically:
-
-   - counters, the FP-signature set (the first execution registered the
-     signature; a replay of the same message adds nothing), and verdict
-     events replay exactly as a re-execution would have produced them;
-   - coverage is untouched, which only drops duplicate hit-count
-     increments — the distinct point set a re-execution would touch is
-     already present (insertion is idempotent);
-   - a cached crash still restarts the engine, exactly as the
-     re-executed crash would have, so the engine lifecycle (and the
-     arming coverage it records) is identical to an uncached run;
-   - a cached non-crash scenario skips its prerequisites entirely, so
-     there is nothing to restore — storage was never touched;
-   - New-vs-Dup is re-derived from the [sites] table (and, across
-     shards, from globally ordered case numbers), never replayed.
-
-   A *bare* DDL/DML statement (a seed replay outside any scenario) is
-   still not cacheable: only [run_scenario] pairs such statements with
-   the baseline-restore discipline that makes their verdicts pure. *)
-
-let cacheable = function
-  | Sqlfun_ast.Ast.Select_stmt _ | Sqlfun_ast.Ast.Explain _ -> true
-  | Sqlfun_ast.Ast.Create_table _ | Sqlfun_ast.Ast.Insert _
-  | Sqlfun_ast.Ast.Drop_table _ ->
-    false
-
-let to_cached = function
-  | Passed -> C_passed
-  | Clean_error msg -> C_clean msg
-  | False_positive msg -> C_fp msg
-  | New_bug spec | Dup_bug spec -> C_crash spec
-  | Known_crash _ -> C_blown
-
-(* Mirrors [classify]'s bookkeeping without the engine round-trip. *)
-let replay t ?pattern ?case_number ~poc cached =
-  t.executed <- t.executed + 1;
-  t.memoized <- t.memoized + 1;
-  let case_number =
-    match case_number with Some n -> n | None -> t.executed
-  in
-  let dialect = t.prof.Dialect.id in
-  let pat =
-    match pattern with Some p -> Pattern_id.to_string p | None -> "seed"
-  in
-  let verdict =
-    match cached with
-    | C_passed ->
-      t.passed <- t.passed + 1;
-      Passed
-    | C_clean msg ->
-      t.clean_errors <- t.clean_errors + 1;
-      Clean_error msg
-    | C_fp msg ->
-      t.false_positives <- t.false_positives + 1;
-      False_positive msg
-    | C_crash spec ->
-      (* a re-execution would have crashed and restarted — keep the
-         engine lifecycle identical *)
-      restart t;
-      count_stage t spec.Fault.stage;
-      if Hashtbl.mem t.sites spec.Fault.site then begin
-        t.dup_crashes <- t.dup_crashes + 1;
-        Dup_bug spec
-      end
-      else begin
-        (* unreachable through the detector (the populating miss
-           registered the site), kept so a hand-fed cache still
-           classifies soundly *)
-        Hashtbl.add t.sites spec.Fault.site ();
-        t.found <-
-          { spec; found_by = pattern; poc = poc (); case_number }
-          :: t.found;
-        Telemetry.bug_event t.tel ~dialect ~site:spec.Fault.site
-          ~kind:(Bug_kind.to_string spec.Fault.kind)
-          ~pattern:pat ~case_number;
-        New_bug spec
-      end
-    | C_blown ->
-      restart t;
-      count_stage t Fault.Execute;
-      t.known_crashes <- t.known_crashes + 1;
-      Known_crash "stack exhausted (CVE-2015-5289 class)"
-  in
-  Telemetry.count_verdict t.tel ~dialect ~pattern:pat ~case_number
-    (verdict_class verdict);
-  verdict
-
-(* The engine round-trip for one statement: compile-once/fill-slots/run
-   when a compiled plan covers the statement's skeleton, the interpreter
-   otherwise. The plan cache is keyed on the skeleton, so every case of
-   a pattern family after the first is a cache hit that skips the AST
-   walk entirely; the slot buffer is reused across cases. *)
-let exec_engine t ?pattern stmt =
-  match t.plans with
-  | None -> Engine.exec_stmt t.engine stmt
-  | Some _
-    when not
-           (match pattern with
-            | Some p -> Pattern_id.shares_skeleton p
-            | None -> false) ->
-    (* seed replays and skeleton-varying patterns (P2.1/P2.2/P3.2/P3.3)
-       never reuse a plan; probing the cache for them costs more than
-       the tree walk they would run anyway *)
-    Telemetry.compile_fallback t.tel;
-    Engine.exec_stmt t.engine stmt
-  | Some cache ->
-    (* the cache probe (skeleton fingerprint + structural verify) and
-       slot fill are planning work: charged to the [Plan] attribution
-       phase so the much shorter compiled round-trips don't inflate the
-       unclaimed [other] bucket *)
-    let prepared =
-      Profile.with_phase t.xprof Profile.Plan @@ fun () ->
-      let compiled =
-        match
-          Compile.Cache.get cache ~registry:(Engine.registry t.engine) stmt
-        with
-        | Compile.Cache.Skip -> None
-        | Compile.Cache.Found c ->
-          Telemetry.compile_hit t.tel;
-          Some c
-        | Compile.Cache.Added c ->
-          Telemetry.compile_miss t.tel;
-          Some c
-      in
-      match compiled with
-      | None ->
-        Telemetry.compile_fallback t.tel;
-        None
-      | Some Compile.Fallback ->
-        Telemetry.compile_fallback t.tel;
-        None
-      | Some (Compile.Plan plan) ->
-        let n = Compile.n_slots plan in
-        if Array.length t.slot_buf < n then
-          t.slot_buf <-
-            Array.make
-              (Stdlib.max n (2 * Array.length t.slot_buf))
-              Sqlfun_ast.Ast.Null;
-        let buf = t.slot_buf in
-        let filled =
-          Sqlfun_ast.Ast_util.fold_slots
-            (fun i s ->
-              buf.(i) <- s;
-              i + 1)
-            0 stmt
-        in
-        if filled <> n then begin
-          (* traversal disagreement would mean a skeleton bug; never let
-             it corrupt a verdict — run the interpreter instead *)
-          Telemetry.compile_fallback t.tel;
-          None
-        end
-        else Some (plan, buf)
-    in
-    (match prepared with
-     | None -> Engine.exec_stmt t.engine stmt
-     | Some (plan, buf) -> Engine.exec_compiled t.engine plan buf)
-
-let exec_classified t ?pattern ?case_number ~poc stmt =
-  let execute () =
-    classify t ?pattern ?case_number ~poc (fun () ->
-        exec_engine t ?pattern stmt)
-  in
-  (* memo/compile partition: a skeleton-sharing family is the
-     compiler's — every case after the first is a plan-cache hit, and
-     its distinct boundary literals make verdict-cache hits rare, so
-     the per-case fingerprint+probe is pure overhead there. Memoize
-     only what the compiler does not own: seed replays and the
-     skeleton-varying families the compiler falls back on. *)
-  let compiler_owned =
-    match (t.plans, pattern) with
-    | Some _, Some p -> Pattern_id.shares_skeleton p
-    | _ -> false
-  in
-  match t.memo with
-  | Some cache when cacheable stmt && not compiler_owned ->
-    let fp = Sqlfun_ast.Ast_util.fingerprint stmt in
-    (match Verdict_cache.find cache ~fp [ stmt ] with
-     | Verdict_cache.Hit cached ->
-       Telemetry.memo_hit t.tel;
-       replay t ?pattern ?case_number ~poc cached
-     | Verdict_cache.Miss { collided; admit } ->
-       if collided then Telemetry.memo_collision t.tel;
-       Telemetry.memo_miss t.tel;
-       let verdict = execute () in
-       if admit then Verdict_cache.add cache ~fp [ stmt ] (to_cached verdict);
-       verdict)
-  | Some _ | None -> execute ()
+(* The engine round-trip for one statement outside a family batch.
+   Seed replays and skeleton-varying cases (P2.1/P2.2/P3.2/P3.3) never
+   reuse a plan, so they always interpret; with the plan cache on, each
+   is counted as a compile fallback. Skeleton-sharing cases reach the
+   compiler only through [run_batch]. *)
+let exec_engine t stmt =
+  if Option.is_some t.plans then Telemetry.compile_fallback t.tel;
+  Engine.exec_stmt t.engine stmt
 
 let run_stmt t ?pattern ?case_number stmt =
-  exec_classified t ?pattern ?case_number
+  classify t ?pattern ?case_number
     ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt stmt)
-    stmt
+    (fun () -> exec_engine t stmt)
 
 let run_case t ?case_number (case : Patterns.case) =
-  exec_classified t ~pattern:case.Patterns.pattern ?case_number
-    ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt case.Patterns.stmt)
-    case.Patterns.stmt
+  run_stmt t ~pattern:case.Patterns.pattern ?case_number case.Patterns.stmt
 
 (* ----- stateful scenarios -----
 
@@ -493,218 +284,167 @@ let run_scenario t ?case_number (sc : Patterns.scenario) =
     let poc () =
       String.concat ";\n" (List.map Sqlfun_ast.Sql_pp.stmt stmts)
     in
-    let pattern = case.Patterns.pattern in
-    let execute () =
-      let verdict =
-        classify t ~pattern ?case_number ~poc (fun () ->
-            let rec go = function
-              | [] -> Engine.exec_stmt t.engine case.Patterns.stmt
-              | p :: rest ->
-                (match Engine.exec_stmt t.engine p with
-                 | Ok _ -> go rest
-                 | Error _ as e -> e)
-            in
-            go prereqs)
-      in
-      (match verdict with
-       | New_bug _ | Dup_bug _ | Known_crash _ ->
-         (* the crash path already rebuilt the engine on the baseline *)
-         ()
-       | Passed | Clean_error _ | False_positive _ ->
-         Storage.restore (Engine.catalog t.engine) t.baseline);
-      verdict
+    let verdict =
+      classify t ~pattern:case.Patterns.pattern ?case_number ~poc (fun () ->
+          let rec go = function
+            | [] -> Engine.exec_stmt t.engine case.Patterns.stmt
+            | p :: rest ->
+              (match Engine.exec_stmt t.engine p with
+               | Ok _ -> go rest
+               | Error _ as e -> e)
+          in
+          go prereqs)
     in
-    (match t.memo with
-     | Some cache ->
-       let fp = Sqlfun_ast.Ast_util.fingerprint_stmts stmts in
-       (match Verdict_cache.find cache ~fp stmts with
-        | Verdict_cache.Hit cached ->
-          Telemetry.memo_hit t.tel;
-          (* a cached non-crash scenario never ran its prerequisites,
-             so storage is untouched and needs no restore; a cached
-             crash restarts (and re-baselines) inside [replay] *)
-          replay t ~pattern ?case_number ~poc cached
-        | Verdict_cache.Miss { collided; admit } ->
-          if collided then Telemetry.memo_collision t.tel;
-          Telemetry.memo_miss t.tel;
-          let verdict = execute () in
-          if admit then Verdict_cache.add cache ~fp stmts (to_cached verdict);
-          verdict)
-     | None -> execute ())
+    (match verdict with
+     | New_bug _ | Dup_bug _ | Known_crash _ ->
+       (* the crash path already rebuilt the engine on the baseline *)
+       ()
+     | Passed | Clean_error _ | False_positive _ ->
+       Storage.restore (Engine.catalog t.engine) t.baseline);
+    verdict
 
 (* ----- slot-stream batched execution -----
 
-   One batch = one skeleton-sharing case family. The per-case fixed
-   overhead the unbatched path pays n times — telemetry span entry,
-   plan-cache probe (skeleton fingerprint + structural verify), the
-   memo/compile partition decision, full slot refill, and a fresh PoC
-   closure per case — is paid once here; the member loop is
-   fill-window → eval → settle. Soundness: within a batch the probed
-   skeleton, the partition decision, and the non-window slots are
-   constant by construction (that is what makes it a family), so
-   hoisting them cannot change any member's verdict; and compiled
-   execution is observably identical to interpretation (values,
-   provenance, tick counts, coverage, fault checks — see compile.ml),
-   so members a batch runs compiled where the unbatched run would
-   still have been warming the admission counter classify
-   identically. Member ASTs are never materialized on the hot path;
-   [Patterns.batch_stmt] rebuilds one lazily when a crash needs its
-   PoC, byte-identical to the unbatched pretty-print because the
-   reconstruction is structurally equal to the unbatched statement. *)
+   One batch = one skeleton-sharing case family, and the only way a
+   case runs compiled: a case that could not join a family arrives as a
+   family of one (its own skeleton, an empty window). The per-case fixed
+   overhead — telemetry span entry, plan-cache probe (skeleton
+   fingerprint + structural verify), constant-slot fill and a PoC
+   closure — is paid once per family; the member loop is fill-window →
+   eval → settle. Soundness: within a batch the probed skeleton and the
+   non-window slots are constant by construction (that is what makes it
+   a family), so hoisting them cannot change any member's verdict; and
+   compiled execution is observably identical to interpretation
+   (values, provenance, tick counts, coverage, fault checks — see
+   compile.ml), so which members run compiled never changes a verdict.
+   Member ASTs are never materialized on the hot path;
+   [Patterns.batch_stmt] rebuilds one lazily when a crash needs its PoC
+   or the family is interpreted, structurally equal to the statement
+   the per-case generator emits. *)
+
+(* One probe resolves the whole family. The per-member counters mirror
+   what [n] one-case probes of the same skeleton would record. [None]
+   means interpret: no plan cache (--no-compile), or an unadmitted or
+   uncompilable family. *)
+let family_plan t (b : Patterns.batch) n =
+  match t.plans with
+  | None -> None
+  | Some cache ->
+    let hits k = for _ = 1 to k do Telemetry.compile_hit t.tel done in
+    let fallbacks k =
+      for _ = 1 to k do Telemetry.compile_fallback t.tel done
+    in
+    Profile.with_phase t.xprof Profile.Plan @@ fun () ->
+    let compiled =
+      match
+        Compile.Cache.get_batched cache ~registry:(Engine.registry t.engine)
+          ~count:n b.Patterns.b_skeleton
+      with
+      | Compile.Cache.Skip ->
+        fallbacks n;
+        None
+      | Compile.Cache.Found c ->
+        hits n;
+        Some c
+      | Compile.Cache.Added c ->
+        Telemetry.compile_miss t.tel;
+        hits (n - 1);
+        Some c
+    in
+    (match compiled with
+     | None -> None
+     | Some Compile.Fallback ->
+       fallbacks n;
+       None
+     | Some (Compile.Plan plan) ->
+       if Compile.n_slots plan <> Array.length b.Patterns.b_slots then begin
+         (* traversal disagreement would mean a skeleton bug; never let
+            it corrupt a verdict — run the interpreter instead *)
+         fallbacks n;
+         None
+       end
+       else Some plan)
+
 let run_batch t ?first_case (b : Patterns.batch) =
   let n = Patterns.batch_size b in
   if n > 0 then begin
     Telemetry.batch_flush t.tel ~cases:n;
     let pattern = b.Patterns.b_pattern in
-    let pat = Pattern_id.to_string pattern in
-    let dialect = t.prof.Dialect.id in
-    let number i = Option.map (fun n0 -> n0 + i) first_case in
-    match t.plans with
+    match family_plan t b n with
     | None ->
-      (* --no-compile: the interpreter path memoizes (the partition
-         gives these families to the verdict cache when there is no
-         plan cache), so members take the classic per-case route *)
+      (* interpret members one by one, each reconstructed from the
+         skeleton and its window — the reference path the compiled loop
+         must match *)
       List.iteri
         (fun i vec ->
           let stmt = Patterns.batch_stmt b vec in
           ignore
-            (exec_classified t ~pattern ?case_number:(number i)
+            (classify t ~pattern
+               ?case_number:(Option.map (fun n0 -> n0 + i) first_case)
                ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt stmt)
-               stmt))
+               (fun () -> Engine.exec_stmt t.engine stmt)))
         b.Patterns.b_vecs
-    | Some cache ->
-      let hits k = for _ = 1 to k do Telemetry.compile_hit t.tel done in
-      let fallbacks k =
-        for _ = 1 to k do Telemetry.compile_fallback t.tel done
-      in
-      (* one probe resolves the whole family; the per-member counters
-         mirror what n unbatched probes of an admitted family record *)
-      let plan =
-        Profile.with_phase t.xprof Profile.Plan @@ fun () ->
-        let compiled =
-          match
-            Compile.Cache.get_batched cache
-              ~registry:(Engine.registry t.engine) ~count:n
-              b.Patterns.b_skeleton
-          with
-          | Compile.Cache.Skip ->
-            fallbacks n;
-            None
-          | Compile.Cache.Found c ->
-            hits n;
-            Some c
-          | Compile.Cache.Added c ->
-            Telemetry.compile_miss t.tel;
-            hits (n - 1);
-            Some c
-        in
-        match compiled with
-        | None -> None
-        | Some Compile.Fallback ->
-          fallbacks n;
-          None
-        | Some (Compile.Plan plan) ->
-          if Compile.n_slots plan <> Array.length b.Patterns.b_slots then begin
-            (* traversal disagreement would mean a skeleton bug; never
-               let it corrupt a verdict — run the interpreter instead *)
-            fallbacks n;
-            None
-          end
-          else Some plan
-      in
-      (match plan with
-       | None ->
-         (* unadmitted or uncompilable family: interpret members one by
-            one. The memo probe is skipped exactly as the unbatched
-            partition skips it — with the plan cache on, a
-            skeleton-sharing family is the compiler's. *)
-         List.iteri
-           (fun i vec ->
-             let stmt = Patterns.batch_stmt b vec in
-             ignore
-               (classify t ~pattern ?case_number:(number i)
-                  ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt stmt)
-                  (fun () -> Engine.exec_stmt t.engine stmt)))
-           b.Patterns.b_vecs
-       | Some plan ->
-         let nslots = Array.length b.Patterns.b_slots in
-         if Array.length t.slot_buf < nslots then
-           t.slot_buf <-
-             Array.make
-               (Stdlib.max nslots (2 * Array.length t.slot_buf))
-               Sqlfun_ast.Ast.Null;
-         let buf = t.slot_buf in
-         (* constant slots land once; the member loop only rewrites the
-            varying window *)
-         Array.blit b.Patterns.b_slots 0 buf 0 nslots;
-         (* one PoC closure for the whole batch: it reads the member
-            vector out of [cur], so clean cases allocate nothing *)
-         let cur = ref b.Patterns.b_slots in
-         let poc () = Sqlfun_ast.Sql_pp.stmt (Patterns.batch_stmt b !cur) in
-         (* the verdict-counter row and the profiler's root record are
-            keyed by dialect x pattern, both constant across the batch:
-            resolve them once instead of probing string-keyed tables
-            per member *)
-         let vrow = Telemetry.verdict_counter t.tel ~dialect ~pattern:pat in
-         let root = Profile.root_stats t.xprof in
-         Telemetry.with_span t.tel ~dialect ~pattern:pat "execute"
-           (fun () ->
-             List.iteri
-               (fun i vec ->
-                 t.executed <- t.executed + 1;
-                 let case_number =
-                   match first_case with
-                   | Some n0 -> n0 + i
-                   | None -> t.executed
-                 in
-                 (* [t.engine] is re-read each member: a crash restart
-                    replaces it mid-batch, and the plan stays valid
-                    because registries are static per-dialect data *)
-                 Sqlfun_functions.Fn_ctx.reset_session
-                   (Engine.context t.engine);
-                 Array.blit vec 0 buf b.Patterns.b_lo b.Patterns.b_n;
-                 (* the root attribution frame covers the engine
-                    round-trip only, exactly like [classify]'s —
-                    widening it over the verdict bookkeeping would
-                    deflate the attribution ratio *)
-                 Profile.enter_with t.xprof root Profile.Other;
-                 let outcome =
-                   match Engine.exec_compiled t.engine plan buf with
-                   | r ->
-                     Profile.exit t.xprof;
-                     `Res r
-                   | exception Fault.Crash spec ->
-                     Profile.exit t.xprof;
-                     `Crashed spec
-                   | exception Stack_overflow ->
-                     Profile.exit t.xprof;
-                     `Blown
-                 in
-                 cur := vec;
-                 let verdict =
-                   settle t ~pattern:(Some pattern) ~pat ~dialect
-                     ~case_number ~poc outcome
-                 in
-                 Telemetry.count_verdict_row t.tel vrow ~dialect
-                   ~pattern:pat ~case_number (verdict_class verdict))
-               b.Patterns.b_vecs))
+    | Some plan ->
+      let pat = Pattern_id.to_string pattern in
+      let dialect = t.prof.Dialect.id in
+      let nslots = Array.length b.Patterns.b_slots in
+      if Array.length t.slot_buf < nslots then
+        t.slot_buf <-
+          Array.make
+            (Stdlib.max nslots (2 * Array.length t.slot_buf))
+            Sqlfun_ast.Ast.Null;
+      let buf = t.slot_buf in
+      (* constant slots land once; the member loop only rewrites the
+         varying window *)
+      Array.blit b.Patterns.b_slots 0 buf 0 nslots;
+      (* one PoC closure for the whole batch: it reads the member vector
+         out of [cur], so clean cases allocate nothing *)
+      let cur = ref b.Patterns.b_slots in
+      let poc () = Sqlfun_ast.Sql_pp.stmt (Patterns.batch_stmt b !cur) in
+      (* the verdict-counter row and the profiler's root record are
+         keyed by dialect x pattern, both constant across the batch:
+         resolve them once instead of probing string-keyed tables per
+         member *)
+      let vrow = Telemetry.verdict_counter t.tel ~dialect ~pattern:pat in
+      let root = Profile.root_stats t.xprof in
+      Telemetry.with_span t.tel ~dialect ~pattern:pat "execute" (fun () ->
+          List.iteri
+            (fun i vec ->
+              t.executed <- t.executed + 1;
+              let case_number =
+                match first_case with Some n0 -> n0 + i | None -> t.executed
+              in
+              (* [t.engine] is re-read each member: a crash restart
+                 replaces it mid-batch, and the plan stays valid because
+                 registries are static per-dialect data *)
+              Sqlfun_functions.Fn_ctx.reset_session (Engine.context t.engine);
+              Array.blit vec 0 buf b.Patterns.b_lo b.Patterns.b_n;
+              (* the root attribution frame covers the engine round-trip
+                 only, exactly like [classify]'s — widening it over the
+                 verdict bookkeeping would deflate the attribution
+                 ratio *)
+              Profile.enter_with t.xprof root Profile.Other;
+              let outcome =
+                match Engine.exec_compiled t.engine plan buf with
+                | r ->
+                  Profile.exit t.xprof;
+                  `Res r
+                | exception Fault.Crash spec ->
+                  Profile.exit t.xprof;
+                  `Crashed spec
+                | exception Stack_overflow ->
+                  Profile.exit t.xprof;
+                  `Blown
+              in
+              cur := vec;
+              let verdict =
+                settle t ~pattern:(Some pattern) ~pat ~dialect ~case_number
+                  ~poc outcome
+              in
+              Telemetry.count_verdict_row t.tel vrow ~dialect ~pattern:pat
+                ~case_number (verdict_class verdict))
+            b.Patterns.b_vecs)
   end
-
-let run_cases t ?budget cases =
-  let limit = match budget with Some b -> b | None -> max_int in
-  let count = ref 0 in
-  let rec go cases =
-    if !count >= limit then ()
-    else
-      match Seq.uncons cases with
-      | None -> ()
-      | Some (case, rest) ->
-        incr count;
-        ignore (run_case t case);
-        go rest
-  in
-  go cases;
-  !count
 
 (* Re-derives the sequential New-vs-Dup split from per-shard bug lists.
 
@@ -735,7 +475,6 @@ let merge_bugs per_shard =
   (List.rev kept, List.rev demoted)
 
 let executed t = t.executed
-let cases_memoized t = t.memoized
 let passed t = t.passed
 let clean_errors t = t.clean_errors
 let false_positives t = t.false_positives

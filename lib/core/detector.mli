@@ -29,7 +29,6 @@ val create :
   ?cov:Sqlfun_coverage.Coverage.t ->
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?profile:Sqlfun_telemetry.Profile.t ->
-  ?memo:bool ->
   ?compile:bool ->
   ?compact:bool ->
   Dialect.profile ->
@@ -42,8 +41,7 @@ val create :
     scopes charge parse/plan/eval/storage, and verdict bookkeeping runs
     under [detector-classify]. A private profiler is created when
     omitted; its dialect context is set to this profile's id either
-    way. Memoized replays never touch the engine and are deliberately
-    not profiled — attribution measures engine work, not cache hits.
+    way.
 
     Without [telemetry] a private null-sink collector is created, so
     stage timings and verdict counters always accumulate; pass a
@@ -53,34 +51,18 @@ val create :
     bookkeeping); engine arms/restarts are ["restart-after-crash"]
     spans; every verdict bumps the dialect x pattern x class counter.
 
-    [memo] (default [true]) enables verdict memoization: side-effect-free
-    statements ([SELECT]/[EXPLAIN]) are fingerprinted
-    ({!Sqlfun_ast.Ast_util.fingerprint}) and a re-encountered statement
-    replays its cached verdict — counters, FP signatures, bug
-    classification and verdict events bit-identical to a re-execution —
-    without the engine round-trip. Candidate hits are verified with
-    structural equality, so a fingerprint collision re-executes instead
-    of replaying the wrong entry. Cached crashes still restart the
-    engine. Cache lookups are counted on the telemetry collector
-    ({!Sqlfun_telemetry.Telemetry.memo_counts}).
-
-    [compile] (default [true]) enables closure compilation: statements
-    that miss the verdict memo are executed compile-once/fill-slots/run
-    through a per-detector plan cache keyed by
-    {!Sqlfun_ast.Ast_util.fingerprint_skeleton}, so every case of a
-    pattern family after the first skips the AST walk. Compiled
-    execution is observably identical to the interpreter (values,
-    coverage, fault sites, ticks, profile attribution); shapes outside
-    the compiled subset fall back to the interpreter. Probes are counted
-    on the telemetry collector
-    ({!Sqlfun_telemetry.Telemetry.compile_counts}).
-
-    With both caches enabled they partition the case stream rather than
-    stack: skeleton-sharing pattern families (where
-    {!Pattern_id.shares_skeleton} holds) skip the verdict-memo probe
-    entirely — the compiler owns them, and distinct boundary literals
-    make memo hits rare there — while seed replays and skeleton-varying
-    families are memoized as before.
+    [compile] (default [true]) enables closure compilation of
+    skeleton-sharing case families ({!run_batch}): a per-detector plan
+    cache keyed by {!Sqlfun_ast.Ast_util.fingerprint_skeleton} compiles
+    a family's skeleton once and runs every member by filling its slot
+    window, with no AST walk. Compiled execution is observably
+    identical to the interpreter (values, coverage, fault sites, ticks,
+    profile attribution); shapes outside the compiled subset fall back
+    to the interpreter. Seed replays and skeleton-varying cases always
+    interpret. Probes are counted on the telemetry collector
+    ({!Sqlfun_telemetry.Telemetry.compile_counts}). With
+    [compile:false] every batch member is interpreted from its
+    reconstructed AST — the reference the compiled path must match.
 
     [compact] (default [true]) enables the compact value
     representations ({!Sqlfun_value.Value.Range_arr}/[Rope_str]) inside
@@ -110,36 +92,25 @@ val run_scenario : t -> ?case_number:int -> Patterns.scenario -> verdict
     explicitly otherwise. A clean prerequisite failure is the
     scenario's verdict; a prerequisite crash is a found bug whose PoC
     is the whole statement list (replayable standalone from a cold
-    engine). Stateful scenarios are memoized under
-    {!Sqlfun_ast.Ast_util.fingerprint_stmts} over the whole list. *)
+    engine). *)
 
 val run_batch : t -> ?first_case:int -> Patterns.batch -> unit
-(** Execute one skeleton-sharing family as a batch: the telemetry
-    span, plan-cache probe and memo/compile partition are resolved
-    once, and the member loop is fill-window → eval → classify, with
-    no statement ASTs materialized and one PoC closure for the whole
+(** Execute one skeleton-sharing family — the only compiled execution
+    path. The telemetry span and plan-cache probe are resolved once,
+    and the member loop is fill-window → eval → classify, with no
+    statement ASTs materialized and one PoC closure for the whole
     batch. Verdicts, counters, bug records, fault sites and coverage
-    are bit-identical to running the members through {!run_case} —
-    the decisions hoisted out of the loop are constant across a
+    are bit-identical to interpreting each member's reconstructed AST
+    — the decisions hoisted out of the loop are constant across a
     family by construction, and compiled execution is observably
     identical to interpretation. Families without a usable plan
-    (unadmitted, uncompilable, or [compile:false]) fall back to
-    per-member execution, reconstructing each AST lazily.
-    [first_case] makes member [i] global case [first_case + i],
-    overriding the detector-local index exactly like [case_number] on
-    {!run_case}. *)
-
-val run_cases : t -> ?budget:int -> Patterns.case Seq.t -> int
-(** Executes cases until the sequence or the budget is exhausted; returns
-    the number executed. *)
+    (unadmitted, uncompilable, or [compile:false]) are interpreted
+    member by member, reconstructing each AST lazily. [first_case]
+    makes member [i] global case [first_case + i], overriding the
+    detector-local index exactly like [case_number] on {!run_case}. *)
 
 val executed : t -> int
-(** Every case run, memoized replays included — budget semantics are
-    unchanged by memoization. *)
-
-val cases_memoized : t -> int
-(** How many of {!executed} replayed a cached verdict without touching
-    the engine. [0] with [memo:false]. *)
+(** Every case run. *)
 
 val passed : t -> int
 val clean_errors : t -> int
@@ -155,18 +126,15 @@ val fp_signatures : t -> string list
 val known_crashes : t -> int
 
 val dup_crashes : t -> int
-(** [Dup_bug] verdicts recorded by this detector (classified and
-    memo-replayed alike) — the campaign timeseries' dup-bug count. *)
+(** [Dup_bug] verdicts recorded by this detector — the campaign
+    timeseries' dup-bug count. *)
 
 val scenarios_executed : t -> int
-(** Stateful scenarios admitted (prerequisites non-empty), memoized
-    replays included — one per {!run_scenario} call that was not a bare
-    probe. *)
+(** Stateful scenarios admitted (prerequisites non-empty) — one per
+    {!run_scenario} call that was not a bare probe. *)
 
 val prereq_statements : t -> int
-(** Prerequisite statements admitted across all stateful scenarios
-    (memoized replays count their prerequisites too — admission
-    bookkeeping is deterministic under memoization). *)
+(** Prerequisite statements admitted across all stateful scenarios. *)
 
 type stage_counts = { parse : int; execute : int; storage : int }
 (** Crash-class verdicts (New/Dup/Known) attributed by the paper's

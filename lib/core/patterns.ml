@@ -601,12 +601,13 @@ let count_scenario_positions scenarios =
    contiguous window of literal slots. A batch carries the family
    once — one skeleton statement, its full slot vector, the varying
    window — plus one small literal vector per case, so the executor
-   can resolve the plan and the memo/compile partition once and run
-   the whole family as fill-window → eval → classify. Any member's
-   full AST is recoverable on demand ([batch_stmt]), and flattening a
-   work stream back to cases ([work_cases]) reproduces the unbatched
-   generator's stream element for element — the equivalence the
-   property tests pin down. *)
+   can resolve the plan once and run the whole family as fill-window →
+   eval → classify. A case that cannot join a family is a family of
+   one: its own statement as skeleton and an empty window. Any
+   member's full AST is recoverable on demand ([batch_stmt]), and
+   flattening a work stream back to cases ([work_cases]) reproduces the
+   per-case generator's stream element for element — the equivalence
+   the property tests pin down. *)
 
 type batch = {
   b_pattern : Pattern_id.t;
@@ -624,9 +625,13 @@ let batch_size b = List.length b.b_vecs
 let work_size = function Single _ -> 1 | Batched b -> batch_size b
 
 let batch_stmt b vec =
-  let slots = Array.copy b.b_slots in
-  Array.blit vec 0 slots b.b_lo b.b_n;
-  Ast_util.subst_slots b.b_skeleton slots
+  (* a family of one has an empty window: its skeleton is the member *)
+  if b.b_n = 0 then b.b_skeleton
+  else begin
+    let slots = Array.copy b.b_slots in
+    Array.blit vec 0 slots b.b_lo b.b_n;
+    Ast_util.subst_slots b.b_skeleton slots
+  end
 
 let batch_case b vec =
   { stmt = batch_stmt b vec; pattern = b.b_pattern; origin = b.b_origin }
@@ -651,19 +656,33 @@ let split_batch b k =
    then find it in the slot fold by physical identity. *)
 let batch_sentinel = Ast.Str_lit "\000soft-batch-sentinel\000"
 
+let slot_array stmt =
+  Array.of_list (List.rev (Ast_util.fold_slots (fun acc s -> s :: acc) [] stmt))
+
 (* Turn one position's variant list into work items: maximal runs of
    consecutive same-shaped variants become batches, everything else
    (subquery-carrying variants, leafless variants like [Star], shape
-   changes, window mismatches) falls back to singleton cases built
-   exactly as the unbatched generator would. [build] is the
-   substitution the unbatched generator applies per variant; it either
+   changes, window mismatches) becomes a family of one around the
+   statement the per-case generator builds. [build] is the
+   substitution the per-case generator applies per variant; it either
    always succeeds or always fails for a given position, so probing it
    with the sentinel is sound. *)
 let batched_position ~pattern ~origin ~build (variants : Ast.expr list) :
     work list =
   let mk v =
     match build v with
-    | Some stmt -> Some (Single (stateless (case pattern origin stmt)))
+    | Some stmt ->
+      Some
+        (Batched
+           {
+             b_pattern = pattern;
+             b_origin = origin;
+             b_skeleton = stmt;
+             b_slots = slot_array stmt;
+             b_lo = 0;
+             b_n = 0;
+             b_vecs = [ [||] ];
+           })
     | None -> None
   in
   let singles vs = List.filter_map mk vs in
@@ -691,11 +710,7 @@ let batched_position ~pattern ~origin ~build (variants : Ast.expr list) :
           match build v1 with
           | None -> fallback ()
           | Some skeleton ->
-            let slots =
-              Array.of_list
-                (List.rev
-                   (Ast_util.fold_slots (fun acc s -> s :: acc) [] skeleton))
-            in
+            let slots = slot_array skeleton in
             let k = List.length leaves1 in
             (* the window must be exactly v1's leaves: [build] splices
                the variant subtree in by reference, so physical

@@ -46,9 +46,6 @@ val count_positions : Collector.seed list -> int
     verdict is a pure function of its statement list. *)
 type scenario = { prereqs : Ast.stmt list; case : case }
 
-val stateless : case -> scenario
-(** A bare probe with no prerequisites — the historical unit of work. *)
-
 val generate_scenarios :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   registry:Registry.t ->
@@ -70,9 +67,10 @@ val count_scenario_positions : scenario Seq.t -> int
 (** A slot-stream batch: one case family that shares a skeleton —
     every member differs from [b_skeleton] only in the literal window
     [b_lo, b_lo + b_n) of its {!Ast_util.fold_slots} vector. The
-    executor resolves the compiled plan and the memo/compile partition
-    once per batch and runs members as fill-window → eval → classify;
-    any member's full AST is recoverable with {!batch_stmt}. *)
+    executor resolves the compiled plan once per batch and runs members
+    as fill-window → eval → classify; any member's full AST is
+    recoverable with {!batch_stmt}. A family of one has [b_n = 0]: its
+    skeleton is the member itself. *)
 type batch = {
   b_pattern : Pattern_id.t;
   b_origin : string;
@@ -83,7 +81,8 @@ type batch = {
   b_vecs : Ast.expr array list;  (** one window vector per case, in order *)
 }
 
-(** The batched unit of work: a singleton scenario or a whole family. *)
+(** The unit of work: a scenario (a skeleton-varying case or a stateful
+    scenario) or a whole skeleton-sharing family. *)
 type work = Single of scenario | Batched of batch
 
 val batch_size : batch -> int
@@ -92,14 +91,12 @@ val work_size : work -> int
 val batch_stmt : batch -> Ast.expr array -> Ast.stmt
 (** [batch_stmt b vec] reconstructs one member's full statement from
     the skeleton and its window vector — structurally equal to what
-    the unbatched generator emitted for that member. Only called off
-    the hot path: PoC pretty-printing, compile fallback, tests. *)
-
-val batch_cases : batch -> case Seq.t
-(** All members reconstructed, in stream order. *)
+    the per-case generator emits for that member. Only called off
+    the compiled hot path: PoC pretty-printing, interpreted families,
+    tests. *)
 
 val work_cases : work -> case Seq.t
-(** Flatten one work item back to the unbatched case stream. *)
+(** Flatten one work item back to the per-case stream. *)
 
 val split_batch : batch -> int -> batch * batch
 (** [split_batch b k] splits the member list at [k] (clamped), sharing
@@ -112,9 +109,10 @@ val generate_work :
   seeds:Collector.seed list ->
   Pattern_id.t ->
   work Seq.t
-(** {!generate}, batched: the skeleton-sharing families (P1.1–P1.4,
-    P2.3, P3.1) arrive as [Batched] runs of consecutive same-shaped
-    variants, everything else as [Single] items. Flattening with
-    {!work_cases} reproduces {!generate}'s stream element for element
-    — same statements, same order — which is what keeps batched
-    campaigns bit-identical to [--no-batch]. *)
+(** {!generate}, batched: every item of a skeleton-sharing pattern
+    (P1.1–P1.4, P2.3, P3.1) is [Batched] — a run of consecutive
+    same-shaped variants, or a family of one for a variant that cannot
+    join a run — and every skeleton-varying case (P2.1, P2.2, P3.2,
+    P3.3) is a [Single]. Flattening with {!work_cases} reproduces
+    {!generate}'s stream element for element — same statements, same
+    order. *)

@@ -41,7 +41,6 @@ let campaign_to_markdown (r : Soft_runner.result) =
        "- statements executed: %d\n\
         - stateful scenarios: %d (%d prerequisite statements)\n\
         - crash verdicts by stage: parse %d / execute %d / storage %d\n\
-        - cases memoized: %d (%.1f%% of executions)\n\
         - compact values: %d built, %d spilled\n\
         - passed / clean errors: %d / %d\n\
         - resource false positives: %d (%d unique reports)\n\
@@ -53,12 +52,6 @@ let campaign_to_markdown (r : Soft_runner.result) =
        r.Soft_runner.stage_verdicts.Detector.parse
        r.Soft_runner.stage_verdicts.Detector.execute
        r.Soft_runner.stage_verdicts.Detector.storage
-       r.Soft_runner.cases_memoized
-       (if r.Soft_runner.cases_executed = 0 then 0.
-        else
-          100.
-          *. float_of_int r.Soft_runner.cases_memoized
-          /. float_of_int r.Soft_runner.cases_executed)
        (Telemetry.compact_counts r.Soft_runner.telemetry).Telemetry.k_hits
        (Telemetry.compact_counts r.Soft_runner.telemetry).Telemetry.k_spills
        r.Soft_runner.passed
@@ -184,7 +177,7 @@ let campaign_to_json (r : Soft_runner.result) =
             ("cases_executed", Json.Int r.Soft_runner.cases_executed);
             (* scenario counters and stage attribution are verdict
                facts, not throughput metadata: they are deterministic
-               in shard/job count and memo setting, so they live
+               in shard/job count and toggle settings, so they live
                INSIDE [totals] and the CI determinism diffs gate
                them *)
             ("scenarios_executed", Json.Int r.Soft_runner.scenarios_executed);
@@ -209,35 +202,26 @@ let campaign_to_json (r : Soft_runner.result) =
             ("functions_triggered", Json.Int r.Soft_runner.functions_triggered);
             ("branches_covered", Json.Int r.Soft_runner.branches_covered);
           ] );
-      (* memoization is throughput metadata, like [stages]: hit counts
-         depend on shard count (each shard caches privately), so it
-         lives OUTSIDE [totals] — determinism checks diff [totals],
-         [verdicts], [bugs], [fp_signatures] and [families] across
-         jobs/shards/memo settings, and those must not see it *)
-      ( "memo",
-        (match Telemetry.memo_to_json r.Soft_runner.telemetry with
-         | Json.Obj fields ->
-           Json.Obj
-             (("cases_memoized", Json.Int r.Soft_runner.cases_memoized)
-              :: fields)
-         | other -> other) );
-      (* plan-compilation counters are throughput metadata for the same
-         reason: probes vary with shard count (each shard caches plans
-         privately) while verdicts and bugs do not *)
+      (* plan-compilation counters are throughput metadata, like
+         [stages]: probes vary with shard count (each shard caches plans
+         privately), so they live OUTSIDE [totals] — determinism checks
+         diff [totals], [verdicts], [bugs], [fp_signatures] and
+         [families] across jobs/shards/toggle settings, and those must
+         not see them *)
       ("compile", Telemetry.compile_to_json r.Soft_runner.telemetry);
       (* compact-representation counters are throughput metadata too:
          construction/spill counts vary with the [--no-compact] knob
          while verdicts and bugs do not *)
       ("compact", Telemetry.compact_to_json r.Soft_runner.telemetry);
       (* batched-execution counters are throughput metadata too: flush
-         and member counts vary with the [--no-batch] knob and with
-         budget-share splits while verdicts and bugs do not *)
+         and member counts vary with budget-share splits while verdicts
+         and bugs do not *)
       ("batch", Telemetry.batch_to_json r.Soft_runner.telemetry);
       ( "stages",
         Json.Arr (List.map Telemetry.stage_timing_to_json r.Soft_runner.timings)
       );
       (* execute-stage attribution is wall-time bookkeeping, so it also
-         lives outside [totals] for the same reason as [stages]/[memo] *)
+         lives outside [totals] for the same reason as [stages] *)
       ("profile", Profile.to_json r.Soft_runner.profile);
       ("families", family_rollup_json r.Soft_runner.telemetry);
       ("verdicts", Telemetry.verdicts_to_json r.Soft_runner.telemetry);

@@ -13,7 +13,6 @@ type result = {
   seeds_collected : int;
   positions : int;
   cases_executed : int;
-  cases_memoized : int;
   scenarios_executed : int;
   prereq_statements : int;
   stage_verdicts : Detector.stage_counts;
@@ -53,8 +52,7 @@ let split_budget b n =
    dry). A [Batched] item counts as its member count; one that would
    overshoot the share is split at the boundary and its tail becomes
    the stream's next item, so budget shares cut families at exactly
-   the same case index the unbatched enumeration would have stopped
-   at. *)
+   the same case index a per-case enumeration would have stopped at. *)
 let drain_share emit works n =
   let rec go works taken =
     if taken >= n then (taken, Some works)
@@ -107,11 +105,10 @@ let emit_budgeted ~budget ~streams ~emit =
     done
 
 (* One snapshot probe per shard: branch/function counts from the
-   coverage recorder, bug counts from the detector, memo counters from
-   the telemetry collector, and the campaign-wide per-shard progress
-   view. Probes run at snapshot cadence only, so the O(bugs) length walk
+   coverage recorder, bug counts from the detector, and the
+   campaign-wide per-shard progress view. Probes run at snapshot cadence only, so the O(bugs) length walk
    is fine. *)
-let probe_of det tel progress =
+let probe_of det progress =
   {
     Timeseries.p_branches =
       (fun () -> Coverage.count (Detector.coverage det));
@@ -119,21 +116,17 @@ let probe_of det tel progress =
       (fun () -> Coverage.prefixed_count (Detector.coverage det) "fn/");
     p_new_bugs = (fun () -> List.length (Detector.bugs det));
     p_dup_bugs = (fun () -> Detector.dup_crashes det);
-    p_memo_hits = (fun () -> (Telemetry.memo_counts tel).Telemetry.hits);
-    p_memo_misses = (fun () -> (Telemetry.memo_counts tel).Telemetry.misses);
     p_shard_cases = (fun () -> Progress.read progress);
   }
 
 let mk_result ~prof ~seeds ~tel ~cov ~profile ~positions ~cases_executed
-    ~cases_memoized ~scenarios_executed ~prereq_statements ~stage_verdicts
-    ~passed ~clean_errors ~false_positives ~fp_signatures ~known_crashes ~bugs
-    =
+    ~scenarios_executed ~prereq_statements ~stage_verdicts ~passed
+    ~clean_errors ~false_positives ~fp_signatures ~known_crashes ~bugs =
   {
     dialect = prof;
     seeds_collected = List.length seeds;
     positions;
     cases_executed;
-    cases_memoized;
     scenarios_executed;
     prereq_statements;
     stage_verdicts;
@@ -165,22 +158,13 @@ let count_all_positions ~registry ~seeds ~stateful =
      else 0)
 
 (* The budgeted streams every worker enumerates: every pattern's
-   stateless work in paper order, then — by default — the synthesized
-   stateful stream as an eleventh source. With [batch] the
-   skeleton-sharing families arrive as [Patterns.Batched] slot-stream
-   runs; with [batch:false] (and always for the stateful stream, whose
-   scenarios are atomic) every item is a [Single], reproducing the
-   historical per-case enumeration. Flattening either form yields the
-   same cases in the same order, so the two modes execute identical
-   streams. *)
-let work_streams ~tel ~registry ~seeds ~patterns ~stateful ~batch =
+   stateless work in paper order — skeleton-sharing families as
+   [Patterns.Batched] slot-stream runs, skeleton-varying cases as
+   [Single]s — then, by default, the synthesized stateful stream as an
+   eleventh source, whose scenarios are atomic [Single]s. *)
+let work_streams ~tel ~registry ~seeds ~patterns ~stateful =
   List.map
-    (fun p ->
-      if batch then Patterns.generate_work ~telemetry:tel ~registry ~seeds p
-      else
-        Seq.map
-          (fun c -> Patterns.Single (Patterns.stateless c))
-          (Patterns.generate ~telemetry:tel ~registry ~seeds p))
+    (fun p -> Patterns.generate_work ~telemetry:tel ~registry ~seeds p)
     patterns
   @ (if stateful then
        [
@@ -222,8 +206,8 @@ let merge_shards merge_into ~dst parts =
   if Array.length parts > 1 then Array.iter (fun p -> merge_into ~dst p) parts
 
 let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
-    ?(memo = true) ?(compile = true) ?(compact = true) ?(stateful = true)
-    ?(batch = true) ?(shards = 1) ?jobs prof =
+    ?(compile = true) ?(compact = true) ?(stateful = true) ?(shards = 1) ?jobs
+    prof =
   let shards = Stdlib.max 1 shards in
   let jobs =
     match jobs with
@@ -267,13 +251,13 @@ let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
             else begin
               let det =
                 Detector.create ~cov:shard_covs.(s) ~telemetry:shard_tels.(s)
-                  ~profile:shard_profiles.(s) ~memo ~compile ~compact prof
+                  ~profile:shard_profiles.(s) ~compile ~compact prof
               in
               let recorder =
                 Option.map
                   (fun cfg ->
                     Timeseries.recorder cfg ~shard:s
-                      (probe_of det shard_tels.(s) progress))
+                      (probe_of det progress))
                   timeseries
               in
               Some (det, recorder)
@@ -316,8 +300,7 @@ let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
             seeds);
       emit_budgeted ~budget
         ~streams:
-          (work_streams ~tel:span_tel ~registry ~seeds ~patterns ~stateful
-             ~batch)
+          (work_streams ~tel:span_tel ~registry ~seeds ~patterns ~stateful)
         ~emit:(function
           | Patterns.Single sc ->
             item 1 (fun det case_number ->
@@ -376,15 +359,10 @@ let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
   (* the campaign-final snapshot is computed from the deterministically
      merged totals, never from racing shard streams: its
      cases/branches/functions/new_bugs/dup_bugs match a single-shard run
-     of the same campaign bit-for-bit (memo counters and rates are
-     throughput metadata and do not) *)
+     of the same campaign bit-for-bit (rates are throughput metadata and
+     do not) *)
   Option.iter
     (fun cfg ->
-      let sum_tel f =
-        Array.fold_left
-          (fun acc st -> acc + f (Telemetry.memo_counts st))
-          0 shard_tels
-      in
       ignore
         (Timeseries.campaign_final cfg
            ~elapsed_ns:(Telemetry.now_ns () - t0)
@@ -393,8 +371,6 @@ let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
            ~functions:(Coverage.prefixed_count cov "fn/")
            ~new_bugs:(List.length bugs)
            ~dup_bugs:(sum Detector.dup_crashes + List.length demoted)
-           ~memo_hits:(sum_tel (fun c -> c.Telemetry.hits))
-           ~memo_misses:(sum_tel (fun c -> c.Telemetry.misses))
            ~shard_cases:(Array.map Detector.executed detectors)))
     timeseries;
   let stage_verdicts =
@@ -412,7 +388,6 @@ let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
   mk_result ~prof ~seeds ~tel ~cov ~profile
     ~positions:(count_all_positions ~registry ~seeds ~stateful)
     ~cases_executed:(sum Detector.executed)
-    ~cases_memoized:(sum Detector.cases_memoized)
     ~scenarios_executed:(sum Detector.scenarios_executed)
     ~prereq_statements:(sum Detector.prereq_statements)
     ~stage_verdicts
@@ -421,13 +396,13 @@ let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
     ~false_positives:(sum Detector.false_positives)
     ~fp_signatures ~known_crashes:(sum Detector.known_crashes) ~bugs
 
-let fuzz_all ?budget ?telemetry ?timeseries ?memo ?compile ?compact
-    ?stateful ?batch ?(jobs = 1) ?(shards = 1) () =
+let fuzz_all ?budget ?telemetry ?timeseries ?compile ?compact ?stateful
+    ?(jobs = 1) ?(shards = 1) () =
   if jobs <= 1 then
     List.map
       (fun prof ->
-        fuzz ?budget ?telemetry ?timeseries ?memo ?compile ?compact ?stateful
-          ?batch ~shards prof)
+        fuzz ?budget ?telemetry ?timeseries ?compile ?compact ?stateful ~shards
+          prof)
       Dialect.all
   else begin
     (* each campaign records into a private collector on its own domain;
@@ -443,8 +418,8 @@ let fuzz_all ?budget ?telemetry ?timeseries ?memo ?compile ?compact
           Pool.run pool
             (List.map
                (fun prof () ->
-                 fuzz ?budget ?timeseries ?memo ?compile ?compact ?stateful
-                   ?batch ~shards prof)
+                 fuzz ?budget ?timeseries ?compile ?compact ?stateful ~shards
+                   prof)
                Dialect.all))
     in
     Option.iter

@@ -624,8 +624,8 @@ module Cache = struct
             | None ->
               (* a batch sights its whole family at once: a family of
                  [count >= 3] members clears the admission bar on its
-                 first probe, exactly as its third unbatched member
-                 would have *)
+                 first probe, exactly as its third member would have
+                 one probe at a time *)
               let sightings =
                 match Hashtbl.find_opt t.seen fp with
                 | Some n -> n + count
@@ -643,8 +643,6 @@ module Cache = struct
                 Hashtbl.replace t.seen fp sightings;
                 Skip
               end))
-
-  let get t ~registry stmt = get_batched t ~registry ~count:1 stmt
 
   let size t = Hashtbl.fold (fun _ l acc -> acc + List.length l) t.tbl 0
 end

@@ -64,14 +64,13 @@ module Cache : sig
     | Added of compiled  (** compiled and admitted now (third sighting) *)
 
   val create : unit -> t
-  val get : t -> registry:Registry.t -> Ast.stmt -> lookup
   val size : t -> int
 
   val get_batched :
     t -> registry:Registry.t -> count:int -> Ast.stmt -> lookup
-  (** [get] crediting [count] sightings in one probe — the batched
-      executor resolves a whole family at once, so a family of three
-      or more members compiles on its first probe, exactly as its
-      third unbatched member would have. [get] is
-      [get_batched ~count:1]. *)
+  (** Probe for a family of [count] members sharing [stmt]'s skeleton,
+      crediting [count] sightings in one probe — the batched executor
+      resolves a whole family at once, so a family of three or more
+      members compiles on its first probe, exactly as its third member
+      would have one probe at a time. *)
 end

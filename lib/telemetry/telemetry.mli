@@ -166,28 +166,15 @@ val bug_event :
 
 val fp_event : t -> dialect:string -> signature:string -> unit
 
-(** {1 Verdict-memoization counters}
+(** {1 Retired memoization counters}
 
-    The detector's statement-fingerprint cache records every lookup
-    here: a {e hit} replayed a cached verdict without touching the
-    engine, a {e miss} executed (and populated the cache), and a
-    {e collision} is a fingerprint match whose structural-equality
-    verification failed — the guard that keeps a 64-bit collision from
-    ever flipping a verdict (the case re-executes and also counts as a
-    miss). Like stage timings, these are throughput metadata: they vary
-    with shard count (each shard caches privately) while verdicts, bugs
-    and coverage do not. *)
+    Verdict memoization is gone; these stay so that readers of the old
+    counters still build. Both always report zero. *)
 
-val memo_hit : t -> unit
-val memo_miss : t -> unit
-val memo_collision : t -> unit
-
-type memo_counts = { hits : int; misses : int; collisions : int }
+type memo_counts = { hits : int; misses : int }
 
 val memo_counts : t -> memo_counts
-
 val memo_hit_rate : t -> float
-(** [hits / (hits + misses)]; [0.] before any lookup. *)
 
 (** {1 Plan-compilation counters}
 
@@ -196,9 +183,9 @@ val memo_hit_rate : t -> float
     a {e fallback} ran through the interpreter — either the shallow
     shape/shareability pre-filter turned the statement away before the
     cache (no hit or miss counted), or a probed statement compiled to
-    [Fallback] (counted as a hit or miss {e and} a fallback). Like the
-    memoization counters, these are throughput metadata, not
-    determinism-bearing totals. *)
+    [Fallback] (counted as a hit or miss {e and} a fallback). Like stage
+    timings, these are throughput metadata, not determinism-bearing
+    totals. *)
 
 val compile_hit : t -> unit
 val compile_miss : t -> unit
@@ -225,7 +212,7 @@ val compact_counts : t -> compact_counts
 val batch_flush : t -> cases:int -> unit
 (** Records one family batch run through the batched executor and the
     [cases] member cases it carried. Throughput metadata, not
-    determinism-bearing totals — the [--no-batch] diff excludes it. *)
+    determinism-bearing totals. *)
 
 type batch_counts = { b_flushes : int; b_cases : int }
 
@@ -256,7 +243,7 @@ val reclassify_verdict :
 
 val merge_into : dst:t -> t -> unit
 (** Adds the source's stage aggregates (calls, totals, max,
-    histogram buckets), verdict counters and memoization counters into
+    histogram buckets), verdict counters and throughput counters into
     [dst]. *)
 
 val merge : t -> t -> t
@@ -298,9 +285,6 @@ val stages_to_json : t -> Json.t
 val verdict_counts_to_json : verdict_counts -> Json.t
 val verdicts_to_json : t -> Json.t
 
-val memo_to_json : t -> Json.t
-(** [{"hits": ..., "misses": ..., "collisions": ..., "hit_rate": ...}]. *)
-
 val compile_to_json : t -> Json.t
 (** [{"hits": ..., "misses": ..., "fallbacks": ..., "hit_rate": ...}]. *)
 
@@ -311,8 +295,8 @@ val batch_to_json : t -> Json.t
 (** [{"flushes": ..., "cases": ...}]. *)
 
 val snapshot_json : t -> Json.t
-(** [{"stages": ..., "verdicts": ..., "memo": ..., "compile": ...,
-    "compact": ..., "batch": ...}] — the generic part of a campaign
+(** [{"stages": ..., "verdicts": ..., "compile": ..., "compact": ...,
+    "batch": ...}] — the generic part of a campaign
     snapshot; callers add their own run-level fields. *)
 
 (** {1 Histograms}

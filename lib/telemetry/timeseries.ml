@@ -13,8 +13,6 @@ type snapshot = {
   functions : int;
   new_bugs : int;
   dup_bugs : int;
-  memo_hits : int;
-  memo_misses : int;
   shard_cases : int array;
 }
 
@@ -23,8 +21,6 @@ type probe = {
   p_functions : unit -> int;
   p_new_bugs : unit -> int;
   p_dup_bugs : unit -> int;
-  p_memo_hits : unit -> int;
-  p_memo_misses : unit -> int;
   p_shard_cases : unit -> int array;
 }
 
@@ -82,8 +78,6 @@ let fire t ~final now =
       functions = t.probe.p_functions ();
       new_bugs = t.probe.p_new_bugs ();
       dup_bugs = t.probe.p_dup_bugs ();
-      memo_hits = t.probe.p_memo_hits ();
-      memo_misses = t.probe.p_memo_misses ();
       shard_cases = t.probe.p_shard_cases ();
     }
   in
@@ -106,7 +100,7 @@ let tick t =
 let finalize t = fire t ~final:true (now_ns ())
 
 let campaign_final cfg ~elapsed_ns ~cases ~branches ~functions ~new_bugs
-    ~dup_bugs ~memo_hits ~memo_misses ~shard_cases =
+    ~dup_bugs ~shard_cases =
   let snap =
     {
       shard = -1;
@@ -121,8 +115,6 @@ let campaign_final cfg ~elapsed_ns ~cases ~branches ~functions ~new_bugs
       functions;
       new_bugs;
       dup_bugs;
-      memo_hits;
-      memo_misses;
       shard_cases;
     }
   in
@@ -145,8 +137,6 @@ let snapshot_to_json (s : snapshot) =
       ("functions", Json.Int s.functions);
       ("new_bugs", Json.Int s.new_bugs);
       ("dup_bugs", Json.Int s.dup_bugs);
-      ("memo_hits", Json.Int s.memo_hits);
-      ("memo_misses", Json.Int s.memo_misses);
       ( "shard_cases",
         Json.Arr (Array.to_list (Array.map (fun n -> Json.Int n) s.shard_cases))
       );
@@ -185,8 +175,6 @@ let snapshot_of_json j =
   let* functions = int "functions" in
   let* new_bugs = int "new_bugs" in
   let* dup_bugs = int "dup_bugs" in
-  let* memo_hits = int "memo_hits" in
-  let* memo_misses = int "memo_misses" in
   let* shard_cases =
     match Json.member "shard_cases" j with
     | Some (Json.Arr l) ->
@@ -212,8 +200,6 @@ let snapshot_of_json j =
       functions;
       new_bugs;
       dup_bugs;
-      memo_hits;
-      memo_misses;
       shard_cases;
     }
 

@@ -537,8 +537,6 @@ let null_probe branches =
     p_functions = (fun () -> 1);
     p_new_bugs = (fun () -> 0);
     p_dup_bugs = (fun () -> 0);
-    p_memo_hits = (fun () -> 0);
-    p_memo_misses = (fun () -> 0);
     p_shard_cases = (fun () -> [||]);
   }
 
@@ -587,8 +585,7 @@ let test_timeseries_snapshot_roundtrip () =
   in
   let s =
     Timeseries.campaign_final cfg ~elapsed_ns:7_000_000 ~cases:123 ~branches:45
-      ~functions:6 ~new_bugs:2 ~dup_bugs:3 ~memo_hits:10 ~memo_misses:20
-      ~shard_cases:[| 60; 63 |]
+      ~functions:6 ~new_bugs:2 ~dup_bugs:3 ~shard_cases:[| 60; 63 |]
   in
   Alcotest.(check int) "campaign-final shard tag" (-1) s.Timeseries.shard;
   Alcotest.(check bool) "campaign-final is final" true s.Timeseries.final;
