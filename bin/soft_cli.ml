@@ -424,11 +424,18 @@ let repl_cmd =
       prerr_endline msg;
       1
     | Ok prof ->
-      let engine = Dialect.make_engine ~armed prof in
+      let engine = ref (Dialect.make_engine ~armed prof) in
       Printf.printf "%s %s (simulated)%s — terminate statements with ;\n"
         prof.Dialect.display prof.Dialect.version
         (if armed then " [injected bugs ARMED]" else "");
       let buf = Buffer.create 128 in
+      (* a crashed server is respawned: a fresh session over the tables
+         as they stood when it died *)
+      let restart () =
+        let open Sqlfun_engine in
+        engine :=
+          Engine.restart !engine (Storage.snapshot (Engine.catalog !engine))
+      in
       (try
          while true do
            print_string (if Buffer.length buf = 0 then "sql> " else "  -> ");
@@ -438,7 +445,7 @@ let repl_cmd =
            if String.contains line ';' then begin
              let sql = Buffer.contents buf in
              Buffer.clear buf;
-             match Sqlfun_engine.Engine.exec_script engine sql with
+             match Sqlfun_engine.Engine.exec_script !engine sql with
              | Ok outcomes ->
                List.iter
                  (fun o ->
@@ -450,9 +457,11 @@ let repl_cmd =
                Printf.printf
                  "*** server crashed: %s (%s) — restarting ***\n"
                  spec.Sqlfun_fault.Fault.site
-                 (Sqlfun_fault.Bug_kind.describe spec.Sqlfun_fault.Fault.kind)
+                 (Sqlfun_fault.Bug_kind.describe spec.Sqlfun_fault.Fault.kind);
+               restart ()
              | exception Stack_overflow ->
-               print_endline "*** server crashed: stack overflow — restarting ***"
+               print_endline "*** server crashed: stack overflow — restarting ***";
+               restart ()
            end
          done;
          0
@@ -462,7 +471,12 @@ let repl_cmd =
     Arg.(value & flag & info [ "armed" ] ~doc:"Enable the injected bugs.")
   in
   Cmd.v
-    (Cmd.info "repl" ~doc:"Interactive SQL session against a simulated dialect")
+    (Cmd.info "repl"
+       ~doc:
+         "Interactive SQL session against a simulated dialect. A crash \
+          restarts the server: the session state (sequences, \
+          LAST_INSERT_ID, ROW_COUNT) starts fresh, and the tables as they \
+          stood at the crash are kept")
     Term.(const run $ dialect_arg $ armed)
 
 let () =

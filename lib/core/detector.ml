@@ -25,7 +25,6 @@ type t = {
   cov : Coverage.t;
   tel : Telemetry.t;
   xprof : Profile.t;  (* execute-stage attribution profiler *)
-  compact : bool;  (* compact value representations in the engine *)
   mutable engine : Engine.t;
   mutable executed : int;
   mutable passed : int;
@@ -40,7 +39,7 @@ type t = {
   mutable stage_parse : int;
   mutable stage_execute : int;
   mutable stage_storage : int;
-  mutable baseline : Storage.snapshot;
+  baseline : Storage.snapshot;
       (* the post-seed table state every scenario starts from *)
   sites : (string, unit) Hashtbl.t;
   fp_signatures : (string, unit) Hashtbl.t;
@@ -52,25 +51,23 @@ type t = {
          slot nodes *)
 }
 
-(* Arming a fresh engine is the same work whether it is the initial start
-   or a post-crash restart, so both are timed under the
-   "restart-after-crash" stage. *)
-let fresh_engine tel cov xprof ~compact prof =
-  Telemetry.with_span tel ~dialect:prof.Dialect.id "restart-after-crash"
-    (fun () -> Dialect.make_engine ~cov ~armed:true ~compact ~profile:xprof prof)
-
 let create ?cov ?telemetry ?profile ?(compile = true) ?(compact = true) prof =
   let cov = match cov with Some c -> c | None -> Coverage.create () in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let xprof = match profile with Some p -> p | None -> Profile.create () in
   Profile.set_dialect xprof prof.Dialect.id;
-  let engine = fresh_engine tel cov xprof ~compact prof in
+  (* arming is this detector's one seed load; it is timed under the
+     same "restart-after-crash" stage as the respawns that follow *)
+  let engine =
+    Telemetry.with_span tel ~dialect:prof.Dialect.id "restart-after-crash"
+      (fun () ->
+        Dialect.make_engine ~cov ~armed:true ~compact ~profile:xprof prof)
+  in
   {
     prof;
     cov;
     tel;
     xprof;
-    compact;
     engine;
     executed = 0;
     passed = 0;
@@ -94,16 +91,17 @@ let create ?cov ?telemetry ?profile ?(compile = true) ?(compact = true) prof =
 
 (* A restart is the crash path: flush any streaming sinks first, so a
    campaign killed mid-restart cannot have silently swallowed the events
-   leading up to the crash. The rebuilt engine re-loads the seed corpus,
-   and storage is then pinned to the baseline snapshot recorded at
-   [create]: a crash that killed the server mid-scenario (after its
-   CREATE/INSERT prerequisites ran) must not leak scenario tables — or
-   any seed-load drift — into the next case, so stateful PoCs replay
-   standalone against a cold engine. *)
+   leading up to the crash. The server is then respawned on the baseline
+   snapshot recorded at [create]: a fresh session and catalog over the
+   same registry and armed fault table. A crash that killed the server
+   mid-scenario (after its CREATE/INSERT prerequisites ran) therefore
+   cannot leak scenario tables into the next case, so stateful PoCs
+   replay standalone against a cold engine. The seeds are not re-run:
+   the restored catalog is exactly what they built at [create]. *)
 let restart t =
   Telemetry.flush t.tel;
-  t.engine <- fresh_engine t.tel t.cov t.xprof ~compact:t.compact t.prof;
-  Storage.restore (Engine.catalog t.engine) t.baseline
+  Telemetry.with_span t.tel ~dialect:t.prof.Dialect.id "restart-after-crash"
+    (fun () -> t.engine <- Engine.restart t.engine t.baseline)
 
 let count_stage t = function
   | Fault.Parse -> t.stage_parse <- t.stage_parse + 1
@@ -297,7 +295,7 @@ let run_scenario t ?case_number (sc : Patterns.scenario) =
     in
     (match verdict with
      | New_bug _ | Dup_bug _ | Known_crash _ ->
-       (* the crash path already rebuilt the engine on the baseline *)
+       (* the crash path already respawned the engine on the baseline *)
        ()
      | Passed | Clean_error _ | False_positive _ ->
        Storage.restore (Engine.catalog t.engine) t.baseline);
@@ -416,7 +414,7 @@ let run_batch t ?first_case (b : Patterns.batch) =
               in
               (* [t.engine] is re-read each member: a crash restart
                  replaces it mid-batch, and the plan stays valid because
-                 registries are static per-dialect data *)
+                 the respawned engine shares the same registry *)
               Sqlfun_functions.Fn_ctx.reset_session (Engine.context t.engine);
               Array.blit vec 0 buf b.Patterns.b_lo b.Patterns.b_n;
               (* the root attribution frame covers the engine round-trip
@@ -494,6 +492,7 @@ let stage_verdicts t =
   { parse = t.stage_parse; execute = t.stage_execute; storage = t.stage_storage }
 let bugs t = List.rev t.found
 let coverage t = t.cov
+let engine t = t.engine
 let profile t = t.prof
 let telemetry t = t.tel
 let exec_profile t = t.xprof

@@ -2,7 +2,8 @@
 
     Statements run against a live (armed) simulated server. A clean SQL
     error is the expected boundary behaviour; a {!Sqlfun_fault.Fault.Crash}
-    or a blown stack is a found bug (the server "died" and is restarted);
+    or a blown stack is a found bug (the server "died" and is respawned
+    on the post-seed tables, see {!create});
     a resource-limit termination is the paper's false-positive class. *)
 
 open Sqlfun_fault
@@ -33,7 +34,13 @@ val create :
   ?compact:bool ->
   Dialect.profile ->
   t
-(** Builds an armed engine for the profile (restarted after each crash).
+(** Arms an engine for the profile: builds the dialect's registry and
+    fault table, loads the seed schema once, and snapshots the resulting
+    tables as the baseline. After each crash the engine is respawned
+    with {!Sqlfun_engine.Engine.restart} on that baseline: a fresh
+    session and catalog over the same registry and armed fault table.
+    The seeds never re-run, so a restart adds no coverage hits — hit
+    counts record the arming seed load plus case work only.
 
     [profile] is the execute-stage attribution profiler (see
     {!Sqlfun_telemetry.Profile}): a root scope around every engine
@@ -48,8 +55,9 @@ val create :
     collector to share aggregates with the rest of a campaign or to
     stream events. Each executed statement is timed as an ["execute"]
     span (the engine round-trip) plus a ["detect"] span (verdict
-    bookkeeping); engine arms/restarts are ["restart-after-crash"]
-    spans; every verdict bumps the dialect x pattern x class counter.
+    bookkeeping); the arming and every crash respawn are one
+    ["restart-after-crash"] span each; every verdict bumps the
+    dialect x pattern x class counter.
 
     [compile] (default [true]) enables closure compilation of
     skeleton-sharing case families ({!run_batch}): a per-detector plan
@@ -88,7 +96,7 @@ val run_scenario : t -> ?case_number:int -> Patterns.scenario -> verdict
     prerequisites and the probe execute as a single classified
     round-trip (so session-state probes see their prerequisites'
     effects), and the engine's storage is returned to the post-seed
-    baseline afterwards — by the crash restart if the scenario crashed,
+    baseline afterwards — by the crash respawn if the scenario crashed,
     explicitly otherwise. A clean prerequisite failure is the
     scenario's verdict; a prerequisite crash is a found bug whose PoC
     is the whole statement list (replayable standalone from a cold
@@ -158,6 +166,10 @@ val merge_bugs : found_bug list list -> found_bug list * found_bug list
     counters must be reclassified to [Dup_bug]). *)
 
 val coverage : t -> Sqlfun_coverage.Coverage.t
+
+val engine : t -> Sqlfun_engine.Engine.t
+(** The current engine; a crash replaces it with its respawn. *)
+
 val profile : t -> Dialect.profile
 
 val telemetry : t -> Sqlfun_telemetry.Telemetry.t

@@ -30,11 +30,15 @@ val make_engine :
   ?profile:Sqlfun_telemetry.Profile.t ->
   profile ->
   Engine.t
-(** A fresh simulated server. [armed] (default false) enables the
-    profile's injected bugs from {!Bug_ledger}. The seed schema
-    (CREATE/INSERT statements) is pre-loaded. [profile] (an attribution
-    profiler, not a dialect profile) is threaded to the engine so
-    execute-stage time charges the caller's collector. *)
+(** A fresh simulated server: builds the profile's registry and fault
+    table, then loads the seed schema (CREATE/INSERT statements). [armed]
+    (default false) enables the profile's injected bugs from
+    {!Bug_ledger}. [profile] (an attribution profiler, not a dialect
+    profile) is threaded to the engine so execute-stage time charges the
+    caller's collector. This is arm-time work: a detector calls it once,
+    at creation, and respawns a crashed engine with
+    {!Engine.restart} instead of building a new one. *)
 
 val load_seeds : Engine.t -> profile -> unit
-(** (Re-)execute the seed schema statements; ignores errors. *)
+(** Execute the seed schema statements; ignores errors. Run by
+    {!make_engine} only — never on a crash restart. *)

@@ -26,6 +26,23 @@ let create ?cov ?fault ?cast_cfg ?limits ?compact ?profile ~registry ~dialect ()
       };
   }
 
+(* A respawn shares the dialect's static data — the registry (with its
+   warm resolve cache) and the armed fault runtime — and renews what a
+   crash can have left behind: the step counter, the session state and
+   the tables. *)
+let restart t snap =
+  let old = t.env.Interp.ctx in
+  let ctx =
+    Fn_ctx.create ~cov:old.Fn_ctx.cov ~fault:old.Fn_ctx.fault
+      ~cast_cfg:old.Fn_ctx.cast_cfg ~limits:old.Fn_ctx.limits
+      ~compact:old.Fn_ctx.compact ~dialect:old.Fn_ctx.dialect ()
+  in
+  let catalog =
+    Storage.create_catalog ~profile:(Storage.profile t.env.Interp.catalog) ()
+  in
+  Storage.restore catalog snap;
+  { env = { t.env with Interp.ctx; catalog } }
+
 let context t = t.env.Interp.ctx
 let registry t = t.env.Interp.registry
 let catalog t = t.env.Interp.catalog

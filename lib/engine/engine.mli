@@ -32,11 +32,22 @@ val create :
   t
 (** [profile] receives execute-stage attribution (parse / plan / eval /
     storage scopes); a fresh private profiler when omitted. The detector
-    passes its campaign profiler so engine restarts keep charging the
-    same keys. [compact] (default true) enables the compact value
-    representations ({!Sqlfun_value.Value.Range_arr}/[Rope_str]) on
-    producer hot paths; verdicts are representation-independent either
-    way. *)
+    passes its campaign profiler, and {!restart} keeps it, so a
+    respawned engine charges the same keys. [compact] (default true)
+    enables the compact value representations
+    ({!Sqlfun_value.Value.Range_arr}/[Rope_str]) on producer hot paths;
+    verdicts are representation-independent either way. *)
+
+val restart : t -> Storage.snapshot -> t
+(** [restart t snap] respawns the server after a crash: a fresh session
+    ({!Fn_ctx.t} with a zero step counter, no sequences, zero
+    [last_insert_id]/[row_count]) over a fresh catalog on the same
+    attribution profiler, restored from [snap]. Everything static per
+    dialect is shared with [t], not rebuilt: the {!Registry.t} (its
+    resolve cache stays warm), the armed fault runtime, the coverage
+    recorder, the cast configuration, the limits and the [compact]
+    setting. No statement runs, so a restart records no coverage hits.
+    [t] must not be used afterwards. *)
 
 val context : t -> Fn_ctx.t
 val registry : t -> Registry.t

@@ -87,8 +87,9 @@ let drop_table c ~name ~if_exists =
 let append_row t row = t.rows <- t.rows @ [ row ]
 
 (* A snapshot is pure data (no reference to the source catalog), so it
-   survives an engine rebuild: the detector captures the post-seed
-   baseline once and restores it into whatever catalog is current.
+   outlives its catalog: the detector captures the post-seed baseline
+   once, restores it after each stateful scenario, and seeds the fresh
+   catalog of every crash respawn with it.
    Sharing the [rows] list is safe because [append_row] replaces the
    list instead of mutating it. *)
 type snapshot = (string * string * column list * Value.t list list) list

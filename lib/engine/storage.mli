@@ -40,7 +40,8 @@ val column_index : table -> string -> int option
 type snapshot
 (** An immutable copy of a catalog's table set. Pure data: it holds no
     reference to the source catalog, so it can be restored into a
-    different catalog (e.g. after a crash-restart rebuilt the engine). *)
+    different catalog (e.g. the fresh catalog of an engine respawned by
+    {!Engine.restart} after a crash). *)
 
 val snapshot : catalog -> snapshot
 (** O(tables): row lists are shared, not copied — sound because

@@ -15,8 +15,9 @@ type t = {
          and the provenance constructor are all per-name constants, but
          the interpreter used to rebuild them on every call — at
          millions of calls per campaign the allocations dominated the
-         lookup. A registry is built per engine (one per shard), so the
-         cache is single-domain. [None] caches unknown spellings. *)
+         lookup. A registry is built per armed engine (one per shard) and
+         shared only with that engine's crash respawns, so the cache is
+         single-domain. [None] caches unknown spellings. *)
 }
 
 let create () = { tbl = Hashtbl.create 128; resolved = Hashtbl.create 256 }

@@ -37,7 +37,9 @@ val resolve : t -> string -> resolved option
 (** {!find} plus the per-call constants, cached under the {e raw}
     statement spelling so a repeated call pays one hashtable probe — no
     uppercase normalization, no string building. The cache is invalidated
-    by {!add}; a registry is per-engine, so it is single-domain. *)
+    by {!add}. A registry is built per engine and shared only with that
+    engine's crash respawns ([Engine.restart]), which run on the same
+    domain, so the cache is single-domain. *)
 
 val invoke_scalar : Fn_ctx.t -> t -> string -> Fault.arg list -> Value.t
 (** Full scalar call protocol: coverage, fault check, arity check, star

@@ -307,6 +307,43 @@ let test_sequences () =
   check_display e "SELECT SETVAL('sq', 10)" "10";
   check_display e "SELECT NEXTVAL('sq')" "11"
 
+let test_restart_respawns () =
+  (* a respawn renews the session and the tables and shares the static
+     per-dialect data: registry, fault runtime, coverage, profiler *)
+  let e = make_engine () in
+  ignore
+    (Engine.exec_script e "CREATE TABLE r (x INT); INSERT INTO r VALUES (1)");
+  check_display e "SELECT NEXTVAL('sq')" "1";
+  let ctx = Engine.context e in
+  ctx.Fn_ctx.last_insert_id <- 5L;
+  ctx.Fn_ctx.row_count <- 3;
+  let snap = Storage.snapshot (Engine.catalog e) in
+  ignore
+    (Engine.exec_script e
+       "CREATE TABLE later (y INT); INSERT INTO r VALUES (2)");
+  let e' = Engine.restart e snap in
+  let ctx' = Engine.context e' in
+  Alcotest.(check bool) "fresh session" false (ctx' == ctx);
+  Alcotest.(check int) "no sequences" 0 (Hashtbl.length ctx'.Fn_ctx.sequences);
+  Alcotest.(check int64) "last_insert_id reset" 0L ctx'.Fn_ctx.last_insert_id;
+  Alcotest.(check int) "row_count reset" 0 ctx'.Fn_ctx.row_count;
+  Alcotest.(check int) "step counter reset" 0 ctx'.Fn_ctx.steps;
+  Alcotest.(check bool) "registry shared" true
+    (Engine.registry e' == Engine.registry e);
+  Alcotest.(check bool) "fault runtime shared" true
+    (ctx'.Fn_ctx.fault == ctx.Fn_ctx.fault);
+  Alcotest.(check bool) "coverage shared" true
+    (ctx'.Fn_ctx.cov == ctx.Fn_ctx.cov);
+  Alcotest.(check bool) "profiler shared" true
+    (Engine.profile e' == Engine.profile e
+    && Storage.profile (Engine.catalog e') == Engine.profile e);
+  Alcotest.(check bool) "fresh catalog" false
+    (Engine.catalog e' == Engine.catalog e);
+  Alcotest.(check (list string)) "tables as snapshotted" [ "r" ]
+    (Storage.table_names (Engine.catalog e'));
+  check_display e' "SELECT SUM(x) FROM r" "1";
+  check_display e' "SELECT NEXTVAL('sq')" "1"
+
 let suite =
   ( "engine",
     [
@@ -332,4 +369,5 @@ let suite =
       Alcotest.test_case "json depth clean error" `Quick test_json_depth_is_clean_error_by_default;
       Alcotest.test_case "script execution" `Quick test_script_execution;
       Alcotest.test_case "sequences" `Quick test_sequences;
+      Alcotest.test_case "restart respawns" `Quick test_restart_respawns;
     ] )

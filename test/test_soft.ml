@@ -377,6 +377,68 @@ let test_scenario_crash_restores_baseline () =
         Alcotest.failf "stateful PoC did not replay standalone:\n%s" poc)
     stateful_pocs
 
+let test_crash_restart_respawns () =
+  (* k crashes of one armed statement: every restart respawns the engine
+     over the same registry and armed fault table, on the baseline
+     tables, and the campaign coverage grows by the statement's own hits
+     only — the seeds are not reloaded *)
+  let module Engine = Sqlfun_engine.Engine in
+  let module Storage = Sqlfun_engine.Storage in
+  let module Coverage = Sqlfun_coverage.Coverage in
+  let prof = Dialect.find_exn "clickhouse" in
+  let sql = "SELECT TODECIMALSTRING(CAST('110' AS DECIMAL256(45)), *)" in
+  let hits_alone =
+    let cov = Coverage.create () in
+    let e = Dialect.make_engine ~cov ~armed:true prof in
+    let before = Coverage.total_hits cov in
+    (match Engine.exec_sql e sql with
+     | exception Fault.Crash _ -> ()
+     | _ -> Alcotest.fail "statement should crash a fresh armed engine");
+    Coverage.total_hits cov - before
+  in
+  Alcotest.(check bool) "statement records hits" true (hits_alone > 0);
+  let det = Soft.Detector.create prof in
+  let registry = Engine.registry (Soft.Detector.engine det) in
+  let tables snap =
+    let c = Storage.create_catalog () in
+    Storage.restore c snap;
+    List.map
+      (fun name ->
+        match Storage.find_table c name with
+        | Some tbl -> (name, tbl.Storage.rows)
+        | None -> Alcotest.failf "table %s vanished" name)
+      (Storage.table_names c)
+  in
+  let baseline =
+    tables (Storage.snapshot (Engine.catalog (Soft.Detector.engine det)))
+  in
+  Alcotest.(check bool) "seeds built tables" true (baseline <> []);
+  let cov = Soft.Detector.coverage det in
+  let hits0 = Coverage.total_hits cov in
+  let k = 3 in
+  for _ = 1 to k do
+    match Soft.Detector.run_sql det sql with
+    | Soft.Detector.New_bug _ | Soft.Detector.Dup_bug _ -> ()
+    | _ -> Alcotest.fail "expected a crash"
+  done;
+  let e = Soft.Detector.engine det in
+  Alcotest.(check bool) "registry shared" true (Engine.registry e == registry);
+  Alcotest.(check bool) "fault runtime still armed" true
+    (Fault.is_armed (Engine.context e).Sqlfun_functions.Fn_ctx.fault);
+  Alcotest.(check bool) "catalog equals the baseline" true
+    (tables (Storage.snapshot (Engine.catalog e)) = baseline);
+  Alcotest.(check int) "k x the statement's hits, no seed reload"
+    (k * hits_alone)
+    (Coverage.total_hits cov - hits0);
+  let restarts =
+    List.find
+      (fun (st : Sqlfun_telemetry.Telemetry.stage_timing) ->
+        st.Sqlfun_telemetry.Telemetry.stage = "restart-after-crash")
+      (Sqlfun_telemetry.Telemetry.stage_timings (Soft.Detector.telemetry det))
+  in
+  Alcotest.(check int) "one arming + one respawn per crash" (1 + k)
+    restarts.Sqlfun_telemetry.Telemetry.calls
+
 let test_stateful_campaign_stages () =
   (* a stateful campaign runs scenarios and surfaces verdicts from all
      three occurrence stages; with the stateful stream off it runs no
@@ -645,6 +707,8 @@ let suite =
         test_fingerprint_ddl_dml;
       Alcotest.test_case "scenario positions counted" `Quick
         test_scenario_positions_counted;
+      Alcotest.test_case "crash restart respawns" `Quick
+        test_crash_restart_respawns;
       Alcotest.test_case "scenario crash restores baseline" `Quick
         test_scenario_crash_restores_baseline;
       Alcotest.test_case "stateful campaign stages (on/off)" `Slow
