@@ -355,7 +355,8 @@ let ablations () =
     let detector = Soft.Detector.create prof in
     Seq.iter
       (fun (case : Soft.Patterns.case) ->
-        ignore (Soft.Detector.run_case detector case))
+        Soft.Detector.run detector
+          (Soft.Patterns.Single { Soft.Patterns.prereqs = []; case }))
       (Soft.Patterns.generate ~registry ~seeds Pattern_id.P1_2
       |> Seq.filter pool_filter);
     Printf.printf "  %-22s %d bugs\n" label

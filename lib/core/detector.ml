@@ -117,11 +117,7 @@ let verdict_class = function
   | Known_crash _ -> Telemetry.Known_crash
 
 (* The verdict bookkeeping for one executed outcome — counter updates,
-   FP-signature dedup, crash restart, site registration, bug events.
-   The single source of truth shared by [classify] (one engine
-   round-trip per call) and [run_batch]'s compiled loop (one call per
-   batch member): both paths produce bit-identical verdicts, counters
-   and events because both end here. *)
+   FP-signature dedup, crash restart, site registration, bug events. *)
 let settle t ~pattern ~pat ~dialect ~case_number ~poc outcome =
   match outcome with
   | `Res (Ok _) ->
@@ -185,23 +181,52 @@ let settle t ~pattern ~pat ~dialect ~case_number ~poc outcome =
     t.known_crashes <- t.known_crashes + 1;
     Known_crash "stack exhausted (CVE-2015-5289 class)"
 
-(* [poc] is rendered lazily: pretty-printing every generated statement
-   would dominate the runtime, and only crashing statements need SQL.
-   [case_number] overrides the detector-local execution index — shard
-   workers pass the case's index in the global (unsharded) stream so
-   that merged bug records and verdict events carry the same numbers a
-   sequential run would have produced. *)
-let classify t ?pattern ?case_number ~poc run =
-  t.executed <- t.executed + 1;
-  let case_number =
-    match case_number with Some n -> n | None -> t.executed
-  in
+(* ----- the executor -----
+
+   Every case, whatever carried it, runs through [step]. A work item
+   opens one "execute" span and fixes what is constant across its
+   cases: the pattern, the verdict-counter row and the profiler's root
+   record (both keyed by dialect x pattern), and the global number of
+   its first case. *)
+type item = {
+  pattern : Pattern_id.t option;  (* [None] for a seed statement *)
+  pat : string;
+  vrow : Telemetry.verdict_counter;
+  root : Profile.fn_stats;
+  first_case : int option;
+}
+
+let with_item t ?first_case pattern f =
   let dialect = t.prof.Dialect.id in
   (* Pattern_id.to_string returns shared literals, so tagging spans and
-     counters with the pattern costs no allocation. *)
+     counters with the pattern costs no allocation *)
   let pat =
     match pattern with Some p -> Pattern_id.to_string p | None -> "seed"
   in
+  Telemetry.with_span t.tel ~dialect ~pattern:pat "execute" (fun () ->
+      f
+        {
+          pattern;
+          pat;
+          vrow = Telemetry.verdict_counter t.tel ~dialect ~pattern:pat;
+          root = Profile.root_stats t.xprof;
+          first_case;
+        })
+
+(* One case: the item's [i]-th. [exec] is the engine round-trip and
+   [poc] renders the case's SQL — lazily, because pretty-printing every
+   generated statement would dominate the runtime and only crashing
+   cases need it. The case is numbered [first_case + i] when the item
+   carries a global number (shard workers pass the case's index in the
+   unsharded stream, so merged bug records and verdict events carry the
+   numbers a sequential run would have produced), else by the
+   detector-local execution index. *)
+let step t it i ~poc exec =
+  t.executed <- t.executed + 1;
+  let case_number =
+    match it.first_case with Some n0 -> n0 + i | None -> t.executed
+  in
+  let dialect = t.prof.Dialect.id in
   (* Each case runs against a fresh session: stateful functions
      (NEXTVAL/LASTVAL, LAST_INSERT_ID, ROW_COUNT) must not let one
      case's verdict depend on which statements happened to run earlier
@@ -209,119 +234,71 @@ let classify t ?pattern ?case_number ~poc run =
      and break the sharded campaign's determinism guarantee (each shard
      engine only sees a sub-stream of the cases). *)
   Sqlfun_functions.Fn_ctx.reset_session (Engine.context t.engine);
-  (* The execute stage is the engine round-trip; crashes are turned into
-     data so the span closes with the statement's true wall time. *)
+  (* root attribution frame around the round-trip only: whatever the
+     engine's named scopes (parse/plan/eval/storage) don't claim of it
+     is charged to [other]. Crashes are turned into data here and
+     nowhere else. *)
+  Profile.enter_with t.xprof it.root Profile.Other;
   let outcome =
-    Telemetry.with_span t.tel ~dialect ~pattern:pat "execute" (fun () ->
-        (* root attribution frame: whatever the engine's named scopes
-           (parse/plan/eval/storage) don't claim of this round-trip is
-           charged to the [other] bucket as this frame's self-time *)
-        Profile.enter t.xprof Profile.Other;
-        match run () with
-        | r ->
-          Profile.exit t.xprof;
-          `Res r
-        | exception Fault.Crash spec ->
-          Profile.exit t.xprof;
-          `Crashed spec
-        | exception Stack_overflow ->
-          Profile.exit t.xprof;
-          `Blown)
+    match exec () with
+    | r -> `Res r
+    | exception Fault.Crash spec -> `Crashed spec
+    | exception Stack_overflow -> `Blown
   in
+  Profile.exit t.xprof;
+  Profile.enter_with t.xprof it.root Profile.Classify;
   let verdict =
-    Telemetry.with_span t.tel ~dialect ~pattern:pat "detect" @@ fun () ->
-    Profile.with_phase t.xprof Profile.Classify @@ fun () ->
-    settle t ~pattern ~pat ~dialect ~case_number ~poc outcome
+    settle t ~pattern:it.pattern ~pat:it.pat ~dialect ~case_number ~poc
+      outcome
   in
-  Telemetry.count_verdict t.tel ~dialect ~pattern:pat ~case_number
-    (verdict_class verdict);
+  Profile.exit t.xprof;
+  Telemetry.count_verdict_row t.tel it.vrow ~dialect ~pattern:it.pat
+    ~case_number (verdict_class verdict);
   verdict
 
-let run_sql t ?pattern ?case_number sql =
-  classify t ?pattern ?case_number
-    ~poc:(fun () -> sql)
-    (fun () -> Engine.exec_sql t.engine sql)
+(* One interpreted case: [prereqs] then [stmt] on one session, the
+   first error being the case's result — so session-state probes see
+   their prerequisites' effects, and a prerequisite crash is the case's
+   crash. The PoC is the whole statement list: a stateful bug must
+   replay standalone from a cold engine. With the plan cache on, every
+   interpreted case is a compile fallback. *)
+let interpret t it i ?(prereqs = []) stmt =
+  step t it i
+    ~poc:(fun () ->
+      String.concat ";\n"
+        (List.map Sqlfun_ast.Sql_pp.stmt (prereqs @ [ stmt ])))
+    (fun () ->
+      if Option.is_some t.plans then Telemetry.compile_fallback t.tel;
+      let rec go = function
+        | [] -> Engine.exec_stmt t.engine stmt
+        | p :: rest ->
+          (match Engine.exec_stmt t.engine p with
+           | Ok _ -> go rest
+           | Error _ as e -> e)
+      in
+      go prereqs)
 
-(* The engine round-trip for one statement outside a family batch.
-   Seed replays and skeleton-varying cases (P2.1/P2.2/P3.2/P3.3) never
-   reuse a plan, so they always interpret; with the plan cache on, each
-   is counted as a compile fallback. Skeleton-sharing cases reach the
-   compiler only through [run_batch]. *)
-let exec_engine t stmt =
-  if Option.is_some t.plans then Telemetry.compile_fallback t.tel;
-  Engine.exec_stmt t.engine stmt
-
-let run_stmt t ?pattern ?case_number stmt =
-  classify t ?pattern ?case_number
-    ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt stmt)
-    (fun () -> exec_engine t stmt)
-
-let run_case t ?case_number (case : Patterns.case) =
-  run_stmt t ~pattern:case.Patterns.pattern ?case_number case.Patterns.stmt
-
-(* ----- stateful scenarios -----
-
-   One scenario = one case: the prerequisites and the probe execute as
-   a single classified round-trip (session reset once, at the top — a
-   session-state scenario depends on its prerequisites' effects being
-   visible to the probe). A clean prerequisite failure is the
-   scenario's verdict; a prerequisite crash is a found bug and the
-   probe never runs. Afterwards the engine's storage is returned to the
-   post-seed baseline: by [restart] if the scenario crashed, explicitly
-   otherwise, so no scenario observes another's tables. *)
-let run_scenario t ?case_number (sc : Patterns.scenario) =
-  match sc.Patterns.prereqs with
-  | [] -> run_case t ?case_number sc.Patterns.case
-  | prereqs ->
-    t.scenarios <- t.scenarios + 1;
-    t.prereq_stmts <- t.prereq_stmts + List.length prereqs;
-    let case = sc.Patterns.case in
-    let stmts = prereqs @ [ case.Patterns.stmt ] in
-    (* the PoC is the whole statement list: a stateful bug must replay
-       standalone from a cold engine *)
-    let poc () =
-      String.concat ";\n" (List.map Sqlfun_ast.Sql_pp.stmt stmts)
-    in
-    let verdict =
-      classify t ~pattern:case.Patterns.pattern ?case_number ~poc (fun () ->
-          let rec go = function
-            | [] -> Engine.exec_stmt t.engine case.Patterns.stmt
-            | p :: rest ->
-              (match Engine.exec_stmt t.engine p with
-               | Ok _ -> go rest
-               | Error _ as e -> e)
-          in
-          go prereqs)
-    in
-    (match verdict with
-     | New_bug _ | Dup_bug _ | Known_crash _ ->
-       (* the crash path already respawned the engine on the baseline *)
-       ()
-     | Passed | Clean_error _ | False_positive _ ->
-       Storage.restore (Engine.catalog t.engine) t.baseline);
-    verdict
-
-(* ----- slot-stream batched execution -----
+(* ----- slot-stream batches -----
 
    One batch = one skeleton-sharing case family, and the only way a
    case runs compiled: a case that could not join a family arrives as a
-   family of one (its own skeleton, an empty window). The per-case fixed
-   overhead — telemetry span entry, plan-cache probe (skeleton
-   fingerprint + structural verify), constant-slot fill and a PoC
-   closure — is paid once per family; the member loop is fill-window →
-   eval → settle. Soundness: within a batch the probed skeleton and the
-   non-window slots are constant by construction (that is what makes it
-   a family), so hoisting them cannot change any member's verdict; and
-   compiled execution is observably identical to interpretation
-   (values, provenance, tick counts, coverage, fault checks — see
-   compile.ml), so which members run compiled never changes a verdict.
-   Member ASTs are never materialized on the hot path;
-   [Patterns.batch_stmt] rebuilds one lazily when a crash needs its PoC
-   or the family is interpreted, structurally equal to the statement
-   the per-case generator emits. *)
+   family of one (its own skeleton, an empty window). The plan-cache
+   probe (skeleton fingerprint + structural verify), constant-slot fill
+   and PoC closure are paid once per family; the member loop is
+   fill-window → [step]. Soundness: within a batch the probed skeleton
+   and the non-window slots are constant by construction (that is what
+   makes it a family), so hoisting them cannot change any member's
+   verdict; and compiled execution is observably identical to
+   interpretation (values, provenance, tick counts, coverage, fault
+   checks — see compile.ml), so which members run compiled never
+   changes a verdict. Member ASTs are never materialized on the hot
+   path; [Patterns.batch_stmt] rebuilds one lazily when a crash needs
+   its PoC or the family is interpreted, structurally equal to the
+   statement the per-case generator emits. *)
 
-(* One probe resolves the whole family. The per-member counters mirror
-   what [n] one-case probes of the same skeleton would record. [None]
+(* One probe resolves the whole family. The hit/miss counters mirror
+   what [n] one-case probes of the same skeleton would record; each
+   member of an interpreted family counts its own fallback. [None]
    means interpret: no plan cache (--no-compile), or an unadmitted or
    uncompilable family. *)
 let family_plan t (b : Patterns.batch) n =
@@ -329,18 +306,13 @@ let family_plan t (b : Patterns.batch) n =
   | None -> None
   | Some cache ->
     let hits k = for _ = 1 to k do Telemetry.compile_hit t.tel done in
-    let fallbacks k =
-      for _ = 1 to k do Telemetry.compile_fallback t.tel done
-    in
     Profile.with_phase t.xprof Profile.Plan @@ fun () ->
     let compiled =
       match
         Compile.Cache.get_batched cache ~registry:(Engine.registry t.engine)
           ~count:n b.Patterns.b_skeleton
       with
-      | Compile.Cache.Skip ->
-        fallbacks n;
-        None
+      | Compile.Cache.Skip -> None
       | Compile.Cache.Found c ->
         hits n;
         Some c
@@ -350,99 +322,79 @@ let family_plan t (b : Patterns.batch) n =
         Some c
     in
     (match compiled with
-     | None -> None
-     | Some Compile.Fallback ->
-       fallbacks n;
-       None
+     | None | Some Compile.Fallback -> None
      | Some (Compile.Plan plan) ->
-       if Compile.n_slots plan <> Array.length b.Patterns.b_slots then begin
-         (* traversal disagreement would mean a skeleton bug; never let
-            it corrupt a verdict — run the interpreter instead *)
-         fallbacks n;
-         None
-       end
+       (* traversal disagreement would mean a skeleton bug; never let it
+          corrupt a verdict — run the interpreter instead *)
+       if Compile.n_slots plan <> Array.length b.Patterns.b_slots then None
        else Some plan)
 
-let run_batch t ?first_case (b : Patterns.batch) =
-  let n = Patterns.batch_size b in
-  if n > 0 then begin
-    Telemetry.batch_flush t.tel ~cases:n;
-    let pattern = b.Patterns.b_pattern in
-    match family_plan t b n with
-    | None ->
-      (* interpret members one by one, each reconstructed from the
-         skeleton and its window — the reference path the compiled loop
-         must match *)
-      List.iteri
-        (fun i vec ->
-          let stmt = Patterns.batch_stmt b vec in
-          ignore
-            (classify t ~pattern
-               ?case_number:(Option.map (fun n0 -> n0 + i) first_case)
-               ~poc:(fun () -> Sqlfun_ast.Sql_pp.stmt stmt)
-               (fun () -> Engine.exec_stmt t.engine stmt)))
-        b.Patterns.b_vecs
-    | Some plan ->
-      let pat = Pattern_id.to_string pattern in
-      let dialect = t.prof.Dialect.id in
-      let nslots = Array.length b.Patterns.b_slots in
-      if Array.length t.slot_buf < nslots then
-        t.slot_buf <-
-          Array.make
-            (Stdlib.max nslots (2 * Array.length t.slot_buf))
-            Sqlfun_ast.Ast.Null;
-      let buf = t.slot_buf in
-      (* constant slots land once; the member loop only rewrites the
-         varying window *)
-      Array.blit b.Patterns.b_slots 0 buf 0 nslots;
-      (* one PoC closure for the whole batch: it reads the member vector
-         out of [cur], so clean cases allocate nothing *)
-      let cur = ref b.Patterns.b_slots in
-      let poc () = Sqlfun_ast.Sql_pp.stmt (Patterns.batch_stmt b !cur) in
-      (* the verdict-counter row and the profiler's root record are
-         keyed by dialect x pattern, both constant across the batch:
-         resolve them once instead of probing string-keyed tables per
-         member *)
-      let vrow = Telemetry.verdict_counter t.tel ~dialect ~pattern:pat in
-      let root = Profile.root_stats t.xprof in
-      Telemetry.with_span t.tel ~dialect ~pattern:pat "execute" (fun () ->
-          List.iteri
-            (fun i vec ->
-              t.executed <- t.executed + 1;
-              let case_number =
-                match first_case with Some n0 -> n0 + i | None -> t.executed
-              in
-              (* [t.engine] is re-read each member: a crash restart
-                 replaces it mid-batch, and the plan stays valid because
-                 the respawned engine shares the same registry *)
-              Sqlfun_functions.Fn_ctx.reset_session (Engine.context t.engine);
-              Array.blit vec 0 buf b.Patterns.b_lo b.Patterns.b_n;
-              (* the root attribution frame covers the engine round-trip
-                 only, exactly like [classify]'s — widening it over the
-                 verdict bookkeeping would deflate the attribution
-                 ratio *)
-              Profile.enter_with t.xprof root Profile.Other;
-              let outcome =
-                match Engine.exec_compiled t.engine plan buf with
-                | r ->
-                  Profile.exit t.xprof;
-                  `Res r
-                | exception Fault.Crash spec ->
-                  Profile.exit t.xprof;
-                  `Crashed spec
-                | exception Stack_overflow ->
-                  Profile.exit t.xprof;
-                  `Blown
-              in
-              cur := vec;
-              let verdict =
-                settle t ~pattern:(Some pattern) ~pat ~dialect ~case_number
-                  ~poc outcome
-              in
-              Telemetry.count_verdict_row t.tel vrow ~dialect ~pattern:pat
-                ~case_number (verdict_class verdict))
-            b.Patterns.b_vecs)
-  end
+let run_batch t it (b : Patterns.batch) n =
+  Telemetry.batch_flush t.tel ~cases:n;
+  match family_plan t b n with
+  | None ->
+    (* interpret members one by one, each reconstructed from the
+       skeleton and its window — the reference path the compiled loop
+       must match *)
+    List.iteri
+      (fun i vec -> ignore (interpret t it i (Patterns.batch_stmt b vec)))
+      b.Patterns.b_vecs
+  | Some plan ->
+    let nslots = Array.length b.Patterns.b_slots in
+    if Array.length t.slot_buf < nslots then
+      t.slot_buf <-
+        Array.make
+          (Stdlib.max nslots (2 * Array.length t.slot_buf))
+          Sqlfun_ast.Ast.Null;
+    let buf = t.slot_buf in
+    (* constant slots land once; the member loop only rewrites the
+       varying window *)
+    Array.blit b.Patterns.b_slots 0 buf 0 nslots;
+    (* one PoC closure for the whole batch: it reads the member vector
+       out of [cur], so clean cases allocate nothing *)
+    let cur = ref b.Patterns.b_slots in
+    let poc () = Sqlfun_ast.Sql_pp.stmt (Patterns.batch_stmt b !cur) in
+    (* [t.engine] is re-read each member: a crash restart replaces it
+       mid-batch, and the plan stays valid because the respawned engine
+       shares the same registry *)
+    let exec () = Engine.exec_compiled t.engine plan buf in
+    List.iteri
+      (fun i vec ->
+        Array.blit vec 0 buf b.Patterns.b_lo b.Patterns.b_n;
+        cur := vec;
+        ignore (step t it i ~poc exec))
+      b.Patterns.b_vecs
+
+let run t ?first_case (w : Patterns.work) =
+  match w with
+  | Patterns.Seed stmt ->
+    with_item t ?first_case None (fun it -> ignore (interpret t it 0 stmt))
+  | Patterns.Single { Patterns.prereqs = []; case } ->
+    with_item t ?first_case (Some case.Patterns.pattern) (fun it ->
+        ignore (interpret t it 0 case.Patterns.stmt))
+  | Patterns.Single { Patterns.prereqs; case } ->
+    (* a stateful scenario is one case. Afterwards the engine's storage
+       is back at the post-seed baseline — by the crash respawn if the
+       scenario crashed, explicitly otherwise — so no scenario observes
+       another's tables *)
+    t.scenarios <- t.scenarios + 1;
+    t.prereq_stmts <- t.prereq_stmts + List.length prereqs;
+    with_item t ?first_case (Some case.Patterns.pattern) (fun it ->
+        match interpret t it 0 ~prereqs case.Patterns.stmt with
+        | New_bug _ | Dup_bug _ | Known_crash _ -> ()
+        | Passed | Clean_error _ | False_positive _ ->
+          Storage.restore (Engine.catalog t.engine) t.baseline)
+  | Patterns.Batched b ->
+    let n = Patterns.batch_size b in
+    if n > 0 then
+      with_item t ?first_case (Some b.Patterns.b_pattern) (fun it ->
+          run_batch t it b n)
+
+let run_sql t sql =
+  with_item t None (fun it ->
+      step t it 0
+        ~poc:(fun () -> sql)
+        (fun () -> Engine.exec_sql t.engine sql))
 
 (* Re-derives the sequential New-vs-Dup split from per-shard bug lists.
 

@@ -45,22 +45,21 @@ val create :
     [profile] is the execute-stage attribution profiler (see
     {!Sqlfun_telemetry.Profile}): a root scope around every engine
     round-trip catches unclaimed time as [other], the engine's own
-    scopes charge parse/plan/eval/storage, and verdict bookkeeping runs
-    under [detector-classify]. A private profiler is created when
-    omitted; its dialect context is set to this profile's id either
-    way.
+    scopes charge parse/plan/eval/storage, and every case's verdict
+    bookkeeping runs under [detector-classify]. A private profiler is
+    created when omitted; its dialect context is set to this profile's
+    id either way.
 
     Without [telemetry] a private null-sink collector is created, so
     stage timings and verdict counters always accumulate; pass a
     collector to share aggregates with the rest of a campaign or to
-    stream events. Each executed statement is timed as an ["execute"]
-    span (the engine round-trip) plus a ["detect"] span (verdict
-    bookkeeping); the arming and every crash respawn are one
-    ["restart-after-crash"] span each; every verdict bumps the
-    dialect x pattern x class counter.
+    stream events. Each work item is timed as one ["execute"] span
+    (engine round-trips and verdict bookkeeping of all its cases); the
+    arming and every crash respawn are one ["restart-after-crash"] span
+    each; every verdict bumps the dialect x pattern x class counter.
 
     [compile] (default [true]) enables closure compilation of
-    skeleton-sharing case families ({!run_batch}): a per-detector plan
+    skeleton-sharing case families ([Batched] items): a per-detector plan
     cache keyed by {!Sqlfun_ast.Ast_util.fingerprint_skeleton} compiles
     a family's skeleton once and runs every member by filling its slot
     window, with no AST walk. Compiled execution is observably
@@ -77,45 +76,41 @@ val create :
     the engine; verdicts, coverage and fault sites are
     representation-independent either way. *)
 
-val run_sql :
-  t -> ?pattern:Pattern_id.t -> ?case_number:int -> string -> verdict
+val run : t -> ?first_case:int -> Patterns.work -> unit
+(** Execute one work item — every case SOFT's oracle classifies goes
+    through here. Each case gets a fresh session, one engine round-trip
+    under the profiler's root frame (a {!Sqlfun_fault.Fault.Crash} or a
+    blown stack is turned into a verdict and respawns the engine), then
+    verdict bookkeeping. The item opens one ["execute"] span.
 
-val run_stmt :
-  t -> ?pattern:Pattern_id.t -> ?case_number:int -> Sqlfun_ast.Ast.stmt -> verdict
+    - [Seed stmt] interprets one statement, counted under pattern
+      ["seed"].
+    - [Single] interprets a scenario as one case. A bare probe
+      ([prereqs = []]) is one statement. Otherwise the prerequisites
+      and the probe run in order on one session (so session-state
+      probes see their prerequisites' effects), and the engine's
+      storage is returned to the post-seed baseline afterwards — by the
+      crash respawn if the scenario crashed, explicitly otherwise. A
+      clean prerequisite failure is the scenario's verdict; a
+      prerequisite crash is a found bug whose PoC is the whole
+      statement list (replayable standalone from a cold engine).
+    - [Batched] runs a skeleton-sharing family, the only compiled
+      execution path: the plan-cache probe is resolved once and the
+      member loop is fill-window → eval → classify, with no statement
+      ASTs materialized. Families without a usable plan (unadmitted,
+      uncompilable, or [compile:false]) are interpreted member by
+      member from their reconstructed ASTs. Verdicts, counters, bug
+      records, fault sites and coverage are identical either way.
 
-val run_case : t -> ?case_number:int -> Patterns.case -> verdict
-(** [case_number] overrides the detector-local 1-based execution index
-    recorded on bug records and verdict events. Shard workers pass the
-    case's index in the global (unsharded) stream so merged campaign
-    output is bit-identical to a sequential run; plain callers omit
-    it. *)
+    [first_case] makes the item's case [i] global case
+    [first_case + i] on bug records and verdict events. Shard workers
+    pass the index in the global (unsharded) stream so merged campaign
+    output equals a sequential run's; plain callers omit it and get the
+    detector-local 1-based execution index. *)
 
-val run_scenario : t -> ?case_number:int -> Patterns.scenario -> verdict
-(** One scenario = one case. A bare probe ([prereqs = []]) is exactly
-    {!run_case}. Otherwise: the session is reset once, the
-    prerequisites and the probe execute as a single classified
-    round-trip (so session-state probes see their prerequisites'
-    effects), and the engine's storage is returned to the post-seed
-    baseline afterwards — by the crash respawn if the scenario crashed,
-    explicitly otherwise. A clean prerequisite failure is the
-    scenario's verdict; a prerequisite crash is a found bug whose PoC
-    is the whole statement list (replayable standalone from a cold
-    engine). *)
-
-val run_batch : t -> ?first_case:int -> Patterns.batch -> unit
-(** Execute one skeleton-sharing family — the only compiled execution
-    path. The telemetry span and plan-cache probe are resolved once,
-    and the member loop is fill-window → eval → classify, with no
-    statement ASTs materialized and one PoC closure for the whole
-    batch. Verdicts, counters, bug records, fault sites and coverage
-    are bit-identical to interpreting each member's reconstructed AST
-    — the decisions hoisted out of the loop are constant across a
-    family by construction, and compiled execution is observably
-    identical to interpretation. Families without a usable plan
-    (unadmitted, uncompilable, or [compile:false]) are interpreted
-    member by member, reconstructing each AST lazily. [first_case]
-    makes member [i] global case [first_case + i], overriding the
-    detector-local index exactly like [case_number] on {!run_case}. *)
+val run_sql : t -> string -> verdict
+(** One SQL string as one case under pattern ["seed"]; a parse error
+    classifies as a clean error. *)
 
 val executed : t -> int
 (** Every case run. *)
@@ -139,7 +134,7 @@ val dup_crashes : t -> int
 
 val scenarios_executed : t -> int
 (** Stateful scenarios admitted (prerequisites non-empty) — one per
-    {!run_scenario} call that was not a bare probe. *)
+    [Single] item {!run} executed that was not a bare probe. *)
 
 val prereq_statements : t -> int
 (** Prerequisite statements admitted across all stateful scenarios. *)

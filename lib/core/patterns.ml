@@ -605,9 +605,9 @@ let count_scenario_positions scenarios =
    eval → classify. A case that cannot join a family is a family of
    one: its own statement as skeleton and an empty window. Any
    member's full AST is recoverable on demand ([batch_stmt]), and
-   flattening a work stream back to cases ([work_cases]) reproduces the
-   per-case generator's stream element for element — the equivalence
-   the property tests pin down. *)
+   flattening a work stream back to statements reproduces the per-case
+   generator's stream element for element — the equivalence the
+   property tests pin down. *)
 
 type batch = {
   b_pattern : Pattern_id.t;
@@ -619,10 +619,13 @@ type batch = {
   b_vecs : Ast.expr array list;  (** one window vector per case, in order *)
 }
 
-type work = Single of scenario | Batched of batch
+type work = Seed of Ast.stmt | Single of scenario | Batched of batch
 
 let batch_size b = List.length b.b_vecs
-let work_size = function Single _ -> 1 | Batched b -> batch_size b
+
+let work_size = function
+  | Seed _ | Single _ -> 1
+  | Batched b -> batch_size b
 
 let batch_stmt b vec =
   (* a family of one has an empty window: its skeleton is the member *)
@@ -632,15 +635,6 @@ let batch_stmt b vec =
     Array.blit vec 0 slots b.b_lo b.b_n;
     Ast_util.subst_slots b.b_skeleton slots
   end
-
-let batch_case b vec =
-  { stmt = batch_stmt b vec; pattern = b.b_pattern; origin = b.b_origin }
-
-let batch_cases b = Seq.map (batch_case b) (List.to_seq b.b_vecs)
-
-let work_cases = function
-  | Single sc -> Seq.return sc.case
-  | Batched b -> batch_cases b
 
 let split_batch b k =
   let rec take_drop k acc = function

@@ -81,9 +81,11 @@ type batch = {
   b_vecs : Ast.expr array list;  (** one window vector per case, in order *)
 }
 
-(** The unit of work: a scenario (a skeleton-varying case or a stateful
-    scenario) or a whole skeleton-sharing family. *)
-type work = Single of scenario | Batched of batch
+(** The unit of work, executed by {!Detector.run}: a pattern-less
+    statement (a seed replay or a baseline tool's statement, counted
+    under pattern ["seed"]), a scenario (a skeleton-varying case or a
+    stateful scenario), or a whole skeleton-sharing family. *)
+type work = Seed of Ast.stmt | Single of scenario | Batched of batch
 
 val batch_size : batch -> int
 val work_size : work -> int
@@ -94,9 +96,6 @@ val batch_stmt : batch -> Ast.expr array -> Ast.stmt
     the per-case generator emits for that member. Only called off
     the compiled hot path: PoC pretty-printing, interpreted families,
     tests. *)
-
-val work_cases : work -> case Seq.t
-(** Flatten one work item back to the per-case stream. *)
 
 val split_batch : batch -> int -> batch * batch
 (** [split_batch b k] splits the member list at [k] (clamped), sharing
@@ -113,6 +112,6 @@ val generate_work :
     (P1.1–P1.4, P2.3, P3.1) is [Batched] — a run of consecutive
     same-shaped variants, or a family of one for a variant that cannot
     join a run — and every skeleton-varying case (P2.1, P2.2, P3.2,
-    P3.3) is a [Single]. Flattening with {!work_cases} reproduces
-    {!generate}'s stream element for element — same statements, same
-    order. *)
+    P3.3) is a [Single]. Flattening the batches with {!batch_stmt}
+    reproduces {!generate}'s stream element for element — same
+    statements, same order. *)

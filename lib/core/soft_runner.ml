@@ -67,7 +67,8 @@ let drain_share emit works n =
         end
         else
           (match w with
-           | Patterns.Single _ -> assert false (* size 1 always fits *)
+           | Patterns.Seed _ | Patterns.Single _ ->
+             assert false (* size 1 always fits *)
            | Patterns.Batched b ->
              let head, tail = Patterns.split_batch b (n - taken) in
              emit (Patterns.Batched head);
@@ -265,22 +266,22 @@ let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
       in
       let loads = Array.make shards 0 in
       let next = ref 0 in
-      (* [item size exec] assigns the next [size] global case numbers to
-         the least-loaded shard and runs [exec det first_case] when this
-         worker owns it *)
-      let item size exec =
+      (* [emit w] assigns the item's global case numbers to the
+         least-loaded shard and runs it when this worker owns it *)
+      let emit w =
+        let size = Patterns.work_size w in
         let s = ref 0 in
         for i = 1 to shards - 1 do
           if loads.(i) < loads.(!s) then s := i
         done;
         let s = !s in
-        let first = !next + 1 in
+        let first_case = !next + 1 in
         loads.(s) <- loads.(s) + size;
         next := !next + size;
         match local.(s) with
         | None -> ()
         | Some (det, recorder) ->
-          exec det first;
+          Detector.run det ~first_case w;
           Option.iter
             (fun r ->
               for _ = 1 to size do
@@ -294,20 +295,12 @@ let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
       Telemetry.with_span span_tel ~dialect "seed-replay" (fun () ->
           List.iter
             (fun (seed : Collector.seed) ->
-              item 1 (fun det case_number ->
-                  ignore
-                    (Detector.run_stmt det ~case_number seed.Collector.stmt)))
+              emit (Patterns.Seed seed.Collector.stmt))
             seeds);
       emit_budgeted ~budget
         ~streams:
           (work_streams ~tel:span_tel ~registry ~seeds ~patterns ~stateful)
-        ~emit:(function
-          | Patterns.Single sc ->
-            item 1 (fun det case_number ->
-                ignore (Detector.run_scenario det ~case_number sc))
-          | Patterns.Batched b ->
-            item (Patterns.batch_size b) (fun det first_case ->
-                Detector.run_batch det ~first_case b));
+        ~emit;
       Array.iter
         (Option.iter (fun (_, r) -> Option.iter Timeseries.finalize r))
         local;

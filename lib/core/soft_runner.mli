@@ -16,8 +16,8 @@
       separate domains.
 
     Only wall-clock timings differ between a parallel and a sequential
-    run; the "execute"/"detect" stage totals still measure CPU time
-    summed across shards. *)
+    run; the "execute" stage total still measures CPU time summed
+    across shards. *)
 
 open Sqlfun_fault
 open Sqlfun_dialects
@@ -48,7 +48,7 @@ type result = {
   branches_covered : int;    (** distinct coverage points (Table 6) *)
   timings : Sqlfun_telemetry.Telemetry.stage_timing list;
       (** per-stage wall-time aggregates (campaign, collect, seed-replay,
-          generate, execute, detect, restart-after-crash), sorted by
+          generate, execute, restart-after-crash), sorted by
           total time *)
   coverage : Sqlfun_coverage.Coverage.t;
       (** the campaign's coverage recorder, for snapshot slicing *)
@@ -99,7 +99,7 @@ val fuzz :
     never execute DDL/DML as cases, so the parse/storage fault stages
     are unreachable and every staged counter is zero).
     Skeleton-sharing pattern families stream as slot-stream batches
-    ({!Patterns.generate_work} / {!Detector.run_batch}): one skeleton
+    ({!Patterns.generate_work} / {!Detector.run}): one skeleton
     AST plus slot vectors per family run, with the telemetry span and
     plan-cache probe resolved once per batch instead of once per case;
     batch counters are reported on the collector

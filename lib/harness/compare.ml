@@ -34,7 +34,7 @@ let run_baseline ?telemetry tool gen ~dialect ~budget =
   let cov = Coverage.create () in
   let detector = Soft.Detector.create ~cov ?telemetry prof in
   for _ = 1 to budget do
-    ignore (Soft.Detector.run_stmt detector (gen.Baseline.next ()))
+    Soft.Detector.run detector (Soft.Patterns.Seed (gen.Baseline.next ()))
   done;
   {
     tool;

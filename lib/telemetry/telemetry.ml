@@ -395,15 +395,6 @@ let verdict_row t ~dialect ~pattern =
     Hashtbl.add per_dialect pattern row;
     row
 
-let count_verdict t ~dialect ~pattern ~case_number verdict =
-  let row = verdict_row t ~dialect ~pattern in
-  let i = verdict_index verdict in
-  row.counts.(i) <- row.counts.(i) + 1;
-  match t.sink with
-  | Null -> ()
-  | Emit e ->
-    e (Verdict { dialect; pattern; verdict; case_number; ts_ns = now_ns () })
-
 type verdict_counter = verdict_row
 
 let verdict_counter t ~dialect ~pattern = verdict_row t ~dialect ~pattern

@@ -141,24 +141,18 @@ val record_stage : t -> stage:string -> int -> unit
 
 (** {1 Verdict counters and one-shot events} *)
 
-val count_verdict :
-  t -> dialect:string -> pattern:string -> case_number:int -> verdict_class -> unit
-(** Bumps the dialect x pattern x class counter and, with a live sink,
-    emits a [Verdict] event. *)
-
 type verdict_counter
 (** A pre-resolved dialect x pattern counter row. Both keys are
-    constant across a batch, so the batched member loop resolves the
-    row once and skips the two string-keyed probes {!count_verdict}
-    pays per call. *)
+    constant across a work item, so the detector resolves the row once
+    per item instead of probing two string-keyed tables per case. *)
 
 val verdict_counter : t -> dialect:string -> pattern:string -> verdict_counter
 
 val count_verdict_row :
   t -> verdict_counter -> dialect:string -> pattern:string ->
   case_number:int -> verdict_class -> unit
-(** Identical observable behaviour to {!count_verdict} on the row's own
-    keys: same counter cell, same [Verdict] event with a live sink. *)
+(** Bumps the row's counter for the class and, with a live sink, emits a
+    [Verdict] event carrying the row's own keys. *)
 
 val bug_event :
   t -> dialect:string -> site:string -> kind:string -> pattern:string ->
@@ -178,14 +172,15 @@ val memo_hit_rate : t -> float
 
 (** {1 Plan-compilation counters}
 
-    The detector's closure-compilation path records every case here: a
-    {e hit} reused a cached compiled plan, a {e miss} compiled one, and
-    a {e fallback} ran through the interpreter — either the shallow
-    shape/shareability pre-filter turned the statement away before the
-    cache (no hit or miss counted), or a probed statement compiled to
-    [Fallback] (counted as a hit or miss {e and} a fallback). Like stage
-    timings, these are throughput metadata, not determinism-bearing
-    totals. *)
+    With the plan cache on, the detector records every campaign case
+    here: a {e hit} reused a cached compiled plan, a {e miss} compiled
+    one, and a {e fallback} ran through the interpreter — a seed, a
+    skeleton-varying case or a stateful scenario, a family the shallow
+    shape/shareability pre-filter turned away before the cache (no hit
+    or miss counted), or a probed family that compiled to [Fallback]
+    (counted as hits or a miss {e and} fallbacks). With the cache off
+    nothing is recorded. Like stage timings, these are throughput
+    metadata, not determinism-bearing totals. *)
 
 val compile_hit : t -> unit
 val compile_miss : t -> unit

@@ -142,8 +142,9 @@ let mk_tel spec =
   List.iter
     (fun (stage, dur, verdict) ->
       Telemetry.record_stage t ~stage dur;
-      Telemetry.count_verdict t ~dialect:"d" ~pattern:stage ~case_number:1
-        verdict)
+      Telemetry.count_verdict_row t
+        (Telemetry.verdict_counter t ~dialect:"d" ~pattern:stage)
+        ~dialect:"d" ~pattern:stage ~case_number:1 verdict)
     spec;
   t
 
@@ -178,8 +179,9 @@ let test_telemetry_merge_algebra () =
 
 let test_reclassify_verdict () =
   let t = Telemetry.create () in
-  Telemetry.count_verdict t ~dialect:"d" ~pattern:"p" ~case_number:1
-    Telemetry.New_bug;
+  Telemetry.count_verdict_row t
+    (Telemetry.verdict_counter t ~dialect:"d" ~pattern:"p")
+    ~dialect:"d" ~pattern:"p" ~case_number:1 Telemetry.New_bug;
   Telemetry.reclassify_verdict t ~dialect:"d" ~pattern:"p"
     ~from_:Telemetry.New_bug ~to_:Telemetry.Dup_bug;
   let row =

@@ -331,15 +331,18 @@ let test_scenario_crash_restores_baseline () =
     Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
   in
   let crashed = ref None in
+  let crashes () =
+    List.length (Soft.Detector.bugs det) + Soft.Detector.dup_crashes det
+  in
   let run_stream scenarios =
     Seq.iter
       (fun sc ->
-        match Soft.Detector.run_scenario det sc with
-        | (Soft.Detector.New_bug _ | Soft.Detector.Dup_bug _)
-          when !crashed = None
-               && sc.Soft.Patterns.prereqs <> [] ->
-          crashed := Some sc
-        | _ -> ())
+        let before = crashes () in
+        Soft.Detector.run det (Soft.Patterns.Single sc);
+        if
+          crashes () > before && !crashed = None
+          && sc.Soft.Patterns.prereqs <> []
+        then crashed := Some sc)
       scenarios
   in
   run_stream (Soft.Patterns.generate_scenarios ~registry ~seeds ());
@@ -523,6 +526,18 @@ let test_compile_campaign_identical () =
         (counts_off.Telemetry.c_hits + counts_off.Telemetry.c_misses))
     Dialect.all
 
+let test_interpreted_cases_count_fallbacks () =
+  (* without pattern streams a campaign is seed replays plus stateful
+     scenarios, all interpreted: each case counts exactly one compile
+     fallback, scenarios with prerequisites included *)
+  let module Telemetry = Sqlfun_telemetry.Telemetry in
+  let r = Soft.Soft_runner.fuzz ~patterns:[] (Dialect.find_exn "duckdb") in
+  Alcotest.(check bool) "scenarios ran" true
+    (r.Soft.Soft_runner.scenarios_executed > 0);
+  let counts = Telemetry.compile_counts r.Soft.Soft_runner.telemetry in
+  Alcotest.(check int) "one fallback per case" r.Soft.Soft_runner.cases_executed
+    counts.Telemetry.c_fallbacks
+
 let test_compact_campaign_identical () =
   (* the compact-representation soundness bar, over every dialect:
      range-array and rope-string values must be behaviour-invisible.
@@ -579,7 +594,8 @@ let test_compact_campaign_identical () =
 let test_batch_stream_equivalence () =
   (* the slot-stream soundness bar at the generation layer: flattening
      the batched work stream (reconstructing each member's AST from the
-     family skeleton plus its slot vector) must reproduce the per-case
+     family skeleton plus its slot vector with [batch_stmt]) must
+     reproduce the per-case
      generator's stream element for element — same pattern, same origin,
      structurally equal statement — for every pattern on every dialect;
      and every item of a skeleton-sharing pattern must be a batch. *)
@@ -596,16 +612,27 @@ let test_batch_stream_equivalence () =
           let flat =
             Soft.Patterns.generate_work ~registry ~seeds pattern
             |> Seq.concat_map (fun w ->
-                   (match w with
-                    | Soft.Patterns.Batched b ->
-                      batched_total := !batched_total + Soft.Patterns.batch_size b
-                    | Soft.Patterns.Single _ ->
-                      (* a skeleton-sharing case that could not join a
-                         family is still a family of one *)
-                      if Pattern_id.shares_skeleton pattern then
-                        Alcotest.failf "%s %s: skeleton-sharing Single item"
-                          name (Pattern_id.to_string pattern));
-                   Soft.Patterns.work_cases w)
+                   match w with
+                   | Soft.Patterns.Batched b ->
+                     batched_total := !batched_total + Soft.Patterns.batch_size b;
+                     Seq.map
+                       (fun vec ->
+                         {
+                           Soft.Patterns.stmt = Soft.Patterns.batch_stmt b vec;
+                           pattern = b.Soft.Patterns.b_pattern;
+                           origin = b.Soft.Patterns.b_origin;
+                         })
+                       (List.to_seq b.Soft.Patterns.b_vecs)
+                   | Soft.Patterns.Single sc ->
+                     (* a skeleton-sharing case that could not join a
+                        family is still a family of one *)
+                     if Pattern_id.shares_skeleton pattern then
+                       Alcotest.failf "%s %s: skeleton-sharing Single item"
+                         name (Pattern_id.to_string pattern);
+                     Seq.return sc.Soft.Patterns.case
+                   | Soft.Patterns.Seed _ ->
+                     Alcotest.failf "%s %s: pattern stream yielded a Seed item"
+                       name (Pattern_id.to_string pattern))
           in
           let plain = Soft.Patterns.generate ~registry ~seeds pattern in
           let rec go i flat plain =
@@ -715,6 +742,8 @@ let suite =
         test_stateful_campaign_stages;
       Alcotest.test_case "compiled campaign identical (all dialects)" `Slow
         test_compile_campaign_identical;
+      Alcotest.test_case "interpreted cases count fallbacks" `Quick
+        test_interpreted_cases_count_fallbacks;
       Alcotest.test_case "compact campaign identical (all dialects)" `Slow
         test_compact_campaign_identical;
       Alcotest.test_case "batch stream equivalence (all dialects)" `Slow

@@ -251,14 +251,15 @@ let test_event_jsonl_roundtrip () =
 
 let test_verdict_counters () =
   let t = Telemetry.create () in
-  Telemetry.count_verdict t ~dialect:"mysql" ~pattern:"P1.1" ~case_number:1
-    Telemetry.Passed;
-  Telemetry.count_verdict t ~dialect:"mysql" ~pattern:"P1.1" ~case_number:2
-    Telemetry.Passed;
-  Telemetry.count_verdict t ~dialect:"mysql" ~pattern:"P2.1" ~case_number:3
-    Telemetry.New_bug;
-  Telemetry.count_verdict t ~dialect:"duckdb" ~pattern:"P1.1" ~case_number:4
-    Telemetry.Known_crash;
+  let count ~dialect ~pattern ~case_number verdict =
+    Telemetry.count_verdict_row t
+      (Telemetry.verdict_counter t ~dialect ~pattern)
+      ~dialect ~pattern ~case_number verdict
+  in
+  count ~dialect:"mysql" ~pattern:"P1.1" ~case_number:1 Telemetry.Passed;
+  count ~dialect:"mysql" ~pattern:"P1.1" ~case_number:2 Telemetry.Passed;
+  count ~dialect:"mysql" ~pattern:"P2.1" ~case_number:3 Telemetry.New_bug;
+  count ~dialect:"duckdb" ~pattern:"P1.1" ~case_number:4 Telemetry.Known_crash;
   match Telemetry.verdict_rows t with
   | [ r1; r2; r3 ] ->
     (* sorted by dialect then pattern *)
@@ -321,7 +322,7 @@ let test_fuzz_determinism_with_sink () =
       Alcotest.(check bool)
         (Printf.sprintf "trace has a %s span" stage)
         true (has_stage stage))
-    [ "campaign"; "collect"; "seed-replay"; "generate"; "execute"; "detect";
+    [ "campaign"; "collect"; "seed-replay"; "generate"; "execute";
       "restart-after-crash" ];
   (* and the sink-off run still aggregated timings for the hot stages *)
   List.iter
@@ -332,7 +333,46 @@ let test_fuzz_determinism_with_sink () =
         (List.exists
            (fun s -> s.Telemetry.stage = stage)
            off.Soft.Soft_runner.timings))
-    [ "campaign"; "collect"; "seed-replay"; "generate"; "execute"; "detect" ]
+    [ "campaign"; "collect"; "seed-replay"; "generate"; "execute" ];
+  (* the executor contract: verdict bookkeeping is part of the execute
+     stage, which opens one span per work item — a seed, a scenario or a
+     whole family batch, compiled or not, on any shard count — and every
+     case is attributed to the detector-classify phase *)
+  Alcotest.(check bool) "no detect stage" false
+    (has_stage "detect"
+     || List.exists
+          (fun s -> s.Telemetry.stage = "detect")
+          off.Soft.Soft_runner.timings);
+  let execute_calls (r : Soft.Soft_runner.result) =
+    match
+      List.find_opt
+        (fun s -> s.Telemetry.stage = "execute")
+        r.Soft.Soft_runner.timings
+    with
+    | Some s -> s.Telemetry.calls
+    | None -> 0
+  in
+  let batch = Telemetry.batch_counts off.Soft.Soft_runner.telemetry in
+  Alcotest.(check bool) "batches ran" true (batch.Telemetry.b_flushes > 0);
+  Alcotest.(check int) "one execute span per work item"
+    (off.Soft.Soft_runner.cases_executed - batch.Telemetry.b_cases
+   + batch.Telemetry.b_flushes)
+    (execute_calls off);
+  Alcotest.(check int) "execute spans with --no-compile" (execute_calls off)
+    (execute_calls (Soft.Soft_runner.fuzz ~budget:600 ~compile:false prof));
+  Alcotest.(check int) "execute spans at 2 shards" (execute_calls off)
+    (execute_calls (Soft.Soft_runner.fuzz ~budget:600 ~shards:2 prof));
+  let classified =
+    List.fold_left
+      (fun acc (r : Profile.row) ->
+        if r.Profile.r_func = "" && r.Profile.r_phase = Profile.Classify then
+          acc + r.Profile.r_count
+        else acc)
+      0
+      (Profile.rows off.Soft.Soft_runner.profile)
+  in
+  Alcotest.(check int) "every case classified under the root key"
+    off.Soft.Soft_runner.cases_executed classified
 
 (* ----- snapshot artifacts ----- *)
 
