@@ -14,11 +14,6 @@ let escape_string s =
     s;
   Buffer.contents buf
 
-let hex_of_bytes s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02X" (Char.code c))) s;
-  Buffer.contents buf
-
 let rec type_name = function
   | T_bool -> "BOOLEAN"
   | T_smallint -> "SMALLINT"
@@ -81,7 +76,7 @@ let rec expr = function
   | Bool_lit false -> "FALSE"
   | Int_lit s | Dec_lit s -> s
   | Str_lit s -> "'" ^ escape_string s ^ "'"
-  | Hex_lit s -> "X'" ^ hex_of_bytes s ^ "'"
+  | Hex_lit s -> Sqlfun_data.Codec.hex_encode ~prefix:"X'" s ^ "'"
   | Star -> "*"
   | Column (None, c) -> c
   | Column (Some t, c) -> t ^ "." ^ c

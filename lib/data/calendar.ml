@@ -25,18 +25,21 @@ let make_time ~hour ~minute ~second =
   then Some { hour; minute; second }
   else None
 
+(* Linear in [s]: one table lookup per byte, scanning from the end so
+   the parts come out in order. The only allocation besides the
+   256-byte table is the result, and [s] without a separator is its own
+   single part, not a copy. *)
 let split_on_any seps s =
-  let parts = ref [] and buf = Buffer.create 8 in
-  String.iter
-    (fun c ->
-      if List.mem c seps then begin
-        parts := Buffer.contents buf :: !parts;
-        Buffer.clear buf
-      end
-      else Buffer.add_char buf c)
-    s;
-  parts := Buffer.contents buf :: !parts;
-  List.rev !parts
+  let is_sep = Bytes.make 256 '\000' in
+  List.iter (fun c -> Bytes.set is_sep (Char.code c) '\001') seps;
+  let parts = ref [] and stop = ref (String.length s) in
+  for i = String.length s - 1 downto 0 do
+    if Bytes.unsafe_get is_sep (Char.code (String.unsafe_get s i)) <> '\000' then begin
+      parts := String.sub s (i + 1) (!stop - i - 1) :: !parts;
+      stop := i
+    end
+  done;
+  (if !stop = String.length s then s else String.sub s 0 !stop) :: !parts
 
 let date_of_string s =
   match split_on_any [ '-'; '/' ] (String.trim s) with
@@ -197,14 +200,18 @@ let add_interval dt { amount; unit_ } =
   end
 
 let unit_of_string s =
-  match String.uppercase_ascii s with
-  | "YEAR" | "YEARS" -> Some Year
-  | "MONTH" | "MONTHS" -> Some Month
-  | "DAY" | "DAYS" -> Some Day
-  | "HOUR" | "HOURS" -> Some Hour
-  | "MINUTE" | "MINUTES" -> Some Minute
-  | "SECOND" | "SECONDS" -> Some Second
-  | _ -> None
+  (* no unit name is longer than 7 bytes: skip the uppercase copy of a
+     longer argument *)
+  if String.length s > 7 then None
+  else
+    match String.uppercase_ascii s with
+    | "YEAR" | "YEARS" -> Some Year
+    | "MONTH" | "MONTHS" -> Some Month
+    | "DAY" | "DAYS" -> Some Day
+    | "HOUR" | "HOURS" -> Some Hour
+    | "MINUTE" | "MINUTES" -> Some Minute
+    | "SECOND" | "SECONDS" -> Some Second
+    | _ -> None
 
 let unit_to_string = function
   | Year -> "YEAR"

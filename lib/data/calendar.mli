@@ -26,6 +26,10 @@ val make_time : hour:int -> minute:int -> second:int -> time option
 val is_leap_year : int -> bool
 val days_in_month : year:int -> month:int -> int
 
+val split_on_any : char list -> string -> string list
+(** [split_on_any seps s] cuts [s] at every byte in [seps]: [n]
+    separators give [n + 1] parts, empty ones included. *)
+
 val date_of_string : string -> date option
 (** Accepts [YYYY-MM-DD] (also [/] separators). *)
 

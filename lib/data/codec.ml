@@ -1,13 +1,23 @@
-let hex_encode s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02X" (Char.code c))) s;
-  Buffer.contents buf
+let hex_digits = "0123456789ABCDEF"
 
+let hex_encode ?(prefix = "") s =
+  let p = String.length prefix and n = String.length s in
+  let b = Bytes.create (p + (2 * n)) in
+  Bytes.blit_string prefix 0 b 0 p;
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (p + (2 * i)) hex_digits.[c lsr 4];
+    Bytes.unsafe_set b (p + (2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string b
+
+(* The digit decoders answer -1 for a non-digit instead of an option, so
+   decoding allocates nothing per byte. *)
 let hex_val c =
-  if c >= '0' && c <= '9' then Some (Char.code c - 48)
-  else if c >= 'a' && c <= 'f' then Some (Char.code c - 87)
-  else if c >= 'A' && c <= 'F' then Some (Char.code c - 55)
-  else None
+  if c >= '0' && c <= '9' then Char.code c - 48
+  else if c >= 'a' && c <= 'f' then Char.code c - 87
+  else if c >= 'A' && c <= 'F' then Char.code c - 55
+  else -1
 
 let hex_decode s =
   let n = String.length s in
@@ -17,11 +27,12 @@ let hex_decode s =
     let rec go i =
       if i >= n then Some (Buffer.contents buf)
       else
-        match (hex_val s.[i], hex_val s.[i + 1]) with
-        | Some hi, Some lo ->
+        let hi = hex_val s.[i] and lo = hex_val s.[i + 1] in
+        if hi < 0 || lo < 0 then None
+        else begin
           Buffer.add_char buf (Char.chr ((hi * 16) + lo));
           go (i + 2)
-        | _, _ -> None
+        end
     in
     go 0
   end
@@ -52,12 +63,12 @@ let base64_encode s =
   Buffer.contents buf
 
 let b64_val c =
-  if c >= 'A' && c <= 'Z' then Some (Char.code c - 65)
-  else if c >= 'a' && c <= 'z' then Some (Char.code c - 71)
-  else if c >= '0' && c <= '9' then Some (Char.code c + 4)
-  else if c = '+' then Some 62
-  else if c = '/' then Some 63
-  else None
+  if c >= 'A' && c <= 'Z' then Char.code c - 65
+  else if c >= 'a' && c <= 'z' then Char.code c - 71
+  else if c >= '0' && c <= '9' then Char.code c + 4
+  else if c = '+' then 62
+  else if c = '/' then 63
+  else -1
 
 let base64_decode s =
   (* tolerate whitespace, require valid groups *)
@@ -76,40 +87,50 @@ let base64_decode s =
     let rec go i =
       if i >= n then Some (Buffer.contents buf)
       else begin
-        let pad_at k = s.[i + k] = '=' && i + 4 = n in
-        match (b64_val s.[i], b64_val s.[i + 1]) with
-        | Some v0, Some v1 ->
+        let last = i + 4 = n in
+        let v0 = b64_val s.[i] and v1 = b64_val s.[i + 1] in
+        if v0 < 0 || v1 < 0 then None
+        else begin
           Buffer.add_char buf (Char.chr ((v0 lsl 2) lor (v1 lsr 4)));
-          (match b64_val s.[i + 2] with
-           | Some v2 ->
-             Buffer.add_char buf (Char.chr (((v1 land 15) lsl 4) lor (v2 lsr 2)));
-             (match b64_val s.[i + 3] with
-              | Some v3 ->
-                Buffer.add_char buf (Char.chr (((v2 land 3) lsl 6) lor v3));
-                go (i + 4)
-              | None -> if pad_at 3 then Some (Buffer.contents buf) else None)
-           | None ->
-             if pad_at 2 && s.[i + 3] = '=' then Some (Buffer.contents buf)
-             else None)
-        | _, _ -> None
+          let v2 = b64_val s.[i + 2] in
+          if v2 < 0 then
+            if last && s.[i + 2] = '=' && s.[i + 3] = '=' then
+              Some (Buffer.contents buf)
+            else None
+          else begin
+            Buffer.add_char buf (Char.chr (((v1 land 15) lsl 4) lor (v2 lsr 2)));
+            let v3 = b64_val s.[i + 3] in
+            if v3 < 0 then
+              if last && s.[i + 3] = '=' then Some (Buffer.contents buf) else None
+            else begin
+              Buffer.add_char buf (Char.chr (((v2 land 3) lsl 6) lor v3));
+              go (i + 4)
+            end
+          end
+        end
       end
     in
     if n = 0 then Some "" else go 0
   end
 
-let fnv1a_64 s =
+(* The hash lives in a local ref that no closure captures, so the
+   compiler keeps it unboxed: no [Int64] allocation per byte. *)
+let fnv1a_64_from seed s =
   let prime = 0x100000001b3L in
-  let hash = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      hash := Int64.logxor !hash (Int64.of_int (Char.code c));
-      hash := Int64.mul !hash prime)
-    s;
+  let hash = ref seed in
+  for i = 0 to String.length s - 1 do
+    hash := Int64.logxor !hash (Int64.of_int (Char.code (String.unsafe_get s i)));
+    hash := Int64.mul !hash prime
+  done;
   !hash
 
+let fnv1a_64 s = fnv1a_64_from 0xcbf29ce484222325L s
+
+(* FNV-1a is a left fold, so the second pass over [s ^ "\x00pass2"]
+   resumes from the first pass's hash instead of rehashing a copy. *)
 let digest_hex s =
   let h1 = fnv1a_64 s in
-  let h2 = fnv1a_64 (s ^ "\x00pass2") in
+  let h2 = fnv1a_64_from h1 "\x00pass2" in
   Printf.sprintf "%016Lx%016Lx" h1 h2
 
 (* Built eagerly: forcing a [lazy] concurrently from several domains is
@@ -129,11 +150,13 @@ let crc32_table =
 let crc32 s =
   let table = crc32_table in
   let c = ref 0xffffffffL in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int64.to_int (Int64.logand (Int64.logxor !c (Int64.of_int (Char.code ch))) 0xffL)
-      in
-      c := Int64.logxor table.(idx) (Int64.shift_right_logical !c 8))
-    s;
+  for i = 0 to String.length s - 1 do
+    let idx =
+      Int64.to_int
+        (Int64.logand
+           (Int64.logxor !c (Int64.of_int (Char.code (String.unsafe_get s i))))
+           0xffL)
+    in
+    c := Int64.logxor table.(idx) (Int64.shift_right_logical !c 8)
+  done;
   Int64.logand (Int64.logxor !c 0xffffffffL) 0xffffffffL

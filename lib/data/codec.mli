@@ -1,7 +1,9 @@
 (** Byte-string codecs and digests used by string functions. *)
 
-val hex_encode : string -> string
-(** Uppercase hex. *)
+val hex_encode : ?prefix:string -> string -> string
+(** Uppercase hex, two digits per byte, after [prefix] (default empty)
+    in the same allocation. The one hex encoder: [HEX()], BLOB display
+    and the SQL printer's [X'..'] literals all go through it. *)
 
 val hex_decode : string -> string option
 (** [None] on odd length or non-hex characters. *)

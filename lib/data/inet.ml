@@ -3,18 +3,26 @@ type t = V4 of int array | V6 of int array
 let split_char sep s =
   String.split_on_char sep s
 
+(* The parsers accept a bounded number of parts, so they count the
+   separators first: an argument with thousands of them is rejected
+   without being split. *)
+let count_char sep s =
+  String.fold_left (fun n c -> if c = sep then n + 1 else n) 0 s
+
 let parse_v4 s =
-  match split_char '.' s with
-  | [ a; b; c; d ] ->
-    let octet x =
-      match int_of_string_opt x with
-      | Some v when v >= 0 && v <= 255 && x <> "" -> Some v
-      | _ -> None
-    in
-    (match (octet a, octet b, octet c, octet d) with
-     | Some a, Some b, Some c, Some d -> Some (V4 [| a; b; c; d |])
-     | _ -> None)
-  | _ -> None
+  if count_char '.' s <> 3 then None
+  else
+    match split_char '.' s with
+    | [ a; b; c; d ] ->
+      let octet x =
+        match int_of_string_opt x with
+        | Some v when v >= 0 && v <= 255 && x <> "" -> Some v
+        | _ -> None
+      in
+      (match (octet a, octet b, octet c, octet d) with
+       | Some a, Some b, Some c, Some d -> Some (V4 [| a; b; c; d |])
+       | _ -> None)
+    | _ -> None
 
 let parse_group g =
   if g = "" || String.length g > 4 then None
@@ -28,6 +36,7 @@ let parse_v6 s =
      optional embedded IPv4 as the last element of the right side. *)
   let expand_groups part =
     if part = "" then Some []
+    else if count_char ':' part > 7 then None  (* > 8 groups never fit *)
     else begin
       let pieces = split_char ':' part in
       let rec go acc = function

@@ -209,7 +209,10 @@ let escape_json_string s =
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
       | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        (* "\\u%04x" without the format interpreter *)
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf "0123456789abcdef".[Char.code c lsr 4];
+        Buffer.add_char buf "0123456789abcdef".[Char.code c land 15]
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf

@@ -220,11 +220,19 @@ let compile pattern =
 
 (* ----- matching ----- *)
 
-let class_member ranges negated ch =
-  let inside = List.exists (fun (lo, hi) -> ch >= lo && ch <= hi) ranges in
-  if negated then not inside else inside
+let rec in_ranges (ch : char) = function
+  | [] -> false
+  | (lo, hi) :: rest -> (ch >= lo && ch <= hi) || in_ranges ch rest
 
-let match_at node s start =
+let class_member ranges negated ch =
+  if negated then not (in_ranges ch ranges) else in_ranges ch ranges
+
+(* [matcher node s total] is the function from a start position to the
+   end of the match of [node] there, or -1. It is built once per
+   operation, so trying another start position allocates no new
+   matcher state. The steps of each attempt are added to [total]; the
+   cap applies to each start position on its own. *)
+let matcher node s total =
   let steps = ref 0 in
   let bump () =
     incr steps;
@@ -264,28 +272,27 @@ let match_at node s start =
       must min_rep pos
   in
   let matched_end = ref (-1) in
-  let ok =
-    go node start (fun pos ->
-        matched_end := pos;
-        true)
+  let accept pos =
+    matched_end := pos;
+    true
   in
-  write_last_steps !steps;
-  if ok then Some !matched_end else None
+  fun start ->
+    steps := 0;
+    let ok = go node start accept in
+    total := !total + !steps;
+    if ok then !matched_end else -1
 
+(* Each operation counts its steps locally and publishes the total once:
+   the domain-local slot is written at the end, never per position. *)
 let find re s =
   let n = String.length s in
   let total = ref 0 in
+  let match_at = matcher re s total in
   let rec scan i =
     if i > n then None
     else
-      match match_at re s i with
-      | Some e ->
-        total := !total + read_last_steps ();
-        write_last_steps !total;
-        Some (i, e - i)
-      | None ->
-        total := !total + read_last_steps ();
-        scan (i + 1)
+      let e = match_at i in
+      if e >= 0 then Some (i, e - i) else scan (i + 1)
   in
   let r = scan 0 in
   write_last_steps !total;
@@ -297,30 +304,30 @@ let replace_all re s repl =
   let buf = Buffer.create (String.length s) in
   let n = String.length s in
   let total = ref 0 in
+  let match_at = matcher re s total in
   let rec go i =
     if i >= n then ()
     else
-      match match_at re s i with
-      | Some e when e > i ->
-        total := !total + read_last_steps ();
+      let e = match_at i in
+      if e > i then begin
         Buffer.add_string buf repl;
         go e
-      | Some _ ->
+      end
+      else if e >= 0 then begin
         (* empty match: emit replacement, then advance one char *)
-        total := !total + read_last_steps ();
         Buffer.add_string buf repl;
-        if i < n then Buffer.add_char buf s.[i];
-        go (i + 1)
-      | None ->
-        total := !total + read_last_steps ();
         Buffer.add_char buf s.[i];
         go (i + 1)
+      end
+      else begin
+        Buffer.add_char buf s.[i];
+        go (i + 1)
+      end
   in
   go 0;
-  (* a trailing empty match *)
-  (match match_at re s n with
-   | Some _ when n > 0 -> ()
-   | _ -> ());
+  (* a trailing empty match: probed (it may hit the step cap) but
+     neither replaced nor counted *)
+  ignore (matcher re s (ref 0) n);
   write_last_steps !total;
   Buffer.contents buf
 

@@ -113,7 +113,6 @@ type step = { tag : string; index : int option }
 let parse_xpath s =
   if s = "" || s.[0] <> '/' then Error "xpath must start with /"
   else begin
-    let parts = String.split_on_char '/' (String.sub s 1 (String.length s - 1)) in
     let parse_step p =
       match String.index_opt p '[' with
       | None ->
@@ -129,14 +128,17 @@ let parse_xpath s =
           | Some _ | None -> Error "bad index in xpath"
         end
     in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | p :: rest ->
-        (match parse_step p with
-         | Ok step -> go (step :: acc) rest
-         | Error _ as e -> e)
+    (* each step is parsed as it is cut from [s], so the first bad
+       step ends the scan before the rest of the path is split *)
+    let n = String.length s in
+    let rec go acc start =
+      let stop = Option.value (String.index_from_opt s start '/') ~default:n in
+      match parse_step (String.sub s start (stop - start)) with
+      | Error _ as e -> e
+      | Ok step ->
+        if stop = n then Ok (List.rev (step :: acc)) else go (step :: acc) (stop + 1)
     in
-    go [] parts
+    go [] 1
   end
 
 let select_children nodes { tag; index } =

@@ -86,18 +86,6 @@ type spec = {
 
 exception Crash of spec
 
-let contains_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  if nn = 0 then true
-  else begin
-    let rec go i =
-      if i + nn > nh then false
-      else if String.sub hay i nn = needle then true
-      else go (i + 1)
-    in
-    go 0
-  end
-
 let string_payload v =
   match v with
   | Value.Str s | Value.Blob s -> Some s
@@ -122,7 +110,7 @@ let rec eval_arg_cond c a =
         | None -> false))
   | Str_contains sub ->
     (match string_payload a.value with
-     | Some s -> contains_substring s sub
+     | Some s -> Sqlfun_data.Substring.find s sub 0 <> None
      | None -> false)
   | Precision_ge n ->
     (match a.value with

@@ -13,18 +13,6 @@ let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 
 let str_scalar = Func_sig.scalar ~category:"string"
 
-let find_sub hay needle from =
-  let nh = String.length hay and nn = String.length needle in
-  if nn = 0 then Some from
-  else begin
-    let rec go i =
-      if i + nn > nh then None
-      else if String.sub hay i nn = needle then Some i
-      else go (i + 1)
-    in
-    go from
-  end
-
 let mid_fn =
   str_scalar "MID" ~min_args:3 ~max_args:(Some 3)
     ~hints:[ Func_sig.H_str; Func_sig.H_int; Func_sig.H_int ]
@@ -69,7 +57,7 @@ let substring_index_fn =
         let occurrences =
           let rec go acc i =
             Fn_ctx.tick ctx;
-            match find_sub s delim i with
+            match Substring.find s delim i with
             | Some j -> go (j :: acc) (j + String.length delim)
             | None -> List.rev acc
           in
@@ -109,33 +97,40 @@ let soundex_fn =
     ~examples:[ "SOUNDEX('Robert')" ]
     (fun ctx args ->
       let s = Args.str ctx args 0 in
-      let letters =
-        String.to_seq s
-        |> Seq.filter (fun c ->
-               (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'))
-        |> List.of_seq
+      let n = String.length s in
+      let buf = Buffer.create 4 in
+      let prev = ref None in
+      let add_letter c =
+        if Buffer.length buf = 0 then begin
+          Buffer.add_char buf (Char.uppercase_ascii c);
+          prev := soundex_code c
+        end
+        else begin
+          (* as in the classic code, a letter that adds a digit leaves
+             [prev] alone; only an uncoded letter other than H or W
+             resets it *)
+          match (soundex_code c, !prev) with
+          | Some code, Some p when code = p -> ()
+          | Some code, _ -> Buffer.add_char buf code
+          | None, _ -> (
+            match Char.uppercase_ascii c with 'H' | 'W' -> () | _ -> prev := None)
+        end
       in
-      match letters with
-      | [] -> Value.Str ""
-      | first :: rest ->
-        let buf = Buffer.create 4 in
-        Buffer.add_char buf (Char.uppercase_ascii first);
-        let prev = ref (soundex_code first) in
-        List.iter
-          (fun c ->
-            if Buffer.length buf < 4 then begin
-              match soundex_code c with
-              | Some code when Some code <> !prev -> Buffer.add_char buf code
-              | Some _ | None -> ();
-              (match Char.uppercase_ascii c with
-               | 'H' | 'W' -> ()
-               | _ -> prev := soundex_code c)
-            end)
-          rest;
+      (* the code is complete after four characters: the rest of the
+         argument cannot change it, so the scan stops there *)
+      let i = ref 0 in
+      while !i < n && Buffer.length buf < 4 do
+        let c = String.unsafe_get s !i in
+        if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') then add_letter c;
+        incr i
+      done;
+      if Buffer.length buf = 0 then Value.Str ""
+      else begin
         while Buffer.length buf < 4 do
           Buffer.add_char buf '0'
         done;
-        Value.Str (Buffer.contents buf))
+        Value.Str (Buffer.contents buf)
+      end)
 
 (* EXPORT_SET(bits, on, off [, sep [, n]]) — MySQL bit rendering. *)
 let export_set_fn =

@@ -115,13 +115,14 @@ let conv_fn =
       in
       let neg = String.length s > 0 && s.[0] = '-' in
       let body = if neg then String.sub s 1 (String.length s - 1) else s in
+      (* a loop, not [String.iter]: a ref no closure captures stays an
+         unboxed [Int64], so no allocation per digit *)
       let value = ref 0L and valid = ref (body <> "") in
-      String.iter
-        (fun c ->
-          let d = digit c in
-          if d >= from_base then valid := false
-          else value := Int64.add (Int64.mul !value (Int64.of_int from_base)) (Int64.of_int d))
-        body;
+      for i = 0 to String.length body - 1 do
+        let d = digit body.[i] in
+        if d >= from_base then valid := false
+        else value := Int64.add (Int64.mul !value (Int64.of_int from_base)) (Int64.of_int d)
+      done;
       if not !valid then Value.Null
       else begin
         let v = !value in

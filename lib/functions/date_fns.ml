@@ -156,7 +156,15 @@ let dayname_fn =
     (fun ctx args ->
       Value.Str day_names.(Calendar.day_of_week (Args.date ctx args 0)))
 
-(* DATE_FORMAT with the common MySQL % specifiers. *)
+(* [n >= 0] zero-padded to [width] digits, as [Printf "%0*d"] prints
+   it; calendar fields are never negative. *)
+let pad width n =
+  let s = string_of_int n in
+  if String.length s >= width then s else String.make (width - String.length s) '0' ^ s
+
+(* DATE_FORMAT with the common MySQL % specifiers. Each field is
+   rendered once per call, so a format repeating a specifier thousands
+   of times costs one copy per occurrence. *)
 let date_format_fn =
   scalar "DATE_FORMAT" ~min_args:2 ~max_args:(Some 2)
     ~hints:[ Func_sig.H_datetime; Func_sig.H_format ]
@@ -165,24 +173,36 @@ let date_format_fn =
       let dt = Args.datetime ctx args 0 in
       let fmt = Args.str ctx args 1 in
       let d = dt.Calendar.date and t = dt.Calendar.time in
+      let year = pad 4 d.Calendar.year
+      and year2 = pad 2 (d.Calendar.year mod 100)
+      and month = pad 2 d.Calendar.month
+      and month_c = string_of_int d.Calendar.month
+      and day = pad 2 d.Calendar.day
+      and day_e = string_of_int d.Calendar.day
+      and hour = pad 2 t.Calendar.hour
+      and minute = pad 2 t.Calendar.minute
+      and second = pad 2 t.Calendar.second
+      and month_name = month_names.(d.Calendar.month - 1)
+      and day_name = day_names.(Calendar.day_of_week d)
+      and yday = pad 3 (Calendar.day_of_year d) in
       let buf = Buffer.create (String.length fmt + 8) in
       let n = String.length fmt in
       let rec go i =
         if i >= n then ()
         else if fmt.[i] = '%' && i + 1 < n then begin
           (match fmt.[i + 1] with
-           | 'Y' -> Buffer.add_string buf (Printf.sprintf "%04d" d.Calendar.year)
-           | 'y' -> Buffer.add_string buf (Printf.sprintf "%02d" (d.Calendar.year mod 100))
-           | 'm' -> Buffer.add_string buf (Printf.sprintf "%02d" d.Calendar.month)
-           | 'c' -> Buffer.add_string buf (string_of_int d.Calendar.month)
-           | 'd' -> Buffer.add_string buf (Printf.sprintf "%02d" d.Calendar.day)
-           | 'e' -> Buffer.add_string buf (string_of_int d.Calendar.day)
-           | 'H' -> Buffer.add_string buf (Printf.sprintf "%02d" t.Calendar.hour)
-           | 'i' -> Buffer.add_string buf (Printf.sprintf "%02d" t.Calendar.minute)
-           | 's' | 'S' -> Buffer.add_string buf (Printf.sprintf "%02d" t.Calendar.second)
-           | 'M' -> Buffer.add_string buf month_names.(d.Calendar.month - 1)
-           | 'W' -> Buffer.add_string buf day_names.(Calendar.day_of_week d)
-           | 'j' -> Buffer.add_string buf (Printf.sprintf "%03d" (Calendar.day_of_year d))
+           | 'Y' -> Buffer.add_string buf year
+           | 'y' -> Buffer.add_string buf year2
+           | 'm' -> Buffer.add_string buf month
+           | 'c' -> Buffer.add_string buf month_c
+           | 'd' -> Buffer.add_string buf day
+           | 'e' -> Buffer.add_string buf day_e
+           | 'H' -> Buffer.add_string buf hour
+           | 'i' -> Buffer.add_string buf minute
+           | 's' | 'S' -> Buffer.add_string buf second
+           | 'M' -> Buffer.add_string buf month_name
+           | 'W' -> Buffer.add_string buf day_name
+           | 'j' -> Buffer.add_string buf yday
            | '%' -> Buffer.add_char buf '%'
            | c ->
              Fn_ctx.point ctx "date-format/unknown-spec";

@@ -199,18 +199,6 @@ let rtrim_fn =
       let chars = match Args.value_opt args 1 with Some _ -> Args.str ctx args 1 | None -> " " in
       ret_str (trim_chars `Right chars s))
 
-let find_sub hay needle from =
-  let nh = String.length hay and nn = String.length needle in
-  if nn = 0 then Some from
-  else begin
-    let rec go i =
-      if i + nn > nh then None
-      else if String.sub hay i nn = needle then Some i
-      else go (i + 1)
-    in
-    go from
-  end
-
 let replace_fn =
   scalar "REPLACE" ~min_args:3 ~max_args:(Some 3)
     ~hints:[ Func_sig.H_str; Func_sig.H_str; Func_sig.H_str ]
@@ -224,7 +212,7 @@ let replace_fn =
         let buf = Buffer.create (String.length s) in
         let rec go i =
           Fn_ctx.tick ctx;
-          match find_sub s from_s i with
+          match Substring.find s from_s i with
           | Some j ->
             Buffer.add_substring buf s i (j - i);
             Buffer.add_string buf to_s;
@@ -292,7 +280,7 @@ let instr_fn =
     ~examples:[ "INSTR('hello', 'll')" ]
     (fun ctx args ->
       let hay = Args.str ctx args 0 and needle = Args.str ctx args 1 in
-      match find_sub hay needle 0 with
+      match Substring.find hay needle 0 with
       | Some i -> ret_int (Int64.of_int (i + 1))
       | None -> ret_int 0L)
 
@@ -303,7 +291,7 @@ let position_fn =
     (fun ctx args ->
       (* POSITION(needle, hay) *)
       let needle = Args.str ctx args 0 and hay = Args.str ctx args 1 in
-      match find_sub hay needle 0 with
+      match Substring.find hay needle 0 with
       | Some i -> ret_int (Int64.of_int (i + 1))
       | None -> ret_int 0L)
 
@@ -523,16 +511,16 @@ let split_part_fn =
       let idx = Args.small_int ctx args 2 in
       if sep = "" then err "SPLIT_PART: empty separator";
       if idx <= 0 then err "SPLIT_PART: position must be positive";
-      let rec split acc i =
+      (* every part is still ticked, but only part [idx] is copied *)
+      let rec split k i part =
         Fn_ctx.tick ctx;
-        match find_sub s sep i with
-        | Some j -> split (String.sub s i (j - i) :: acc) (j + String.length sep)
-        | None -> List.rev (String.sub s i (String.length s - i) :: acc)
+        match Substring.find s sep i with
+        | Some j ->
+          let part = if k = idx then String.sub s i (j - i) else part in
+          split (k + 1) (j + String.length sep) part
+        | None -> if k = idx then String.sub s i (String.length s - i) else part
       in
-      let parts = split [] 0 in
-      match List.nth_opt parts (idx - 1) with
-      | Some p -> ret_str p
-      | None -> ret_str "")
+      ret_str (split 1 0 ""))
 
 let elt_fn =
   scalar "ELT" ~min_args:2 ~max_args:None
@@ -699,7 +687,7 @@ let contains_fn =
        | Some (Value.Str _) | None -> ()
        | Some v ->
          err "CONTAINS: bad options argument (%s)" (Value.ty_name (Value.type_of v)));
-      ret_int (if find_sub hay needle 0 <> None then 1L else 0L))
+      ret_int (if Substring.find hay needle 0 <> None then 1L else 0L))
 
 let bit_length_fn =
   scalar "BIT_LENGTH" ~min_args:1 ~max_args:(Some 1) ~hints:[ Func_sig.H_str ]
@@ -717,7 +705,7 @@ let locate_fn =
         | Some p -> Stdlib.max 0 (Int64.to_int p - 1)
         | None -> 0
       in
-      match find_sub hay needle from with
+      match Substring.find hay needle from with
       | Some i -> ret_int (Int64.of_int (i + 1))
       | None -> ret_int 0L)
 

@@ -311,12 +311,6 @@ let float_display f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.12g" f
 
-let blob_display b =
-  let buf = Buffer.create (2 + (2 * String.length b)) in
-  Buffer.add_string buf "0x";
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02X" (Char.code c))) b;
-  Buffer.contents buf
-
 let rec to_display = function
   | Null -> "NULL"
   | Bool true -> "TRUE"
@@ -326,7 +320,7 @@ let rec to_display = function
   | Float f -> float_display f
   | Str s -> s
   | Rope_str r -> rope_flatten r
-  | Blob b -> blob_display b
+  | Blob b -> Codec.hex_encode ~prefix:"0x" b
   | Date d -> Calendar.date_to_string d
   | Time t -> Calendar.time_to_string t
   | Datetime dt -> Calendar.datetime_to_string dt
