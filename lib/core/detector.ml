@@ -245,8 +245,9 @@ let step t it i ~poc exec =
     | exception Fault.Crash spec -> `Crashed spec
     | exception Stack_overflow -> `Blown
   in
-  Profile.exit t.xprof;
-  Profile.enter_with t.xprof it.root Profile.Classify;
+  (* the verdict bookkeeping is the round-trip's sibling scope; one
+     clock read ends the one and starts the other *)
+  Profile.switch t.xprof Profile.Classify;
   let verdict =
     settle t ~pattern:it.pattern ~pat:it.pat ~dialect ~case_number ~poc
       outcome

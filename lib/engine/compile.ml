@@ -17,7 +17,7 @@
    Soundness contract: a compiled node must be observably identical to
    Interp.eval_expr on the same node — same value, same provenance, same
    Fn_ctx.tick count and costs, same Coverage points/branches, same
-   Fault.check call, same Profile frames, and the same exceptions in the
+   fault checks, same Profile frames, and the same exceptions in the
    same order. Slot payloads are parsed at *execution* time (exactly
    where the interpreter parses them), so a malformed literal raises at
    the same point in the same order. Anything outside the supported
@@ -150,14 +150,14 @@ let rec compile_expr ~registry ~slot (e : Ast.expr) : cexpr =
     in
     fun env slots ->
       Fn_ctx.tick env.Interp.ctx;
-      ret (Value.Row (eval_values ces env slots))
+      ret (Value.Row (eval_values ces env slots 0))
   | Ast.Array_lit es ->
     let ces =
       Array.of_list (List.map (compile_expr ~registry ~slot) es)
     in
     fun env slots ->
       Fn_ctx.tick env.Interp.ctx;
-      ret (Value.Arr (eval_values ces env slots))
+      ret (Value.Arr (eval_values ces env slots 0))
   | Ast.Case { operand; branches; else_ } ->
     let coperand = Option.map (compile_expr ~registry ~slot) operand in
     let cbranches =
@@ -268,72 +268,65 @@ and take_slot slot =
 
 and ret value = { Fault.value; prov = Fault.Prov.Operator }
 
-(* Left-to-right argument evaluation into a list, without the List.map
-   closure of the interpreter's hot path. *)
-and eval_args (cargs : cexpr array) env slots =
-  let n = Array.length cargs in
-  let rec go i =
-    if i = n then []
-    else begin
-      let a = (Array.unsafe_get cargs i) env slots in
-      let rest = go (i + 1) in
-      a :: rest
-    end
-  in
-  go 0
+(* Left-to-right argument evaluation into a list, from index [i], without
+   the List.map closure of the interpreter's hot path. *)
+and eval_args (cargs : cexpr array) env slots i =
+  if i = Array.length cargs then []
+  else begin
+    let a = (Array.unsafe_get cargs i) env slots in
+    let rest = eval_args cargs env slots (i + 1) in
+    a :: rest
+  end
 
-and eval_values (ces : cexpr array) env slots =
-  let n = Array.length ces in
-  let rec go i =
-    if i = n then []
-    else begin
-      let v = ((Array.unsafe_get ces i) env slots).Fault.value in
-      let rest = go (i + 1) in
-      v :: rest
-    end
-  in
-  go 0
+and eval_values (ces : cexpr array) env slots i =
+  if i = Array.length ces then []
+  else begin
+    let v = ((Array.unsafe_get ces i) env slots).Fault.value in
+    let rest = eval_values ces env slots (i + 1) in
+    v :: rest
+  end
 
 and compile_call ~registry fname (cargs : cexpr array) distinct : cexpr =
   (* the registry mapping is per dialect profile and identical across
-     engine restarts, so the spec can be resolved at compile time; the
-     coverage point and provenance strings are precomputed so the per-
-     call path allocates neither *)
-  let prov = Fault.Prov.Func (String.uppercase_ascii fname) in
+     engine restarts, so the function is resolved at compile time; the
+     resolution carries the per-call constants and the engine's
+     instrumentation handles, so the per-call path allocates none of
+     them and hashes nothing *)
+  let resolved = Registry.resolve registry fname in
   let body : Interp.env -> Ast.expr array -> Fault.arg =
-    match Registry.find registry fname with
-    | Some ({ Func_sig.kind = Func_sig.Scalar _; _ } as spec)
-      when not distinct ->
-      let point = "fn/" ^ spec.Func_sig.name in
+    match resolved with
+    | Some r ->
+      let prov = Registry.prov r in
+      (match (Registry.spec r).Func_sig.kind with
+       | Func_sig.Scalar _ when not distinct ->
+         fun env slots ->
+           let args = eval_args cargs env slots 0 in
+           { Fault.value = Registry.invoke env.Interp.ctx r args; prov }
+       | Func_sig.Aggregate _ ->
+         (* bare-SELECT aggregate over one conceptual row, as in the
+            interpreter *)
+         fun env slots ->
+           let args = eval_args cargs env slots 0 in
+           let inst = Registry.aggregate env.Interp.ctx r ~distinct in
+           inst.Func_sig.step args;
+           { Fault.value = inst.Func_sig.final (); prov }
+       | Func_sig.Scalar _ ->
+         (* DISTINCT on a scalar errors at runtime *after* argument
+            evaluation, in interpreter order *)
+         fun env slots ->
+           ignore (eval_args cargs env slots 0);
+           err "%s does not accept DISTINCT" fname)
+    | None ->
       fun env slots ->
-        let args = eval_args cargs env slots in
-        { Fault.value = Registry.invoke_spec env.Interp.ctx ~point spec args;
-          prov }
-    | Some { Func_sig.kind = Func_sig.Aggregate _; _ } ->
-      (* bare-SELECT aggregate over one conceptual row, as in the
-         interpreter; make_aggregate re-runs its own point/fault hooks *)
-      fun env slots ->
-        let args = eval_args cargs env slots in
-        let inst =
-          Registry.make_aggregate env.Interp.ctx env.Interp.registry fname
-            ~distinct
-        in
-        inst.Func_sig.step args;
-        { Fault.value = inst.Func_sig.final (); prov }
-    | Some { Func_sig.kind = Func_sig.Scalar _; _ } | None ->
-      (* DISTINCT on a scalar, or an unknown function: both error at
-         runtime *after* argument evaluation, in interpreter order *)
-      fun env slots ->
-        let args = eval_args cargs env slots in
-        if distinct then err "%s does not accept DISTINCT" fname;
-        { Fault.value =
-            Registry.invoke_scalar env.Interp.ctx env.Interp.registry fname
-              args;
-          prov }
+        ignore (eval_args cargs env slots 0);
+        if distinct then err "%s does not accept DISTINCT" fname
+        else err "unknown function %s" (String.uppercase_ascii fname)
   in
   fun env slots ->
     Fn_ctx.tick env.Interp.ctx;
-    Profile.enter_fn env.Interp.profile fname Profile.Eval;
+    (match resolved with
+     | Some r -> Registry.enter env.Interp.profile r
+     | None -> Profile.enter_fn env.Interp.profile fname Profile.Eval);
     (match body env slots with
      | r ->
        Profile.exit env.Interp.profile;
@@ -508,20 +501,18 @@ let compile ~registry (stmt : Ast.stmt) : compiled =
   | _ -> Fallback
 
 let exec plan (env : Interp.env) (slots : Ast.expr array) : Interp.outcome =
-  Interp.Rows
-    (Profile.with_phase env.Interp.profile Profile.Eval (fun () ->
-         (* mirrors exec_select's entry tick for the plain no-FROM path *)
-         Fn_ctx.tick env.Interp.ctx;
-         let n = Array.length plan.projs in
-         let rec go i =
-           if i = n then []
-           else begin
-             let v = ((Array.unsafe_get plan.projs i) env slots).Fault.value in
-             let rest = go (i + 1) in
-             v :: rest
-           end
-         in
-         { Interp.columns = plan.columns; rows = [ go 0 ] }))
+  Profile.enter env.Interp.profile Profile.Eval;
+  match
+    (* mirrors exec_select's entry tick for the plain no-FROM path *)
+    Fn_ctx.tick env.Interp.ctx;
+    eval_values plan.projs env slots 0
+  with
+  | row ->
+    Profile.exit env.Interp.profile;
+    Interp.Rows { Interp.columns = plan.columns; rows = [ row ] }
+  | exception e ->
+    Profile.exit env.Interp.profile;
+    raise e
 
 (* ----- per-detector plan cache ----- *)
 

@@ -9,7 +9,7 @@ type exec_error =
   | Sql_failed of string
   | Limit_hit of string
 
-type outcome = Rows of Interp.result_set | Affected of int
+type outcome = Interp.outcome = Rows of Interp.result_set | Affected of int
 
 let create ?cov ?fault ?cast_cfg ?limits ?compact ?profile ~registry ~dialect () =
   let ctx = Fn_ctx.create ?cov ?fault ?cast_cfg ?limits ?compact ~dialect () in
@@ -48,40 +48,38 @@ let registry t = t.env.Interp.registry
 let catalog t = t.env.Interp.catalog
 let profile t = t.env.Interp.profile
 
-let run t f =
-  (* fresh step budget per statement, like a per-query timeout *)
+(* [run t f x] is [f env x] on a fresh step budget, like a per-query
+   timeout. A top-level [f] and an existing [x] make the call
+   closure-free. *)
+let run t f x =
   t.env.Interp.ctx.Fn_ctx.steps <- 0;
-  match f () with
+  match f t.env x with
   | v -> Ok v
   | exception Fn_ctx.Sql_error msg -> Error (Sql_failed msg)
   | exception Fn_ctx.Resource_limit msg -> Error (Limit_hit msg)
 
-let exec_stmt t stmt =
-  run t (fun () ->
-      match Interp.exec_stmt t.env stmt with
-      | Interp.Rows rs -> Rows rs
-      | Interp.Affected n -> Affected n)
+let exec_stmt t stmt = run t Interp.exec_stmt stmt
+let exec_compiled t plan slots = run t (Compile.exec plan) slots
 
-let exec_compiled t plan slots =
-  run t (fun () ->
-      match Compile.exec plan t.env slots with
-      | Interp.Rows rs -> Rows rs
-      | Interp.Affected n -> Affected n)
-
-let parse_stmt_profiled t sql =
-  Profile.with_phase t.env.Interp.profile Profile.Parse (fun () ->
-      Sqlfun_parse.Parser.parse_stmt sql)
+(* a [parse] scope around one parser entry point *)
+let parse t parser sql =
+  let prof = t.env.Interp.profile in
+  Profile.enter prof Profile.Parse;
+  match parser sql with
+  | v ->
+    Profile.exit prof;
+    v
+  | exception e ->
+    Profile.exit prof;
+    raise e
 
 let exec_sql t sql =
-  match parse_stmt_profiled t sql with
+  match parse t Sqlfun_parse.Parser.parse_stmt sql with
   | Error msg -> Error (Parse_failed msg)
   | Ok stmt -> exec_stmt t stmt
 
 let exec_script t sql =
-  match
-    Profile.with_phase t.env.Interp.profile Profile.Parse (fun () ->
-        Sqlfun_parse.Parser.parse_script sql)
-  with
+  match parse t Sqlfun_parse.Parser.parse_script sql with
   | Error msg -> Error (Parse_failed msg)
   | Ok stmts ->
     let rec go acc = function
@@ -93,16 +91,20 @@ let exec_script t sql =
     in
     go [] stmts
 
+let eval_scoped env e =
+  Profile.enter env.Interp.profile Profile.Eval;
+  match Interp.eval_expr env ~row:None e with
+  | a ->
+    Profile.exit env.Interp.profile;
+    a.Sqlfun_fault.Fault.value
+  | exception ex ->
+    Profile.exit env.Interp.profile;
+    raise ex
+
 let eval_expr_sql t sql =
-  match
-    Profile.with_phase t.env.Interp.profile Profile.Parse (fun () ->
-        Sqlfun_parse.Parser.parse_expr_string sql)
-  with
+  match parse t Sqlfun_parse.Parser.parse_expr_string sql with
   | Error msg -> Error (Parse_failed msg)
-  | Ok e ->
-    run t (fun () ->
-        Profile.with_phase t.env.Interp.profile Profile.Eval (fun () ->
-            (Interp.eval_expr t.env ~row:None e).Sqlfun_fault.Fault.value))
+  | Ok e -> run t eval_scoped e
 
 let error_to_string = function
   | Parse_failed msg -> "parse error: " ^ msg

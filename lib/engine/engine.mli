@@ -15,7 +15,7 @@ type exec_error =
   | Sql_failed of string
   | Limit_hit of string
 
-type outcome =
+type outcome = Interp.outcome =
   | Rows of Interp.result_set
   | Affected of int
 

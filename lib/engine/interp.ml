@@ -369,12 +369,18 @@ let rec eval_expr env ~row e : Fault.arg =
     ret (Value.Bool (rs.rows <> []))
 
 and eval_call env ~row fname arg_exprs distinct =
-  (* every function dispatch is an [eval] scope on its own name; nested
-     calls in the argument list open their own scopes, so self-time pins
-     to the function actually running. match-with-exception instead of
-     [with_fn] keeps the per-call path closure-free. *)
-  Profile.enter_fn env.profile fname Profile.Eval;
-  match eval_call_body env ~row fname arg_exprs distinct with
+  (* every function dispatch is an [eval] scope on its own spelling;
+     nested calls in the argument list open their own scopes, so
+     self-time pins to the function actually running. The one cached
+     resolution carries the scope's stats record, the coverage cell and
+     the fault specs, so the call hashes nothing past the resolve probe.
+     match-with-exception instead of a [with_*] wrapper keeps the
+     per-call path closure-free. *)
+  let resolved = Registry.resolve env.registry fname in
+  (match resolved with
+   | Some r -> Registry.enter env.profile r
+   | None -> Profile.enter_fn env.profile fname Profile.Eval);
+  match eval_call_body env ~row fname resolved arg_exprs distinct with
   | v ->
     Profile.exit env.profile;
     v
@@ -382,32 +388,33 @@ and eval_call env ~row fname arg_exprs distinct =
     Profile.exit env.profile;
     raise e
 
-and eval_call_body env ~row fname arg_exprs distinct =
-  let args = List.map (eval_expr env ~row) arg_exprs in
-  (* one cached resolution replaces the is_aggregate probes, the
-     invoke-time lookup and the per-call uppercase/"fn/" allocations *)
-  match Registry.resolve env.registry fname with
+and eval_call_body env ~row fname resolved arg_exprs distinct =
+  let args = eval_args env ~row arg_exprs in
+  match resolved with
   | None ->
-    (* error precedence as before the resolve cache: DISTINCT on a
-       non-aggregate (known or not) rejects first *)
+    (* DISTINCT on a non-aggregate (known or not) rejects first *)
     if distinct then err "%s does not accept DISTINCT" fname
     else err "unknown function %s" (String.uppercase_ascii fname)
   | Some r ->
-    let spec = r.Registry.r_spec in
-    (match spec.Func_sig.kind with
+    (match (Registry.spec r).Func_sig.kind with
      | Func_sig.Aggregate _ ->
        (* An aggregate without GROUP BY context: aggregate over a single
           conceptual row (SELECT COUNT(1) with no table). The executor
           handles grouped evaluation; reaching here means a bare SELECT.
-          [make_aggregate_spec] records the coverage point itself. *)
-       let inst = Registry.make_aggregate_spec env.ctx spec ~distinct in
+          [aggregate] records the coverage point itself. *)
+       let inst = Registry.aggregate env.ctx r ~distinct in
        inst.Func_sig.step args;
-       { Fault.value = inst.Func_sig.final (); prov = r.Registry.r_prov }
+       { Fault.value = inst.Func_sig.final (); prov = Registry.prov r }
      | Func_sig.Scalar _ ->
        if distinct then err "%s does not accept DISTINCT" fname;
-       { Fault.value =
-           Registry.invoke_spec env.ctx ~point:r.Registry.r_point spec args;
-         prov = r.Registry.r_prov })
+       { Fault.value = Registry.invoke env.ctx r args; prov = Registry.prov r })
+
+(* left to right, as [List.map] does, without its closure *)
+and eval_args env ~row = function
+  | [] -> []
+  | e :: rest ->
+    let a = eval_expr env ~row e in
+    a :: eval_args env ~row rest
 
 and eval_binop env ~row op a b =
   let ret ?(prov = Fault.Prov.Operator) value = { Fault.value; prov } in
@@ -1114,9 +1121,15 @@ let parse_stage_check env stmt =
   match stmt with
   | Ast.Select_stmt _ | Ast.Explain _ -> ()
   | Ast.Create_table _ | Ast.Insert _ | Ast.Drop_table _ ->
-    Profile.with_phase env.profile Profile.Parse (fun () ->
-        Fault.check_at env.ctx.Fn_ctx.fault ~stage:Fault.Parse ~func:"@PARSE"
-          (parse_stage_args stmt))
+    Profile.enter env.profile Profile.Parse;
+    (match
+       Fault.check_at env.ctx.Fn_ctx.fault ~stage:Fault.Parse ~func:"@PARSE"
+         (parse_stage_args stmt)
+     with
+     | () -> Profile.exit env.profile
+     | exception e ->
+       Profile.exit env.profile;
+       raise e)
 
 (* Storage-stage check on a fully cast row, at the moment it is handed
    to the storage layer — the simulated row serializer / page writer. *)
@@ -1124,20 +1137,95 @@ let storage_stage_check env cast_row =
   Fault.check_at env.ctx.Fn_ctx.fault ~stage:Fault.Storage ~func:"@INSERT"
     (List.map (fun v -> { Fault.value = v; prov = Fault.Prov.Column }) cast_row)
 
+(* INSERT: evaluate, default and cast each row, then hand it to storage *)
+let exec_insert env ins_table ins_columns rows =
+  match Storage.find_table env.catalog ins_table with
+  | None -> err "no such table: %s" ins_table
+  | Some t ->
+    let ncols = List.length t.Storage.columns in
+    let insert_one row_exprs =
+      Fn_ctx.tick env.ctx;
+      let provided =
+        List.map (fun e -> (eval_expr env ~row:None e).Fault.value) row_exprs
+      in
+      let full_row =
+        if ins_columns = [] then begin
+          if List.length provided <> ncols then
+            err "INSERT has %d values but table %s has %d columns"
+              (List.length provided) ins_table ncols;
+          provided
+        end
+        else begin
+          if List.length provided <> List.length ins_columns then
+            err "INSERT column/value count mismatch";
+          List.map
+            (fun col ->
+              let rec find cs vs =
+                match (cs, vs) with
+                | c :: _, v :: _
+                  when String.lowercase_ascii c
+                       = String.lowercase_ascii col.Storage.col_name ->
+                  Some v
+                | _ :: cs', _ :: vs' -> find cs' vs'
+                | _, _ -> None
+              in
+              match find ins_columns provided with
+              | Some v -> v
+              | None ->
+                (match col.Storage.col_default with
+                 | Some e -> (eval_expr env ~row:None e).Fault.value
+                 | None -> Value.Null))
+            t.Storage.columns
+        end
+      in
+      (* cast every value to its column type (the engine's own implicit
+         casting — this is where INSERT-time boundary castings land) *)
+      let cast_row =
+        List.map2
+          (fun col v ->
+            if Value.is_null v then begin
+              if col.Storage.col_not_null then
+                err "column %s cannot be NULL" col.Storage.col_name;
+              v
+            end
+            else Fn_ctx.cast_value env.ctx v col.Storage.col_type)
+          t.Storage.columns full_row
+      in
+      storage_stage_check env cast_row;
+      Storage.append_row t cast_row
+    in
+    List.iter insert_one rows;
+    env.ctx.Fn_ctx.row_count <- List.length rows;
+    env.ctx.Fn_ctx.last_insert_id <-
+      Int64.add env.ctx.Fn_ctx.last_insert_id (Int64.of_int (List.length rows));
+    Affected (List.length rows)
+
 let exec_stmt env (stmt : Ast.stmt) : outcome =
   parse_stage_check env stmt;
   match stmt with
   | Ast.Explain inner ->
     (* EXPLAIN renders the plan without executing: pure [plan] time *)
-    Profile.with_phase env.profile Profile.Plan (fun () ->
-        Rows
-          { columns = [ "plan" ];
-            rows =
-              List.map (fun line -> [ Value.Str line ]) (plan_of_stmt inner) })
+    Profile.enter env.profile Profile.Plan;
+    (match plan_of_stmt inner with
+     | lines ->
+       Profile.exit env.profile;
+       Rows
+         { columns = [ "plan" ];
+           rows = List.map (fun line -> [ Value.Str line ]) lines }
+     | exception e ->
+       Profile.exit env.profile;
+       raise e)
   | Ast.Select_stmt q ->
     (* the whole query round-trip is [eval]; storage scans and function
        dispatches inside open their own scopes and take their share *)
-    Rows (Profile.with_phase env.profile Profile.Eval (fun () -> exec_query env q))
+    Profile.enter env.profile Profile.Eval;
+    (match exec_query env q with
+     | rs ->
+       Profile.exit env.profile;
+       Rows rs
+     | exception e ->
+       Profile.exit env.profile;
+       raise e)
   | Ast.Create_table { tbl_name; columns; if_not_exists } ->
     let cols =
       List.map
@@ -1154,67 +1242,14 @@ let exec_stmt env (stmt : Ast.stmt) : outcome =
      | Ok () -> Affected 0
      | Error msg -> err "%s" msg)
   | Ast.Insert { ins_table; ins_columns; rows } ->
-    Profile.with_phase env.profile Profile.Storage (fun () ->
-    match Storage.find_table env.catalog ins_table with
-     | None -> err "no such table: %s" ins_table
-     | Some t ->
-       let ncols = List.length t.Storage.columns in
-       let insert_one row_exprs =
-         Fn_ctx.tick env.ctx;
-         let provided =
-           List.map (fun e -> (eval_expr env ~row:None e).Fault.value) row_exprs
-         in
-         let full_row =
-           if ins_columns = [] then begin
-             if List.length provided <> ncols then
-               err "INSERT has %d values but table %s has %d columns"
-                 (List.length provided) ins_table ncols;
-             provided
-           end
-           else begin
-             if List.length provided <> List.length ins_columns then
-               err "INSERT column/value count mismatch";
-             List.map
-               (fun col ->
-                 let rec find cs vs =
-                   match (cs, vs) with
-                   | c :: _, v :: _
-                     when String.lowercase_ascii c
-                          = String.lowercase_ascii col.Storage.col_name ->
-                     Some v
-                   | _ :: cs', _ :: vs' -> find cs' vs'
-                   | _, _ -> None
-                 in
-                 match find ins_columns provided with
-                 | Some v -> v
-                 | None ->
-                   (match col.Storage.col_default with
-                    | Some e -> (eval_expr env ~row:None e).Fault.value
-                    | None -> Value.Null))
-               t.Storage.columns
-           end
-         in
-         (* cast every value to its column type (the engine's own implicit
-            casting — this is where INSERT-time boundary castings land) *)
-         let cast_row =
-           List.map2
-             (fun col v ->
-               if Value.is_null v then begin
-                 if col.Storage.col_not_null then
-                   err "column %s cannot be NULL" col.Storage.col_name;
-                 v
-               end
-               else Fn_ctx.cast_value env.ctx v col.Storage.col_type)
-             t.Storage.columns full_row
-         in
-         storage_stage_check env cast_row;
-         Storage.append_row t cast_row
-       in
-       List.iter insert_one rows;
-       env.ctx.Fn_ctx.row_count <- List.length rows;
-       env.ctx.Fn_ctx.last_insert_id <-
-         Int64.add env.ctx.Fn_ctx.last_insert_id (Int64.of_int (List.length rows));
-       Affected (List.length rows))
+    Profile.enter env.profile Profile.Storage;
+    (match exec_insert env ins_table ins_columns rows with
+     | v ->
+       Profile.exit env.profile;
+       v
+     | exception e ->
+       Profile.exit env.profile;
+       raise e)
   | Ast.Drop_table { drop_name; if_exists } ->
     (match Storage.drop_table env.catalog ~name:drop_name ~if_exists with
      | Ok () -> Affected 0

@@ -190,10 +190,9 @@ let disarm rt = rt.armed <- false
 let is_armed rt = rt.armed
 let specs rt = rt.all
 
-(* [check] runs once per function invocation; registry callers pass the
-   spec's canonical (already-uppercase) name, so the uppercase copy
-   would be a dead allocation on the hottest path — scan first, copy
-   only when a lowercase byte is actually present *)
+(* callers pass a spec's canonical (already-uppercase) name, so the
+   uppercase copy would be a dead allocation — scan first, copy only
+   when a lowercase byte is actually present *)
 let has_lower s =
   let n = String.length s in
   let rec go i =
@@ -215,8 +214,18 @@ let check_at rt ~stage ~func args =
             raise (Crash spec))
         specs
 
-(* Function implementations call [check] directly: by construction that
-   is the execute stage, so the historic signature stays intact. *)
-let check rt ~func args = check_at rt ~stage:Execute ~func args
+let execute_specs rt ~func =
+  let key = if has_lower func then String.uppercase_ascii func else func in
+  match Hashtbl.find_opt rt.by_func key with
+  | None -> []
+  | Some specs -> List.filter (fun spec -> spec.stage = Execute) specs
+
+let check_specs rt specs args =
+  let rec go = function
+    | [] -> ()
+    | spec :: rest ->
+      if eval_cond spec.trigger args then raise (Crash spec) else go rest
+  in
+  if rt.armed then go specs
 
 let status_to_string = function Confirmed -> "Confirmed" | Fixed -> "Fixed"

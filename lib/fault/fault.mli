@@ -3,8 +3,9 @@
     A real DBMS contains latent memory errors at particular code points;
     our simulated dialects declare them as {!spec} values — a declarative
     boundary condition on the (value, provenance) pairs reaching a
-    function — and function implementations call {!check} at the point a
-    real implementation would contain the flaw. A satisfied trigger raises
+    function — and the function call protocol checks them
+    ({!check_specs}) at the point a real implementation would contain the
+    flaw. A satisfied trigger raises
     {!Crash}, the in-process analogue of the server dying under ASan.
 
     Specs are inert until {!arm}ed, so the engine doubles as an ordinary
@@ -106,14 +107,21 @@ val specs : runtime -> spec list
 val eval_arg_cond : arg_cond -> arg -> bool
 val eval_cond : cond -> arg list -> bool
 
-val check : runtime -> func:string -> arg list -> unit
-(** Raises {!Crash} when armed and an [Execute]-stage spec for [func]
-    triggers. Function implementations call this; by construction that
-    is the execute stage. *)
-
 val check_at : runtime -> stage:stage -> func:string -> arg list -> unit
-(** Stage-explicit variant of {!check}: only specs declared at [stage]
-    are consulted. The engine calls this with [Parse] at DDL/DML
-    statement analysis and [Storage] when appending a cast row. *)
+(** Raises {!Crash} when armed and a spec for [func] declared at [stage]
+    triggers. The engine calls this with [Parse] at DDL/DML statement
+    analysis and [Storage] when appending a cast row. *)
+
+val execute_specs : runtime -> func:string -> spec list
+(** The [Execute]-stage specs for [func], in declaration order, armed or
+    not. *)
+
+val check_specs : runtime -> spec list -> arg list -> unit
+(** [check_specs rt (execute_specs rt ~func) args] is
+    [check_at rt ~stage:Execute ~func args] with the lookup already
+    done: the function registry resolves each function's list once per
+    runtime and keeps it, and every function call checks it, before the
+    function's own argument validation — by construction the execute
+    stage. *)
 
 val status_to_string : status -> string

@@ -44,15 +44,17 @@ let reset_session ctx =
   ctx.last_insert_id <- 0L;
   ctx.row_count <- 0
 
-let tick ?(cost = 1) ctx =
+let charge ctx cost =
   ctx.steps <- ctx.steps + cost;
   if ctx.steps > ctx.limits.max_steps then
     raise (Resource_limit "statement step budget exhausted")
 
+let tick ?(cost = 1) ctx = charge ctx cost
+
 let point ctx id = Coverage.hit ctx.cov id
 
 let branch ctx id b =
-  Coverage.hit ctx.cov (id ^ if b then "/t" else "/f");
+  Coverage.branch ctx.cov id b;
   b
 
 let alloc_check ctx bytes =

@@ -52,6 +52,11 @@ val create :
 val tick : ?cost:int -> t -> unit
 (** Charge steps against the budget; raises {!Resource_limit} when spent. *)
 
+val charge : t -> int -> unit
+(** [charge ctx cost] is [tick ~cost ctx] without boxing the optional
+    argument: the call protocol charges every function call through
+    it. *)
+
 val reset_session : t -> unit
 (** Clears the session-scoped function state: sequences,
     [last_insert_id] and [row_count]. The detector calls this before
@@ -67,7 +72,8 @@ val point : t -> string -> unit
 
 val branch : t -> string -> bool -> bool
 (** [branch ctx id b] records [id ^ "/t"] or [id ^ "/f"] and returns [b] —
-    wraps a conditional so both outcomes are distinct coverage points. *)
+    wraps a conditional so both outcomes are distinct coverage points.
+    Allocates nothing: the recorder keeps both cells per [id]. *)
 
 val alloc_check : t -> int -> unit
 (** Raises {!Resource_limit} when an allocation would exceed the cap. *)

@@ -1,11 +1,26 @@
 open Sqlfun_value
 open Sqlfun_fault
+open Sqlfun_coverage
+module Profile = Sqlfun_telemetry.Profile
 
 type resolved = {
   r_spec : Func_sig.t;
+  r_name : string;  (* the raw statement spelling: the profile key *)
   r_point : string;  (* "fn/" ^ spec.name, built once *)
   r_prov : Fault.Prov.t;  (* Prov.Func spec.name, built once *)
+  (* one engine's instrumentation handles, bound on first use and
+     re-bound whenever the identity check against the engine in hand
+     fails *)
+  mutable r_cell : Coverage.cell;
+  mutable r_stats : Profile.fn_stats;
+  mutable r_fault : Fault.runtime;
+  mutable r_faults : Fault.spec list;
 }
+
+(* owned by no engine, so the first use of a resolution always binds *)
+let unbound_cell = Coverage.cell (Coverage.create ()) ""
+let unbound_stats = Profile.fn_stats (Profile.create ()) ""
+let unbound_fault = Fault.make []
 
 type t = {
   tbl : (string, Func_sig.t) Hashtbl.t;
@@ -17,7 +32,9 @@ type t = {
          millions of calls per campaign the allocations dominated the
          lookup. A registry is built per armed engine (one per shard) and
          shared only with that engine's crash respawns, so the cache is
-         single-domain. [None] caches unknown spellings. *)
+         single-domain, and so are the handles each resolution keeps:
+         they stay bound to that engine's recorder, profiler and fault
+         runtime. [None] caches unknown spellings. *)
 }
 
 let create () = { tbl = Hashtbl.create 128; resolved = Hashtbl.create 256 }
@@ -68,28 +85,46 @@ let restrict t keep =
 
 let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 
-let lookup t name =
-  match find t name with
-  | Some spec -> spec
-  | None -> err "unknown function %s" (String.uppercase_ascii name)
-
 let resolve t name =
-  match Hashtbl.find_opt t.resolved name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.resolved name with
+  | r -> r
+  | exception Not_found ->
     let r =
       match find t name with
       | Some spec ->
         Some
           {
             r_spec = spec;
+            r_name = name;
             r_point = "fn/" ^ spec.Func_sig.name;
             r_prov = Fault.Prov.Func spec.Func_sig.name;
+            r_cell = unbound_cell;
+            r_stats = unbound_stats;
+            r_fault = unbound_fault;
+            r_faults = [];
           }
       | None -> None
     in
     Hashtbl.add t.resolved name r;
     r
+
+let spec r = r.r_spec
+let prov r = r.r_prov
+
+let enter prof r =
+  if not (Profile.owns prof r.r_stats) then
+    r.r_stats <- Profile.fn_stats prof r.r_name;
+  Profile.enter_with prof r.r_stats Profile.Eval
+
+(* the coverage cell and the fault specs of [ctx]'s engine *)
+let bind ctx r =
+  if not (Coverage.owns ctx.Fn_ctx.cov r.r_cell) then
+    r.r_cell <- Coverage.cell ctx.Fn_ctx.cov r.r_point;
+  if r.r_fault != ctx.Fn_ctx.fault then begin
+    r.r_fault <- ctx.Fn_ctx.fault;
+    r.r_faults <-
+      Fault.execute_specs ctx.Fn_ctx.fault ~func:r.r_spec.Func_sig.name
+  end
 
 let has_star args = List.exists (fun a -> a.Fault.prov = Fault.Prov.Star) args
 let has_null args =
@@ -97,11 +132,13 @@ let has_null args =
     (fun a -> Value.is_null a.Fault.value && a.Fault.prov <> Fault.Prov.Star)
     args
 
-let invoke_spec ctx ~point spec args =
-  Fn_ctx.point ctx point;
+let invoke ctx r args =
+  let spec = r.r_spec in
+  bind ctx r;
+  Coverage.hit_cell r.r_cell;
   (* Injected flaws fire before the generic guards, as in a real DBMS where
      the buggy path runs before (or instead of) the validation. *)
-  Fault.check ctx.Fn_ctx.fault ~func:spec.Func_sig.name args;
+  Fault.check_specs r.r_fault r.r_faults args;
   (match spec.Func_sig.kind with
    | Func_sig.Scalar impl ->
      if not (Func_sig.arity_ok spec (List.length args)) then
@@ -121,7 +158,7 @@ let invoke_spec ctx ~point spec args =
        let bytes =
          List.fold_left (fun acc a -> acc + Value.size_of a.Fault.value) 0 args
        in
-       Fn_ctx.tick ~cost:(1 + (bytes / 8)) ctx;
+       Fn_ctx.charge ctx (1 + (bytes / 8));
        impl ctx args
      end
    | Func_sig.Aggregate _ ->
@@ -129,7 +166,7 @@ let invoke_spec ctx ~point spec args =
 
 let invoke_scalar ctx t name args =
   match resolve t name with
-  | Some r -> invoke_spec ctx ~point:r.r_point r.r_spec args
+  | Some r -> invoke ctx r args
   | None -> err "unknown function %s" (String.uppercase_ascii name)
 
 let is_aggregate t name =
@@ -137,13 +174,16 @@ let is_aggregate t name =
   | Some { r_spec = { Func_sig.kind = Func_sig.Aggregate _; _ }; _ } -> true
   | Some _ | None -> false
 
-let make_aggregate_spec ctx spec ~distinct =
+let aggregate ctx r ~distinct =
+  let spec = r.r_spec in
   match spec.Func_sig.kind with
   | Func_sig.Aggregate make ->
-    Fn_ctx.point ctx ("fn/" ^ spec.Func_sig.name);
+    bind ctx r;
+    Coverage.hit_cell r.r_cell;
     let inst = make ctx ~distinct in
+    let fault = r.r_fault and faults = r.r_faults in
     let step args =
-      Fault.check ctx.Fn_ctx.fault ~func:spec.Func_sig.name args;
+      Fault.check_specs fault faults args;
       if has_star args && spec.Func_sig.name <> "COUNT" then
         err "improper use of '*' in arguments of %s" spec.Func_sig.name
       else if
@@ -156,7 +196,7 @@ let make_aggregate_spec ctx spec ~distinct =
         let bytes =
           List.fold_left (fun acc a -> acc + Value.size_of a.Fault.value) 0 args
         in
-        Fn_ctx.tick ~cost:(1 + (bytes / 8)) ctx;
+        Fn_ctx.charge ctx (1 + (bytes / 8));
         inst.Func_sig.step args
       end
     in
@@ -164,4 +204,6 @@ let make_aggregate_spec ctx spec ~distinct =
   | Func_sig.Scalar _ -> err "%s is not an aggregate function" spec.Func_sig.name
 
 let make_aggregate ctx t name ~distinct =
-  make_aggregate_spec ctx (lookup t name) ~distinct
+  match resolve t name with
+  | Some r -> aggregate ctx r ~distinct
+  | None -> err "unknown function %s" (String.uppercase_ascii name)

@@ -39,17 +39,21 @@ let phase_of_string = function
   | _ -> None
 
 (* per (dialect, function) stats: three flat arrays indexed by phase, so
-   charging a scope is two array writes and a compare *)
+   charging a scope is two array writes and a compare. [fs_owner] is the
+   dialect table the record lives in, so a caller that kept the record
+   can check by identity that it still charges the current dialect. *)
 type fn_stats = {
   fs_func : string;
+  fs_owner : (string, fn_stats) Hashtbl.t;
   counts : int array;
   selfs : int array;
   maxs : int array;
 }
 
-let fn_stats_create func =
+let fn_stats_create owner func =
   {
     fs_func = func;
+    fs_owner = owner;
     counts = Array.make n_phases 0;
     selfs = Array.make n_phases 0;
     maxs = Array.make n_phases 0;
@@ -74,7 +78,7 @@ type t = {
   mutable depth : int;
 }
 
-let sentinel = fn_stats_create ""
+let sentinel = fn_stats_create (Hashtbl.create 1) ""
 
 let fresh_frame () =
   { fr_stats = sentinel; fr_phase = 0; fr_start = 0; fr_child = 0 }
@@ -108,13 +112,15 @@ let depth t = t.depth
 
 (* Hashtbl.find raises on miss instead of boxing an option, so the hit
    path — every sighting after the first — allocates nothing. *)
-let stats_of t func =
+let fn_stats t func =
   match Hashtbl.find t.cur_fns func with
   | s -> s
   | exception Not_found ->
-    let s = fn_stats_create func in
+    let s = fn_stats_create t.cur_fns func in
     Hashtbl.add t.cur_fns func s;
     s
+
+let owns t stats = stats.fs_owner == t.cur_fns
 
 let grow t =
   let n = Array.length t.stack in
@@ -131,35 +137,51 @@ let push t stats phase =
   fr.fr_start <- now_ns ();
   t.depth <- t.depth + 1
 
-let enter_fn t func phase = push t (stats_of t func) phase
-let root_stats t = stats_of t ""
+let enter_fn t func phase = push t (fn_stats t func) phase
+let root_stats t = fn_stats t ""
 let enter_with t stats phase = push t stats phase
 
 let enter t phase =
   let stats =
-    if t.depth = 0 then stats_of t ""
+    if t.depth = 0 then fn_stats t ""
     else t.stack.(t.depth - 1).fr_stats
   in
   push t stats phase
 
+(* charges the innermost frame as closed at [now]; the caller pops it
+   or reuses it *)
+let charge t now =
+  let fr = t.stack.(t.depth - 1) in
+  let dur = now - fr.fr_start in
+  let self = dur - fr.fr_child in
+  (* a clock hiccup or a child measured longer than its parent (ns
+     truncation) must not push a key negative *)
+  let self = if self < 0 then 0 else self in
+  let i = fr.fr_phase in
+  let s = fr.fr_stats in
+  s.counts.(i) <- s.counts.(i) + 1;
+  s.selfs.(i) <- s.selfs.(i) + self;
+  if self > s.maxs.(i) then s.maxs.(i) <- self;
+  if t.depth > 1 then begin
+    let parent = t.stack.(t.depth - 2) in
+    parent.fr_child <- parent.fr_child + dur
+  end
+
 let exit t =
   if t.depth > 0 then begin
+    charge t (now_ns ());
+    t.depth <- t.depth - 1
+  end
+
+let switch t phase =
+  if t.depth = 0 then enter t phase
+  else begin
+    let now = now_ns () in
+    charge t now;
     let fr = t.stack.(t.depth - 1) in
-    t.depth <- t.depth - 1;
-    let dur = now_ns () - fr.fr_start in
-    let self = dur - fr.fr_child in
-    (* a clock hiccup or a child measured longer than its parent (ns
-       truncation) must not push a key negative *)
-    let self = if self < 0 then 0 else self in
-    let i = fr.fr_phase in
-    let s = fr.fr_stats in
-    s.counts.(i) <- s.counts.(i) + 1;
-    s.selfs.(i) <- s.selfs.(i) + self;
-    if self > s.maxs.(i) then s.maxs.(i) <- self;
-    if t.depth > 0 then begin
-      let parent = t.stack.(t.depth - 1) in
-      parent.fr_child <- parent.fr_child + dur
-    end
+    fr.fr_phase <- phase_index phase;
+    fr.fr_child <- 0;
+    fr.fr_start <- now
   end
 
 let with_phase t phase f =
@@ -294,7 +316,7 @@ let merge_into ~dst src =
             match Hashtbl.find_opt dfns func with
             | Some d -> d
             | None ->
-              let d = fn_stats_create func in
+              let d = fn_stats_create dfns func in
               Hashtbl.add dfns func d;
               d
           in

@@ -15,11 +15,14 @@
     count / total-self / max-self.
 
     Cost model: entering/exiting a scope is two monotonic-clock reads
-    plus in-place mutation of a preallocated frame; the per-function
-    stats record is allocated at a key's first sighting and found by an
-    exact-string hashtable lookup afterwards, so the hot path allocates
-    nothing once a key has been seen. Profiling is always on, like the
-    stage aggregates.
+    plus in-place mutation of a preallocated frame; {!switch} between
+    sibling scopes shares one read. The per-function stats record is
+    allocated at a key's first sighting. Hot callers resolve it once
+    ({!fn_stats}) and keep it, so a function scope ({!enter_with}) is a
+    frame push with no lookup; only {!enter_fn} and a depth-0 {!enter}
+    still find the record by an exact-string hashtable probe. Nothing
+    on these paths allocates once a key has been seen. Profiling is
+    always on, like the stage aggregates.
 
     Profilers are single-domain; the sharded campaign gives every shard
     its own and merges them (a plain per-key counter union). *)
@@ -62,21 +65,37 @@ val exit : t -> unit
     children) to its key and adds its full duration to the parent's
     child account. No-op at depth 0. *)
 
+val switch : t -> phase -> unit
+(** [switch t phase] closes the innermost scope and opens its sibling on
+    the same function under [phase], with one clock read for both: the
+    time between the two is charged to neither. Observably [exit] then
+    [enter] with the new scope's function unchanged, minus one clock
+    read. At depth 0 it is {!enter}. *)
+
 type fn_stats
-(** A pre-resolved [dialect x function] stats record. The batched
-    member loop opens one root scope per engine round-trip; resolving
-    the anonymous-function record once per batch skips the per-call
-    table probe {!enter} pays at depth 0. *)
+(** A pre-resolved [dialect x function] stats record. *)
+
+val fn_stats : t -> string -> fn_stats
+(** [fn_stats t fname] is the record {!enter_fn}[ t fname] charges under
+    the current dialect. Keep it to open that function's scopes with
+    {!enter_with}; {!owns} says whether it is still current. *)
+
+val owns : t -> fn_stats -> bool
+(** The record belongs to this profiler's current dialect: false for a
+    record of another profiler, or of this one before {!set_dialect}
+    moved it to another dialect. Physical identity, no lookup. *)
 
 val root_stats : t -> fn_stats
 (** The anonymous-function ([""]) record of the current dialect —
-    what a depth-0 {!enter} charges. Re-resolve after
+    what a depth-0 {!enter} charges. The batched member loop opens one
+    root scope per engine round-trip with it. Re-resolve after
     {!set_dialect}. *)
 
 val enter_with : t -> fn_stats -> phase -> unit
 (** [enter_with t stats phase] opens a scope charging [stats]
-    directly — observably identical to {!enter} at depth 0 with the
-    same dialect. *)
+    directly — observably identical to {!enter_fn} on the record's
+    function, or to {!enter} at depth 0 for {!root_stats}, with the same
+    dialect. *)
 
 val with_phase : t -> phase -> (unit -> 'a) -> 'a
 (** Exception-safe [enter]/[exit] pair; the scope closes (and the

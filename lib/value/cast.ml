@@ -586,14 +586,82 @@ and dispatch cfg v target =
      | _ -> Error (Unsupported (Value.ty_name (Value.type_of v) ^ " to ROW")))
   | Ast.T_named (name, args) -> named_type cfg name args v
 
-let cast ?cov cfg v target =
-  let result = if Value.is_null v then Ok Value.Null else dispatch cfg v target in
-  (match cov with
-   | Some c ->
-     let outcome = match result with Ok _ -> "ok" | Error _ -> "err" in
-     Coverage.hit c
-       (Printf.sprintf "cast/%s->%s/%s"
-          (Value.ty_name (Value.type_of v))
-          (Sql_pp.type_name target) outcome)
-   | None -> ());
+(* ----- coverage points -----
+
+   A cast records "cast/SOURCE->TARGET/ok|err". For the argument-free
+   targets those names are built once, here, into a table indexed by
+   (source tag, target, outcome); a cast then hits its entry by index.
+   Parametric targets (VARCHAR(n), ARRAY(..), named types) still build
+   their name per cast. *)
+
+let plain_targets =
+  [| Ast.T_bool; Ast.T_smallint; Ast.T_int; Ast.T_bigint; Ast.T_unsigned;
+     Ast.T_decimal None; Ast.T_float; Ast.T_double; Ast.T_char None;
+     Ast.T_varchar None; Ast.T_text; Ast.T_blob; Ast.T_date; Ast.T_time;
+     Ast.T_datetime; Ast.T_interval_t; Ast.T_json; Ast.T_inet; Ast.T_uuid;
+     Ast.T_geometry; Ast.T_xml; Ast.T_row_t |]
+
+(* position in [plain_targets], or -1 for a parametric target *)
+let target_index = function
+  | Ast.T_bool -> 0
+  | Ast.T_smallint -> 1
+  | Ast.T_int -> 2
+  | Ast.T_bigint -> 3
+  | Ast.T_unsigned -> 4
+  | Ast.T_decimal None -> 5
+  | Ast.T_float -> 6
+  | Ast.T_double -> 7
+  | Ast.T_char None -> 8
+  | Ast.T_varchar None -> 9
+  | Ast.T_text -> 10
+  | Ast.T_blob -> 11
+  | Ast.T_date -> 12
+  | Ast.T_time -> 13
+  | Ast.T_datetime -> 14
+  | Ast.T_interval_t -> 15
+  | Ast.T_json -> 16
+  | Ast.T_inet -> 17
+  | Ast.T_uuid -> 18
+  | Ast.T_geometry -> 19
+  | Ast.T_xml -> 20
+  | Ast.T_row_t -> 21
+  | Ast.T_decimal (Some _) | Ast.T_char (Some _) | Ast.T_varchar (Some _)
+  | Ast.T_array_t _ | Ast.T_map_t _ | Ast.T_named _ ->
+    -1
+
+let n_targets = Array.length plain_targets
+
+let point_name ty target ~ok =
+  String.concat ""
+    [ "cast/"; Value.ty_name ty; "->"; Sql_pp.type_name target;
+      (if ok then "/ok" else "/err") ]
+
+let entry ty ti ~ok =
+  (((Value.ty_index ty * n_targets) + ti) * 2) + if ok then 0 else 1
+
+let points =
+  Coverage.table
+    (Array.init
+       (Array.length Value.all_tys * n_targets * 2)
+       (fun i ->
+         point_name
+           Value.all_tys.(i / (2 * n_targets))
+           plain_targets.(i / 2 mod n_targets)
+           ~ok:(i mod 2 = 0)))
+
+let coverage_point ty target ~ok =
+  let ti = target_index target in
+  if ti < 0 then point_name ty target ~ok
+  else Coverage.table_name points (entry ty ti ~ok)
+
+let convert cfg v target =
+  if Value.is_null v then Ok Value.Null else dispatch cfg v target
+
+let cast ~cov cfg v target =
+  let result = convert cfg v target in
+  let ok = match result with Ok _ -> true | Error _ -> false in
+  let ty = Value.type_of v in
+  let ti = target_index target in
+  if ti < 0 then Coverage.hit cov (point_name ty target ~ok)
+  else Coverage.hit_entry cov points (entry ty ti ~ok);
   result

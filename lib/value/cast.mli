@@ -25,14 +25,26 @@ type error =
       (** JSON nesting exceeded with the budget disabled upstream; the
           fault layer converts this into a simulated stack overflow *)
 
+val convert :
+  config -> Value.t -> Sqlfun_ast.Ast.type_name -> (Value.t, error) result
+(** [convert cfg v ty] converts [v] to [ty]. [NULL] converts to [NULL]
+    for every target. Records no coverage. *)
+
 val cast :
-  ?cov:Sqlfun_coverage.Coverage.t ->
+  cov:Sqlfun_coverage.Coverage.t ->
   config ->
   Value.t ->
   Sqlfun_ast.Ast.type_name ->
   (Value.t, error) result
-(** [cast cfg v ty] converts [v] to [ty]. [NULL] casts to [NULL] for every
-    target. Coverage points are recorded per (source, target, outcome). *)
+(** {!convert}, recording one coverage point per (source, target,
+    outcome), named by {!coverage_point}. For an argument-free target
+    the name comes from a table built at module initialisation and the
+    hit goes through the recorder's kept cell, so such a cast formats,
+    hashes and allocates nothing beyond its result. *)
+
+val coverage_point : Value.ty -> Sqlfun_ast.Ast.type_name -> ok:bool -> string
+(** ["cast/SOURCE->TARGET/ok"] (or [/err]): the point a cast from a
+    value tagged [SOURCE] records. *)
 
 val error_to_string : error -> string
 

@@ -125,6 +125,33 @@ let ty_name = function
   | Ty_geometry -> "GEOMETRY"
   | Ty_xml -> "XML"
 
+(* the position of each tag in [all_tys], for tables indexed by type *)
+let ty_index = function
+  | Ty_null -> 0
+  | Ty_bool -> 1
+  | Ty_int -> 2
+  | Ty_dec -> 3
+  | Ty_float -> 4
+  | Ty_str -> 5
+  | Ty_blob -> 6
+  | Ty_date -> 7
+  | Ty_time -> 8
+  | Ty_datetime -> 9
+  | Ty_interval -> 10
+  | Ty_json -> 11
+  | Ty_array -> 12
+  | Ty_map -> 13
+  | Ty_row -> 14
+  | Ty_inet -> 15
+  | Ty_uuid -> 16
+  | Ty_geometry -> 17
+  | Ty_xml -> 18
+
+let all_tys =
+  [| Ty_null; Ty_bool; Ty_int; Ty_dec; Ty_float; Ty_str; Ty_blob; Ty_date;
+     Ty_time; Ty_datetime; Ty_interval; Ty_json; Ty_array; Ty_map; Ty_row;
+     Ty_inet; Ty_uuid; Ty_geometry; Ty_xml |]
+
 let is_null = function Null -> true | _ -> false
 
 (* ----- compact-representation accounting -----

@@ -81,6 +81,12 @@ type ty =
 val type_of : t -> ty
 val ty_name : ty -> string
 
+val all_tys : ty array
+(** Every tag, each once. *)
+
+val ty_index : ty -> int
+(** The tag's position in {!all_tys}. *)
+
 val is_null : t -> bool
 
 (** Compact-representation thresholds and domain-local hit/spill

@@ -1,5 +1,6 @@
 (* The previous implementations of the kernels that walk an argument's
-   bytes, kept verbatim as oracles for [test_kernels.ml]. Only three
+   bytes, kept verbatim as oracles for [test_kernels.ml] (and, at the
+   end, the old cast point formatter). Only three
    things differ: the module paths they need from outside their old
    home, the [let] that names a SQL function's body, and [midnight],
    which a private record type makes this file build with [make_time].
@@ -844,3 +845,14 @@ let conv ctx args =
       Value.Str ((if neg then "-" else "") ^ Buffer.contents buf)
     end
   end
+
+(* ----- lib/value/cast.ml: the per-cast coverage point name -----
+
+   Kept for [test_instrumentation.ml], which checks the prebuilt cast
+   point table against it. The source tag is a parameter here; the old
+   code read it off the cast value as [Value.type_of v]. *)
+
+let cast_point ty target outcome =
+  Printf.sprintf "cast/%s->%s/%s"
+    (Value.ty_name ty)
+    (Sqlfun_ast.Sql_pp.type_name target) outcome

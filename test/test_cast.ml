@@ -11,7 +11,7 @@ open Sqlfun_data
 let strict = { Cast.strictness = Cast.Strict; json_max_depth = Some 512 }
 let lenient = { Cast.strictness = Cast.Lenient; json_max_depth = Some 512 }
 
-let cast ?(cfg = strict) v ty = Cast.cast cfg v ty
+let cast ?(cfg = strict) v ty = Cast.convert cfg v ty
 
 let ok ?cfg v ty expected =
   match cast ?cfg v ty with
@@ -108,7 +108,7 @@ let test_json_targets () =
    | _ -> Alcotest.fail "lenient wraps non-json strings");
   (* a blown depth with the budget disabled is the crash channel *)
   let no_budget = { Cast.strictness = Cast.Lenient; json_max_depth = None } in
-  (match Cast.cast no_budget (Value.Str (String.make 5000 '[')) Ast.T_json with
+  (match Cast.convert no_budget (Value.Str (String.make 5000 '[')) Ast.T_json with
    | Error (Cast.Depth_blown _) -> ()
    | _ -> Alcotest.fail "expected Depth_blown");
   (* with a budget it is a clean error *)
@@ -175,7 +175,7 @@ let prop_cast_total cfg name =
   QCheck.Test.make ~name ~count:200 arb_value (fun v ->
       List.for_all
         (fun ty ->
-          match Cast.cast cfg v ty with
+          match Cast.convert cfg v ty with
           | Ok _ | Error _ -> true
           | exception e ->
             QCheck.Test.fail_reportf "cast %s -> %s raised %s"
@@ -188,7 +188,7 @@ let prop_lenient_strings_never_fail_numerics =
     (fun s ->
       List.for_all
         (fun ty ->
-          match Cast.cast lenient (Value.Str s) ty with
+          match Cast.convert lenient (Value.Str s) ty with
           | Ok _ -> true
           | Error _ -> false)
         [ Ast.T_bigint; Ast.T_decimal None; Ast.T_double; Ast.T_bool ])
@@ -198,7 +198,7 @@ let prop_cast_preserves_tag =
     ~count:200 arb_value (fun v ->
       List.for_all
         (fun ty ->
-          match Cast.cast strict v ty with
+          match Cast.convert strict v ty with
           | Error _ -> true
           | Ok r ->
             Value.is_null r || Value.type_of r = Cast.ty_of_type_name ty)
