@@ -61,8 +61,8 @@ let no_compile_arg =
        & info [ "no-compile" ]
            ~doc:"Disable closure compilation (every case is evaluated by \
                  the AST interpreter, skeleton-sharing family members \
-                 from their reconstructed statements, instead of a \
-                 cached compiled plan). Verdicts, bug lists, FP \
+                 from their reconstructed statements, instead of their \
+                 family's compiled plan). Verdicts, bug lists, FP \
                  signatures and coverage are bit-identical with \
                  compilation on or off; the flag exists to verify that \
                  and to time it.")
@@ -264,10 +264,10 @@ let fuzz_cmd =
           end;
           (let cc = Telemetry.compile_counts r.Soft.Soft_runner.telemetry in
            Printf.printf
-             "  plans compiled:       %d (%.1f%% plan-cache hit rate, %d \
-              fallbacks)\n"
+             "  compiled families:    %d (%d members compiled, %d \
+              interpreted)\n"
              cc.Telemetry.c_misses
-             (100. *. Telemetry.compile_hit_rate r.Soft.Soft_runner.telemetry)
+             (cc.Telemetry.c_misses + cc.Telemetry.c_hits)
              cc.Telemetry.c_fallbacks);
           (let kc = Telemetry.compact_counts r.Soft.Soft_runner.telemetry in
            Printf.printf "  compact values:       %d built, %d spilled\n"

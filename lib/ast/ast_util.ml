@@ -282,164 +282,6 @@ let replace_nth_call stmt n replacement =
     if !idx >= n then Some (Insert { ins with rows }) else None
   | Explain _ | Create_table _ | Drop_table _ -> None
 
-(* ----- structural fingerprinting -----
-
-   [fp_stmt] is FNV-1a over a canonical post-order serialization of
-   the statement: children are folded into the hash before their node's
-   tag, every variable-length sequence is terminated by its length, and
-   strings are hashed byte-wise then length-terminated, so two distinct
-   trees never serialize to the same byte stream. The hash state is an
-   immediate int threaded through the traversal and every step is an
-   xor/multiply — no per-node allocation, no [Sql_pp] round-trip.
-
-   Arithmetic is on OCaml's native int (63-bit on 64-bit platforms) with
-   the standard 64-bit FNV prime; the offset basis has its top bit
-   dropped to fit. The skeleton fingerprint below reuses it verbatim for
-   DDL/DML statements, which carry no slots. *)
-
-let fnv_prime = 0x100000001B3
-let fnv_basis = 0x4bf29ce484222325 (* 64-bit FNV basis, top bit cleared *)
-
-let unop_tag = function Ast.Neg -> 1 | Ast.Not -> 2 | Ast.Bit_not -> 3
-
-let binop_tag = function
-  | Ast.Add -> 1 | Ast.Sub -> 2 | Ast.Mul -> 3 | Ast.Div -> 4 | Ast.Mod -> 5
-  | Ast.Concat -> 6 | Ast.Eq -> 7 | Ast.Neq -> 8 | Ast.Lt -> 9 | Ast.Le -> 10
-  | Ast.Gt -> 11 | Ast.Ge -> 12 | Ast.And -> 13 | Ast.Or -> 14
-  | Ast.Like -> 15 | Ast.Bit_and -> 16 | Ast.Bit_or -> 17 | Ast.Bit_xor -> 18
-  | Ast.Shift_l -> 19 | Ast.Shift_r -> 20
-
-let join_tag = function Ast.Inner -> 1 | Ast.Left_outer -> 2 | Ast.Cross -> 3
-
-(* Accumulator-passing: the hash state is threaded as an immediate int
-   through top-level functions, so a fingerprint walk allocates
-   nothing but the final [int64] box — no closure group is rebuilt per
-   call and no ref cell escapes to the heap. *)
-
-let[@inline] mix h n = (h lxor n) * fnv_prime
-
-let rec fp_str_go h s i len =
-  if i >= len then mix h len
-  else fp_str_go (mix h (Char.code (String.unsafe_get s i))) s (i + 1) len
-
-let fp_str h s = fp_str_go h s 0 (String.length s)
-let fp_opt f h = function None -> mix h 0 | Some x -> mix (f h x) 1
-
-let rec fp_list_go f h n = function
-  | [] -> mix h n
-  | x :: tl -> fp_list_go f (f h x) (n + 1) tl
-
-let fp_list f h xs = fp_list_go f h 0 xs
-
-let rec fp_ty h = function
-  | T_bool -> mix h 101
-  | T_smallint -> mix h 102
-  | T_int -> mix h 103
-  | T_bigint -> mix h 104
-  | T_unsigned -> mix h 105
-  | T_decimal ps ->
-    mix (fp_opt (fun h (p, s) -> mix (mix h p) s) h ps) 106
-  | T_float -> mix h 107
-  | T_double -> mix h 108
-  | T_char n -> mix (fp_opt mix h n) 109
-  | T_varchar n -> mix (fp_opt mix h n) 110
-  | T_text -> mix h 111
-  | T_blob -> mix h 112
-  | T_date -> mix h 113
-  | T_time -> mix h 114
-  | T_datetime -> mix h 115
-  | T_interval_t -> mix h 116
-  | T_json -> mix h 117
-  | T_array_t t -> mix (fp_ty h t) 118
-  | T_map_t (k, v) -> mix (fp_ty (fp_ty h k) v) 119
-  | T_inet -> mix h 120
-  | T_uuid -> mix h 121
-  | T_geometry -> mix h 122
-  | T_xml -> mix h 123
-  | T_row_t -> mix h 124
-  | T_named (s, ns) -> mix (fp_list mix (fp_str h s) ns) 125
-
-let rec fp_expr h = function
-  | Null -> mix h 140
-  | Bool_lit b -> mix (mix h (if b then 1 else 0)) 141
-  | Int_lit s -> mix (fp_str h s) 142
-  | Dec_lit s -> mix (fp_str h s) 143
-  | Str_lit s -> mix (fp_str h s) 144
-  | Hex_lit s -> mix (fp_str h s) 145
-  | Star -> mix h 146
-  | Column (q, c) -> mix (fp_str (fp_opt fp_str h q) c) 147
-  | Call { fname; args; distinct } ->
-    mix (mix (fp_list fp_expr (fp_str h fname) args)
-           (if distinct then 1 else 0))
-      148
-  | Cast (e, t) -> mix (fp_ty (fp_expr h e) t) 149
-  | Unop (op, e) -> mix (mix (fp_expr h e) (unop_tag op)) 150
-  | Binop (op, a, b) ->
-    mix (mix (fp_expr (fp_expr h a) b) (binop_tag op)) 151
-  | Row es -> mix (fp_list fp_expr h es) 152
-  | Array_lit es -> mix (fp_list fp_expr h es) 153
-  | Case { operand; branches; else_ } ->
-    let h = fp_opt fp_expr h operand in
-    let h = fp_list (fun h (w, t) -> fp_expr (fp_expr h w) t) h branches in
-    mix (fp_opt fp_expr h else_) 154
-  | In_list (e, es) -> mix (fp_list fp_expr (fp_expr h e) es) 155
-  | Is_null (e, neg) -> mix (mix (fp_expr h e) (if neg then 1 else 0)) 156
-  | Between (e, lo, hi) ->
-    mix (fp_expr (fp_expr (fp_expr h e) lo) hi) 157
-  | Subquery q -> mix (fp_query h q) 158
-  | Exists q -> mix (fp_query h q) 159
-
-and fp_proj h = function
-  | Proj_star -> mix h 170
-  | Proj_expr (e, a) -> mix (fp_opt fp_str (fp_expr h e) a) 171
-
-and fp_from h = function
-  | From_table (t, a) -> mix (fp_opt fp_str (fp_str h t) a) 172
-  | From_subquery (q, a) -> mix (fp_str (fp_query h q) a) 173
-  | From_join { left; right; kind; on } ->
-    let h = fp_from (fp_from h left) right in
-    mix (fp_opt fp_expr (mix h (join_tag kind)) on) 174
-
-and fp_select h s =
-  let h = mix h (if s.sel_distinct then 1 else 0) in
-  let h = fp_list fp_proj h s.projection in
-  let h = fp_opt fp_from h s.from in
-  let h = fp_opt fp_expr h s.where in
-  let h = fp_list fp_expr h s.group_by in
-  mix (fp_opt fp_expr h s.having) 175
-
-and fp_body h = function
-  | Body_select s -> mix (fp_select h s) 176
-  | Body_union { all; left; right } ->
-    mix (mix (fp_body (fp_body h left) right) (if all then 1 else 0)) 177
-
-and fp_query h q =
-  let h = fp_body h q.body in
-  let h =
-    fp_list
-      (fun h { ord_expr; asc } ->
-        mix (fp_expr h ord_expr) (if asc then 1 else 0))
-      h q.order_by
-  in
-  mix (fp_opt mix h q.limit) 178
-
-let fp_column_def h c =
-  let h = fp_ty (fp_str h c.col_name) c.col_type in
-  let h = mix h (if c.col_not_null then 1 else 0) in
-  mix (fp_opt fp_expr h c.col_default) 179
-
-let rec fp_stmt h = function
-  | Select_stmt q -> mix (fp_query h q) 190
-  | Explain s -> mix (fp_stmt h s) 191
-  | Create_table { tbl_name; columns; if_not_exists } ->
-    let h = fp_list fp_column_def (fp_str h tbl_name) columns in
-    mix (mix h (if if_not_exists then 1 else 0)) 192
-  | Insert { ins_table; ins_columns; rows } ->
-    let h = fp_list fp_str (fp_str h ins_table) ins_columns in
-    mix (fp_list (fp_list fp_expr) h rows) 193
-  | Drop_table { drop_name; if_exists } ->
-    mix (mix (fp_str h drop_name) (if if_exists then 1 else 0)) 194
-
 (* The AST is strings/ints/bools/variants all the way down, so the
    polymorphic structural equality is exactly statement identity. *)
 let equal_stmt (a : Ast.stmt) (b : Ast.stmt) = a = b
@@ -458,101 +300,15 @@ let equal_stmt (a : Ast.stmt) (b : Ast.stmt) = a = b
    inside [Subquery]/[Exists]/[From_subquery] interiors are NOT slots:
    P2.2 plants boundary arguments inside subqueries whose result shape
    (and hence the enclosing statement's behavior) depends on those
-   payloads, so subquery interiors are hashed and compared in full.
+   payloads, so subquery interiors are compared in full and contribute
+   no slots.
 
-   [fingerprint_skeleton]/[equal_skeleton] are the cache key pair for
-   the closure compiler: statements with equal skeletons share one
-   compiled plan, and [fold_slots] extracts the varying literal nodes in
-   the compiler's slot order (pre-order, projection → from → where →
-   group_by → having → order_by, same field order as [fp_stmt]).
-
-   A statement containing a subquery in slot-bearing position has NO
-   skeleton ([fingerprint_skeleton] returns [None]): its case family
-   varies literals *inside* the interior, so every family member is a
-   distinct skeleton anyway — caching them would compile each statement
-   once for a plan that is never reused, and their full-interior hashes
-   are the most expensive to compute. The fingerprint walk aborts on
-   the first subquery instead. *)
-
-exception Unshared
-
-let rec fp_skel_expr h = function
-  (* one shared tag: every literal kind is the same slot *)
-  | Null | Bool_lit _ | Int_lit _ | Dec_lit _ | Str_lit _ | Hex_lit _ ->
-    mix h 142
-  | Star -> mix h 146
-  | Column (q, c) -> mix (fp_str (fp_opt fp_str h q) c) 147
-  | Call { fname; args; distinct } ->
-    mix (mix (fp_list fp_skel_expr (fp_str h fname) args)
-           (if distinct then 1 else 0))
-      148
-  | Cast (e, t) -> mix (fp_ty (fp_skel_expr h e) t) 149
-  | Unop (op, e) -> mix (mix (fp_skel_expr h e) (unop_tag op)) 150
-  | Binop (op, a, b) ->
-    mix (mix (fp_skel_expr (fp_skel_expr h a) b) (binop_tag op)) 151
-  | Row es -> mix (fp_list fp_skel_expr h es) 152
-  | Array_lit es -> mix (fp_list fp_skel_expr h es) 153
-  | Case { operand; branches; else_ } ->
-    let h = fp_opt fp_skel_expr h operand in
-    let h =
-      fp_list (fun h (w, t) -> fp_skel_expr (fp_skel_expr h w) t) h branches
-    in
-    mix (fp_opt fp_skel_expr h else_) 154
-  | In_list (e, es) -> mix (fp_list fp_skel_expr (fp_skel_expr h e) es) 155
-  | Is_null (e, neg) -> mix (mix (fp_skel_expr h e) (if neg then 1 else 0)) 156
-  | Between (e, lo, hi) ->
-    mix (fp_skel_expr (fp_skel_expr (fp_skel_expr h e) lo) hi) 157
-  (* subquery interiors make the statement unshareable *)
-  | Subquery _ | Exists _ -> raise Unshared
-
-and fp_skel_from h = function
-  | From_table (t, a) -> mix (fp_opt fp_str (fp_str h t) a) 172
-  | From_subquery _ -> raise Unshared
-  | From_join { left; right; kind; on } ->
-    let h = fp_skel_from (fp_skel_from h left) right in
-    mix (fp_opt fp_skel_expr (mix h (join_tag kind)) on) 174
-
-and fp_skel_select h s =
-  let h = mix h (if s.sel_distinct then 1 else 0) in
-  let h =
-    fp_list
-      (fun h -> function
-        | Proj_star -> mix h 170
-        | Proj_expr (e, a) -> mix (fp_opt fp_str (fp_skel_expr h e) a) 171)
-      h s.projection
-  in
-  let h = fp_opt fp_skel_from h s.from in
-  let h = fp_opt fp_skel_expr h s.where in
-  let h = fp_list fp_skel_expr h s.group_by in
-  mix (fp_opt fp_skel_expr h s.having) 175
-
-and fp_skel_body h = function
-  | Body_select s -> mix (fp_skel_select h s) 176
-  | Body_union { all; left; right } ->
-    mix
-      (mix (fp_skel_body (fp_skel_body h left) right) (if all then 1 else 0))
-      177
-
-and fp_skel_query h q =
-  let h = fp_skel_body h q.body in
-  let h =
-    fp_list
-      (fun h { ord_expr; asc } ->
-        mix (fp_skel_expr h ord_expr) (if asc then 1 else 0))
-      h q.order_by
-  in
-  mix (fp_opt mix h q.limit) 178
-
-let rec fp_skel_stmt h = function
-  | Select_stmt q -> mix (fp_skel_query h q) 190
-  | Explain s -> mix (fp_skel_stmt h s) 191
-  (* DDL/DML carry no slots: their skeleton is the full statement *)
-  | Create_table _ | Insert _ | Drop_table _ as s -> fp_stmt h s
-
-let fingerprint_skeleton stmt =
-  match fp_skel_stmt fnv_basis stmt with
-  | h -> Some (Int64.of_int h)
-  | exception Unshared -> None
+   [equal_skeleton_expr] is the family test [Patterns] groups cases
+   with: skeleton-equal expressions occupy interchangeable positions,
+   so a family shares one compiled plan. [fold_slots] extracts the
+   varying literal nodes in the compiler's slot order (pre-order,
+   projection → from → where → group_by → having → order_by) and
+   [subst_slots] puts a member back together from them. *)
 
 let rec eq_skel_expr a b =
   match (a, b) with
@@ -594,60 +350,6 @@ and eq_skel_opt o1 o2 =
   match (o1, o2) with
   | None, None -> true
   | Some e1, Some e2 -> eq_skel_expr e1 e2
-  | _, _ -> false
-
-let eq_skel_from f1 f2 =
-  let rec go f1 f2 =
-    match (f1, f2) with
-    | From_table (t1, a1), From_table (t2, a2) -> t1 = t2 && a1 = a2
-    | From_subquery (q1, a1), From_subquery (q2, a2) -> a1 = a2 && q1 = q2
-    | From_join j1, From_join j2 ->
-      j1.kind = j2.kind && go j1.left j2.left && go j1.right j2.right
-      && eq_skel_opt j1.on j2.on
-    | _, _ -> false
-  in
-  go f1 f2
-
-let eq_skel_select s1 s2 =
-  s1.sel_distinct = s2.sel_distinct
-  && List.compare_lengths s1.projection s2.projection = 0
-  && List.for_all2
-       (fun p1 p2 ->
-         match (p1, p2) with
-         | Proj_star, Proj_star -> true
-         | Proj_expr (e1, a1), Proj_expr (e2, a2) ->
-           a1 = a2 && eq_skel_expr e1 e2
-         | _, _ -> false)
-       s1.projection s2.projection
-  && (match (s1.from, s2.from) with
-      | None, None -> true
-      | Some f1, Some f2 -> eq_skel_from f1 f2
-      | _, _ -> false)
-  && eq_skel_opt s1.where s2.where
-  && eq_skel_list s1.group_by s2.group_by
-  && eq_skel_opt s1.having s2.having
-
-let rec eq_skel_body b1 b2 =
-  match (b1, b2) with
-  | Body_select s1, Body_select s2 -> eq_skel_select s1 s2
-  | Body_union u1, Body_union u2 ->
-    u1.all = u2.all && eq_skel_body u1.left u2.left
-    && eq_skel_body u1.right u2.right
-  | _, _ -> false
-
-let eq_skel_query q1 q2 =
-  q1.limit = q2.limit
-  && List.compare_lengths q1.order_by q2.order_by = 0
-  && List.for_all2
-       (fun o1 o2 -> o1.asc = o2.asc && eq_skel_expr o1.ord_expr o2.ord_expr)
-       q1.order_by q2.order_by
-  && eq_skel_body q1.body q2.body
-
-let rec equal_skeleton (a : Ast.stmt) (b : Ast.stmt) =
-  match (a, b) with
-  | Select_stmt q1, Select_stmt q2 -> eq_skel_query q1 q2
-  | Explain s1, Explain s2 -> equal_skeleton s1 s2
-  | (Create_table _ | Insert _ | Drop_table _), _ -> a = b
   | _, _ -> false
 
 let rec slot_expr f acc = function

@@ -29,40 +29,19 @@ val map_exprs : (Ast.expr -> Ast.expr) -> Ast.stmt -> Ast.stmt
 val equal_stmt : Ast.stmt -> Ast.stmt -> bool
 (** Structural equality of statements. *)
 
-val fingerprint_skeleton : Ast.stmt -> int64 option
-(** Structural 64-bit fingerprint — FNV-1a over a canonical post-order
-    serialization of the statement (tags, length-terminated sequences,
-    byte-wise strings), one traversal and no per-node allocation — in
-    which literal leaves
-    ([Null]/[Bool_lit]/[Int_lit]/[Dec_lit]/[Str_lit]/[Hex_lit]) are
-    normalized to one shared slot tag: statements that differ only in
-    those boundary arguments — the positions a SOFT case family varies,
-    across literal {e kinds} (NULL vs [5] vs [''] vs [0x1F]) — hash
-    equal. [None] when the statement contains a
-    [Subquery]/[Exists]/[From_subquery]: its case family varies
-    literals inside the interior, so no two family members could share
-    a skeleton and caching would be pure overhead. Confirm candidate
-    hits with {!equal_skeleton}. *)
-
-val equal_skeleton : Ast.stmt -> Ast.stmt -> bool
-(** Structural equality modulo slot nodes — the collision guard paired
-    with {!fingerprint_skeleton}. Equal skeletons are the sharing unit
-    for compiled plans: two skeleton-equal statements differ only in
-    the literal nodes at identical slot positions. *)
-
 val fold_slots : ('a -> Ast.expr -> 'a) -> 'a -> Ast.stmt -> 'a
-(** Pre-order fold over the slot nodes of a statement (the literal
-    leaves {!fingerprint_skeleton} normalizes out — always one of the
-    six literal constructors), in the compiler's slot order:
+(** Pre-order fold over the slot nodes of a statement (its literal
+    leaves outside subquery interiors — always one of the six literal
+    constructors), in the compiler's slot order:
     projection, then from/where/group_by/having, then ORDER BY
     expressions. Subquery interiors contribute no slots. *)
 
 val equal_skeleton_expr : Ast.expr -> Ast.expr -> bool
-(** {!equal_skeleton} at expression granularity: structural equality
-    with any literal leaf matching any literal leaf and subquery
-    interiors compared in full. Two expressions that are
-    skeleton-equal occupy interchangeable positions in a shared
-    compiled plan. *)
+(** Structural equality modulo slot nodes: any literal leaf matches
+    any literal leaf, and subquery interiors are compared in full. Two
+    expressions that are skeleton-equal occupy interchangeable
+    positions in a shared compiled plan — the test [Patterns] groups a
+    case family with. *)
 
 val subst_slots : Ast.stmt -> Ast.expr array -> Ast.stmt
 (** [subst_slots skel vec] rebuilds a statement from a skeleton and a

@@ -45,10 +45,10 @@ type t = {
   fp_signatures : (string, unit) Hashtbl.t;
   fp_buf : Buffer.t;  (* reused across FP-signature normalizations *)
   mutable found : found_bug list;  (* reversed *)
-  plans : Compile.Cache.t option;  (* [None] = --no-compile *)
+  compile : bool;  (* [false] = --no-compile *)
   mutable slot_buf : Sqlfun_ast.Ast.expr array;
       (* reused across compiled executions; holds each case's literal
-         slot nodes *)
+         slot nodes. The only state a batch leaves behind. *)
 }
 
 let create ?cov ?telemetry ?profile ?(compile = true) ?(compact = true) prof =
@@ -85,7 +85,7 @@ let create ?cov ?telemetry ?profile ?(compile = true) ?(compact = true) prof =
     fp_signatures = Hashtbl.create 16;
     fp_buf = Buffer.create 128;
     found = [];
-    plans = (if compile then Some (Compile.Cache.create ()) else None);
+    compile;
     slot_buf = Array.make 16 Sqlfun_ast.Ast.Null;
   }
 
@@ -261,15 +261,15 @@ let step t it i ~poc exec =
    first error being the case's result — so session-state probes see
    their prerequisites' effects, and a prerequisite crash is the case's
    crash. The PoC is the whole statement list: a stateful bug must
-   replay standalone from a cold engine. With the plan cache on, every
-   interpreted case is a compile fallback. *)
+   replay standalone from a cold engine. With compilation on, every
+   interpreted case counts one compile fallback. *)
 let interpret t it i ?(prereqs = []) stmt =
   step t it i
     ~poc:(fun () ->
       String.concat ";\n"
         (List.map Sqlfun_ast.Sql_pp.stmt (prereqs @ [ stmt ])))
     (fun () ->
-      if Option.is_some t.plans then Telemetry.compile_fallback t.tel;
+      if t.compile then Telemetry.compile_fallback t.tel;
       let rec go = function
         | [] -> Engine.exec_stmt t.engine stmt
         | p :: rest ->
@@ -283,13 +283,12 @@ let interpret t it i ?(prereqs = []) stmt =
 
    One batch = one skeleton-sharing case family, and the only way a
    case runs compiled: a case that could not join a family arrives as a
-   family of one (its own skeleton, an empty window). The plan-cache
-   probe (skeleton fingerprint + structural verify), constant-slot fill
-   and PoC closure are paid once per family; the member loop is
-   fill-window → [step]. Soundness: within a batch the probed skeleton
-   and the non-window slots are constant by construction (that is what
-   makes it a family), so hoisting them cannot change any member's
-   verdict; and compiled execution is observably identical to
+   family of one (its own skeleton, an empty window). The compile,
+   constant-slot fill and PoC closure are paid once per family; the
+   member loop is fill-window → [step]. Soundness: within a batch the
+   skeleton and the non-window slots are constant by construction (that
+   is what makes it a family), so hoisting them cannot change any
+   member's verdict; and compiled execution is observably identical to
    interpretation (values, provenance, tick counts, coverage, fault
    checks — see compile.ml), so which members run compiled never
    changes a verdict. Member ASTs are never materialized on the hot
@@ -297,38 +296,28 @@ let interpret t it i ?(prereqs = []) stmt =
    its PoC or the family is interpreted, structurally equal to the
    statement the per-case generator emits. *)
 
-(* One probe resolves the whole family. The hit/miss counters mirror
-   what [n] one-case probes of the same skeleton would record; each
-   member of an interpreted family counts its own fallback. [None]
-   means interpret: no plan cache (--no-compile), or an unadmitted or
-   uncompilable family. *)
+(* A family of two or more members compiles its skeleton here; the plan
+   dies with the batch. [None] means interpret: --no-compile, a family
+   of one (nothing to share a plan with), or a skeleton outside the
+   compiled subset. A compiled family counts one miss and [n - 1] hits,
+   an interpreted member its own fallback, so every case is counted
+   exactly once. *)
 let family_plan t (b : Patterns.batch) n =
-  match t.plans with
-  | None -> None
-  | Some cache ->
-    let hits k = for _ = 1 to k do Telemetry.compile_hit t.tel done in
-    Profile.with_phase t.xprof Profile.Plan @@ fun () ->
-    let compiled =
-      match
-        Compile.Cache.get_batched cache ~registry:(Engine.registry t.engine)
-          ~count:n b.Patterns.b_skeleton
-      with
-      | Compile.Cache.Skip -> None
-      | Compile.Cache.Found c ->
-        hits n;
-        Some c
-      | Compile.Cache.Added c ->
-        Telemetry.compile_miss t.tel;
-        hits (n - 1);
-        Some c
-    in
-    (match compiled with
-     | None | Some Compile.Fallback -> None
-     | Some (Compile.Plan plan) ->
-       (* traversal disagreement would mean a skeleton bug; never let it
-          corrupt a verdict — run the interpreter instead *)
-       if Compile.n_slots plan <> Array.length b.Patterns.b_slots then None
-       else Some plan)
+  if not t.compile || n < 2 then None
+  else
+    match
+      Profile.with_phase t.xprof Profile.Plan (fun () ->
+          Compile.compile ~registry:(Engine.registry t.engine)
+            b.Patterns.b_skeleton)
+    with
+    (* a slot-count disagreement would mean a skeleton bug; never let it
+       corrupt a verdict — run the interpreter instead *)
+    | Compile.Plan plan
+      when Compile.n_slots plan = Array.length b.Patterns.b_slots ->
+      Telemetry.compile_miss t.tel;
+      for _ = 2 to n do Telemetry.compile_hit t.tel done;
+      Some plan
+    | Compile.Plan _ | Compile.Fallback -> None
 
 let run_batch t it (b : Patterns.batch) n =
   Telemetry.batch_flush t.tel ~cases:n;

@@ -59,17 +59,21 @@ val create :
     each; every verdict bumps the dialect x pattern x class counter.
 
     [compile] (default [true]) enables closure compilation of
-    skeleton-sharing case families ([Batched] items): a per-detector plan
-    cache keyed by {!Sqlfun_ast.Ast_util.fingerprint_skeleton} compiles
-    a family's skeleton once and runs every member by filling its slot
-    window, with no AST walk. Compiled execution is observably
-    identical to the interpreter (values, coverage, fault sites, ticks,
-    profile attribution); shapes outside the compiled subset fall back
-    to the interpreter. Seed replays and skeleton-varying cases always
-    interpret. Probes are counted on the telemetry collector
-    ({!Sqlfun_telemetry.Telemetry.compile_counts}). With
-    [compile:false] every batch member is interpreted from its
-    reconstructed AST — the reference the compiled path must match.
+    skeleton-sharing case families ([Batched] items): a family of two
+    or more members compiles its skeleton once at the start of its
+    batch and runs every member on that plan by filling its slot
+    window, with no AST walk; the plan is dropped with the batch, so
+    nothing carries over to the next one. A family of one, and a
+    skeleton outside the compiled subset, is interpreted. Compiled
+    execution is observably identical to the interpreter (values,
+    coverage, fault sites, ticks, profile attribution). Seed replays,
+    scenarios and skeleton-varying cases always interpret. Every case
+    is counted once on the telemetry collector
+    ({!Sqlfun_telemetry.Telemetry.compile_counts}): a compiled family
+    as one miss and a hit per further member, an interpreted case as a
+    fallback. With [compile:false] every batch member is interpreted
+    from its reconstructed AST — the reference the compiled path must
+    match — and nothing is counted.
 
     [compact] (default [true]) enables the compact value
     representations ({!Sqlfun_value.Value.Range_arr}/[Rope_str]) inside
@@ -95,12 +99,13 @@ val run : t -> ?first_case:int -> Patterns.work -> unit
       prerequisite crash is a found bug whose PoC is the whole
       statement list (replayable standalone from a cold engine).
     - [Batched] runs a skeleton-sharing family, the only compiled
-      execution path: the plan-cache probe is resolved once and the
-      member loop is fill-window → eval → classify, with no statement
-      ASTs materialized. Families without a usable plan (unadmitted,
-      uncompilable, or [compile:false]) are interpreted member by
-      member from their reconstructed ASTs. Verdicts, counters, bug
-      records, fault sites and coverage are identical either way.
+      execution path: the skeleton is compiled once for the batch and
+      the member loop is fill-window → eval → classify, with no
+      statement ASTs materialized. Families without a plan (one
+      member, an uncompilable skeleton, or [compile:false]) are
+      interpreted member by member from their reconstructed ASTs.
+      Verdicts, verdict counters, bug records, fault sites and coverage
+      are identical either way.
 
     [first_case] makes the item's case [i] global case
     [first_case + i] on bug records and verdict events. Shard workers

@@ -601,8 +601,8 @@ let count_scenario_positions scenarios =
    contiguous window of literal slots. A batch carries the family
    once — one skeleton statement, its full slot vector, the varying
    window — plus one small literal vector per case, so the executor
-   can resolve the plan once and run the whole family as fill-window →
-   eval → classify. A case that cannot join a family is a family of
+   can compile the skeleton once and run the whole family as
+   fill-window → eval → classify. A case that cannot join a family is a family of
    one: its own statement as skeleton and an empty window. Any
    member's full AST is recoverable on demand ([batch_stmt]), and
    flattening a work stream back to statements reproduces the per-case

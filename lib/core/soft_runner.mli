@@ -101,11 +101,12 @@ val fuzz :
     Skeleton-sharing pattern families stream as slot-stream batches
     ({!Patterns.generate_work} / {!Detector.run}): one skeleton
     AST plus slot vectors per family run, with the telemetry span and
-    plan-cache probe resolved once per batch instead of once per case;
-    batch counters are reported on the collector
+    the skeleton's compile paid once per batch instead of once per
+    case; batch counters are reported on the collector
     ({!Sqlfun_telemetry.Telemetry.batch_counts}). Under sharding a
     family batch is one work item owned whole by one shard, so every
-    batch keeps the one-probe-per-batch economics. Compact
+    batch keeps the one-compile-per-family economics, and no plan
+    outlives its batch. Compact
     construction/spill counts are credited to the campaign collector
     ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per worker
     domain.

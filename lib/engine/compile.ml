@@ -2,10 +2,11 @@
 
    A SOFT case family shares one statement skeleton and varies only the
    boundary-literal leaves (Patterns.with_arg / literal_arg_variants).
-   [compile] lowers a supported statement once into a tree of closures
-   with *argument slots* at those literal positions; per case the
-   detector then fills a reused slot buffer (Ast_util.fold_slots) and
-   runs the closure — no AST re-walk, no per-node dispatch.
+   [compile] lowers a family's skeleton once, at the start of its
+   batch, into a tree of closures with *argument slots* at those
+   literal positions; per case the detector then fills a reused slot
+   buffer (Ast_util.fold_slots) and runs the closure — no AST re-walk,
+   no per-node dispatch. The plan dies with its batch.
 
    A slot holds the literal AST node itself (one of the six literal
    constructors), not just a payload string: boundary-argument sets mix
@@ -513,127 +514,3 @@ let exec plan (env : Interp.env) (slots : Ast.expr array) : Interp.outcome =
   | exception e ->
     Profile.exit env.Interp.profile;
     raise e
-
-(* ----- per-detector plan cache ----- *)
-
-module Cache = struct
-  (* Keyed by skeleton fingerprint, guarded by equal_skeleton. Admits
-     every probed skeleton (there is no churn to defend against) but
-     defers the compile itself to the third sighting — see [entry].
-
-     Two filters run BEFORE the fingerprint walk, because on a fast
-     interpreter the probe itself is the cost to beat:
-     - a shallow shape test ([plan_shaped]) turns away everything
-       [compile] would reject anyway (DDL, FROM/WHERE/ORDER BY/LIMIT,
-       star projections) without walking the tree;
-     - [fingerprint_skeleton] aborts on subqueries ([None]): their case
-       families vary interior literals, so each statement would compile
-       to a plan that is never reused while its full-interior hash is
-       the most expensive to compute. *)
-  type entry = { rep : Ast.stmt; plan : compiled }
-
-  type t = {
-    tbl : (int, entry list) Hashtbl.t;
-        (* only skeletons seen at least twice get an entry (and hence a
-           compiled plan and a retained representative statement) *)
-    seen : (int, int) Hashtbl.t;
-        (* sighting counts for not-yet-admitted fingerprints —
-           deliberately NOT the statements themselves. Campaigns carry
-           tens of thousands of single-use and two-use skeletons (e.g.
-           P2.1 bakes the CAST target type into the skeleton, and most
-           shared families have 2-3 members); compiling a plan that is
-           reused once roughly breaks even on CPU and loses on the
-           megabytes of closures and representative ASTs promoted into
-           the major heap, whose GC cost swamps the compiled win. Only
-           a skeleton's third sighting compiles — the 400-odd big
-           pool-driven families (tens of thousands of cases) clear that
-           bar immediately and they are where compilation pays. A
-           fingerprint collision here only delays a family's compile by
-           a case or two — the per-use [equal_skeleton] guard on [rep]
-           keeps reuse sound. *)
-    mutable last : entry option;
-        (* most-recently used entry. Patterns emit a case family as a
-           consecutive run, so checking the previous case's skeleton
-           first — one cheap structural walk, no hashing, no bucket
-           scan — resolves the overwhelming majority of lookups.
-           [last] only ever holds admitted (hence subquery-free,
-           plan-shaped) entries, so the equality walk exits fast on
-           shape mismatches. *)
-  }
-
-  type lookup =
-    | Skip
-        (** not plan-shaped, unshareable, or first sight of this
-            skeleton (compilation deferred): run the interpreter *)
-    | Found of compiled  (** cache hit *)
-    | Added of compiled  (** compiled and admitted now (third sighting) *)
-
-  let create () : t =
-    { tbl = Hashtbl.create 512; seen = Hashtbl.create 4096; last = None }
-
-  (* shallow: one pattern match plus a scan of the projection list *)
-  let plan_shaped = function
-    | Ast.Select_stmt
-        { Ast.body =
-            Ast.Body_select
-              { Ast.sel_distinct = false;
-                from = None;
-                where = None;
-                group_by = [];
-                having = None;
-                projection;
-                _ };
-          order_by = [];
-          limit = None } ->
-      List.for_all
-        (function Ast.Proj_expr _ -> true | Ast.Proj_star -> false)
-        projection
-    | _ -> false
-
-  let get_batched t ~registry ~count stmt =
-    let count = if count < 1 then 1 else count in
-    match t.last with
-    | Some e when Ast_util.equal_skeleton e.rep stmt -> Found e.plan
-    | _ ->
-      if not (plan_shaped stmt) then Skip
-      else
-        (match Ast_util.fingerprint_skeleton stmt with
-         | None -> Skip
-         | Some fp64 ->
-           let fp = Int64.to_int fp64 in
-           let entries =
-             match Hashtbl.find_opt t.tbl fp with Some l -> l | None -> []
-           in
-           (match
-              List.find_opt
-                (fun e -> Ast_util.equal_skeleton e.rep stmt)
-                entries
-            with
-            | Some e ->
-              t.last <- Some e;
-              Found e.plan
-            | None ->
-              (* a batch sights its whole family at once: a family of
-                 [count >= 3] members clears the admission bar on its
-                 first probe, exactly as its third member would have
-                 one probe at a time *)
-              let sightings =
-                match Hashtbl.find_opt t.seen fp with
-                | Some n -> n + count
-                | None -> count
-              in
-              if sightings >= 3 then begin
-                (* repeat sightings prove the family is worth a plan *)
-                Hashtbl.remove t.seen fp;
-                let e = { rep = stmt; plan = compile ~registry stmt } in
-                Hashtbl.replace t.tbl fp (e :: entries);
-                t.last <- Some e;
-                Added e.plan
-              end
-              else begin
-                Hashtbl.replace t.seen fp sightings;
-                Skip
-              end))
-
-  let size t = Hashtbl.fold (fun _ l acc -> acc + List.length l) t.tbl 0
-end

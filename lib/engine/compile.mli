@@ -2,10 +2,12 @@
 
     A case family shares one statement skeleton and varies only
     boundary-literal leaves. [compile] lowers a supported statement
-    once into closures with *argument slots* at those positions; the
-    detector fills a reused slot buffer per case
+    once into closures with *argument slots* at those positions. The
+    detector compiles a family's skeleton at the start of its batch,
+    fills a reused slot buffer per member
     ({!Sqlfun_ast.Ast_util.fold_slots}) and runs the plan — no AST
-    re-walk per case. A slot carries the literal node itself, so NULL,
+    re-walk per case — then drops the plan with the batch; nothing is
+    cached across batches. A slot carries the literal node itself, so NULL,
     integer, string and blob boundary values at one position all share
     the same plan (the slot closure dispatches on the constructor at
     run time).
@@ -13,8 +15,10 @@
     Compiled execution is observably identical to the interpreter:
     same values, provenance, {!Sqlfun_functions.Fn_ctx.tick} counts and
     costs, coverage points/branches, fault checks, profile frames, and
-    exceptions. Unsupported shapes (FROM/WHERE/grouping/DISTINCT/ORDER
-    BY/LIMIT/star projections/aggregates) return [Fallback]. *)
+    exceptions. Only a [SELECT] of non-aggregate expressions with no
+    FROM/WHERE/grouping/DISTINCT/ORDER BY/LIMIT and no star compiles;
+    every other statement returns [Fallback] before any closure is
+    built. *)
 
 open Sqlfun_ast
 open Sqlfun_functions
@@ -38,39 +42,3 @@ val compile : registry:Registry.t -> Ast.stmt -> compiled
 val exec : plan -> Interp.env -> Ast.expr array -> Interp.outcome
 (** @raise Fn_ctx.Sql_error, Fn_ctx.Resource_limit, Fault.Crash exactly
     as the interpreter would. *)
-
-module Cache : sig
-  (** Per-detector (hence per-shard) plan cache keyed by
-      {!Sqlfun_ast.Ast_util.fingerprint_skeleton}, guarded by
-      {!Sqlfun_ast.Ast_util.equal_skeleton}. Statements that
-      are not plan-shaped (shallow test) or carry subqueries
-      (unshareable — {!Sqlfun_ast.Ast_util.fingerprint_skeleton} is
-      [None]) answer [Skip] without a fingerprint walk or a cache
-      entry, and a skeleton's first {e two} sightings also answer
-      [Skip]: compilation is deferred until a third statement proves
-      the family is big enough to amortise it, so the tens of
-      thousands of once- or twice-seen skeletons never pay the
-      compile cost (or a cache slot — only their fingerprint count is
-      retained). *)
-
-  type t
-
-  type lookup =
-    | Skip
-        (** not plan-shaped, unshareable, or fewer than three
-            sightings of this skeleton (compilation deferred): run the
-            interpreter *)
-    | Found of compiled  (** cache hit *)
-    | Added of compiled  (** compiled and admitted now (third sighting) *)
-
-  val create : unit -> t
-  val size : t -> int
-
-  val get_batched :
-    t -> registry:Registry.t -> count:int -> Ast.stmt -> lookup
-  (** Probe for a family of [count] members sharing [stmt]'s skeleton,
-      crediting [count] sightings in one probe — the batched executor
-      resolves a whole family at once, so a family of three or more
-      members compiles on its first probe, exactly as its third member
-      would have one probe at a time. *)
-end

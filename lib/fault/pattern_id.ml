@@ -41,12 +41,12 @@ let family_to_string = function
 
 (* Whether a pattern's case family shares one statement skeleton, i.e.
    its members differ only in literal leaves. These are the patterns
-   worth probing the compiled-plan cache for: one plan serves the whole
-   family. The others vary the skeleton itself per case — P2.1 bakes
-   the CAST target type into the tree, P3.2/P3.3 change the function
-   nesting, P2.2 varies subquery interiors — so their families are
-   measured >90% skeleton-singletons and probing them costs more than
-   interpreting. *)
+   whose families stream as batches and compile: one plan serves the
+   whole family. The others vary the skeleton itself per case — P2.1
+   bakes the CAST target type into the tree, P3.2/P3.3 change the
+   function nesting, P2.2 varies subquery interiors — so their families
+   are measured >90% skeleton-singletons and compiling them costs more
+   than interpreting. *)
 let shares_skeleton = function
   | P1_1 | P1_2 | P1_3 | P1_4 | P2_3 | P3_1 -> true
   | P2_1 | P2_2 | P3_2 | P3_3 -> false

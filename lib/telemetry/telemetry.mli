@@ -172,15 +172,16 @@ val memo_hit_rate : t -> float
 
 (** {1 Plan-compilation counters}
 
-    With the plan cache on, the detector records every campaign case
-    here: a {e hit} reused a cached compiled plan, a {e miss} compiled
-    one, and a {e fallback} ran through the interpreter — a seed, a
-    skeleton-varying case or a stateful scenario, a family the shallow
-    shape/shareability pre-filter turned away before the cache (no hit
-    or miss counted), or a probed family that compiled to [Fallback]
-    (counted as hits or a miss {e and} fallbacks). With the cache off
-    nothing is recorded. Like stage timings, these are throughput
-    metadata, not determinism-bearing totals. *)
+    With compilation on, the detector counts every campaign case here
+    exactly once, so [hits + misses + fallbacks] equals the cases
+    executed: a {e miss} is a family whose skeleton compiled (its
+    first member), a {e hit} is a further member run on its family's
+    plan, and a {e fallback} is an interpreted case — a seed, a
+    skeleton-varying case, a stateful scenario, a family of one, or a
+    member of a family whose skeleton compiled to [Fallback]. A family
+    compiles at most once, so misses never exceed family batches. With
+    compilation off nothing is recorded. Like stage timings, these are
+    throughput metadata, not determinism-bearing totals. *)
 
 val compile_hit : t -> unit
 val compile_miss : t -> unit
@@ -191,7 +192,8 @@ type compile_counts = { c_hits : int; c_misses : int; c_fallbacks : int }
 val compile_counts : t -> compile_counts
 
 val compile_hit_rate : t -> float
-(** [hits / (hits + misses)]; [0.] before any probe. *)
+(** [hits / (hits + misses)], the share of compiled members that
+    reused their family's plan; [0.] before any family compiles. *)
 
 val compact_add : t -> hits:int -> spills:int -> unit
 (** Credits a delta of compact-representation constructions (hits) and

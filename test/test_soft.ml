@@ -246,50 +246,6 @@ let test_soft_beats_baselines_on_mariadb () =
   Alcotest.(check int) "SQUIRREL finds none" 0 squirrel.Sqlfun_harness.Compare.bugs;
   Alcotest.(check int) "SQLancer finds none" 0 sqlancer.Sqlfun_harness.Compare.bugs
 
-(* ----- statement fingerprinting ----- *)
-
-let parse_exn sql =
-  match Sqlfun_parse.Parser.parse_stmt sql with
-  | Ok stmt -> stmt
-  | Error msg -> Alcotest.failf "unparseable %S: %s" sql msg
-
-let test_fingerprint_ddl_dml () =
-  (* a DDL/DML statement carries no slots, so its skeleton fingerprint
-     is the full structural fingerprint of the statement. Every pair
-     differs in one structural detail the plan cache must not conflate:
-     table name, column type, declared precision, NOT NULL flag,
-     inserted literal, column list, row arity. *)
-  let pairs =
-    [
-      ("CREATE TABLE t (v TEXT)", "CREATE TABLE u (v TEXT)");
-      ("CREATE TABLE t (v TEXT)", "CREATE TABLE t (v BIGINT)");
-      ( "CREATE TABLE t (v DECIMAL(38, 10))",
-        "CREATE TABLE t (v DECIMAL(40, 20))" );
-      ("CREATE TABLE t (v TEXT)", "CREATE TABLE t (v TEXT NOT NULL)");
-      ("INSERT INTO t VALUES (1)", "INSERT INTO t VALUES (2)");
-      ("INSERT INTO t VALUES (1)", "INSERT INTO t (v) VALUES (1)");
-      ("INSERT INTO t VALUES (1)", "INSERT INTO t VALUES (1), (1)");
-      ("INSERT INTO t VALUES ('x')", "INSERT INTO u VALUES ('x')");
-    ]
-  in
-  let fp = Ast_util.fingerprint_skeleton in
-  List.iter
-    (fun (a, b) ->
-      let sa = parse_exn a and sb = parse_exn b in
-      Alcotest.(check bool)
-        (Printf.sprintf "%S <> %S structurally" a b)
-        false
-        (Ast_util.equal_skeleton sa sb);
-      if fp sa = fp sb then
-        Alcotest.failf "distinct statements %S and %S collided" a b;
-      (* round-trip: print -> parse preserves equality and fingerprint *)
-      match Sqlfun_parse.Parser.parse_stmt (Sql_pp.stmt sa) with
-      | Ok sa' when Ast_util.equal_stmt sa sa' ->
-        Alcotest.(check (option int64)) "round-trip hashes equal" (fp sa)
-          (fp sa')
-      | Ok _ | Error _ -> ())
-    pairs
-
 let test_scenario_positions_counted () =
   (* satellite: count_positions counts INSERT/UPDATE/WHERE substitution
      slots, via the scenario probes that put calls there *)
@@ -471,7 +427,7 @@ let test_compile_campaign_identical () =
      executor — against the interpreter reconstructing each member's
      AST. Compiled execution is behaviour-invisible: identical verdict
      JSON, bug lists, FP signatures, the full hit-counted coverage JSON
-     and fault sites. Only throughput metadata (timings, plan-cache and
+     and fault sites. Only throughput metadata (timings, compile and
      batch counters) may differ. The budget forces
      {!Soft.Soft_runner.split_budget} shares through mid-family cuts, so
      batch splitting is exercised too. *)
@@ -521,7 +477,7 @@ let test_compile_campaign_identical () =
         Telemetry.compile_counts off.Soft.Soft_runner.telemetry
       in
       Alcotest.(check int)
-        (name ^ ": compile-off never probes the plan cache")
+        (name ^ ": compile-off compiles no plan")
         0
         (counts_off.Telemetry.c_hits + counts_off.Telemetry.c_misses))
     Dialect.all
@@ -537,6 +493,24 @@ let test_interpreted_cases_count_fallbacks () =
   let counts = Telemetry.compile_counts r.Soft.Soft_runner.telemetry in
   Alcotest.(check int) "one fallback per case" r.Soft.Soft_runner.cases_executed
     counts.Telemetry.c_fallbacks
+
+let test_compile_counts_each_case_once () =
+  (* every case lands in exactly one compile counter: a family that
+     runs on its plan is one miss plus a hit per further member, and
+     every interpreted case — including the members of a family whose
+     skeleton compiles to [Fallback] — is one fallback. A family
+     compiles at most once, so misses cannot exceed family batches. *)
+  let module Telemetry = Sqlfun_telemetry.Telemetry in
+  let r = Soft.Soft_runner.fuzz (Dialect.find_exn "monetdb") in
+  let tel = r.Soft.Soft_runner.telemetry in
+  let c = Telemetry.compile_counts tel in
+  let b = Telemetry.batch_counts tel in
+  Alcotest.(check bool) "families compiled" true (c.Telemetry.c_misses > 0);
+  Alcotest.(check int) "hits + misses + fallbacks = cases"
+    r.Soft.Soft_runner.cases_executed
+    (c.Telemetry.c_hits + c.Telemetry.c_misses + c.Telemetry.c_fallbacks);
+  Alcotest.(check bool) "misses <= family batches" true
+    (c.Telemetry.c_misses <= b.Telemetry.b_flushes)
 
 let test_compact_campaign_identical () =
   (* the compact-representation soundness bar, over every dialect:
@@ -730,8 +704,6 @@ let suite =
         test_detector_finds_planted_bug;
       Alcotest.test_case "detector classifies" `Quick test_detector_classifies;
       Alcotest.test_case "budgeted run" `Quick test_budgeted_run;
-      Alcotest.test_case "fingerprint over DDL/DML" `Quick
-        test_fingerprint_ddl_dml;
       Alcotest.test_case "scenario positions counted" `Quick
         test_scenario_positions_counted;
       Alcotest.test_case "crash restart respawns" `Quick
@@ -744,6 +716,8 @@ let suite =
         test_compile_campaign_identical;
       Alcotest.test_case "interpreted cases count fallbacks" `Quick
         test_interpreted_cases_count_fallbacks;
+      Alcotest.test_case "compile counters count each case once" `Quick
+        test_compile_counts_each_case_once;
       Alcotest.test_case "compact campaign identical (all dialects)" `Slow
         test_compact_campaign_identical;
       Alcotest.test_case "batch stream equivalence (all dialects)" `Slow
