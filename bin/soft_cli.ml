@@ -20,9 +20,19 @@ let dialect_arg =
   in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"DIALECT" ~doc)
 
+(* counts: a negative one is a usage error, not a silent default *)
+let count =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < 0 ->
+      Error (`Msg (Printf.sprintf "expected a non-negative count, got %d" n))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 let budget_arg default =
   let doc = "Maximum number of generated statements to execute (0 = exhaust)." in
-  Arg.(value & opt int default & info [ "budget"; "b" ] ~doc)
+  Arg.(value & opt count default & info [ "budget"; "b" ] ~doc)
 
 let jobs_arg =
   let doc =
@@ -31,7 +41,7 @@ let jobs_arg =
      count). Verdicts, bug lists and FP signatures are bit-identical \
      at any job count; only wall time changes."
   in
-  Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt count 0 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let shards_arg =
   let doc =
@@ -41,13 +51,13 @@ let shards_arg =
      them too would oversubscribe the cores). More shards than jobs is \
      fine; 1 shard is the sequential pipeline."
   in
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"K" ~doc)
+  Arg.(value & opt count 0 & info [ "shards" ] ~docv:"K" ~doc)
 
 (* 0-valued knobs resolve to the machine: jobs defaults to the core
    count, shards to the job count (one shard per worker). *)
 let resolve_parallelism ~jobs ~shards =
-  let jobs = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
-  let shards = if shards <= 0 then jobs else shards in
+  let jobs = if jobs = 0 then Domain.recommended_domain_count () else jobs in
+  let shards = if shards = 0 then jobs else shards in
   (jobs, shards)
 
 let trace_arg =
@@ -360,9 +370,9 @@ let tables_cmd =
        already one domain each, and sharding inside them would run up
        to jobs x shards domains. *)
     let jobs =
-      if jobs <= 0 then Domain.recommended_domain_count () else jobs
+      if jobs = 0 then Domain.recommended_domain_count () else jobs
     in
-    let shards = if shards <= 0 then 1 else shards in
+    let shards = if shards = 0 then 1 else shards in
     let results = Soft.Soft_runner.fuzz_all ?budget ~jobs ~shards () in
     print_string (Sqlfun_harness.Tables.table4 results);
     print_newline ();

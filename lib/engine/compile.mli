@@ -13,10 +13,12 @@
     run time).
 
     Compiled execution is observably identical to the interpreter:
-    same values, provenance, {!Sqlfun_functions.Fn_ctx.tick} counts and
-    costs, coverage points/branches, fault checks, profile frames, and
-    exceptions. Only a [SELECT] of non-aggregate expressions with no
-    FROM/WHERE/grouping/DISTINCT/ORDER BY/LIMIT and no star compiles;
+    a plan is a second driver over {!Interp}'s node kernels, so values,
+    {!Sqlfun_functions.Fn_ctx.tick} costs, coverage points/branches,
+    fault checks and errors come from the same code; the plan itself
+    keeps the interpreter's evaluation order, per-node ticks, provenance
+    and profile frames. Only a [SELECT] of non-aggregate expressions with
+    no FROM/WHERE/grouping/DISTINCT/ORDER BY/LIMIT and no star compiles;
     every other statement returns [Fallback] before any closure is
     built. *)
 

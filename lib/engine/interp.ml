@@ -241,6 +241,193 @@ let truthiness = function
     Some (r.Value.rp_bytes > 1 || Value.rope_flatten r <> "0")
   | _ -> Some true
 
+(* ----- node kernels: each expression node's rule over evaluated
+   operands, shared by [eval_expr] below and by Compile (see
+   interp.mli) ----- *)
+
+let literal_value (e : Ast.expr) =
+  match e with
+  | Ast.Null -> Value.Null
+  | Ast.Bool_lit b -> Value.Bool b
+  | Ast.Int_lit s -> value_of_int_lit s
+  | Ast.Dec_lit s -> value_of_dec_lit s
+  | Ast.Str_lit s -> Value.Str s
+  | Ast.Hex_lit b -> Value.Blob b
+  | _ -> invalid_arg "Interp.literal_value: not a literal"
+
+let column_arg row qual name =
+  match row with
+  | None -> err "no FROM clause: unknown column %s" name
+  | Some bindings ->
+    let key =
+      String.lowercase_ascii
+        (match qual with Some q -> q ^ "." ^ name | None -> name)
+    in
+    (match
+       List.find_opt (fun (n, _) -> String.lowercase_ascii n = key) bindings
+     with
+     | Some (_, v) -> { Fault.value = v; prov = Fault.Prov.Column }
+     | None -> err "unknown column %s" name)
+
+let cast_arg ctx (inner : Fault.arg) ty =
+  if inner.Fault.prov = Fault.Prov.Star then err "cannot cast '*'";
+  { Fault.value = Fn_ctx.cast_value ctx inner.Fault.value ty;
+    prov = Fault.Prov.Cast }
+
+let unop ctx op v =
+  match op with
+  | Ast.Neg ->
+    (match v with
+     | Value.Null -> Value.Null
+     | Value.Int i ->
+       (match Checked_int.neg i with
+        | Some r -> Value.Int r
+        | None -> Value.Dec (Decimal.neg (Decimal.of_int64 i)))
+     | Value.Dec d -> Value.Dec (Decimal.neg d)
+     | Value.Float f -> Value.Float (-.f)
+     | v -> arith ctx Ast.Sub (Value.Int 0L) v)
+  | Ast.Not ->
+    (match truthiness v with
+     | None -> Value.Null
+     | Some b -> Value.Bool (not b))
+  | Ast.Bit_not ->
+    (match v with
+     | Value.Null -> Value.Null
+     | Value.Int i -> Value.Int (Int64.lognot i)
+     | _ ->
+       (match Fn_ctx.cast_value ctx v Ast.T_bigint with
+        | Value.Int i -> Value.Int (Int64.lognot i)
+        | _ -> err "bad operand for ~"))
+
+let short_circuit op va =
+  match op with
+  | Ast.And -> truthiness va = Some false
+  | Ast.Or -> truthiness va = Some true
+  | _ -> false
+
+let binop ctx op va vb =
+  match op with
+  | Ast.And ->
+    (match (truthiness va, truthiness vb) with
+     | Some x, Some y -> Value.Bool (x && y)
+     | None, Some false | Some false, None -> Value.Bool false
+     | _, _ -> Value.Null)
+  | Ast.Or ->
+    (match (truthiness va, truthiness vb) with
+     | Some x, Some y -> Value.Bool (x || y)
+     | None, Some true | Some true, None -> Value.Bool true
+     | _, _ -> Value.Null)
+  | _ when Value.is_null va || Value.is_null vb -> Value.Null
+  | Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
+    (match Value.compare_values va vb with
+     | Some c ->
+       Value.Bool
+         (match op with
+          | Ast.Eq -> c = 0
+          | Ast.Neq -> c <> 0
+          | Ast.Lt -> c < 0
+          | Ast.Le -> c <= 0
+          | Ast.Gt -> c > 0
+          | _ -> c >= 0)
+     | None ->
+       err "cannot compare %s with %s"
+         (Value.ty_name (Value.type_of va))
+         (Value.ty_name (Value.type_of vb)))
+  | Ast.Like ->
+    Value.Bool (like_match ~pattern:(Value.to_display vb) (Value.to_display va))
+  | Ast.Concat ->
+    (match (Value.str_bytes va, Value.str_bytes vb) with
+     | Some la, Some lb
+       when ctx.Fn_ctx.compact && la + lb >= Value.Compact.min_str_bytes ->
+       (* both operands are strings, so the byte total — and the cap
+          check it feeds — is exactly the flat concatenation's; the
+          result stays compact *)
+       Fn_ctx.alloc_check ctx (la + lb);
+       (match Value.rope_concat va vb with
+        | Some v -> v
+        | None -> assert false (* both operands are strings *))
+     | _ ->
+       let sa = Value.to_display va and sb = Value.to_display vb in
+       Fn_ctx.alloc_check ctx (String.length sa + String.length sb);
+       Value.Str (sa ^ sb))
+  | Ast.Bit_and | Ast.Bit_or | Ast.Bit_xor | Ast.Shift_l | Ast.Shift_r ->
+    let as_i v =
+      match Fn_ctx.cast_value ctx v Ast.T_bigint with
+      | Value.Int i -> i
+      | _ -> err "bad operand for bit operation"
+    in
+    (* OCaml evaluates application arguments right to left: [vb] is cast
+       first, which fixes the order of cast errors and coverage hits *)
+    Value.Int (bitop op (as_i va) (as_i vb))
+  | Ast.Add | Ast.Sub ->
+    (* date/interval arithmetic first, then numerics *)
+    (match (datetime_of_value va, vb, va, datetime_of_value vb) with
+     | Some dt, Value.Interval iv, _, _ ->
+       temporal_shift ctx dt iv (if op = Ast.Add then 1 else -1)
+     | _, _, Value.Interval iv, Some dt when op = Ast.Add ->
+       temporal_shift ctx dt iv 1
+     | _ -> arith ctx op va vb)
+  | Ast.Mul | Ast.Div | Ast.Mod -> arith ctx op va vb
+
+let is_null ~negated v =
+  let isnull = Value.is_null v in
+  Value.Bool (if negated then not isnull else isnull)
+
+let case_hit operand w =
+  match operand with
+  | Some v -> Value.equal v w
+  | None -> truthiness w = Some true
+
+let in_values v vals =
+  let any_null = List.exists Value.is_null vals in
+  if List.exists (fun u -> Value.equal u v) vals then Value.Bool true
+  else if any_null then Value.Null
+  else Value.Bool false
+
+let between v lo hi =
+  if Value.is_null v || Value.is_null lo || Value.is_null hi then Value.Null
+  else
+    match (Value.compare_values v lo, Value.compare_values v hi) with
+    | Some c1, Some c2 -> Value.Bool (c1 >= 0 && c2 <= 0)
+    | _, _ -> err "BETWEEN: incomparable types"
+
+let scalar_of_rows rows =
+  match rows with
+  | [] -> Value.Null
+  | [ v ] :: _ -> v
+  | (_ :: _ :: _) :: _ -> err "scalar subquery returned more than one column"
+  | [] :: _ -> err "scalar subquery returned no columns"
+
+(* every function dispatch is an [eval] scope on its own spelling;
+   nested calls in the argument list open their own scopes, so self-time
+   pins to the function actually running. The one cached resolution
+   carries the scope's stats record, the coverage cell and the fault
+   specs, so a call hashes nothing past the resolve probe. *)
+let enter_call profile fname resolved =
+  match resolved with
+  | Some r -> Registry.enter profile r
+  | None -> Profile.enter_fn profile fname Profile.Eval
+
+let apply_call ctx fname resolved distinct args =
+  match resolved with
+  | None ->
+    (* DISTINCT on a non-aggregate (known or not) rejects first *)
+    if distinct then err "%s does not accept DISTINCT" fname
+    else err "unknown function %s" (String.uppercase_ascii fname)
+  | Some r ->
+    (match (Registry.spec r).Func_sig.kind with
+     | Func_sig.Aggregate _ ->
+       (* An aggregate without GROUP BY context: aggregate over a single
+          conceptual row (SELECT COUNT(1) with no table). The executor
+          handles grouped evaluation; reaching here means a bare SELECT.
+          [aggregate] records the coverage point itself. *)
+       let inst = Registry.aggregate ctx r ~distinct in
+       inst.Func_sig.step args;
+       { Fault.value = inst.Func_sig.final (); prov = Registry.prov r }
+     | Func_sig.Scalar _ ->
+       if distinct then err "%s does not accept DISTINCT" fname;
+       { Fault.value = Registry.invoke ctx r args; prov = Registry.prov r })
+
 (* ----- evaluation ----- *)
 
 let rec eval_expr env ~row e : Fault.arg =
@@ -254,133 +441,72 @@ let rec eval_expr env ~row e : Fault.arg =
   | Ast.Str_lit s -> ret ~prov:Fault.Prov.Literal (Value.Str s)
   | Ast.Hex_lit b -> ret ~prov:Fault.Prov.Literal (Value.Blob b)
   | Ast.Star -> { Fault.value = Value.Null; prov = Fault.Prov.Star }
-  | Ast.Column (qual, name) ->
-    (match row with
-     | None -> err "no FROM clause: unknown column %s" name
-     | Some bindings ->
-       let key =
-         String.lowercase_ascii
-           (match qual with Some q -> q ^ "." ^ name | None -> name)
-       in
-       (match
-          List.find_opt (fun (n, _) -> String.lowercase_ascii n = key) bindings
-        with
-        | Some (_, v) -> ret ~prov:Fault.Prov.Column v
-        | None -> err "unknown column %s" name))
+  | Ast.Column (qual, name) -> column_arg row qual name
   | Ast.Call { fname = "CONVERT"; args = [ e1; Ast.Column (None, ty) ]; distinct } ->
     (* CONVERT's second argument is a type keyword, not a column *)
     eval_call env ~row "CONVERT" [ e1; Ast.Str_lit ty ] distinct
   | Ast.Call { fname; args; distinct } -> eval_call env ~row fname args distinct
-  | Ast.Cast (e1, ty) ->
-    let inner = eval_expr env ~row e1 in
-    if inner.Fault.prov = Fault.Prov.Star then err "cannot cast '*'";
-    { Fault.value = Fn_ctx.cast_value env.ctx inner.Fault.value ty;
-      prov = Fault.Prov.Cast }
-  | Ast.Unop (Ast.Neg, e1) ->
-    let v = (eval_expr env ~row e1).Fault.value in
-    (match v with
-     | Value.Null -> ret Value.Null
-     | Value.Int i ->
-       (match Checked_int.neg i with
-        | Some r -> ret (Value.Int r)
-        | None -> ret (Value.Dec (Decimal.neg (Decimal.of_int64 i))))
-     | Value.Dec d -> ret (Value.Dec (Decimal.neg d))
-     | Value.Float f -> ret (Value.Float (-.f))
-     | v -> ret (arith env.ctx Ast.Sub (Value.Int 0L) v))
-  | Ast.Unop (Ast.Not, e1) ->
-    (match truthiness (eval_expr env ~row e1).Fault.value with
-     | None -> ret Value.Null
-     | Some b -> ret (Value.Bool (not b)))
-  | Ast.Unop (Ast.Bit_not, e1) ->
-    let v = (eval_expr env ~row e1).Fault.value in
-    (match v with
-     | Value.Null -> ret Value.Null
-     | Value.Int i -> ret (Value.Int (Int64.lognot i))
-     | _ ->
-       (match Fn_ctx.cast_value env.ctx v Ast.T_bigint with
-        | Value.Int i -> ret (Value.Int (Int64.lognot i))
-        | _ -> err "bad operand for ~"))
-  | Ast.Binop (op, a, b) -> eval_binop env ~row op a b
+  | Ast.Cast (e1, ty) -> cast_arg env.ctx (eval_expr env ~row e1) ty
+  | Ast.Unop (op, e1) -> ret (unop env.ctx op (eval_expr env ~row e1).Fault.value)
+  | Ast.Binop (((Ast.And | Ast.Or) as op), a, b) ->
+    let va = (eval_expr env ~row a).Fault.value in
+    (* short-circuit where 3VL allows: the skipped side reads as NULL *)
+    let vb =
+      if short_circuit op va then Value.Null else (eval_expr env ~row b).Fault.value
+    in
+    ret (binop env.ctx op va vb)
+  | Ast.Binop (op, a, b) ->
+    let va = (eval_expr env ~row a).Fault.value in
+    let vb = (eval_expr env ~row b).Fault.value in
+    ret (binop env.ctx op va vb)
   | Ast.Row es ->
     ret (Value.Row (List.map (fun e -> (eval_expr env ~row e).Fault.value) es))
   | Ast.Array_lit es ->
     ret (Value.Arr (List.map (fun e -> (eval_expr env ~row e).Fault.value) es))
   | Ast.Case { operand; branches; else_ } ->
-    let matched =
-      match operand with
-      | Some op_e ->
-        let v = (eval_expr env ~row op_e).Fault.value in
-        List.find_opt
-          (fun (w, _) -> Value.equal v (eval_expr env ~row w).Fault.value)
-          branches
-      | None ->
-        List.find_opt
-          (fun (w, _) -> truthiness (eval_expr env ~row w).Fault.value = Some true)
-          branches
+    let operand = Option.map (fun e -> (eval_expr env ~row e).Fault.value) operand in
+    (* WHEN arms evaluate lazily, up to the first hit *)
+    let rec pick = function
+      | (w, t) :: rest ->
+        if case_hit operand (eval_expr env ~row w).Fault.value then
+          (eval_expr env ~row t).Fault.value
+        else pick rest
+      | [] ->
+        (match else_ with
+         | Some e1 -> (eval_expr env ~row e1).Fault.value
+         | None -> Value.Null)
     in
-    (match matched with
-     | Some (_, then_e) -> ret (eval_expr env ~row then_e).Fault.value
-     | None ->
-       (match else_ with
-        | Some e1 -> ret (eval_expr env ~row e1).Fault.value
-        | None -> ret Value.Null))
+    ret (pick branches)
   | Ast.In_list (e1, items) ->
     let v = (eval_expr env ~row e1).Fault.value in
+    (* a NULL left side leaves the list unevaluated *)
     if Value.is_null v then ret Value.Null
-    else begin
-      let vals =
-        List.concat_map
-          (fun item ->
-            match item with
-            | Ast.Subquery q ->
-              let rs = exec_query env q in
-              List.concat_map (fun r -> r) rs.rows
-            | _ -> [ (eval_expr env ~row item).Fault.value ])
-          items
-      in
-      let any_null = List.exists Value.is_null vals in
-      if List.exists (fun u -> Value.equal u v) vals then ret (Value.Bool true)
-      else if any_null then ret Value.Null
-      else ret (Value.Bool false)
-    end
+    else
+      ret
+        (in_values v
+           (List.concat_map
+              (fun item ->
+                match item with
+                | Ast.Subquery q -> List.concat (exec_query env q).rows
+                | _ -> [ (eval_expr env ~row item).Fault.value ])
+              items))
   | Ast.Is_null (e1, negated) ->
-    let v = (eval_expr env ~row e1).Fault.value in
-    let isnull = Value.is_null v in
-    ret (Value.Bool (if negated then not isnull else isnull))
+    ret (is_null ~negated (eval_expr env ~row e1).Fault.value)
   | Ast.Between (e1, lo, hi) ->
     let v = (eval_expr env ~row e1).Fault.value in
     let lo_v = (eval_expr env ~row lo).Fault.value in
     let hi_v = (eval_expr env ~row hi).Fault.value in
-    if Value.is_null v || Value.is_null lo_v || Value.is_null hi_v then
-      ret Value.Null
-    else
-      (match (Value.compare_values v lo_v, Value.compare_values v hi_v) with
-       | Some c1, Some c2 -> ret (Value.Bool (c1 >= 0 && c2 <= 0))
-       | _, _ -> err "BETWEEN: incomparable types")
+    ret (between v lo_v hi_v)
   | Ast.Subquery q ->
-    let rs = exec_query env q in
-    (match rs.rows with
-     | [] -> { Fault.value = Value.Null; prov = Fault.Prov.Subquery }
-     | [ v ] :: _ -> { Fault.value = v; prov = Fault.Prov.Subquery }
-     | (_ :: _ :: _) :: _ -> err "scalar subquery returned more than one column"
-     | [] :: _ -> err "scalar subquery returned no columns")
-  | Ast.Exists q ->
-    let rs = exec_query env q in
-    ret (Value.Bool (rs.rows <> []))
+    ret ~prov:Fault.Prov.Subquery (scalar_of_rows (exec_query env q).rows)
+  | Ast.Exists q -> ret (Value.Bool ((exec_query env q).rows <> []))
 
+(* match-with-exception instead of a [with_*] wrapper keeps the per-call
+   path closure-free *)
 and eval_call env ~row fname arg_exprs distinct =
-  (* every function dispatch is an [eval] scope on its own spelling;
-     nested calls in the argument list open their own scopes, so
-     self-time pins to the function actually running. The one cached
-     resolution carries the scope's stats record, the coverage cell and
-     the fault specs, so the call hashes nothing past the resolve probe.
-     match-with-exception instead of a [with_*] wrapper keeps the
-     per-call path closure-free. *)
   let resolved = Registry.resolve env.registry fname in
-  (match resolved with
-   | Some r -> Registry.enter env.profile r
-   | None -> Profile.enter_fn env.profile fname Profile.Eval);
-  match eval_call_body env ~row fname resolved arg_exprs distinct with
+  enter_call env.profile fname resolved;
+  match apply_call env.ctx fname resolved distinct (eval_args env ~row arg_exprs) with
   | v ->
     Profile.exit env.profile;
     v
@@ -388,133 +514,12 @@ and eval_call env ~row fname arg_exprs distinct =
     Profile.exit env.profile;
     raise e
 
-and eval_call_body env ~row fname resolved arg_exprs distinct =
-  let args = eval_args env ~row arg_exprs in
-  match resolved with
-  | None ->
-    (* DISTINCT on a non-aggregate (known or not) rejects first *)
-    if distinct then err "%s does not accept DISTINCT" fname
-    else err "unknown function %s" (String.uppercase_ascii fname)
-  | Some r ->
-    (match (Registry.spec r).Func_sig.kind with
-     | Func_sig.Aggregate _ ->
-       (* An aggregate without GROUP BY context: aggregate over a single
-          conceptual row (SELECT COUNT(1) with no table). The executor
-          handles grouped evaluation; reaching here means a bare SELECT.
-          [aggregate] records the coverage point itself. *)
-       let inst = Registry.aggregate env.ctx r ~distinct in
-       inst.Func_sig.step args;
-       { Fault.value = inst.Func_sig.final (); prov = Registry.prov r }
-     | Func_sig.Scalar _ ->
-       if distinct then err "%s does not accept DISTINCT" fname;
-       { Fault.value = Registry.invoke env.ctx r args; prov = Registry.prov r })
-
 (* left to right, as [List.map] does, without its closure *)
 and eval_args env ~row = function
   | [] -> []
   | e :: rest ->
     let a = eval_expr env ~row e in
     a :: eval_args env ~row rest
-
-and eval_binop env ~row op a b =
-  let ret ?(prov = Fault.Prov.Operator) value = { Fault.value; prov } in
-  match op with
-  | Ast.And | Ast.Or ->
-    let va = truthiness (eval_expr env ~row a).Fault.value in
-    (* short-circuit where 3VL allows *)
-    (match (op, va) with
-     | Ast.And, Some false -> ret (Value.Bool false)
-     | Ast.Or, Some true -> ret (Value.Bool true)
-     | _ ->
-       let vb = truthiness (eval_expr env ~row b).Fault.value in
-       (match (op, va, vb) with
-        | Ast.And, Some x, Some y -> ret (Value.Bool (x && y))
-        | Ast.And, None, Some false | Ast.And, Some false, None ->
-          ret (Value.Bool false)
-        | Ast.And, _, _ -> ret Value.Null
-        | Ast.Or, Some x, Some y -> ret (Value.Bool (x || y))
-        | Ast.Or, None, Some true | Ast.Or, Some true, None ->
-          ret (Value.Bool true)
-        | Ast.Or, _, _ -> ret Value.Null
-        | _ -> assert false))
-  | Ast.Eq | Ast.Neq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
-    let va = (eval_expr env ~row a).Fault.value in
-    let vb = (eval_expr env ~row b).Fault.value in
-    if Value.is_null va || Value.is_null vb then ret Value.Null
-    else
-      (match Value.compare_values va vb with
-       | Some c ->
-         let r =
-           match op with
-           | Ast.Eq -> c = 0
-           | Ast.Neq -> c <> 0
-           | Ast.Lt -> c < 0
-           | Ast.Le -> c <= 0
-           | Ast.Gt -> c > 0
-           | Ast.Ge -> c >= 0
-           | _ -> false
-         in
-         ret (Value.Bool r)
-       | None ->
-         err "cannot compare %s with %s"
-           (Value.ty_name (Value.type_of va))
-           (Value.ty_name (Value.type_of vb)))
-  | Ast.Like ->
-    let va = (eval_expr env ~row a).Fault.value in
-    let vb = (eval_expr env ~row b).Fault.value in
-    if Value.is_null va || Value.is_null vb then ret Value.Null
-    else ret (Value.Bool (like_match ~pattern:(Value.to_display vb) (Value.to_display va)))
-  | Ast.Concat ->
-    let va = (eval_expr env ~row a).Fault.value in
-    let vb = (eval_expr env ~row b).Fault.value in
-    if Value.is_null va || Value.is_null vb then ret Value.Null
-    else begin
-      match (Value.str_bytes va, Value.str_bytes vb) with
-      | Some la, Some lb
-        when env.ctx.Fn_ctx.compact
-             && la + lb >= Value.Compact.min_str_bytes ->
-        (* both operands are strings, so the byte total — and the cap
-           check it feeds — is exactly the flat concatenation's; the
-           result stays compact *)
-        Fn_ctx.alloc_check env.ctx (la + lb);
-        (match Value.rope_concat va vb with
-         | Some v -> ret v
-         | None -> assert false (* both operands are strings *))
-      | _ ->
-        let sa = Value.to_display va and sb = Value.to_display vb in
-        Fn_ctx.alloc_check env.ctx (String.length sa + String.length sb);
-        ret (Value.Str (sa ^ sb))
-    end
-  | Ast.Bit_and | Ast.Bit_or | Ast.Bit_xor | Ast.Shift_l | Ast.Shift_r ->
-    let va = (eval_expr env ~row a).Fault.value in
-    let vb = (eval_expr env ~row b).Fault.value in
-    if Value.is_null va || Value.is_null vb then ret Value.Null
-    else begin
-      let as_i v =
-        match Fn_ctx.cast_value env.ctx v Ast.T_bigint with
-        | Value.Int i -> i
-        | _ -> err "bad operand for bit operation"
-      in
-      ret (Value.Int (bitop op (as_i va) (as_i vb)))
-    end
-  | Ast.Add | Ast.Sub ->
-    let va = (eval_expr env ~row a).Fault.value in
-    let vb = (eval_expr env ~row b).Fault.value in
-    if Value.is_null va || Value.is_null vb then ret Value.Null
-    else begin
-      (* date/interval arithmetic first, then numerics *)
-      match (datetime_of_value va, vb, va, datetime_of_value vb) with
-      | Some dt, Value.Interval iv, _, _ ->
-        ret (temporal_shift env.ctx dt iv (if op = Ast.Add then 1 else -1))
-      | _, _, Value.Interval iv, Some dt when op = Ast.Add ->
-        ret (temporal_shift env.ctx dt iv 1)
-      | _ -> ret (arith env.ctx op va vb)
-    end
-  | Ast.Mul | Ast.Div | Ast.Mod ->
-    let va = (eval_expr env ~row a).Fault.value in
-    let vb = (eval_expr env ~row b).Fault.value in
-    if Value.is_null va || Value.is_null vb then ret Value.Null
-    else ret (arith env.ctx op va vb)
 
 (* ----- query execution ----- *)
 

@@ -372,6 +372,9 @@ let plan_skeletons =
     "SELECT 1 IN (SELECT 2), 1 IN (3, (SELECT 4))";
     "SELECT (SELECT 1 UNION SELECT 2), ABS(1)";
     "SELECT NO_SUCH_FUNCTION(1), ABS(DISTINCT 1)";
+    "SELECT DATE('2024-01-31') + INTERVAL 1 MONTH, \
+     INTERVAL 2 DAY + DATE('2024-02-28'), DATE('2024-03-01') - INTERVAL 1 YEAR";
+    "SELECT LENGTH(REPEAT('ab', 3000) || 'x'), 'y' || REPEAT('c', 5000)";
   ]
 
 let boundary_literals =
