@@ -3,7 +3,7 @@
     - [soft_cli fuzz <dialect>] — run a SOFT campaign against one dialect
     - [soft_cli study] — regenerate the bug-study statistics (§4/§5)
     - [soft_cli compare] — equal-budget tool comparison (Tables 5/6)
-    - [soft_cli tables] — every paper table/figure, paper-vs-measured
+    - [soft_cli tables] — Tables 3-4 and Figure 2, paper-vs-measured
     - [soft_cli repl <dialect>] — interactive SQL against a dialect *)
 
 open Cmdliner
@@ -321,18 +321,7 @@ let fuzz_cmd =
 
 let study_cmd =
   let run () =
-    print_string (Sqlfun_harness.Tables.table1 ());
-    print_newline ();
-    print_string (Sqlfun_harness.Tables.finding1 ());
-    print_newline ();
-    print_string (Sqlfun_harness.Tables.figure1 ());
-    print_newline ();
-    print_string (Sqlfun_harness.Tables.table2 ());
-    print_newline ();
-    print_string (Sqlfun_harness.Tables.finding3 ());
-    print_string (Sqlfun_harness.Tables.finding4 ());
-    print_newline ();
-    print_string (Sqlfun_harness.Tables.root_causes ());
+    print_string (Sqlfun_harness.Tables.study_section ());
     0
   in
   Cmd.v
@@ -345,11 +334,7 @@ let compare_cmd =
         let runs =
           Sqlfun_harness.Compare.comparison ~telemetry:tel ~budget ()
         in
-        print_string (Sqlfun_harness.Tables.table5 runs);
-        print_newline ();
-        print_string (Sqlfun_harness.Tables.table6 runs);
-        print_newline ();
-        print_string (Sqlfun_harness.Tables.bugs_in_budget runs);
+        print_string (Sqlfun_harness.Tables.comparison_section runs);
         fun () ->
           Sqlfun_harness.Compare.comparison_to_json ~telemetry:tel ~budget runs);
     0
@@ -373,12 +358,9 @@ let tables_cmd =
       if jobs = 0 then Domain.recommended_domain_count () else jobs
     in
     let shards = if shards = 0 then 1 else shards in
-    let results = Soft.Soft_runner.fuzz_all ?budget ~jobs ~shards () in
-    print_string (Sqlfun_harness.Tables.table4 results);
-    print_newline ();
-    print_string (Sqlfun_harness.Tables.table4_totals results);
-    print_newline ();
-    print_string (Sqlfun_harness.Tables.figure2 results);
+    print_string
+      (Sqlfun_harness.Tables.campaign_section
+         (Sqlfun_harness.Tables.paper_campaigns ?budget ~jobs ~shards ()));
     0
   in
   Cmd.v

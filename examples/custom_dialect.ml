@@ -64,7 +64,10 @@ let () =
   let seeds =
     Soft.Collector.collect ~registry ~suite:[ "SELECT SHOUT('release', 2)" ] ()
   in
-  let cases = Soft.Patterns.all_cases ~registry ~seeds in
+  let cases =
+    List.to_seq Pattern_id.all
+    |> Seq.concat_map (Soft.Patterns.generate ~registry ~seeds)
+  in
   let found = ref None in
   let executed = ref 0 in
   (try

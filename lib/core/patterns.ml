@@ -358,10 +358,6 @@ let generate ?telemetry ~registry ~seeds pattern =
     Sqlfun_telemetry.Telemetry.time_seq t ~pattern:(Pattern_id.to_string pattern)
       ~stage:"generate" cases
 
-let all_cases ~registry ~seeds =
-  seq_of_list Pattern_id.all
-  |> Seq.concat_map (fun p -> generate ~registry ~seeds p)
-
 (* ----- stateful scenarios: prerequisite synthesis ----- *)
 
 type scenario = { prereqs : Ast.stmt list; case : case }

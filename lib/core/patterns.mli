@@ -30,10 +30,6 @@ val generate :
     pattern — generation is interleaved with execution, so this is the
     only honest way to attribute its cost. *)
 
-val all_cases :
-  registry:Registry.t -> seeds:Collector.seed list -> case Seq.t
-(** All patterns concatenated in paper order. *)
-
 val count_positions : Collector.seed list -> int
 (** Number of (call, argument) substitution slots across the seeds —
     reported by the CLI and exercised in tests. *)

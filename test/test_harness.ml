@@ -82,6 +82,24 @@ let test_campaign_tables_render () =
   let fig2 = Tables.figure2 results in
   Alcotest.(check bool) "figure2 mentions confirmed" true (contains fig2 "confirmed")
 
+(* Table 4 counts the paper's 132 bugs; the stateful scenario stream
+   would add postgresql's two staged parse/storage-stage sites *)
+let test_paper_campaign_matches_table4 () =
+  let prof = Dialect.find_exn "postgresql" in
+  let r = Tables.paper_campaign prof in
+  Alcotest.(check int) "no scenarios" 0 r.Soft.Soft_runner.scenarios_executed;
+  let total_row =
+    String.split_on_char '\n' (Tables.table4 [ r ])
+    |> List.find (fun line -> contains line "TOTAL")
+  in
+  Alcotest.(check bool)
+    ("TOTAL (1) beside paper: 1 in " ^ total_row)
+    true
+    (contains total_row "TOTAL (1)" && contains total_row "paper: 1");
+  let stateful = Soft.Soft_runner.fuzz prof in
+  Alcotest.(check int) "the stateful campaign finds 3" 3
+    (List.length stateful.Soft.Soft_runner.bugs)
+
 let test_compare_small () =
   let runs =
     [
@@ -136,6 +154,8 @@ let suite =
       Alcotest.test_case "agg-equiv direct" `Quick test_agg_equiv_direct;
       Alcotest.test_case "study tables render" `Quick test_study_tables_render;
       Alcotest.test_case "campaign tables render" `Quick test_campaign_tables_render;
+      Alcotest.test_case "paper campaign matches Table 4" `Slow
+        test_paper_campaign_matches_table4;
       Alcotest.test_case "small comparison" `Quick test_compare_small;
       Alcotest.test_case "support matrix" `Quick test_support_matrix;
       QCheck_alcotest.to_alcotest (prop_engine_total ());
