@@ -22,10 +22,12 @@ let raw args i =
    representation-blind by construction. *)
 let value args i = Value.view (raw args i)
 
-let value_opt args i =
+let raw_opt args i =
   match List.nth_opt args i with
-  | Some a when a.Fault.prov <> Fault.Prov.Star -> Some (Value.view a.Fault.value)
+  | Some a when a.Fault.prov <> Fault.Prov.Star -> Some a.Fault.value
   | Some _ | None -> None
+
+let value_opt args i = Option.map Value.view (raw_opt args i)
 
 let reject_containers what v =
   match v with
@@ -33,38 +35,43 @@ let reject_containers what v =
     err "cannot coerce %s to %s" (Value.ty_name (Value.type_of v)) what
   | _ -> v
 
+(* The scalar accessors reject containers on the raw value and view only
+   what passed: [type_of] names a range ARRAY as its spilled cells do, so
+   the error is the boxed path's without building those cells. *)
+let scalar what args i = Value.view (reject_containers what (raw args i))
+
 let str ctx args i =
-  match Fn_ctx.cast_value ctx (reject_containers "a string" (value args i)) Ast.T_text with
+  match Fn_ctx.cast_value ctx (scalar "a string" args i) Ast.T_text with
   | Value.Str s -> s
   | Value.Null -> err "unexpected NULL argument %d" (i + 1)
   | v -> Value.to_display v
 
 let int_ ctx args i =
-  match Fn_ctx.cast_value ctx (reject_containers "an integer" (value args i)) Ast.T_bigint with
+  match Fn_ctx.cast_value ctx (scalar "an integer" args i) Ast.T_bigint with
   | Value.Int v -> v
   | Value.Null -> err "unexpected NULL argument %d" (i + 1)
   | v -> err "argument %d is not an integer (%s)" (i + 1) (Value.ty_name (Value.type_of v))
 
 let int_opt ctx args i =
-  match value_opt args i with
+  match raw_opt args i with
   | None -> None
   | Some Value.Null -> None
   | Some _ -> Some (int_ ctx args i)
 
 let dec ctx args i =
-  match Fn_ctx.cast_value ctx (reject_containers "a number" (value args i)) (Ast.T_decimal None) with
+  match Fn_ctx.cast_value ctx (scalar "a number" args i) (Ast.T_decimal None) with
   | Value.Dec d -> d
   | Value.Null -> err "unexpected NULL argument %d" (i + 1)
   | v -> err "argument %d is not a number (%s)" (i + 1) (Value.ty_name (Value.type_of v))
 
 let float_ ctx args i =
-  match Fn_ctx.cast_value ctx (reject_containers "a number" (value args i)) Ast.T_double with
+  match Fn_ctx.cast_value ctx (scalar "a number" args i) Ast.T_double with
   | Value.Float f -> f
   | Value.Null -> err "unexpected NULL argument %d" (i + 1)
   | v -> err "argument %d is not a number (%s)" (i + 1) (Value.ty_name (Value.type_of v))
 
 let bool_ ctx args i =
-  match Fn_ctx.cast_value ctx (reject_containers "a boolean" (value args i)) Ast.T_bool with
+  match Fn_ctx.cast_value ctx (scalar "a boolean" args i) Ast.T_bool with
   | Value.Bool b -> b
   | Value.Null -> err "unexpected NULL argument %d" (i + 1)
   | v -> err "argument %d is not a boolean (%s)" (i + 1) (Value.ty_name (Value.type_of v))
@@ -82,13 +89,13 @@ let json_path ctx args i =
   | Error msg -> err "bad JSON path %S: %s" s msg
 
 let date ctx args i =
-  match Fn_ctx.cast_value ctx (reject_containers "a date" (value args i)) Ast.T_date with
+  match Fn_ctx.cast_value ctx (scalar "a date" args i) Ast.T_date with
   | Value.Date d -> d
   | Value.Null -> err "argument %d is not a valid date" (i + 1)
   | v -> err "argument %d is not a date (%s)" (i + 1) (Value.ty_name (Value.type_of v))
 
 let datetime ctx args i =
-  match Fn_ctx.cast_value ctx (reject_containers "a datetime" (value args i)) Ast.T_datetime with
+  match Fn_ctx.cast_value ctx (scalar "a datetime" args i) Ast.T_datetime with
   | Value.Datetime dt -> dt
   | Value.Date d ->
     (match Calendar.datetime_of_string (Calendar.date_to_string d) with

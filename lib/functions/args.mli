@@ -20,6 +20,11 @@ val raw : Fault.arg list -> int -> Value.t
     [Range_arr]/[Rope_str]. Only for accessors/implementations that
     provably treat the compact and boxed spellings identically. *)
 
+(* The scalar accessors [str], [int_], [dec], [float_], [bool_], [date]
+   and [datetime] reject an array, map or row argument from its raw
+   value, with the error its boxed spelling gets, so a compact range
+   is rejected without being spilled. *)
+
 val str : Fn_ctx.t -> Fault.arg list -> int -> string
 val int_ : Fn_ctx.t -> Fault.arg list -> int -> int64
 val int_opt : Fn_ctx.t -> Fault.arg list -> int -> int64 option

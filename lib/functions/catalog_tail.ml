@@ -555,7 +555,8 @@ let to_char_fn =
     ~examples:[ "TO_CHAR(1234.5)" ]
     (fun _ctx args ->
       ignore (Args.value_opt args 1);
-      Value.Str (Value.to_display (Args.value args 0)))
+      (* the raw value: [to_display] renders a range without spilling it *)
+      Value.Str (Value.to_display (Args.raw args 0)))
 
 let try_cast_fn =
   cast_scalar "TRY_CAST" ~min_args:2 ~max_args:(Some 2)

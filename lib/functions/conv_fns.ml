@@ -52,7 +52,8 @@ let convert_fn =
 let tostring_fn =
   scalar "TOSTRING" ~min_args:1 ~max_args:(Some 1) ~hints:[ Func_sig.H_any ]
     ~examples:[ "TOSTRING(42)" ]
-    (fun _ctx args -> Value.Str (Value.to_display (Args.value args 0)))
+    (* the raw value: [to_display] renders a range without spilling it *)
+    (fun _ctx args -> Value.Str (Value.to_display (Args.raw args 0)))
 
 let tonumber_fn =
   scalar "TONUMBER" ~min_args:1 ~max_args:(Some 1) ~hints:[ Func_sig.H_str ]

@@ -10,8 +10,10 @@ let cat = "math"
 let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 let scalar = Func_sig.scalar ~category:cat
 
+(* the raw value: a compact one is never a number, so it answers [None]
+   as its spelled-out view would, without spilling *)
 let numeric args i =
-  match Args.value args i with
+  match Args.raw args i with
   | (Value.Int _ | Value.Dec _ | Value.Float _ | Value.Bool _) as v -> Some v
   | _ -> None
 

@@ -540,10 +540,13 @@ let rec to_array cfg elt_ty v =
 and dispatch cfg v target =
   (* Compact head: identity casts keep the compact representation (the
      boxed path would return the very same bytes/elements — a rope IS a
-     TEXT value, a range IS an ARRAY of in-range BIGINTs); every other
-     target sees the boxed spelling, so the per-target converters below
-     never meet a compact value and their verdicts cannot depend on the
-     representation. *)
+     TEXT value, a range IS an ARRAY of in-range BIGINTs). A range cast
+     to a string type goes straight to [to_string_target]: that converter
+     reads only [Value.to_display], which renders a range from
+     first/step/len to the bytes of its spelled-out cells. Every other
+     target sees the boxed spelling, so the remaining per-target
+     converters never meet a compact value and their verdicts cannot
+     depend on the representation. *)
   match v with
   | Value.Rope_str r ->
     (match target with
@@ -555,6 +558,8 @@ and dispatch cfg v target =
   | Value.Range_arr _ ->
     (match target with
      | Ast.T_array_t Ast.T_bigint -> Ok v
+     | Ast.T_text -> to_string_target cfg None v
+     | Ast.T_char limit | Ast.T_varchar limit -> to_string_target cfg limit v
      | _ -> dispatch cfg (Value.view v) target)
   | _ ->
   match target with

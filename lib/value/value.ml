@@ -13,8 +13,9 @@ open Sqlfun_data
    to its boxed spelling. Every function in this module that inspects
    structure either handles the compact constructors with an O(1)
    computation proven equal to the boxed one ([size_of], [depth_of],
-   [type_of], range-vs-range comparison), or materializes through
-   {!view} first. Compact values are only built above the
+   [type_of], range-vs-range comparison), renders a range from
+   first/step/len to its cells' bytes ([to_display]), or materializes
+   through {!view} first. Compact values are only built above the
    {!Compact.min_array_len}/{!Compact.min_str_bytes} thresholds and are
    never empty, so sites that compare against small literal values
    (e.g. [v = Str ""], [v = Arr []]) can never meet one. Spilling
@@ -338,6 +339,68 @@ let float_display f =
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.12g" f
 
+(* ----- range rendering -----
+
+   A range renders as its elements' [Int64.to_string] joined by ", "
+   inside brackets, written straight from first/step/len: one pass
+   sums the digit counts, a second writes into a buffer of exactly
+   that size, so neither the boxed cells nor the per-element strings
+   exist. Digits come from the negated value, whose range covers
+   [min_int] too. The digit helpers are inlined so that their int64
+   argument stays unboxed: a call would box it once per element. *)
+
+let neg64 v : int64 = if v < 0L then v else Int64.neg v
+
+let[@inline] int64_width v =
+  let n = ref (neg64 v) and w = ref (if v < 0L then 2 else 1) in
+  while !n <= -10L do
+    n := Int64.div !n 10L;
+    incr w
+  done;
+  !w
+
+(* writes [v] ending just before [stop]; its [int64_width] bytes start
+   at [stop - int64_width v] *)
+let[@inline] write_int64 buf stop v =
+  let n = ref (neg64 v) and p = ref stop in
+  while
+    decr p;
+    Bytes.unsafe_set buf !p (Char.unsafe_chr (48 - Int64.to_int (Int64.rem !n 10L)));
+    n := Int64.div !n 10L;
+    !n <> 0L
+  do
+    ()
+  done;
+  if v < 0L then Bytes.unsafe_set buf (!p - 1) '-'
+
+(* the step past the last cell may wrap around; that value is never read *)
+let range_display r =
+  let width = ref (2 + (2 * (r.rg_len - 1))) in
+  let v = ref r.rg_first in
+  for _ = 1 to r.rg_len do
+    width := !width + int64_width !v;
+    v := Int64.add !v r.rg_step
+  done;
+  let buf = Bytes.create !width in
+  Bytes.unsafe_set buf 0 '[';
+  let pos = ref 1 in
+  v := r.rg_first;
+  for i = 1 to r.rg_len do
+    if i > 1 then begin
+      Bytes.unsafe_set buf !pos ',';
+      Bytes.unsafe_set buf (!pos + 1) ' ';
+      pos := !pos + 2
+    end;
+    pos := !pos + int64_width !v;
+    write_int64 buf !pos !v;
+    v := Int64.add !v r.rg_step
+  done;
+  Bytes.unsafe_set buf !pos ']';
+  Bytes.unsafe_to_string buf
+
+(* Containers render into one buffer: the same bytes as concatenating
+   each element's rendering with the separators, without the
+   intermediate strings and lists. *)
 let rec to_display = function
   | Null -> "NULL"
   | Bool true -> "TRUE"
@@ -354,18 +417,39 @@ let rec to_display = function
   | Interval { amount; unit_ } ->
     Printf.sprintf "INTERVAL %Ld %s" amount (Calendar.unit_to_string unit_)
   | Json j -> Json.to_string j
-  | Arr vs -> "[" ^ String.concat ", " (List.map to_display vs) ^ "]"
-  | Range_arr r -> to_display (Arr (range_spill r))
-  | Map kvs ->
-    "{"
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> to_display k ^ ": " ^ to_display v) kvs)
-    ^ "}"
-  | Row vs -> "(" ^ String.concat ", " (List.map to_display vs) ^ ")"
+  | Range_arr r -> range_display r
+  | (Arr _ | Map _ | Row _) as v ->
+    let buf = Buffer.create 64 in
+    add_display buf v;
+    Buffer.contents buf
   | Inet a -> Inet.to_string a
   | Uuid u -> u
   | Geom g -> Geometry.to_wkt g
   | Xml nodes -> Xml_doc.to_string nodes
+
+and add_display buf = function
+  | Arr vs -> add_seq buf '[' ']' vs
+  | Row vs -> add_seq buf '(' ')' vs
+  | Map kvs ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_string buf ", ";
+        add_display buf k;
+        Buffer.add_string buf ": ";
+        add_display buf v)
+      kvs;
+    Buffer.add_char buf '}'
+  | v -> Buffer.add_string buf (to_display v)
+
+and add_seq buf l r vs =
+  Buffer.add_char buf l;
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_string buf ", ";
+      add_display buf v)
+    vs;
+  Buffer.add_char buf r
 
 (* Numeric coercion tower: Int < Dec < Float. *)
 let as_dec = function

@@ -157,7 +157,10 @@ val arr_length : t -> int option
 (** Array length — O(1) on [Range_arr], O(n) on [Arr]. *)
 
 val to_display : t -> string
-(** Result-set rendering (what a client would print). *)
+(** Result-set rendering (what a client would print). Arrays, rows and
+    maps render into one buffer. A [Range_arr] renders from
+    first/step/len into a string of exactly its size, byte-equal to
+    its spilled cells' rendering, and is never spilled. *)
 
 val compare_values : t -> t -> int option
 (** SQL comparison with numeric coercion across [Int]/[Dec]/[Float];

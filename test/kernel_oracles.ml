@@ -856,3 +856,21 @@ let cast_point ty target outcome =
   Printf.sprintf "cast/%s->%s/%s"
     (Value.ty_name ty)
     (Sqlfun_ast.Sql_pp.type_name target) outcome
+
+(* ----- lib/value/value.ml: container rendering -----
+
+   The container arms of the old [to_display], kept for
+   [test_kernels.ml]: a range spilled to its boxed cells, and every
+   container built from concatenated element strings. The scalar arms
+   did not change, so they defer to [Value.to_display]. *)
+
+let rec to_display = function
+  | Value.Arr vs -> "[" ^ String.concat ", " (List.map to_display vs) ^ "]"
+  | Value.Range_arr r -> to_display (Value.Arr (Value.range_spill r))
+  | Value.Map kvs ->
+    "{"
+    ^ String.concat ", "
+        (List.map (fun (k, v) -> to_display k ^ ": " ^ to_display v) kvs)
+    ^ "}"
+  | Value.Row vs -> "(" ^ String.concat ", " (List.map to_display vs) ^ ")"
+  | v -> Value.to_display v

@@ -1,7 +1,9 @@
 (* Instrumentation handles: the cast point table, the per-engine
    handles a function resolution keeps (coverage cell, profiler stats
-   record, fault specs), and the allocation guard that keeps per-event
-   formatting and hashing out of the call and cast paths. *)
+   record, fault specs), the allocation guard that keeps per-event
+   formatting and hashing out of the call and cast paths, and the spill
+   guard that keeps boundary-sized ranges unspilled where they are
+   rejected or rendered. *)
 
 open Sqlfun_engine
 open Sqlfun_functions
@@ -257,6 +259,50 @@ let test_allocation_guard () =
     Alcotest.failf "an interpreted ABS(-1) call allocates %.1f words"
       (call -. no_call)
 
+(* words allocated on either heap by [f ()] (a promoted word is counted
+   once, at its minor allocation) and the compact spills it adds *)
+let words_and_spills f =
+  let s0 = Value.Compact.read () in
+  let mi0, pr0, ma0 = Gc.counters () in
+  let r = f () in
+  let mi1, pr1, ma1 = Gc.counters () in
+  (r, mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0), (Value.Compact.since s0).spills)
+
+let test_spill_guard () =
+  (* A boundary-sized RANGE that a scalar argument rejects, or that a
+     TEXT column renders, is answered from first/step/len: no spill, and
+     a word count well below its cells. Spilling them cost 5.9M, 1.7M
+     and 1.45M words; these statements take 47, 38 and 243k. Of the
+     INSERT's words, 86k are the rendered string and most of the rest
+     is the fresh engine's first statement. The outcomes are the boxed
+     path's. *)
+  let outcome = function
+    | Ok o -> Engine.outcome_to_string o
+    | Error err -> Engine.error_to_string err
+  in
+  let check e (sql, want, bound) =
+    let stmt = parse sql in
+    let got, words, spills = words_and_spills (fun () -> Engine.exec_stmt e stmt) in
+    Alcotest.(check string) sql want (outcome got);
+    Alcotest.(check int) (sql ^ " spills") 0 spills;
+    if words > bound then
+      Alcotest.failf "%s allocates %.0f words (bound %.0f)" sql words bound
+  in
+  let engine d =
+    Sqlfun_dialects.Dialect.make_engine ~armed:true (Sqlfun_dialects.Dialect.find_exn d)
+  in
+  let ch = engine "clickhouse" in
+  List.iter (check ch)
+    [ ("SELECT FROM_DAYS(RANGE(738000))", "ERROR: cannot coerce ARRAY to an integer", 1e3);
+      ("SELECT PERIOD_ADD(RANGE(202305), 3)",
+       "ERROR: cannot coerce ARRAY to an integer", 1e3) ];
+  let duck = engine "duckdb" in
+  run duck (parse "CREATE TABLE t (v TEXT)");
+  check duck ("INSERT INTO t VALUES (RANGE(99999))", "OK, 1 row(s) affected", 4e5);
+  match Engine.exec_sql duck "SELECT LENGTH(v) FROM t" with
+  | Ok o -> Alcotest.(check string) "rendered length" "col1\n688883" (Engine.outcome_to_string o)
+  | Error err -> Alcotest.fail (Engine.error_to_string err)
+
 let suite =
   ( "instrumentation",
     [
@@ -270,4 +316,5 @@ let suite =
       Alcotest.test_case "dialect switch re-binds the stats" `Quick test_dialect_switch;
       Alcotest.test_case "switch opens a sibling scope" `Quick test_switch;
       Alcotest.test_case "allocation guard" `Quick test_allocation_guard;
+      Alcotest.test_case "spill guard" `Quick test_spill_guard;
     ] )

@@ -261,6 +261,66 @@ let test_parser_quirks () =
     (fun s -> Alcotest.(check bool) (Printf.sprintf "%S" s) true (check_parsers s))
     (inet_quirks @ [ "/"; "/a"; "/a/"; "/a//b"; "/a[1]/b[0]"; "/a[x]"; "a/b"; "/[1]" ])
 
+(* ----- container rendering ----- *)
+
+(* Ranges of 256-5000 cells with step +-1, anchored where the digit
+   writer has edges: around zero (sign changes mid-range), at a power
+   of ten (widths change mid-range), at either end of int64, or
+   anywhere in the native int range. *)
+let range_gen =
+  QCheck.Gen.(
+    let* len = int_range 256 5000 and* up = bool and* anchor = int_range 0 4 in
+    let step = if up then 1L else -1L and span = Int64.of_int (len - 1) in
+    let+ first =
+      match anchor with
+      | 0 ->
+        let+ k = int_range 0 (len - 1) in
+        Int64.of_int (if up then -k else k)
+      | 1 ->
+        let+ e = int_range 1 18 and* k = int_range 0 (len - 1) and* neg = bool in
+        let p = Int64.of_string ("1" ^ String.make e '0') in
+        let first = Int64.sub p (Int64.of_int (if up then k else k - len + 1)) in
+        if neg then Int64.neg (Int64.add first (Int64.mul step span)) else first
+      | 2 -> return (if up then Int64.sub Int64.max_int span else Int64.max_int)
+      | 3 -> return (if up then Int64.min_int else Int64.add Int64.min_int span)
+      | _ -> map Int64.of_int int
+    in
+    Value.range_arr ~first ~step ~len)
+
+let rec nested_gen depth =
+  QCheck.Gen.(
+    let scalar =
+      oneof
+        [ map (fun i -> Value.Int (Int64.of_int i)) int;
+          map (fun s -> Value.Str s) (string_size ~gen:printable (int_range 0 6));
+          map (fun f -> Value.Float f) float;
+          oneofl [ Value.Null; Value.Bool true; Value.Int Int64.min_int ] ]
+    in
+    if depth = 0 then scalar
+    else
+      let elems = list_size (int_range 0 4) (nested_gen (depth - 1)) in
+      frequency
+        [ (3, scalar);
+          (1, map (fun vs -> Value.Arr vs) elems);
+          (1, map (fun vs -> Value.Row vs) elems);
+          (1, map (fun vs -> Value.Map (List.map (fun v -> (v, v)) vs)) elems);
+          (1,
+           let+ first = map Int64.of_int small_signed_int and* len = int_range 256 300 in
+           Value.range_arr ~first ~step:1L ~len) ])
+
+let check_display v = Value.to_display v = Old.to_display v
+
+let prop_range_display =
+  QCheck.Test.make ~name:"range rendering equals the spilled concatenation" ~count:300
+    (QCheck.make ~print:Value.to_display range_gen)
+    check_display
+
+let prop_nested_display =
+  QCheck.Test.make ~name:"container rendering equals the concatenated original"
+    ~count:500
+    (QCheck.make ~print:Value.to_display (nested_gen 3))
+    check_display
+
 (* ----- allocation guard ----- *)
 
 (* Minor words one call allocates. A result above 256 words goes
@@ -311,4 +371,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_conv;
       QCheck_alcotest.to_alcotest prop_regex;
       QCheck_alcotest.to_alcotest prop_parsers;
+      QCheck_alcotest.to_alcotest prop_range_display;
+      QCheck_alcotest.to_alcotest prop_nested_display;
     ] )

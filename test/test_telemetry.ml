@@ -547,9 +547,14 @@ let test_profile_folded_format () =
 
 let test_profile_attribution_on_fuzz () =
   (* the acceptance bar: >= 95% of profiled engine time charged to named
-     keys on a real (small) campaign *)
+     keys on a real campaign. 20000 cases profile ~120 ms of engine
+     time, ten times what 2000 cases did, so one descheduled slice
+     weighs a tenth as much against the bar (the ratio reads ~0.97).
+     The earlier tests' garbage is collected first, so its marking
+     does not land in this campaign's scopes. *)
   let prof = Dialect.find_exn "mysql" in
-  let r = Soft.Soft_runner.fuzz ~budget:2000 prof in
+  Gc.full_major ();
+  let r = Soft.Soft_runner.fuzz ~budget:20000 prof in
   let p = r.Soft.Soft_runner.profile in
   Alcotest.(check bool) "profiler saw the campaign" true (Profile.rows p <> []);
   let a = Profile.attribution p in
