@@ -259,45 +259,11 @@ let fuzz_cmd =
            | None -> ());
           Printf.printf "SOFT campaign against %s %s (simulated)\n"
             prof.Dialect.display prof.Dialect.version;
-          Printf.printf "  seeds collected:      %d\n" r.Soft.Soft_runner.seeds_collected;
-          Printf.printf "  substitution slots:   %d\n" r.Soft.Soft_runner.positions;
-          Printf.printf "  statements executed:  %d\n" r.Soft.Soft_runner.cases_executed;
-          if not no_stateful then begin
-            Printf.printf "  stateful scenarios:   %d (%d prereq statements)\n"
-              r.Soft.Soft_runner.scenarios_executed
-              r.Soft.Soft_runner.prereq_statements;
-            let sv = r.Soft.Soft_runner.stage_verdicts in
-            Printf.printf
-              "  crash verdicts by stage: parse %d / execute %d / storage %d\n"
-              sv.Soft.Detector.parse sv.Soft.Detector.execute
-              sv.Soft.Detector.storage
-          end;
-          (let cc = Telemetry.compile_counts r.Soft.Soft_runner.telemetry in
-           Printf.printf
-             "  compiled families:    %d (%d members compiled, %d \
-              interpreted)\n"
-             cc.Telemetry.c_misses
-             (cc.Telemetry.c_misses + cc.Telemetry.c_hits)
-             cc.Telemetry.c_fallbacks);
-          (let kc = Telemetry.compact_counts r.Soft.Soft_runner.telemetry in
-           Printf.printf "  compact values:       %d built, %d spilled\n"
-             kc.Telemetry.k_hits kc.Telemetry.k_spills);
-          (let bc = Telemetry.batch_counts r.Soft.Soft_runner.telemetry in
-           Printf.printf "  batched cases:        %d (%d family batches)\n"
-             bc.Telemetry.b_cases bc.Telemetry.b_flushes);
-          Printf.printf "  passed / clean errors: %d / %d\n" r.Soft.Soft_runner.passed
-            r.Soft.Soft_runner.clean_errors;
-          (* the paper's "7 false positives" counts unique reports, so both
-             units are printed *)
-          Printf.printf "  false positives:      %d (%d unique reports)\n"
-            r.Soft.Soft_runner.false_positives
-            r.Soft.Soft_runner.unique_false_positives;
-          Printf.printf "  functions triggered:  %d\n" r.Soft.Soft_runner.functions_triggered;
-          Printf.printf "  branches covered:     %d\n" r.Soft.Soft_runner.branches_covered;
-          Printf.printf "  bugs found:           %d\n" (List.length r.Soft.Soft_runner.bugs);
+          List.iter (Printf.printf "  %s\n")
+            Soft.Report.(summary_lines (summary r));
           List.iter
             (fun b ->
-              Printf.printf "    %s\n" (Soft.Soft_runner.bug_summary_line b);
+              Printf.printf "    %s\n" (Soft.Report.bug_summary_line b);
               if verbose then
                 Printf.printf "      note: %s\n" b.Soft.Detector.spec.Sqlfun_fault.Fault.note)
             r.Soft.Soft_runner.bugs;

@@ -34,5 +34,5 @@ let () =
     result.Soft.Soft_runner.cases_executed result.Soft.Soft_runner.clean_errors
     (List.length result.Soft.Soft_runner.bugs);
   List.iter
-    (fun b -> Printf.printf "  %s\n" (Soft.Soft_runner.bug_summary_line b))
+    (fun b -> Printf.printf "  %s\n" (Soft.Report.bug_summary_line b))
     result.Soft.Soft_runner.bugs

@@ -196,13 +196,15 @@ type item = {
   first_case : int option;
 }
 
+let pattern_tag = function
+  | Some p -> Pattern_id.to_string p
+  | None -> "seed"
+
 let with_item t ?first_case pattern f =
   let dialect = t.prof.Dialect.id in
   (* Pattern_id.to_string returns shared literals, so tagging spans and
      counters with the pattern costs no allocation *)
-  let pat =
-    match pattern with Some p -> Pattern_id.to_string p | None -> "seed"
-  in
+  let pat = pattern_tag pattern in
   Telemetry.with_span t.tel ~dialect ~pattern:pat "execute" (fun () ->
       f
         {
@@ -437,4 +439,3 @@ let coverage t = t.cov
 let engine t = t.engine
 let profile t = t.prof
 let telemetry t = t.tel
-let exec_profile t = t.xprof

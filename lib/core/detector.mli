@@ -24,6 +24,10 @@ type found_bug = {
   case_number : int;               (** 1-based execution index *)
 }
 
+val pattern_tag : Pattern_id.t option -> string
+(** The tag verdict counters, events and bug records carry for a case's
+    pattern: {!Pattern_id.to_string}, or ["seed"] for a seed replay. *)
+
 type t
 
 val create :
@@ -175,7 +179,3 @@ val profile : t -> Dialect.profile
 val telemetry : t -> Sqlfun_telemetry.Telemetry.t
 (** The collector the detector records into (the one passed to
     {!create}, or its private one). *)
-
-val exec_profile : t -> Sqlfun_telemetry.Profile.t
-(** The attribution profiler the detector's engine charges (the one
-    passed to {!create}, or its private one). *)

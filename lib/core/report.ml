@@ -5,8 +5,28 @@ module Profile = Sqlfun_telemetry.Profile
 module Json = Sqlfun_telemetry.Json
 module Coverage = Sqlfun_coverage.Coverage
 
+(* ----- bug provenance: the one rendering of [found_by] ----- *)
+
+let seed_family = "seed replay"
+let family_name p = Pattern_id.family_to_string (Pattern_id.family p)
+
+(* the pattern tag and paper family a bug is credited to *)
+let provenance (b : Detector.found_bug) =
+  ( Detector.pattern_tag b.Detector.found_by,
+    match b.Detector.found_by with
+    | Some p -> family_name p
+    | None -> seed_family )
+
+let bug_summary_line (b : Detector.found_bug) =
+  let spec = b.Detector.spec in
+  Printf.sprintf "[%s] %s %s %s via %s: %s"
+    (Bug_kind.to_string spec.Fault.kind)
+    spec.Fault.dialect spec.Fault.func spec.Fault.site
+    (fst (provenance b)) b.Detector.poc
+
 let bug_to_markdown (b : Detector.found_bug) =
   let spec = b.Detector.spec in
+  let pattern, family = provenance b in
   Printf.sprintf
     "## %s: %s in `%s`\n\n\
      - **Site**: `%s`\n\
@@ -21,14 +41,131 @@ let bug_to_markdown (b : Detector.found_bug) =
     (Bug_kind.describe spec.Fault.kind)
     spec.Fault.func spec.Fault.site
     (Bug_kind.describe spec.Fault.kind)
-    (match b.Detector.found_by with
-     | Some p -> Pattern_id.to_string p
-     | None -> "regression suite")
-    (match b.Detector.found_by with
-     | Some p -> Pattern_id.family_to_string (Pattern_id.family p)
-     | None -> "seed replay")
+    pattern family
     (Fault.status_to_string spec.Fault.status)
     b.Detector.case_number b.Detector.poc spec.Fault.note
+
+(* ----- the campaign summary: one row list, rendered three ways ----- *)
+
+(* Scenario counters and stage attribution are verdict facts, not
+   throughput metadata: they are deterministic in shard/job count and
+   toggle settings, so they live INSIDE [totals] and the CI determinism
+   diffs gate them. The compile, compact and batch counters are
+   throughput metadata, like [stages], and live OUTSIDE [totals]:
+   compile probes vary with shard count, compact construction/spill
+   counts with the [--no-compact] knob, and batch flush/member counts
+   with budget-share splits, while verdicts and bugs do not.
+   Determinism checks diff [totals], [verdicts], [bugs], [fp_signatures]
+   and [families] across jobs/shards/toggle settings, and those must not
+   see them. *)
+type home = Totals | Compile | Compact | Batch
+
+type row = {
+  label : string;
+  text : string;
+  home : home;
+  fields : (string * Json.t) list;
+}
+
+type summary = row list
+
+let bugs_label = "bugs found"
+
+let summary (r : Soft_runner.result) =
+  let tel = r.Soft_runner.telemetry in
+  let cc = Telemetry.compile_counts tel
+  and kc = Telemetry.compact_counts tel
+  and bc = Telemetry.batch_counts tel
+  and sv = r.Soft_runner.stage_verdicts in
+  let row label home fields fmt =
+    Printf.ksprintf (fun text -> { label; text; home; fields }) fmt
+  in
+  let ints = List.map (fun (k, n) -> (k, Json.Int n)) in
+  let one label key n = row label Totals (ints [ (key, n) ]) "%d" n in
+  [
+    one "seeds collected" "seeds_collected" r.Soft_runner.seeds_collected;
+    one "substitution slots" "positions" r.Soft_runner.positions;
+    one "statements executed" "cases_executed" r.Soft_runner.cases_executed;
+    row "stateful scenarios" Totals
+      (ints
+         [
+           ("scenarios_executed", r.Soft_runner.scenarios_executed);
+           ("prereq_statements", r.Soft_runner.prereq_statements);
+         ])
+      "%d (%d prereq statements)" r.Soft_runner.scenarios_executed
+      r.Soft_runner.prereq_statements;
+    row "crash verdicts by stage" Totals
+      [
+        ( "verdict_stages",
+          Json.Obj
+            (ints
+               [
+                 ("parse", sv.Detector.parse);
+                 ("execute", sv.Detector.execute);
+                 ("storage", sv.Detector.storage);
+               ]) );
+      ]
+      "parse %d / execute %d / storage %d" sv.Detector.parse
+      sv.Detector.execute sv.Detector.storage;
+    row "compiled families" Compile
+      (ints
+         [
+           ("hits", cc.Telemetry.c_hits);
+           ("misses", cc.Telemetry.c_misses);
+           ("fallbacks", cc.Telemetry.c_fallbacks);
+         ]
+      @ [ ("hit_rate", Json.Float (Telemetry.compile_hit_rate tel)) ])
+      "%d (%d members compiled, %d interpreted)" cc.Telemetry.c_misses
+      (cc.Telemetry.c_misses + cc.Telemetry.c_hits)
+      cc.Telemetry.c_fallbacks;
+    row "compact values" Compact
+      (ints
+         [ ("hits", kc.Telemetry.k_hits); ("spills", kc.Telemetry.k_spills) ])
+      "%d built, %d spilled" kc.Telemetry.k_hits kc.Telemetry.k_spills;
+    row "batched cases" Batch
+      (ints
+         [ ("flushes", bc.Telemetry.b_flushes); ("cases", bc.Telemetry.b_cases) ])
+      "%d (%d family batches)" bc.Telemetry.b_cases bc.Telemetry.b_flushes;
+    row "passed / clean errors" Totals
+      (ints
+         [
+           ("passed", r.Soft_runner.passed);
+           ("clean_errors", r.Soft_runner.clean_errors);
+         ])
+      "%d / %d" r.Soft_runner.passed r.Soft_runner.clean_errors;
+    (* the paper's "7 false positives" counts unique reports, so both
+       units are shown *)
+    row "false positives" Totals
+      (ints
+         [
+           ("false_positives", r.Soft_runner.false_positives);
+           ("unique_false_positives", r.Soft_runner.unique_false_positives);
+         ])
+      "%d (%d unique reports)" r.Soft_runner.false_positives
+      r.Soft_runner.unique_false_positives;
+    one "known crashes" "known_crashes" r.Soft_runner.known_crashes;
+    one bugs_label "bugs" (List.length r.Soft_runner.bugs);
+    one "functions triggered" "functions_triggered"
+      r.Soft_runner.functions_triggered;
+    one "branches covered" "branches_covered" r.Soft_runner.branches_covered;
+  ]
+
+(* rows keep [totals] key order, except that the bug count closes the
+   text block: the bug list follows it *)
+let summary_lines s =
+  let bugs, rest = List.partition (fun r -> r.label = bugs_label) s in
+  List.map (fun r -> Printf.sprintf "%-21s %s" (r.label ^ ":") r.text)
+    (rest @ bugs)
+
+let summary_json s =
+  List.map
+    (fun (home, key) ->
+      ( key,
+        Json.Obj
+          (List.concat_map (fun r -> if r.home = home then r.fields else []) s)
+      ))
+    [ (Totals, "totals"); (Compile, "compile"); (Compact, "compact");
+      (Batch, "batch") ]
 
 let campaign_to_markdown (r : Soft_runner.result) =
   let buf = Buffer.create 4096 in
@@ -36,29 +173,10 @@ let campaign_to_markdown (r : Soft_runner.result) =
   Buffer.add_string buf
     (Printf.sprintf "# SOFT campaign report — %s %s (simulated)\n\n"
        p.Dialect.display p.Dialect.version);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "- statements executed: %d\n\
-        - stateful scenarios: %d (%d prerequisite statements)\n\
-        - crash verdicts by stage: parse %d / execute %d / storage %d\n\
-        - compact values: %d built, %d spilled\n\
-        - passed / clean errors: %d / %d\n\
-        - resource false positives: %d (%d unique reports)\n\
-        - functions triggered: %d\n\
-        - branch points covered: %d\n\
-        - **bugs found: %d**\n\n"
-       r.Soft_runner.cases_executed r.Soft_runner.scenarios_executed
-       r.Soft_runner.prereq_statements
-       r.Soft_runner.stage_verdicts.Detector.parse
-       r.Soft_runner.stage_verdicts.Detector.execute
-       r.Soft_runner.stage_verdicts.Detector.storage
-       (Telemetry.compact_counts r.Soft_runner.telemetry).Telemetry.k_hits
-       (Telemetry.compact_counts r.Soft_runner.telemetry).Telemetry.k_spills
-       r.Soft_runner.passed
-       r.Soft_runner.clean_errors r.Soft_runner.false_positives
-       r.Soft_runner.unique_false_positives r.Soft_runner.functions_triggered
-       r.Soft_runner.branches_covered
-       (List.length r.Soft_runner.bugs));
+  List.iter
+    (fun line -> Buffer.add_string buf ("- " ^ line ^ "\n"))
+    (summary_lines (summary r));
+  Buffer.add_char buf '\n';
   (match r.Soft_runner.timings with
    | [] -> ()
    | timings ->
@@ -101,26 +219,19 @@ let family_of_pattern_tag tag =
   match
     List.find_opt (fun p -> Pattern_id.to_string p = tag) Pattern_id.all
   with
-  | Some p -> Pattern_id.family_to_string (Pattern_id.family p)
-  | None -> if tag = "seed" then "seed replay" else tag
+  | Some p -> family_name p
+  | None -> if tag = Detector.pattern_tag None then seed_family else tag
 
 let bug_to_json (b : Detector.found_bug) =
   let spec = b.Detector.spec in
+  let pattern, family = provenance b in
   Json.Obj
     [
       ("site", Json.Str spec.Fault.site);
       ("func", Json.Str spec.Fault.func);
       ("kind", Json.Str (Bug_kind.to_string spec.Fault.kind));
-      ( "pattern",
-        Json.Str
-          (match b.Detector.found_by with
-           | Some p -> Pattern_id.to_string p
-           | None -> "seed") );
-      ( "family",
-        Json.Str
-          (match b.Detector.found_by with
-           | Some p -> Pattern_id.family_to_string (Pattern_id.family p)
-           | None -> "seed replay") );
+      ("pattern", Json.Str pattern);
+      ("family", Json.Str family);
       ("status", Json.Str (Fault.status_to_string spec.Fault.status));
       ("case_number", Json.Int b.Detector.case_number);
       ("poc", Json.Str b.Detector.poc);
@@ -164,59 +275,14 @@ let family_rollup_json (tel : Telemetry.t) =
 let campaign_to_json (r : Soft_runner.result) =
   let p = r.Soft_runner.dialect in
   Json.Obj
-    [
-      ("schema", Json.Str "soft-telemetry/1");
-      ("kind", Json.Str "campaign");
-      ("dialect", Json.Str p.Dialect.id);
-      ("version", Json.Str p.Dialect.version);
-      ( "totals",
-        Json.Obj
-          [
-            ("seeds_collected", Json.Int r.Soft_runner.seeds_collected);
-            ("positions", Json.Int r.Soft_runner.positions);
-            ("cases_executed", Json.Int r.Soft_runner.cases_executed);
-            (* scenario counters and stage attribution are verdict
-               facts, not throughput metadata: they are deterministic
-               in shard/job count and toggle settings, so they live
-               INSIDE [totals] and the CI determinism diffs gate
-               them *)
-            ("scenarios_executed", Json.Int r.Soft_runner.scenarios_executed);
-            ("prereq_statements", Json.Int r.Soft_runner.prereq_statements);
-            ( "verdict_stages",
-              Json.Obj
-                [
-                  ( "parse",
-                    Json.Int r.Soft_runner.stage_verdicts.Detector.parse );
-                  ( "execute",
-                    Json.Int r.Soft_runner.stage_verdicts.Detector.execute );
-                  ( "storage",
-                    Json.Int r.Soft_runner.stage_verdicts.Detector.storage );
-                ] );
-            ("passed", Json.Int r.Soft_runner.passed);
-            ("clean_errors", Json.Int r.Soft_runner.clean_errors);
-            ("false_positives", Json.Int r.Soft_runner.false_positives);
-            ( "unique_false_positives",
-              Json.Int r.Soft_runner.unique_false_positives );
-            ("known_crashes", Json.Int r.Soft_runner.known_crashes);
-            ("bugs", Json.Int (List.length r.Soft_runner.bugs));
-            ("functions_triggered", Json.Int r.Soft_runner.functions_triggered);
-            ("branches_covered", Json.Int r.Soft_runner.branches_covered);
-          ] );
-      (* plan-compilation counters are throughput metadata, like
-         [stages]: probes vary with shard count (each shard caches plans
-         privately), so they live OUTSIDE [totals] — determinism checks
-         diff [totals], [verdicts], [bugs], [fp_signatures] and
-         [families] across jobs/shards/toggle settings, and those must
-         not see them *)
-      ("compile", Telemetry.compile_to_json r.Soft_runner.telemetry);
-      (* compact-representation counters are throughput metadata too:
-         construction/spill counts vary with the [--no-compact] knob
-         while verdicts and bugs do not *)
-      ("compact", Telemetry.compact_to_json r.Soft_runner.telemetry);
-      (* batched-execution counters are throughput metadata too: flush
-         and member counts vary with budget-share splits while verdicts
-         and bugs do not *)
-      ("batch", Telemetry.batch_to_json r.Soft_runner.telemetry);
+    ([
+       ("schema", Json.Str "soft-telemetry/1");
+       ("kind", Json.Str "campaign");
+       ("dialect", Json.Str p.Dialect.id);
+       ("version", Json.Str p.Dialect.version);
+     ]
+    @ summary_json (summary r)
+    @ [
       ( "stages",
         Json.Arr (List.map Telemetry.stage_timing_to_json r.Soft_runner.timings)
       );
@@ -230,4 +296,4 @@ let campaign_to_json (r : Soft_runner.result) =
         Json.Arr
           (List.map (fun s -> Json.Str s) r.Soft_runner.fp_signatures) );
       ("coverage", Coverage.to_json r.Soft_runner.coverage);
-    ]
+    ])

@@ -336,12 +336,8 @@ let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
   in
   List.iter
     (fun (b : Detector.found_bug) ->
-      let pattern =
-        match b.Detector.found_by with
-        | Some p -> Pattern_id.to_string p
-        | None -> "seed"
-      in
-      Telemetry.reclassify_verdict tel ~dialect ~pattern
+      Telemetry.reclassify_verdict tel ~dialect
+        ~pattern:(Detector.pattern_tag b.Detector.found_by)
         ~from_:Telemetry.New_bug ~to_:Telemetry.Dup_bug)
     demoted;
   let sum f = Array.fold_left (fun acc d -> acc + f d) 0 detectors in
@@ -421,27 +417,3 @@ let fuzz_all ?budget ?telemetry ?timeseries ?compile ?compact ?stateful
       telemetry;
     results
   end
-
-let bugs_by_pattern_family result =
-  let count family =
-    List.length
-      (List.filter
-         (fun (b : Detector.found_bug) ->
-           Pattern_id.family b.Detector.spec.Fault.pattern = family)
-         result.bugs)
-  in
-  [
-    (Pattern_id.Literal, count Pattern_id.Literal);
-    (Pattern_id.Casting, count Pattern_id.Casting);
-    (Pattern_id.Nested, count Pattern_id.Nested);
-  ]
-
-let bug_summary_line (b : Detector.found_bug) =
-  Printf.sprintf "[%s] %s %s %s via %s: %s"
-    (Bug_kind.to_string b.Detector.spec.Fault.kind)
-    b.Detector.spec.Fault.dialect b.Detector.spec.Fault.func
-    b.Detector.spec.Fault.site
-    (match b.Detector.found_by with
-     | Some p -> Pattern_id.to_string p
-     | None -> "seed")
-    b.Detector.poc

@@ -159,6 +159,3 @@ val fuzz_all :
     aggregates (counters stay keyed by dialect); with [jobs > 1] each
     campaign records privately and the shared collector receives the
     merged aggregates in dialect order. *)
-
-val bugs_by_pattern_family : result -> (Pattern_id.family * int) list
-val bug_summary_line : Detector.found_bug -> string

@@ -26,8 +26,6 @@ type 'a handle = {
   mutable state : 'a state;
 }
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 (* the next job, or [None] once the queue is closed and drained *)
 let pop q =
   Mutex.lock q.mutex;

@@ -19,10 +19,6 @@ val create : int -> t
 val size : t -> int
 (** Number of worker domains. *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — one worker per core the
-    runtime believes it can use. *)
-
 type 'a handle
 
 val submit : t -> (unit -> 'a) -> 'a handle

@@ -31,15 +31,6 @@ let verdict_class_to_string = function
   | Dup_bug -> "dup_bug"
   | Known_crash -> "known_crash"
 
-let verdict_class_of_string = function
-  | "passed" -> Some Passed
-  | "clean_error" -> Some Clean_error
-  | "false_positive" -> Some False_positive
-  | "new_bug" -> Some New_bug
-  | "dup_bug" -> Some Dup_bug
-  | "known_crash" -> Some Known_crash
-  | _ -> None
-
 (* ----- events ----- *)
 
 type event =
@@ -125,62 +116,6 @@ let event_to_json ev =
       (("ev", Json.Str "fp_signature")
        :: attrs dialect ""
             [ ("signature", Json.Str signature); ("ts_ns", Json.Int ts_ns) ])
-
-let event_of_json j =
-  let str name = Option.value ~default:"" (Json.str_member name j) in
-  let int name = Option.value ~default:0 (Json.int_member name j) in
-  match Json.str_member "ev" j with
-  | Some "span_open" ->
-    Ok
-      (Span_open
-         {
-           stage = str "stage";
-           dialect = str "dialect";
-           pattern = str "pattern";
-           depth = int "depth";
-           ts_ns = int "ts_ns";
-         })
-  | Some "span_close" ->
-    Ok
-      (Span_close
-         {
-           stage = str "stage";
-           dialect = str "dialect";
-           pattern = str "pattern";
-           depth = int "depth";
-           ts_ns = int "ts_ns";
-           dur_ns = int "dur_ns";
-         })
-  | Some "verdict" ->
-    (match verdict_class_of_string (str "verdict") with
-     | None -> Error ("unknown verdict class: " ^ str "verdict")
-     | Some verdict ->
-       Ok
-         (Verdict
-            {
-              dialect = str "dialect";
-              pattern = str "pattern";
-              verdict;
-              case_number = int "case";
-              ts_ns = int "ts_ns";
-            }))
-  | Some "bug_found" ->
-    Ok
-      (Bug_found
-         {
-           dialect = str "dialect";
-           site = str "site";
-           kind = str "kind";
-           pattern = str "pattern";
-           case_number = int "case";
-           ts_ns = int "ts_ns";
-         })
-  | Some "fp_signature" ->
-    Ok
-      (Fp_signature
-         { dialect = str "dialect"; signature = str "signature"; ts_ns = int "ts_ns" })
-  | Some other -> Error ("unknown event kind: " ^ other)
-  | None -> Error "missing \"ev\" field"
 
 (* ----- sinks ----- *)
 
@@ -606,36 +541,3 @@ let verdict_counts_to_json r =
 
 let verdicts_to_json t =
   Json.Arr (List.map verdict_counts_to_json (verdict_rows t))
-
-let compile_to_json t =
-  Json.Obj
-    [
-      ("hits", Json.Int t.compile_hits);
-      ("misses", Json.Int t.compile_misses);
-      ("fallbacks", Json.Int t.compile_fallbacks);
-      ("hit_rate", Json.Float (compile_hit_rate t));
-    ]
-
-let compact_to_json t =
-  Json.Obj
-    [
-      ("hits", Json.Int t.compact_hits);
-      ("spills", Json.Int t.compact_spills);
-    ]
-
-let batch_to_json t =
-  Json.Obj
-    [
-      ("flushes", Json.Int t.batch_flushes);
-      ("cases", Json.Int t.batch_cases);
-    ]
-
-let snapshot_json t =
-  Json.Obj
-    [
-      ("stages", stages_to_json t);
-      ("verdicts", verdicts_to_json t);
-      ("compile", compile_to_json t);
-      ("compact", compact_to_json t);
-      ("batch", batch_to_json t);
-    ]

@@ -35,7 +35,6 @@ type verdict_class =
 
 val verdict_classes : verdict_class list
 val verdict_class_to_string : verdict_class -> string
-val verdict_class_of_string : string -> verdict_class option
 
 (** {1 Events} *)
 
@@ -75,8 +74,6 @@ type event =
   | Fp_signature of { dialect : string; signature : string; ts_ns : int }
 
 val event_to_json : event -> Json.t
-val event_of_json : Json.t -> (event, string) result
-(** Inverse of {!event_to_json}; [Error] on unknown kinds. *)
 
 (** {1 Sinks} *)
 
@@ -279,22 +276,7 @@ val verdict_total : t -> verdict_class -> int
 
 val stage_timing_to_json : stage_timing -> Json.t
 val stages_to_json : t -> Json.t
-val verdict_counts_to_json : verdict_counts -> Json.t
 val verdicts_to_json : t -> Json.t
-
-val compile_to_json : t -> Json.t
-(** [{"hits": ..., "misses": ..., "fallbacks": ..., "hit_rate": ...}]. *)
-
-val compact_to_json : t -> Json.t
-(** [{"hits": ..., "spills": ...}]. *)
-
-val batch_to_json : t -> Json.t
-(** [{"flushes": ..., "cases": ...}]. *)
-
-val snapshot_json : t -> Json.t
-(** [{"stages": ..., "verdicts": ..., "compile": ..., "compact": ...,
-    "batch": ...}] — the generic part of a campaign
-    snapshot; callers add their own run-level fields. *)
 
 (** {1 Histograms}
 

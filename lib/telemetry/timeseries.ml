@@ -142,67 +142,6 @@ let snapshot_to_json (s : snapshot) =
       );
     ]
 
-let snapshot_of_json j =
-  let int k =
-    match Json.int_member k j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "snapshot: missing int field %S" k)
-  in
-  let ( let* ) = Result.bind in
-  let* () =
-    match Json.str_member "kind" j with
-    | Some "snapshot" -> Ok ()
-    | _ -> Error "snapshot: kind is not \"snapshot\""
-  in
-  let* shard = int "shard" in
-  let* seq = int "seq" in
-  let* final =
-    match Json.member "final" j with
-    | Some (Json.Bool b) -> Ok b
-    | _ -> Error "snapshot: missing bool field \"final\""
-  in
-  let* cases = int "cases" in
-  let* delta_cases = int "delta_cases" in
-  let* elapsed_ns = int "elapsed_ns" in
-  let* delta_ns = int "delta_ns" in
-  let* cases_per_s =
-    match Json.member "cases_per_s" j with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int n) -> Ok (float_of_int n)
-    | _ -> Error "snapshot: missing number field \"cases_per_s\""
-  in
-  let* branches = int "branches" in
-  let* functions = int "functions" in
-  let* new_bugs = int "new_bugs" in
-  let* dup_bugs = int "dup_bugs" in
-  let* shard_cases =
-    match Json.member "shard_cases" j with
-    | Some (Json.Arr l) ->
-      let rec ints acc = function
-        | [] -> Ok (Array.of_list (List.rev acc))
-        | Json.Int n :: rest -> ints (n :: acc) rest
-        | _ -> Error "snapshot: shard_cases holds a non-int"
-      in
-      ints [] l
-    | _ -> Error "snapshot: missing array field \"shard_cases\""
-  in
-  Ok
-    {
-      shard;
-      seq;
-      final;
-      cases;
-      delta_cases;
-      elapsed_ns;
-      delta_ns;
-      cases_per_s;
-      branches;
-      functions;
-      new_bugs;
-      dup_bugs;
-      shard_cases;
-    }
-
 (* one process-wide lock: several recorders (one per shard) may share an
    output channel, and interleaved [output_string] halves are not JSONL *)
 let jsonl_lock = Mutex.create ()

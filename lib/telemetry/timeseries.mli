@@ -88,9 +88,6 @@ val campaign_final :
 val snapshot_to_json : snapshot -> Json.t
 (** One JSONL line: [{"kind": "snapshot", "shard": ..., ...}]. *)
 
-val snapshot_of_json : Json.t -> (snapshot, string) result
-(** Inverse of {!snapshot_to_json}, for tests and validators. *)
-
 val jsonl_emit : out_channel -> snapshot -> unit
 (** Serialized write of one snapshot line guarded by a process-wide
     mutex — safe as a [cfg.emit] under sharding. The caller owns the

@@ -194,60 +194,113 @@ let test_long_span_percentile_clamp () =
        s.Telemetry.p99_ns
    | l -> Alcotest.failf "expected one stage, got %d" (List.length l))
 
+(* parse one rendered JSONL line back and check it is an object holding
+   exactly [fields], in any order — decoded with the generic accessors,
+   so the encoders stay covered without a decoder of their own *)
+let check_line line fields =
+  match Json.of_string line with
+  | Error e -> Alcotest.failf "line unparseable (%s): %s" e line
+  | Ok (Json.Obj kvs as j) ->
+    Alcotest.(check (list string))
+      (Printf.sprintf "keys of %s" line)
+      (List.sort compare (List.map fst fields))
+      (List.sort compare (List.map fst kvs));
+    List.iter
+      (fun (k, v) ->
+        match v with
+        | Json.Str s ->
+          Alcotest.(check (option string)) k (Some s) (Json.str_member k j)
+        | Json.Int n ->
+          Alcotest.(check (option int)) k (Some n) (Json.int_member k j)
+        | Json.Float f ->
+          (* floats render with 12 significant digits *)
+          (match Json.member k j with
+           | Some (Json.Float g) ->
+             Alcotest.(check bool) k true
+               (Float.abs (f -. g) <= 1e-9 *. Float.abs f)
+           | _ -> Alcotest.failf "%s is not a float in %s" k line)
+        | v ->
+          Alcotest.(check bool) k true (Json.member k j = Some v))
+      fields
+  | Ok _ -> Alcotest.failf "line is not an object: %s" line
+
 let test_verdict_class_roundtrip () =
-  List.iter
-    (fun c ->
-      let s = Telemetry.verdict_class_to_string c in
-      match Telemetry.verdict_class_of_string s with
-      | Some c' ->
-        Alcotest.(check bool) (Printf.sprintf "%s round-trips" s) true (c = c')
-      | None -> Alcotest.failf "%s does not parse back" s)
-    Telemetry.verdict_classes;
-  Alcotest.(check bool) "bogus class rejected" true
-    (Telemetry.verdict_class_of_string "bogus" = None)
+  (* every class renders under its own name in a verdict event *)
+  let names =
+    List.map
+      (fun c ->
+        let name = Telemetry.verdict_class_to_string c in
+        check_line
+          (Json.to_string
+             (Telemetry.event_to_json
+                (Telemetry.Verdict
+                   { dialect = "mysql"; pattern = "P1.1"; verdict = c;
+                     case_number = 3; ts_ns = 4 })))
+          [
+            ("ev", Json.Str "verdict"); ("dialect", Json.Str "mysql");
+            ("pattern", Json.Str "P1.1"); ("verdict", Json.Str name);
+            ("case", Json.Int 3); ("ts_ns", Json.Int 4);
+          ];
+        name)
+      Telemetry.verdict_classes
+  in
+  Alcotest.(check (list string)) "six distinct names"
+    [ "clean_error"; "dup_bug"; "false_positive"; "known_crash"; "new_bug";
+      "passed" ]
+    (List.sort_uniq compare names)
 
 (* ----- JSONL event round-trip ----- *)
 
+(* each sample event with the fields its JSONL line must carry; empty
+   dialect/pattern attributes are omitted *)
 let sample_events =
   [
-    Telemetry.Span_open
-      { stage = "execute"; dialect = "mysql"; pattern = "P1.2"; depth = 2;
-        ts_ns = 123 };
-    Telemetry.Span_close
-      { stage = "execute"; dialect = "mysql"; pattern = "P1.2"; depth = 2;
-        ts_ns = 456; dur_ns = 333 };
-    Telemetry.Span_open
-      { stage = "collect"; dialect = ""; pattern = ""; depth = 0; ts_ns = 1 };
-    Telemetry.Verdict
-      { dialect = "mariadb"; pattern = "seed"; verdict = Telemetry.Clean_error;
-        case_number = 41; ts_ns = 99 };
-    Telemetry.Bug_found
-      { dialect = "duckdb"; site = "json/depth"; kind = "SIGSEGV";
-        pattern = "P3.2"; case_number = 7; ts_ns = 1000 };
-    Telemetry.Fp_signature
-      { dialect = "monetdb"; signature = "limit hit after # steps";
-        ts_ns = 5 };
+    ( Telemetry.Span_open
+        { stage = "execute"; dialect = "mysql"; pattern = "P1.2"; depth = 2;
+          ts_ns = 123 },
+      [ ("ev", Json.Str "span_open"); ("stage", Json.Str "execute");
+        ("dialect", Json.Str "mysql"); ("pattern", Json.Str "P1.2");
+        ("depth", Json.Int 2); ("ts_ns", Json.Int 123) ] );
+    ( Telemetry.Span_close
+        { stage = "execute"; dialect = "mysql"; pattern = "P1.2"; depth = 2;
+          ts_ns = 456; dur_ns = 333 },
+      [ ("ev", Json.Str "span_close"); ("stage", Json.Str "execute");
+        ("dialect", Json.Str "mysql"); ("pattern", Json.Str "P1.2");
+        ("depth", Json.Int 2); ("ts_ns", Json.Int 456);
+        ("dur_ns", Json.Int 333) ] );
+    ( Telemetry.Span_open
+        { stage = "collect"; dialect = ""; pattern = ""; depth = 0; ts_ns = 1 },
+      [ ("ev", Json.Str "span_open"); ("stage", Json.Str "collect");
+        ("depth", Json.Int 0); ("ts_ns", Json.Int 1) ] );
+    ( Telemetry.Verdict
+        { dialect = "mariadb"; pattern = "seed";
+          verdict = Telemetry.Clean_error; case_number = 41; ts_ns = 99 },
+      [ ("ev", Json.Str "verdict"); ("dialect", Json.Str "mariadb");
+        ("pattern", Json.Str "seed"); ("verdict", Json.Str "clean_error");
+        ("case", Json.Int 41); ("ts_ns", Json.Int 99) ] );
+    ( Telemetry.Bug_found
+        { dialect = "duckdb"; site = "json/depth"; kind = "SIGSEGV";
+          pattern = "P3.2"; case_number = 7; ts_ns = 1000 },
+      [ ("ev", Json.Str "bug_found"); ("dialect", Json.Str "duckdb");
+        ("pattern", Json.Str "P3.2"); ("site", Json.Str "json/depth");
+        ("kind", Json.Str "SIGSEGV"); ("case", Json.Int 7);
+        ("ts_ns", Json.Int 1000) ] );
+    ( Telemetry.Fp_signature
+        { dialect = "monetdb"; signature = "limit hit after # steps";
+          ts_ns = 5 },
+      [ ("ev", Json.Str "fp_signature"); ("dialect", Json.Str "monetdb");
+        ("signature", Json.Str "limit hit after # steps");
+        ("ts_ns", Json.Int 5) ] );
   ]
 
 let test_event_jsonl_roundtrip () =
-  (* serialize as JSONL, parse each line back, compare structurally *)
-  let lines =
-    List.map
-      (fun ev -> Json.to_string (Telemetry.event_to_json ev))
-      sample_events
-  in
-  List.iter2
-    (fun ev line ->
-      match Json.of_string line with
-      | Error e -> Alcotest.failf "line unparseable (%s): %s" e line
-      | Ok j ->
-        (match Telemetry.event_of_json j with
-         | Error e -> Alcotest.failf "event undecodable (%s): %s" e line
-         | Ok ev' ->
-           Alcotest.(check bool)
-             (Printf.sprintf "round-trips: %s" line)
-             true (ev = ev')))
-    sample_events lines
+  (* serialize as JSONL, parse each line back, check every field *)
+  List.iter
+    (fun (ev, fields) ->
+      let line = Json.to_string (Telemetry.event_to_json ev) in
+      Alcotest.(check bool) "one line" false (String.contains line '\n');
+      check_line line fields)
+    sample_events
 
 let test_verdict_counters () =
   let t = Telemetry.create () in
@@ -635,9 +688,20 @@ let test_timeseries_snapshot_roundtrip () =
   Alcotest.(check int) "campaign-final shard tag" (-1) s.Timeseries.shard;
   Alcotest.(check bool) "campaign-final is final" true s.Timeseries.final;
   Alcotest.(check int) "emitted once" 1 (List.length !snaps);
-  match Timeseries.snapshot_of_json (Timeseries.snapshot_to_json s) with
-  | Ok s' -> Alcotest.(check bool) "snapshot round-trips" true (s = s')
-  | Error e -> Alcotest.failf "snapshot undecodable: %s" e
+  check_line
+    (Json.to_string (Timeseries.snapshot_to_json s))
+    [
+      ("kind", Json.Str "snapshot"); ("shard", Json.Int (-1));
+      ("seq", Json.Int 0); ("final", Json.Bool true); ("cases", Json.Int 123);
+      ("delta_cases", Json.Int 123); ("elapsed_ns", Json.Int 7_000_000);
+      ("delta_ns", Json.Int 7_000_000);
+      ("cases_per_s", Json.Float s.Timeseries.cases_per_s);
+      ("branches", Json.Int 45); ("functions", Json.Int 6);
+      ("new_bugs", Json.Int 2); ("dup_bugs", Json.Int 3);
+      ("shard_cases", Json.Arr [ Json.Int 60; Json.Int 63 ]);
+    ];
+  Alcotest.(check (float 1e-9)) "rate over the whole campaign"
+    (123. /. 0.007) s.Timeseries.cases_per_s
 
 let suite =
   ( "telemetry",
