@@ -290,9 +290,8 @@ let equal_stmt (a : Ast.stmt) (b : Ast.stmt) = a = b
 
    A statement *skeleton* is the statement with its literal leaves
    ([Null]/[Bool_lit]/[Int_lit]/[Dec_lit]/[Str_lit]/[Hex_lit]) blanked
-   out — exactly the positions that
-   [Patterns.with_arg]/[literal_arg_variants] vary when fanning one
-   pattern into a case family. All six literal constructors collapse
+   out — exactly the positions that a [Patterns] position family
+   varies when fanning one pattern into a case family. All six literal constructors collapse
    into ONE slot tag: a boundary-argument set mixes NULL, integers,
    strings and hex blobs at the same position, and keeping the
    constructors distinct would give each literal kind its own skeleton

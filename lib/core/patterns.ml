@@ -13,22 +13,16 @@ type case = { stmt : Ast.stmt; pattern : Pattern_id.t; origin : string }
    O(positions^2) hot path. [ci] still numbers the same pre-order walk
    [positions] enumerated, keeping it in lockstep with
    [replace_nth_call]. *)
-let with_arg stmt ci (c : Ast.call) ai make_new =
-  match List.nth_opt c.Ast.args ai with
-  | None -> None
-  | Some old_arg ->
-    (match make_new old_arg with
-     | None -> None
-     | Some new_arg ->
-       let args = List.mapi (fun i a -> if i = ai then new_arg else a) c.Ast.args in
-       Ast_util.replace_nth_call stmt ci (Ast.Call { c with args }))
+let with_arg stmt ci (c : Ast.call) ai new_arg =
+  let args = List.mapi (fun i a -> if i = ai then new_arg else a) c.Ast.args in
+  Ast_util.replace_nth_call stmt ci (Ast.Call { c with args })
 
-(* All (call index, arg index, call) positions of a statement. *)
+(* All (call index, arg index, call, arg) positions of a statement. *)
 let positions stmt =
   List.concat
     (List.mapi
        (fun ci (c : Ast.call) ->
-         List.mapi (fun ai _ -> (ci, ai, c)) c.Ast.args)
+         List.mapi (fun ai arg -> (ci, ai, c, arg)) c.Ast.args)
        (Ast_util.function_calls stmt))
 
 let count_positions seeds =
@@ -38,18 +32,22 @@ let count_positions seeds =
 
 let seq_of_list = List.to_seq
 
-(* Lazily map a generator over every (seed, position). *)
-let over_positions seeds f =
-  seq_of_list seeds
-  |> Seq.concat_map (fun (seed : Collector.seed) ->
-         let origin = Sql_pp.stmt seed.Collector.stmt in
-         seq_of_list (positions seed.Collector.stmt)
-         |> Seq.concat_map (fun (ci, ai, call) ->
-                f ~stmt:seed.Collector.stmt ~origin ~ci ~ai ~call))
-
 let case pattern origin stmt = { stmt; pattern; origin }
 
-let small_stmt (stmt : Ast.stmt) = Ast_util.count_function_exprs stmt <= 2
+(* Seeds with more than two function expressions are kept out of the
+   nesting and argument-swapping patterns (Finding 3). *)
+let small_seeds seeds =
+  List.filter
+    (fun (s : Collector.seed) -> Ast_util.count_function_exprs s.Collector.stmt <= 2)
+    seeds
+
+(* Time forcing each element of a generated stream as a ["generate"]
+   span tagged [pattern]. *)
+let timed telemetry ~pattern seq =
+  match telemetry with
+  | None -> seq
+  | Some t ->
+    Sqlfun_telemetry.Telemetry.time_seq t ~pattern ~stage:"generate" seq
 
 (* ----- the string-literal surgery of P1.3 / P1.4 / P3.1 ----- *)
 
@@ -103,34 +101,7 @@ let duplicate_chars s =
         [ first; mid ])
       Boundary_pool.dup_factors
 
-(* ----- per-pattern generators ----- *)
-
-let p1_1 () =
-  seq_of_list (Boundary_pool.all ())
-  |> Seq.filter_map (fun lit ->
-         match lit with
-         | Ast.Star -> None (* a bare SELECT * probe is not a function test *)
-         | _ ->
-           Some (case Pattern_id.P1_1 "pool" (Ast.select_expr lit)))
-
-let p1_2 seeds =
-  over_positions seeds (fun ~stmt ~origin ~ci ~ai ~call ->
-      seq_of_list (Boundary_pool.all ())
-      |> Seq.filter_map (fun lit ->
-             match with_arg stmt ci call ai (fun _ -> Some lit) with
-             | Some stmt' -> Some (case Pattern_id.P1_2 origin stmt')
-             | None -> None))
-
-let literal_arg_variants stmt ci (c : Ast.call) ai variants_of =
-  match List.nth_opt c.Ast.args ai with
-  | Some arg ->
-    (match variants_of arg with
-     | [] -> []
-     | variants ->
-       List.filter_map
-         (fun v -> with_arg stmt ci c ai (fun _ -> Some v))
-         variants)
-  | None -> []
+(* ----- the variants each pattern plants ----- *)
 
 let p1_3_variants_of = function
   | Ast.Str_lit s when s <> "" ->
@@ -139,28 +110,10 @@ let p1_3_variants_of = function
   | Ast.Dec_lit s -> List.map (fun s' -> Ast.Dec_lit s') (splice_into_number s)
   | _ -> []
 
-let p1_3 seeds =
-  over_positions seeds (fun ~stmt ~origin ~ci ~ai ~call ->
-      seq_of_list (literal_arg_variants stmt ci call ai p1_3_variants_of)
-      |> Seq.map (fun stmt' -> case Pattern_id.P1_3 origin stmt'))
-
 let p1_4_variants_of = function
   | Ast.Str_lit s when s <> "" ->
     List.map (fun s' -> Ast.Str_lit s') (duplicate_chars s)
   | _ -> []
-
-let p1_4 seeds =
-  over_positions seeds (fun ~stmt ~origin ~ci ~ai ~call ->
-      seq_of_list (literal_arg_variants stmt ci call ai p1_4_variants_of)
-      |> Seq.map (fun stmt' -> case Pattern_id.P1_4 origin stmt'))
-
-let p2_1 seeds =
-  over_positions seeds (fun ~stmt ~origin ~ci ~ai ~call ->
-      seq_of_list Boundary_pool.cast_targets
-      |> Seq.filter_map (fun ty ->
-             match with_arg stmt ci call ai (fun arg -> Some (Ast.Cast (arg, ty))) with
-             | Some stmt' -> Some (case Pattern_id.P2_1 origin stmt')
-             | None -> None))
 
 let scalar_subquery_union a b =
   Ast.Subquery
@@ -175,25 +128,6 @@ let scalar_subquery_union a b =
       order_by = [];
       limit = None;
     }
-
-let p2_2 seeds =
-  over_positions seeds (fun ~stmt ~origin ~ci ~ai ~call ->
-      seq_of_list (Boundary_pool.union_partners ())
-      |> Seq.concat_map (fun partner ->
-             let both =
-               [
-                 with_arg stmt ci call ai (fun arg ->
-                     if arg = Ast.Star then None
-                     else Some (scalar_subquery_union arg partner));
-                 with_arg stmt ci call ai (fun arg ->
-                     if arg = Ast.Star then None
-                     else Some (scalar_subquery_union partner arg));
-               ]
-             in
-             seq_of_list
-               (List.filter_map
-                  (Option.map (fun stmt' -> case Pattern_id.P2_2 origin stmt'))
-                  both)))
 
 (* P2.3: replace a call's argument list with another function's arguments.
    Donor lists are truncated to the receiver's maximum arity; missing
@@ -240,30 +174,6 @@ let p2_3_variants_of spec (c : Ast.call) donor_arglists =
       else Some (Ast.Call { c with args }))
     donor_arglists
 
-let p2_3 ~registry seeds =
-  (* Only literal argument lists migrate between functions: P2.3 is about
-     *format* mismatch of plain values (a date string landing in a JSON
-     slot); nested calls as arguments are P3.3's territory. *)
-  let donor_arglists = p2_3_donor_arglists seeds in
-  seq_of_list seeds
-  |> Seq.concat_map (fun (seed : Collector.seed) ->
-         let stmt = seed.Collector.stmt in
-         if not (small_stmt stmt) then Seq.empty
-         else begin
-           let origin = Sql_pp.stmt stmt in
-           let calls = Ast_util.function_calls stmt in
-           seq_of_list (List.mapi (fun ci c -> (ci, c)) calls)
-           |> Seq.concat_map (fun (ci, (c : Ast.call)) ->
-                  match Registry.find registry c.Ast.fname with
-                  | None -> Seq.empty
-                  | Some spec ->
-                    seq_of_list (p2_3_variants_of spec c donor_arglists)
-                    |> Seq.filter_map (fun repl ->
-                           Ast_util.replace_nth_call stmt ci repl
-                           |> Option.map (fun stmt' ->
-                                  case Pattern_id.P2_3 origin stmt')))
-         end)
-
 let p3_1_variants_of = function
   | Ast.Str_lit s when s <> "" ->
     let prefixes =
@@ -284,13 +194,6 @@ let p3_1_variants_of = function
       prefixes
   | _ -> []
 
-let p3_1 seeds =
-  over_positions seeds (fun ~stmt ~origin ~ci ~ai ~call ->
-      if not (small_stmt stmt) then Seq.empty
-      else
-        seq_of_list (literal_arg_variants stmt ci call ai p3_1_variants_of)
-        |> Seq.map (fun stmt' -> case Pattern_id.P3_1 origin stmt'))
-
 (* Wrappers for P3.2: any scalar function that accepts one argument. *)
 let unary_wrappers registry =
   List.filter_map
@@ -306,57 +209,104 @@ let unary_wrappers registry =
       | Func_sig.Scalar _ | Func_sig.Aggregate _ -> None)
     (Registry.specs registry)
 
-let p3_2 ~registry seeds =
-  let wrappers = unary_wrappers registry in
-  over_positions seeds (fun ~stmt ~origin ~ci ~ai ~call ->
-      if not (small_stmt stmt) then Seq.empty
-      else
-        seq_of_list wrappers
-        |> Seq.filter_map (fun wrapper ->
-               match
-                 with_arg stmt ci call ai (fun arg ->
-                     if arg = Ast.Star then None
-                     else Some (Ast.call wrapper [ arg ]))
-               with
-               | Some stmt' -> Some (case Pattern_id.P3_2 origin stmt')
-               | None -> None))
+(* ----- position families -----
 
-let p3_3 ~registry seeds =
-  let donor_calls =
-    List.filter
-      (fun (c : Ast.call) -> Registry.mem registry c.Ast.fname)
-      (Collector.donors seeds)
-  in
-  over_positions seeds (fun ~stmt ~origin ~ci ~ai ~call ->
-      if not (small_stmt stmt) then Seq.empty
-      else
-        seq_of_list donor_calls
-        |> Seq.filter_map (fun donor ->
-               if donor.Ast.fname = call.Ast.fname then None
-               else
-                 match with_arg stmt ci call ai (fun _ -> Some (Ast.Call donor)) with
-                 | Some stmt' -> Some (case Pattern_id.P3_3 origin stmt')
-                 | None -> None))
+   A pattern is a stream of position families: for each position it
+   plants at (an argument of a call, or for P2.3 the call itself), the
+   seed's SQL, the statement builder for that position, and the
+   variants it plants there in generation order. [generate] and
+   [generate_work] are two drivers over the same families. *)
+
+type family = {
+  f_origin : string;
+  f_build : Ast.expr -> Ast.stmt option;
+  f_variants : Ast.expr list;  (** never empty *)
+}
+
+let family origin build = function
+  | [] -> None
+  | variants -> Some { f_origin = origin; f_build = build; f_variants = variants }
+
+(* The families of every seed; [at stmt origin] lists one seed's. *)
+let seed_families seeds at =
+  seq_of_list seeds
+  |> Seq.concat_map (fun (seed : Collector.seed) ->
+         let stmt = seed.Collector.stmt in
+         at stmt (Sql_pp.stmt stmt))
+
+(* One family per argument position: [variants_of call arg] lists the
+   replacement arguments planted there. *)
+let arg_families seeds variants_of =
+  seed_families seeds (fun stmt origin ->
+      seq_of_list (positions stmt)
+      |> Seq.filter_map (fun (ci, ai, call, arg) ->
+             family origin (with_arg stmt ci call ai) (variants_of call arg)))
+
+let families ~registry ~seeds pattern =
+  match pattern with
+  | Pattern_id.P1_1 ->
+    (* a bare SELECT * probe is not a function test *)
+    Option.to_seq
+      (family "pool"
+         (fun v -> Some (Ast.select_expr v))
+         (List.filter (fun l -> l <> Ast.Star) (Boundary_pool.all ())))
+  | Pattern_id.P1_2 -> arg_families seeds (fun _ _ -> Boundary_pool.all ())
+  | Pattern_id.P1_3 -> arg_families seeds (fun _ arg -> p1_3_variants_of arg)
+  | Pattern_id.P1_4 -> arg_families seeds (fun _ arg -> p1_4_variants_of arg)
+  | Pattern_id.P2_1 ->
+    arg_families seeds (fun _ arg ->
+        List.map (fun ty -> Ast.Cast (arg, ty)) Boundary_pool.cast_targets)
+  | Pattern_id.P2_2 ->
+    arg_families seeds (fun _ arg ->
+        if arg = Ast.Star then []
+        else
+          List.concat_map
+            (fun partner ->
+              [ scalar_subquery_union arg partner;
+                scalar_subquery_union partner arg ])
+            (Boundary_pool.union_partners ()))
+  | Pattern_id.P2_3 ->
+    (* Only literal argument lists migrate between functions: P2.3 is
+       about *format* mismatch of plain values (a date string landing in
+       a JSON slot); nested calls as arguments are P3.3's territory. *)
+    let donor_arglists = p2_3_donor_arglists seeds in
+    seed_families (small_seeds seeds) (fun stmt origin ->
+        seq_of_list (List.mapi (fun ci c -> (ci, c)) (Ast_util.function_calls stmt))
+        |> Seq.filter_map (fun (ci, (c : Ast.call)) ->
+               match Registry.find registry c.Ast.fname with
+               | None -> None
+               | Some spec ->
+                 family origin (Ast_util.replace_nth_call stmt ci)
+                   (p2_3_variants_of spec c donor_arglists)))
+  | Pattern_id.P3_1 ->
+    arg_families (small_seeds seeds) (fun _ arg -> p3_1_variants_of arg)
+  | Pattern_id.P3_2 ->
+    let wrappers = unary_wrappers registry in
+    arg_families (small_seeds seeds) (fun _ arg ->
+        if arg = Ast.Star then []
+        else List.map (fun w -> Ast.call w [ arg ]) wrappers)
+  | Pattern_id.P3_3 ->
+    let donor_calls =
+      List.filter
+        (fun (c : Ast.call) -> Registry.mem registry c.Ast.fname)
+        (Collector.donors seeds)
+    in
+    arg_families (small_seeds seeds) (fun (call : Ast.call) _ ->
+        List.filter_map
+          (fun (donor : Ast.call) ->
+            if donor.Ast.fname = call.Ast.fname then None
+            else Some (Ast.Call donor))
+          donor_calls)
+
+(* The per-case driver: one case per variant the builder accepts. *)
+let family_cases pattern f =
+  seq_of_list f.f_variants
+  |> Seq.filter_map (fun v -> Option.map (case pattern f.f_origin) (f.f_build v))
 
 let generate ?telemetry ~registry ~seeds pattern =
-  let cases =
-    match pattern with
-    | Pattern_id.P1_1 -> p1_1 ()
-    | Pattern_id.P1_2 -> p1_2 seeds
-    | Pattern_id.P1_3 -> p1_3 seeds
-    | Pattern_id.P1_4 -> p1_4 seeds
-    | Pattern_id.P2_1 -> p2_1 seeds
-    | Pattern_id.P2_2 -> p2_2 seeds
-    | Pattern_id.P2_3 -> p2_3 ~registry seeds
-    | Pattern_id.P3_1 -> p3_1 seeds
-    | Pattern_id.P3_2 -> p3_2 ~registry seeds
-    | Pattern_id.P3_3 -> p3_3 ~registry seeds
-  in
-  match telemetry with
-  | None -> cases
-  | Some t ->
-    Sqlfun_telemetry.Telemetry.time_seq t ~pattern:(Pattern_id.to_string pattern)
-      ~stage:"generate" cases
+  families ~registry ~seeds pattern
+  |> Seq.concat_map (family_cases pattern)
+  |> timed telemetry ~pattern:(Pattern_id.to_string pattern)
 
 (* ----- stateful scenarios: prerequisite synthesis ----- *)
 
@@ -423,13 +373,7 @@ let scen_stored ~registry () =
 (* Kind B — INSERT-position probe: the function expression sits inside
    the probe's VALUES clause, so its boundary result crosses the cast
    into the column and then the storage layer. *)
-let scen_insert_position ~registry seeds =
-  let donor_calls =
-    List.filter
-      (fun (c : Ast.call) ->
-        Registry.mem registry c.Ast.fname && c.Ast.args <> [])
-      (Collector.donors seeds)
-  in
+let scen_insert_position donor_calls =
   let lits = pool_literals () in
   seq_of_list donor_calls
   |> Seq.concat_map (fun (donor : Ast.call) ->
@@ -446,13 +390,7 @@ let scen_insert_position ~registry seeds =
 
 (* Kind C — WHERE-position probe: the function expression gates a scan
    of a prerequisite table. *)
-let scen_where_position ~registry seeds =
-  let donor_calls =
-    List.filter
-      (fun (c : Ast.call) ->
-        Registry.mem registry c.Ast.fname && c.Ast.args <> [])
-      (Collector.donors seeds)
-  in
+let scen_where_position donor_calls =
   let lits = pool_literals () in
   seq_of_list donor_calls
   |> Seq.concat_map (fun (donor : Ast.call) ->
@@ -569,21 +507,22 @@ let interleave (streams : 'a Seq.t list) : 'a Seq.t =
   go streams
 
 let generate_scenarios ?telemetry ~registry ~seeds () =
-  let scenarios =
-    interleave
-      [
-        scen_stored ~registry ();
-        scen_insert_position ~registry seeds;
-        scen_where_position ~registry seeds;
-        scen_session ~registry ();
-        scen_extreme_type ();
-      ]
+  (* the seeds' registered calls with an argument to plant at *)
+  let donor_calls =
+    List.filter
+      (fun (c : Ast.call) ->
+        Registry.mem registry c.Ast.fname && c.Ast.args <> [])
+      (Collector.donors seeds)
   in
-  match telemetry with
-  | None -> scenarios
-  | Some t ->
-    Sqlfun_telemetry.Telemetry.time_seq t ~pattern:"scenario" ~stage:"generate"
-      scenarios
+  interleave
+    [
+      scen_stored ~registry ();
+      scen_insert_position donor_calls;
+      scen_where_position donor_calls;
+      scen_session ~registry ();
+      scen_extreme_type ();
+    ]
+  |> timed telemetry ~pattern:"scenario"
 
 let count_scenario_positions scenarios =
   Seq.fold_left
@@ -602,7 +541,7 @@ let count_scenario_positions scenarios =
    one: its own statement as skeleton and an empty window. Any
    member's full AST is recoverable on demand ([batch_stmt]), and
    flattening a work stream back to statements reproduces the per-case
-   generator's stream element for element — the equivalence the
+   driver's stream element for element — the equivalence the
    property tests pin down. *)
 
 type batch = {
@@ -653,10 +592,10 @@ let slot_array stmt =
    consecutive same-shaped variants become batches, everything else
    (subquery-carrying variants, leafless variants like [Star], shape
    changes, window mismatches) becomes a family of one around the
-   statement the per-case generator builds. [build] is the
-   substitution the per-case generator applies per variant; it either
-   always succeeds or always fails for a given position, so probing it
-   with the sentinel is sound. *)
+   statement the per-case driver builds. [build] is the position
+   family's statement builder, which the per-case driver applies per
+   variant; it either always succeeds or always fails for a given
+   position, so probing it with the sentinel is sound. *)
 let batched_position ~pattern ~origin ~build (variants : Ast.expr list) :
     work list =
   let mk v =
@@ -756,86 +695,14 @@ let batched_position ~pattern ~origin ~build (variants : Ast.expr list) :
       List.rev !out
     end
 
-let p1_1_work () =
-  let lits =
-    List.filter (fun l -> l <> Ast.Star) (Boundary_pool.all ())
-  in
-  List.to_seq
-    (batched_position ~pattern:Pattern_id.P1_1 ~origin:"pool"
-       ~build:(fun v -> Some (Ast.select_expr v))
-       lits)
-
-let p1_2_work seeds =
-  over_positions seeds (fun ~stmt ~origin ~ci ~ai ~call ->
-      List.to_seq
-        (batched_position ~pattern:Pattern_id.P1_2 ~origin
-           ~build:(fun v -> with_arg stmt ci call ai (fun _ -> Some v))
-           (Boundary_pool.all ())))
-
-let literal_variants_work ~pattern ~guard seeds variants_of =
-  over_positions seeds (fun ~stmt ~origin ~ci ~ai ~call ->
-      if not (guard stmt) then Seq.empty
-      else
-        match List.nth_opt call.Ast.args ai with
-        | None -> Seq.empty
-        | Some arg -> (
-          match variants_of arg with
-          | [] -> Seq.empty
-          | variants ->
-            List.to_seq
-              (batched_position ~pattern ~origin
-                 ~build:(fun v -> with_arg stmt ci call ai (fun _ -> Some v))
-                 variants)))
-
-let p1_3_work seeds =
-  literal_variants_work ~pattern:Pattern_id.P1_3
-    ~guard:(fun _ -> true)
-    seeds p1_3_variants_of
-
-let p1_4_work seeds =
-  literal_variants_work ~pattern:Pattern_id.P1_4
-    ~guard:(fun _ -> true)
-    seeds p1_4_variants_of
-
-let p3_1_work seeds =
-  literal_variants_work ~pattern:Pattern_id.P3_1 ~guard:small_stmt seeds
-    p3_1_variants_of
-
-let p2_3_work ~registry seeds =
-  let donor_arglists = p2_3_donor_arglists seeds in
-  seq_of_list seeds
-  |> Seq.concat_map (fun (seed : Collector.seed) ->
-         let stmt = seed.Collector.stmt in
-         if not (small_stmt stmt) then Seq.empty
-         else begin
-           let origin = Sql_pp.stmt stmt in
-           let calls = Ast_util.function_calls stmt in
-           seq_of_list (List.mapi (fun ci c -> (ci, c)) calls)
-           |> Seq.concat_map (fun (ci, (c : Ast.call)) ->
-                  match Registry.find registry c.Ast.fname with
-                  | None -> Seq.empty
-                  | Some spec ->
-                    List.to_seq
-                      (batched_position ~pattern:Pattern_id.P2_3 ~origin
-                         ~build:(fun v -> Ast_util.replace_nth_call stmt ci v)
-                         (p2_3_variants_of spec c donor_arglists)))
-         end)
-
 let generate_work ?telemetry ~registry ~seeds pattern : work Seq.t =
-  let works =
-    match pattern with
-    | Pattern_id.P1_1 -> p1_1_work ()
-    | Pattern_id.P1_2 -> p1_2_work seeds
-    | Pattern_id.P1_3 -> p1_3_work seeds
-    | Pattern_id.P1_4 -> p1_4_work seeds
-    | Pattern_id.P2_3 -> p2_3_work ~registry seeds
-    | Pattern_id.P3_1 -> p3_1_work seeds
-    | (Pattern_id.P2_1 | Pattern_id.P2_2 | Pattern_id.P3_2 | Pattern_id.P3_3)
-      as p ->
-      Seq.map (fun c -> Single (stateless c)) (generate ~registry ~seeds p)
+  let family_work =
+    if Pattern_id.shares_skeleton pattern then fun f ->
+      List.to_seq
+        (batched_position ~pattern ~origin:f.f_origin ~build:f.f_build
+           f.f_variants)
+    else fun f -> Seq.map (fun c -> Single (stateless c)) (family_cases pattern f)
   in
-  match telemetry with
-  | None -> works
-  | Some t ->
-    Sqlfun_telemetry.Telemetry.time_seq t
-      ~pattern:(Pattern_id.to_string pattern) ~stage:"generate" works
+  families ~registry ~seeds pattern
+  |> Seq.concat_map family_work
+  |> timed telemetry ~pattern:(Pattern_id.to_string pattern)

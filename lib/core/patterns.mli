@@ -1,12 +1,16 @@
 (** The ten boundary-value-generation patterns (§6) as statement
     generators.
 
-    Each generator enumerates substitution positions in the collected
-    seeds and yields rewritten statements lazily, in the paper's pattern
-    order (P1.2 … P3.3 — P1.1 is the pool itself, consumed by the
-    others). Per Finding 3, seeds already containing more than two
-    function expressions are not expanded further by the nesting
-    patterns. *)
+    Each pattern is defined once, as a lazy stream of position
+    families: for every substitution position in the collected seeds
+    (an argument of a call, or for P2.3 the whole call), the seed, the
+    statement builder for that position and the variants the pattern
+    plants there, in generation order. P1.1 is the pool itself, one
+    family of bare [SELECT <literal>] probes. {!generate} and
+    {!generate_work} are two drivers over the same families: one case
+    per variant, or the same cases grouped into batches. Per Finding 3,
+    seeds already containing more than two function expressions are not
+    expanded further by the nesting patterns. *)
 
 open Sqlfun_ast
 open Sqlfun_fault
@@ -24,8 +28,10 @@ val generate :
   seeds:Collector.seed list ->
   Pattern_id.t ->
   case Seq.t
-(** Cases for one pattern. [P1_1] yields the pool itself as bare
-    [SELECT <literal>] probes. With [telemetry], forcing each case out of
+(** Cases for one pattern: the per-case driver, one case per variant of
+    each position family, built by the family's statement builder.
+    [P1_1] yields the pool itself as bare [SELECT <literal>] probes.
+    With [telemetry], forcing each case out of
     the lazy sequence is timed as a ["generate"] span tagged with the
     pattern — generation is interleaved with execution, so this is the
     only honest way to attribute its cost. *)
@@ -89,7 +95,7 @@ val work_size : work -> int
 val batch_stmt : batch -> Ast.expr array -> Ast.stmt
 (** [batch_stmt b vec] reconstructs one member's full statement from
     the skeleton and its window vector — structurally equal to what
-    the per-case generator emits for that member. Only called off
+    {!generate} emits for that member. Only called off
     the compiled hot path: PoC pretty-printing, interpreted families,
     tests. *)
 
@@ -104,10 +110,11 @@ val generate_work :
   seeds:Collector.seed list ->
   Pattern_id.t ->
   work Seq.t
-(** {!generate}, batched: every item of a skeleton-sharing pattern
-    (P1.1–P1.4, P2.3, P3.1) is [Batched] — a run of consecutive
-    same-shaped variants, or a family of one for a variant that cannot
-    join a run — and every skeleton-varying case (P2.1, P2.2, P3.2,
-    P3.3) is a [Single]. Flattening the batches with {!batch_stmt}
-    reproduces {!generate}'s stream element for element — same
-    statements, same order. *)
+(** The batched driver over the same position families as {!generate}.
+    When {!Pattern_id.shares_skeleton} holds (P1.1–P1.4, P2.3, P3.1),
+    each family becomes [Batched] items — runs of consecutive
+    same-shaped variants, and a family of one for each variant that
+    cannot join a run; otherwise (P2.1, P2.2, P3.2, P3.3) each case is a
+    [Single]. Flattening the batches with {!batch_stmt} reproduces
+    {!generate}'s stream element for element — same statements, same
+    order. *)

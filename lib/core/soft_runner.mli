@@ -95,9 +95,10 @@ val fuzz :
     [stateful] (default [true]) appends the synthesized stateful
     scenario stream ({!Patterns.generate_scenarios}) as one extra
     budget stream; with [stateful:false] the campaign is bit-identical
-    to the historical single-statement pipeline (the stateless streams
-    never execute DDL/DML as cases, so the parse/storage fault stages
-    are unreachable and every staged counter is zero).
+    to the historical single-statement pipeline. The stateless streams
+    never execute DDL/DML as cases, so the parse and storage counts of
+    [stage_verdicts] are zero; execute still counts every stateless
+    crash-class verdict.
     Skeleton-sharing pattern families stream as slot-stream batches
     ({!Patterns.generate_work} / {!Detector.run}): one skeleton
     AST plus slot vectors per family run, with the telemetry span and

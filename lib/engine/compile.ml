@@ -1,7 +1,7 @@
 (* Closure compilation of SOFT case statements.
 
    A SOFT case family shares one statement skeleton and varies only the
-   boundary-literal leaves (Patterns.with_arg / literal_arg_variants).
+   boundary-literal leaves (the variants of one Patterns position family).
    [compile] lowers a family's skeleton once, at the start of its
    batch, into a tree of closures with *argument slots* at those
    literal positions; per case the detector then fills a reused slot

@@ -572,7 +572,8 @@ let test_batch_stream_equivalence () =
      reproduce the per-case
      generator's stream element for element — same pattern, same origin,
      structurally equal statement — for every pattern on every dialect;
-     and every item of a skeleton-sharing pattern must be a batch. *)
+     and an item is a batch exactly when its pattern shares a
+     skeleton. *)
   List.iter
     (fun prof ->
       let name = prof.Dialect.id in
@@ -588,6 +589,9 @@ let test_batch_stream_equivalence () =
             |> Seq.concat_map (fun w ->
                    match w with
                    | Soft.Patterns.Batched b ->
+                     if not (Pattern_id.shares_skeleton pattern) then
+                       Alcotest.failf "%s %s: skeleton-varying Batched item"
+                         name (Pattern_id.to_string pattern);
                      batched_total := !batched_total + Soft.Patterns.batch_size b;
                      Seq.map
                        (fun vec ->
@@ -638,6 +642,114 @@ let test_batch_stream_equivalence () =
       Alcotest.(check bool) (name ^ ": batches formed") true
         (!batched_total > 0))
     Dialect.all
+
+(* Each (dialect, pattern) stream of [Patterns.generate], pinned as its
+   case count and a chained MD5 over every case's origin and printed
+   statement. The batch equivalence test compares two drivers over one
+   pattern definition, so only this pin notices a changed definition.
+   A deliberate change to a pattern re-records the table and says why
+   in CHANGES.md. *)
+let pattern_stream_pins =
+  [
+    (("postgresql", "P1.1"), (41, "7aefff6586b288f0096c172e935cf32e"));
+    (("postgresql", "P1.2"), (15582, "697c73f9f98bfb4d79cfa81ad75f6781"));
+    (("postgresql", "P1.3"), (1452, "8d7536ca6d7e827d5e49f490af62c10a"));
+    (("postgresql", "P1.4"), (972, "47dc29058bc597d3f7d2553d44998de5"));
+    (("postgresql", "P2.1"), (3710, "b7b380ea5ad9e7c7619d3e28aa46d5b1"));
+    (("postgresql", "P2.2"), (3690, "8088cd72717dab2705413a6aae2cb6ce"));
+    (("postgresql", "P2.3"), (37340, "7da33f82f65f62addade2fe02364d1af"));
+    (("postgresql", "P3.1"), (1636, "5d9007439f5178d680a6ade93f769863"));
+    (("postgresql", "P3.2"), (37638, "8eff9e2c445b0b0374478e7e961928e2"));
+    (("postgresql", "P3.3"), (84817, "8c333e65a22c8a3ded34210ed197e157"));
+    (("mysql", "P1.1"), (41, "7aefff6586b288f0096c172e935cf32e"));
+    (("mysql", "P1.2"), (17346, "65e95b25b9482e9960d0c01ec098ec09"));
+    (("mysql", "P1.3"), (1713, "74ca0aea05b7a5c939447430b4b9cd08"));
+    (("mysql", "P1.4"), (1212, "9644e9ed70aff6bb4620065280c87605"));
+    (("mysql", "P2.1"), (4130, "4b0f7e74907d16bc02cef0ed3687c959"));
+    (("mysql", "P2.2"), (4110, "b6682ee18dc03f9b1d0ff3e2c2e9373c"));
+    (("mysql", "P2.3"), (43552, "1ff7dc593754ca681d3dc8f2ef110597"));
+    (("mysql", "P3.1"), (2016, "403b4adc97bf1898a7a6c08f266bb1ec"));
+    (("mysql", "P3.2"), (42105, "2437374687139ad2fb5aaedf6bd4bc08"));
+    (("mysql", "P3.3"), (95289, "c40b6c717b04d6229f3238f10a3d45ad"));
+    (("mariadb", "P1.1"), (41, "7aefff6586b288f0096c172e935cf32e"));
+    (("mariadb", "P1.2"), (16254, "dc0fe8c51b564aef239062fc88a570ff"));
+    (("mariadb", "P1.3"), (1575, "50e38a24b6f1b9b3ac350f02758fe918"));
+    (("mariadb", "P1.4"), (1104, "b4b5ddaa2aece46df3447b8b3a796bc2"));
+    (("mariadb", "P2.1"), (3870, "ee4c4cbb8b598a60892424bd0e8ac1e4"));
+    (("mariadb", "P2.2"), (3850, "773c5533a4cdf8f2d57ad1b443673aa9"));
+    (("mariadb", "P2.3"), (35577, "9d4aa50b66bed5959bfca3510ed4dcb5"));
+    (("mariadb", "P3.1"), (1840, "1a96a7bdc0d7e8be1064554e7ae103bf"));
+    (("mariadb", "P3.2"), (33750, "9e42af9ce47bdb278a919dc1ce5ee6e0"));
+    (("mariadb", "P3.3"), (80844, "bdb3c3d553f9b69020c7c0c737bada81"));
+    (("clickhouse", "P1.1"), (41, "7aefff6586b288f0096c172e935cf32e"));
+    (("clickhouse", "P1.2"), (19278, "4edcbd60b6d27e8b2e177ed6c53fb760"));
+    (("clickhouse", "P1.3"), (1758, "4895b68f59cf2b0c99f5a89623dcfcde"));
+    (("clickhouse", "P1.4"), (1194, "279b947ebc33de5276c139fcbf9b4c2d"));
+    (("clickhouse", "P2.1"), (4590, "3a6a93ac72a2ab6f28793a3848b90742"));
+    (("clickhouse", "P2.2"), (4570, "05b95f576ad78ef09e7858bd1856ddef"));
+    (("clickhouse", "P2.3"), (52915, "1df91ce3338f56812307621b8de8b961"));
+    (("clickhouse", "P3.1"), (1924, "50d4571155e19de6a381d064c28ca963"));
+    (("clickhouse", "P3.2"), (55297, "d529d722ac6b09374c4e1c7d337020e0"));
+    (("clickhouse", "P3.3"), (123770, "7a23928d5f71e6f1d0ed2f373723e6b5"));
+    (("monetdb", "P1.1"), (41, "7aefff6586b288f0096c172e935cf32e"));
+    (("monetdb", "P1.2"), (7182, "f5b60b9204e021f68cac4c81e390d20f"));
+    (("monetdb", "P1.3"), (639, "7ae92698b12f1ae315e94a6c36bb7305"));
+    (("monetdb", "P1.4"), (408, "5037378155e7612e842dc47d17f6e41a"));
+    (("monetdb", "P2.1"), (1710, "1c1e30d1e071f4d95a98705149fef7e0"));
+    (("monetdb", "P2.2"), (1690, "d5f3417165d52db9674781385fb5b2c8"));
+    (("monetdb", "P2.3"), (8069, "681c4db5564d40cebdca96f00631859f"));
+    (("monetdb", "P3.1"), (680, "f649db23c92f0879297d4658acd1de69"));
+    (("monetdb", "P3.2"), (7436, "95d7ebc280c109b2cba0a01751eb5ef2"));
+    (("monetdb", "P3.3"), (18531, "08caa3db2d15e548664a1c820726b57a"));
+    (("duckdb", "P1.1"), (41, "7aefff6586b288f0096c172e935cf32e"));
+    (("duckdb", "P1.2"), (16212, "db7fd167dc40281bef410ab3330d398d"));
+    (("duckdb", "P1.3"), (1404, "39281f66f8cfb8f469e9e09fa573b068"));
+    (("duckdb", "P1.4"), (912, "661a3ba2707475f8a45a726d62d44211"));
+    (("duckdb", "P2.1"), (3860, "100aee9e3431eca484b9c0ca2c6fd5e3"));
+    (("duckdb", "P2.2"), (3840, "f968ef62944f0bb8e9a180a41cd4dc53"));
+    (("duckdb", "P2.3"), (36371, "1df2eb9ef87715a8da681351d1993872"));
+    (("duckdb", "P3.1"), (1500, "461d1b0fc30ea0a211d2474d129e69d6"));
+    (("duckdb", "P3.2"), (38016, "0ea14a4249b440d410bac59e63c9996e"));
+    (("duckdb", "P3.3"), (88602, "413da7cd2449575280b86dd21135a3ac"));
+    (("virtuoso", "P1.1"), (41, "7aefff6586b288f0096c172e935cf32e"));
+    (("virtuoso", "P1.2"), (14616, "c04276dc1724fb79b50e4c3d00c15bcd"));
+    (("virtuoso", "P1.3"), (1365, "0222e640921609b52edde2a4112313de"));
+    (("virtuoso", "P1.4"), (876, "a6a0387e7913746e68214181c83875d4"));
+    (("virtuoso", "P2.1"), (3480, "6634c5b60cabb95e6cfde90d676da538"));
+    (("virtuoso", "P2.2"), (3460, "affda87828cc6c7e83797aab3fd6483b"));
+    (("virtuoso", "P2.3"), (30566, "b86373ce6c245e7fd81482f7546ccf03"));
+    (("virtuoso", "P3.1"), (1480, "f67eacad79914eef0bb619fce3adaa23"));
+    (("virtuoso", "P3.2"), (30576, "3636c90e2341091d75158afd6d2a00fc"));
+    (("virtuoso", "P3.3"), (68734, "37fb17fed39e94b8cef599206daf6ff2"));
+  ]
+
+let test_pattern_streams_pinned () =
+  let actual =
+    List.concat_map
+      (fun prof ->
+        let registry = Dialect.registry prof in
+        let seeds =
+          Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
+        in
+        List.map
+          (fun pattern ->
+            let n, d =
+              Seq.fold_left
+                (fun (n, d) (c : Soft.Patterns.case) ->
+                  ( n + 1,
+                    Digest.string
+                      (String.concat "\t"
+                         [ d; c.Soft.Patterns.origin;
+                           Sql_pp.stmt c.Soft.Patterns.stmt ]) ))
+                (0, Digest.string "")
+                (Soft.Patterns.generate ~registry ~seeds pattern)
+            in
+            ((prof.Dialect.id, Pattern_id.to_string pattern), (n, Digest.to_hex d)))
+          Pattern_id.all)
+      Dialect.all
+  in
+  Alcotest.(check (list (pair (pair string string) (pair int string))))
+    "pattern streams" pattern_stream_pins actual
 
 (* ----- baselines ----- *)
 
@@ -722,6 +834,8 @@ let suite =
         test_compact_campaign_identical;
       Alcotest.test_case "batch stream equivalence (all dialects)" `Slow
         test_batch_stream_equivalence;
+      Alcotest.test_case "pattern streams pinned (all dialects)" `Slow
+        test_pattern_streams_pinned;
       Alcotest.test_case "SOFT beats baselines (mariadb)" `Slow
         test_soft_beats_baselines_on_mariadb;
       Alcotest.test_case "baselines generate valid statements" `Quick
