@@ -74,7 +74,6 @@ let collect_calls fold x =
   List.rev calls
 
 let function_calls stmt = collect_calls (fun f acc -> fold_stmt_exprs f acc) stmt
-let expr_function_calls e = collect_calls (fun f acc -> fold_exprs f acc) e
 let count_function_exprs stmt = List.length (function_calls stmt)
 
 let rec call_depth e =
@@ -302,12 +301,12 @@ let equal_stmt (a : Ast.stmt) (b : Ast.stmt) = a = b
    payloads, so subquery interiors are compared in full and contribute
    no slots.
 
-   [equal_skeleton_expr] is the family test [Patterns] groups cases
+   [equal_skeleton_expr] is the run test [Patterns] groups cases
    with: skeleton-equal expressions occupy interchangeable positions,
-   so a family shares one compiled plan. [fold_slots] extracts the
+   so a run shares one compiled plan. [fold_slots] extracts the
    varying literal nodes in the compiler's slot order (pre-order,
-   projection → from → where → group_by → having → order_by) and
-   [subst_slots] puts a member back together from them. *)
+   projection → from → where → group_by → having → order_by), and
+   [expr_slots] the leaves one planted expression contributes. *)
 
 let rec eq_skel_expr a b =
   match (a, b) with
@@ -410,95 +409,6 @@ let rec fold_slots f acc = function
   | Create_table _ | Insert _ | Drop_table _ -> acc
 
 let equal_skeleton_expr = eq_skel_expr
-
-(* Rebuild a statement from its skeleton and a slot vector. The
-   traversal mirrors slot_expr/slot_from/slot_select/slot_query node
-   for node, so leaf [i] of [fold_slots] is replaced by [vec.(i)];
-   subquery/derived-table interiors are kept verbatim, exactly as
-   fold_slots skips them. Record fields are bound with [let] before
-   construction because OCaml's field evaluation order is unspecified
-   and the counter threads left to right. *)
-let subst_slots stmt vec =
-  let i = ref 0 in
-  let next () =
-    let v = vec.(!i) in
-    incr i;
-    v
-  in
-  let rec sub_expr e =
-    match e with
-    | Null | Bool_lit _ | Int_lit _ | Dec_lit _ | Str_lit _ | Hex_lit _ ->
-      next ()
-    | Star | Column _ -> e
-    | Call c -> Call { c with args = List.map sub_expr c.args }
-    | Cast (e1, ty) -> Cast (sub_expr e1, ty)
-    | Unop (op, e1) -> Unop (op, sub_expr e1)
-    | Is_null (e1, neg) -> Is_null (sub_expr e1, neg)
-    | Binop (op, a, b) ->
-      let a = sub_expr a in
-      Binop (op, a, sub_expr b)
-    | Row es -> Row (List.map sub_expr es)
-    | Array_lit es -> Array_lit (List.map sub_expr es)
-    | Case { operand; branches; else_ } ->
-      let operand = Option.map sub_expr operand in
-      let branches =
-        List.map
-          (fun (w, t) ->
-            let w = sub_expr w in
-            (w, sub_expr t))
-          branches
-      in
-      Case { operand; branches; else_ = Option.map sub_expr else_ }
-    | In_list (e1, es) ->
-      let e1 = sub_expr e1 in
-      In_list (e1, List.map sub_expr es)
-    | Between (e1, lo, hi) ->
-      let e1 = sub_expr e1 in
-      let lo = sub_expr lo in
-      Between (e1, lo, sub_expr hi)
-    | Subquery _ | Exists _ -> e
-  in
-  let rec sub_from f =
-    match f with
-    | From_table _ | From_subquery _ -> f
-    | From_join j ->
-      let left = sub_from j.left in
-      let right = sub_from j.right in
-      From_join { j with left; right; on = Option.map sub_expr j.on }
-  in
-  let sub_select s =
-    let projection =
-      List.map
-        (function
-          | Proj_star -> Proj_star
-          | Proj_expr (e, alias) -> Proj_expr (sub_expr e, alias))
-        s.projection
-    in
-    let from = Option.map sub_from s.from in
-    let where = Option.map sub_expr s.where in
-    let group_by = List.map sub_expr s.group_by in
-    let having = Option.map sub_expr s.having in
-    { s with projection; from; where; group_by; having }
-  in
-  let rec sub_body = function
-    | Body_select s -> Body_select (sub_select s)
-    | Body_union u ->
-      let left = sub_body u.left in
-      Body_union { u with left; right = sub_body u.right }
-  in
-  let sub_query q =
-    let body = sub_body q.body in
-    let order_by =
-      List.map (fun o -> { o with ord_expr = sub_expr o.ord_expr }) q.order_by
-    in
-    { q with body; order_by }
-  in
-  let rec sub_stmt = function
-    | Select_stmt q -> Select_stmt (sub_query q)
-    | Explain s -> Explain (sub_stmt s)
-    | (Create_table _ | Insert _ | Drop_table _) as s -> s
-  in
-  sub_stmt stmt
 
 let expr_slots e =
   let exception Unslotted in

@@ -14,8 +14,6 @@ val function_calls : Ast.stmt -> Ast.call list
 
 val count_function_exprs : Ast.stmt -> int
 
-val expr_function_calls : Ast.expr -> Ast.call list
-
 val call_depth : Ast.expr -> int
 (** Maximum function-call nesting depth ([f(g(x))] has depth 2). *)
 
@@ -40,20 +38,8 @@ val equal_skeleton_expr : Ast.expr -> Ast.expr -> bool
 (** Structural equality modulo slot nodes: any literal leaf matches
     any literal leaf, and subquery interiors are compared in full. Two
     expressions that are skeleton-equal occupy interchangeable
-    positions in a shared compiled plan — the test [Patterns] groups a
-    case family with. *)
-
-val subst_slots : Ast.stmt -> Ast.expr array -> Ast.stmt
-(** [subst_slots skel vec] rebuilds a statement from a skeleton and a
-    slot vector: leaf [i] of {!fold_slots} (same traversal, same
-    order) is replaced by [vec.(i)], every non-slot node is kept, and
-    subquery interiors are preserved verbatim. For any statement [s]
-    with slot vector [v = fold_slots snoc [] s],
-    [subst_slots s (of_list v) = s]; substituting a skeleton-equal
-    vector reconstructs the sibling family member — the lazy
-    case-reconstruction path of batched execution. Raises
-    [Invalid_argument] if [vec] has fewer entries than the skeleton
-    has slots. *)
+    positions in a shared compiled plan — the test [Patterns] cuts a
+    position family into runs with. *)
 
 val expr_slots : Ast.expr -> Ast.expr list option
 (** The literal leaves of one expression in {!fold_slots} order, or

@@ -207,5 +207,3 @@ let rec stmt = function
       drop_name
 
 let stmts ss = String.concat ";\n" (List.map stmt ss) ^ ";"
-let pp_stmt fmt s = Format.pp_print_string fmt (stmt s)
-let pp_expr fmt e = Format.pp_print_string fmt (expr e)

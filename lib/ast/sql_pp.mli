@@ -11,6 +11,3 @@ val stmt : Ast.stmt -> string
 
 val stmts : Ast.stmt list -> string
 (** Semicolon-separated script. *)
-
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_expr : Format.formatter -> Ast.expr -> unit

@@ -63,21 +63,21 @@ val create :
     each; every verdict bumps the dialect x pattern x class counter.
 
     [compile] (default [true]) enables closure compilation of
-    skeleton-sharing case families ([Batched] items): a family of two
-    or more members compiles its skeleton once at the start of its
-    batch and runs every member on that plan by filling its slot
-    window, with no AST walk; the plan is dropped with the batch, so
-    nothing carries over to the next one. A family of one, and a
-    skeleton outside the compiled subset, is interpreted. Compiled
+    skeleton-sharing family runs ([Batched] items): a run of two or
+    more members compiles its skeleton once at the start of its batch
+    and runs every member on that plan by filling its slot window,
+    with no AST walk; the plan is dropped with the batch, so nothing
+    carries over to the next one. A run of one, and a skeleton outside
+    the compiled subset, is interpreted. Compiled
     execution is observably identical to the interpreter (values,
     coverage, fault sites, ticks, profile attribution). Seed replays,
     scenarios and skeleton-varying cases always interpret. Every case
     is counted once on the telemetry collector
-    ({!Sqlfun_telemetry.Telemetry.compile_counts}): a compiled family
+    ({!Sqlfun_telemetry.Telemetry.compile_counts}): a compiled run
     as one miss and a hit per further member, an interpreted case as a
     fallback. With [compile:false] every batch member is interpreted
-    from its reconstructed AST — the reference the compiled path must
-    match — and nothing is counted.
+    as the statement its family's builder makes of it — the reference
+    the compiled path must match — and nothing is counted.
 
     [compact] (default [true]) enables the compact value
     representations ({!Sqlfun_value.Value.Range_arr}/[Rope_str]) inside
@@ -102,20 +102,41 @@ val run : t -> ?first_case:int -> Patterns.work -> unit
       clean prerequisite failure is the scenario's verdict; a
       prerequisite crash is a found bug whose PoC is the whole
       statement list (replayable standalone from a cold engine).
-    - [Batched] runs a skeleton-sharing family, the only compiled
-      execution path: the skeleton is compiled once for the batch and
-      the member loop is fill-window → eval → classify, with no
-      statement ASTs materialized. Families without a plan (one
-      member, an uncompilable skeleton, or [compile:false]) are
-      interpreted member by member from their reconstructed ASTs.
-      Verdicts, verdict counters, bug records, fault sites and coverage
-      are identical either way.
+    - [Batched] runs one run of a skeleton-sharing position family,
+      the only compiled execution path: the run's skeleton ([b_build]
+      of its first member) is compiled once and the member loop is
+      fill-window → eval → classify, with no statement ASTs
+      materialized. Runs without a plan (one member, no slot window
+      (see {!window}), an uncompilable skeleton, or [compile:false])
+      are interpreted member by member, each member [v] as
+      [b_build v]. Verdicts, verdict counters, bug records, fault
+      sites and coverage are identical either way; a PoC is always
+      [b_build v] printed.
 
     [first_case] makes the item's case [i] global case
     [first_case + i] on bug records and verdict events. Shard workers
     pass the index in the global (unsharded) stream so merged campaign
     output equals a sequential run's; plain callers omit it and get the
     detector-local 1-based execution index. *)
+
+(** Where a run's members go in its compiled skeleton. *)
+type window = {
+  skeleton : Sqlfun_ast.Ast.stmt;  (** [b_build] of the first member *)
+  slots : Sqlfun_ast.Ast.expr array;
+      (** the skeleton's {!Sqlfun_ast.Ast_util.fold_slots} vector *)
+  lo : int;
+      (** where a member's {!Sqlfun_ast.Ast_util.expr_slots} start in
+          [slots] *)
+}
+
+val window : Patterns.batch -> window option
+(** The slot window of a run, located by building the statement once
+    with a sentinel literal planted and finding it among the slots;
+    [None] when the position lies outside the slot traversal or the
+    first member's leaves are not exactly the window (checked by
+    physical identity). Overwriting [slots] from [lo] with a member's
+    leaves gives [fold_slots] of [b_build] of that member — what
+    {!run} feeds the compiled plan. *)
 
 val run_sql : t -> string -> verdict
 (** One SQL string as one case under pattern ["seed"]; a parse error

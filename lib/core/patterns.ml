@@ -6,16 +6,21 @@ type case = { stmt : Ast.stmt; pattern : Pattern_id.t; origin : string }
 
 (* ----- substitution plumbing ----- *)
 
-(* Replace argument [ai] of call [c], which is call number [ci]
-   (pre-order) in [stmt]. The call node is passed in by the position
-   enumeration — recomputing [Ast_util.function_calls] here would
-   re-traverse the statement once per (position, variant) pair, an
-   O(positions^2) hot path. [ci] still numbers the same pre-order walk
-   [positions] enumerated, keeping it in lockstep with
-   [replace_nth_call]. *)
+(* The statement with call number [ci] (pre-order) replaced by [e]. A
+   seed is a SELECT ([Collector.seed]) and every call index comes from
+   [Ast_util.function_calls] of the same statement, so the rewrite
+   always succeeds. *)
+let replace_call stmt ci e = Option.get (Ast_util.replace_nth_call stmt ci e)
+
+(* Replace argument [ai] of call [c], which is call number [ci] in
+   [stmt]. The call node is passed in by the position enumeration —
+   recomputing [Ast_util.function_calls] here would re-traverse the
+   statement once per (position, variant) pair, an O(positions^2) hot
+   path. [ci] still numbers the same pre-order walk [positions]
+   enumerated. *)
 let with_arg stmt ci (c : Ast.call) ai new_arg =
   let args = List.mapi (fun i a -> if i = ai then new_arg else a) c.Ast.args in
-  Ast_util.replace_nth_call stmt ci (Ast.Call { c with args })
+  replace_call stmt ci (Ast.Call { c with args })
 
 (* All (call index, arg index, call, arg) positions of a statement. *)
 let positions stmt =
@@ -219,7 +224,7 @@ let unary_wrappers registry =
 
 type family = {
   f_origin : string;
-  f_build : Ast.expr -> Ast.stmt option;
+  f_build : Ast.expr -> Ast.stmt;
   f_variants : Ast.expr list;  (** never empty *)
 }
 
@@ -247,8 +252,7 @@ let families ~registry ~seeds pattern =
   | Pattern_id.P1_1 ->
     (* a bare SELECT * probe is not a function test *)
     Option.to_seq
-      (family "pool"
-         (fun v -> Some (Ast.select_expr v))
+      (family "pool" Ast.select_expr
          (List.filter (fun l -> l <> Ast.Star) (Boundary_pool.all ())))
   | Pattern_id.P1_2 -> arg_families seeds (fun _ _ -> Boundary_pool.all ())
   | Pattern_id.P1_3 -> arg_families seeds (fun _ arg -> p1_3_variants_of arg)
@@ -276,7 +280,7 @@ let families ~registry ~seeds pattern =
                match Registry.find registry c.Ast.fname with
                | None -> None
                | Some spec ->
-                 family origin (Ast_util.replace_nth_call stmt ci)
+                 family origin (replace_call stmt ci)
                    (p2_3_variants_of spec c donor_arglists)))
   | Pattern_id.P3_1 ->
     arg_families (small_seeds seeds) (fun _ arg -> p3_1_variants_of arg)
@@ -298,10 +302,10 @@ let families ~registry ~seeds pattern =
             else Some (Ast.Call donor))
           donor_calls)
 
-(* The per-case driver: one case per variant the builder accepts. *)
+(* The per-case driver: one case per variant. *)
 let family_cases pattern f =
   seq_of_list f.f_variants
-  |> Seq.filter_map (fun v -> Option.map (case pattern f.f_origin) (f.f_build v))
+  |> Seq.map (fun v -> case pattern f.f_origin (f.f_build v))
 
 let generate ?telemetry ~registry ~seeds pattern =
   families ~registry ~seeds pattern
@@ -531,45 +535,34 @@ let count_scenario_positions scenarios =
 
 (* ----- slot-stream batches -----
 
-   For the skeleton-sharing families (P1.1–P1.4, P2.3, P3.1) every
-   case at one (seed, position) differs from its siblings only in a
-   contiguous window of literal slots. A batch carries the family
-   once — one skeleton statement, its full slot vector, the varying
-   window — plus one small literal vector per case, so the executor
-   can compile the skeleton once and run the whole family as
-   fill-window → eval → classify. A case that cannot join a family is a family of
-   one: its own statement as skeleton and an empty window. Any
-   member's full AST is recoverable on demand ([batch_stmt]), and
-   flattening a work stream back to statements reproduces the per-case
-   driver's stream element for element — the equivalence the
-   property tests pin down. *)
+   For the skeleton-sharing patterns (P1.1–P1.4, P2.3, P3.1) the
+   batched driver cuts each position family into runs: maximal runs of
+   consecutive skeleton-equal variants with at least one slot leaf,
+   and every other variant (subquery-carrying, leafless like [Star], a
+   shape change) a run of one. A run keeps its family's statement
+   builder and its members, the planted variants in generation order,
+   so every member's statement is [b_build v], exactly what the
+   per-case driver emits, and flattening a work stream back to
+   statements reproduces that driver's stream element for element —
+   the equivalence the property tests pin down. Skeleton-equal members
+   differ only in their literal leaves, so the executor can compile a
+   run's skeleton once and fill each member's leaves into its slot
+   window. *)
 
 type batch = {
   b_pattern : Pattern_id.t;
   b_origin : string;
-  b_skeleton : Ast.stmt;  (** first member's full statement *)
-  b_slots : Ast.expr array;  (** [Ast_util.fold_slots] of the skeleton *)
-  b_lo : int;  (** varying window start in [b_slots] *)
-  b_n : int;  (** varying window width *)
-  b_vecs : Ast.expr array list;  (** one window vector per case, in order *)
+  b_build : Ast.expr -> Ast.stmt;
+  b_members : Ast.expr list;
 }
 
 type work = Seed of Ast.stmt | Single of scenario | Batched of batch
 
-let batch_size b = List.length b.b_vecs
+let batch_size b = List.length b.b_members
 
 let work_size = function
   | Seed _ | Single _ -> 1
   | Batched b -> batch_size b
-
-let batch_stmt b vec =
-  (* a family of one has an empty window: its skeleton is the member *)
-  if b.b_n = 0 then b.b_skeleton
-  else begin
-    let slots = Array.copy b.b_slots in
-    Array.blit vec 0 slots b.b_lo b.b_n;
-    Ast_util.subst_slots b.b_skeleton slots
-  end
 
 let split_batch b k =
   let rec take_drop k acc = function
@@ -577,130 +570,37 @@ let split_batch b k =
     | [] -> (List.rev acc, [])
     | v :: rest -> take_drop (k - 1) (v :: acc) rest
   in
-  let first, rest = take_drop k [] b.b_vecs in
-  ({ b with b_vecs = first }, { b with b_vecs = rest })
+  let first, rest = take_drop k [] b.b_members in
+  ({ b with b_members = first }, { b with b_members = rest })
 
-(* A literal no real case ever contains, used to locate one position's
-   slot window: build the statement once with the sentinel spliced in,
-   then find it in the slot fold by physical identity. *)
-let batch_sentinel = Ast.Str_lit "\000soft-batch-sentinel\000"
-
-let slot_array stmt =
-  Array.of_list (List.rev (Ast_util.fold_slots (fun acc s -> s :: acc) [] stmt))
-
-(* Turn one position's variant list into work items: maximal runs of
-   consecutive same-shaped variants become batches, everything else
-   (subquery-carrying variants, leafless variants like [Star], shape
-   changes, window mismatches) becomes a family of one around the
-   statement the per-case driver builds. [build] is the position
-   family's statement builder, which the per-case driver applies per
-   variant; it either always succeeds or always fails for a given
-   position, so probing it with the sentinel is sound. *)
-let batched_position ~pattern ~origin ~build (variants : Ast.expr list) :
-    work list =
-  let mk v =
-    match build v with
-    | Some stmt ->
-      Some
-        (Batched
-           {
-             b_pattern = pattern;
-             b_origin = origin;
-             b_skeleton = stmt;
-             b_slots = slot_array stmt;
-             b_lo = 0;
-             b_n = 0;
-             b_vecs = [ [||] ];
-           })
-    | None -> None
+(* A family's variants cut into runs, in order. *)
+let runs variants =
+  let close run out = if run = [] then out else List.rev run :: out in
+  let rec go out run shape = function
+    | [] -> List.rev (close run out)
+    | v :: rest -> (
+      match Ast_util.expr_slots v with
+      | None | Some [] -> go ([ v ] :: close run out) [] None rest
+      | Some _ -> (
+        match shape with
+        | Some s when Ast_util.equal_skeleton_expr s v ->
+          go out (v :: run) shape rest
+        | _ -> go (close run out) [ v ] (Some v) rest))
   in
-  let singles vs = List.filter_map mk vs in
-  match build batch_sentinel with
-  | None -> []
-  | Some rep ->
-    let lo, _ =
-      Ast_util.fold_slots
-        (fun (lo, n) s ->
-          ((if s == batch_sentinel then n else lo), n + 1))
-        (-1, 0) rep
-    in
-    if lo < 0 then singles variants
-    else begin
-      (* [out] and [group] accumulate in reverse *)
-      let flush_group members out =
-        match members with
-        | [] -> out
-        | [ (v, _) ] -> (
-          match mk v with Some w -> w :: out | None -> out)
-        | (v1, leaves1) :: _ -> (
-          let fallback () =
-            List.rev_append (singles (List.map fst members)) out
-          in
-          match build v1 with
-          | None -> fallback ()
-          | Some skeleton ->
-            let slots = slot_array skeleton in
-            let k = List.length leaves1 in
-            (* the window must be exactly v1's leaves: [build] splices
-               the variant subtree in by reference, so physical
-               equality both checks contiguity and guards against a
-               substitution that copied nodes *)
-            let window_ok =
-              lo + k <= Array.length slots
-              && (let ok = ref true and i = ref lo in
-                  List.iter
-                    (fun leaf ->
-                      if not (slots.(!i) == leaf) then ok := false;
-                      incr i)
-                    leaves1;
-                  !ok)
-            in
-            if not window_ok then fallback ()
-            else
-              Batched
-                {
-                  b_pattern = pattern;
-                  b_origin = origin;
-                  b_skeleton = skeleton;
-                  b_slots = slots;
-                  b_lo = lo;
-                  b_n = k;
-                  b_vecs =
-                    List.map (fun (_, ls) -> Array.of_list ls) members;
-                }
-              :: out)
-      in
-      let out = ref [] and group = ref [] and shape = ref None in
-      let flush () =
-        out := flush_group (List.rev !group) !out;
-        group := [];
-        shape := None
-      in
-      List.iter
-        (fun v ->
-          match Ast_util.expr_slots v with
-          | None | Some [] ->
-            flush ();
-            (match mk v with Some w -> out := w :: !out | None -> ())
-          | Some leaves -> (
-            match !shape with
-            | Some s when Ast_util.equal_skeleton_expr s v ->
-              group := (v, leaves) :: !group
-            | _ ->
-              flush ();
-              shape := Some v;
-              group := [ (v, leaves) ]))
-        variants;
-      flush ();
-      List.rev !out
-    end
+  go [] [] None variants
 
 let generate_work ?telemetry ~registry ~seeds pattern : work Seq.t =
   let family_work =
     if Pattern_id.shares_skeleton pattern then fun f ->
-      List.to_seq
-        (batched_position ~pattern ~origin:f.f_origin ~build:f.f_build
-           f.f_variants)
+      List.to_seq (runs f.f_variants)
+      |> Seq.map (fun members ->
+             Batched
+               {
+                 b_pattern = pattern;
+                 b_origin = f.f_origin;
+                 b_build = f.f_build;
+                 b_members = members;
+               })
     else fun f -> Seq.map (fun c -> Single (stateless c)) (family_cases pattern f)
   in
   families ~registry ~seeds pattern

@@ -8,7 +8,8 @@
     plants there, in generation order. P1.1 is the pool itself, one
     family of bare [SELECT <literal>] probes. {!generate} and
     {!generate_work} are two drivers over the same families: one case
-    per variant, or the same cases grouped into batches. Per Finding 3,
+    per variant, or the same cases cut into runs that carry the
+    family's builder and the planted variants. Per Finding 3,
     seeds already containing more than two function expressions are not
     expanded further by the nesting patterns. *)
 
@@ -66,42 +67,34 @@ val count_scenario_positions : scenario Seq.t -> int
     expression positions included) — the stateful share of the CLI
     "positions" line. Forces the sequence. *)
 
-(** A slot-stream batch: one case family that shares a skeleton —
-    every member differs from [b_skeleton] only in the literal window
-    [b_lo, b_lo + b_n) of its {!Ast_util.fold_slots} vector. The
-    executor resolves the compiled plan once per batch and runs members
-    as fill-window → eval → classify; any member's full AST is
-    recoverable with {!batch_stmt}. A family of one has [b_n = 0]: its
-    skeleton is the member itself. *)
+(** A slot-stream batch: one run of a position family. [b_build] is the
+    family's statement builder and [b_members] are the variants it
+    plants, in generation order; member [v]'s statement is [b_build v],
+    the statement {!generate} emits for it. Members of a run of two or
+    more are skeleton-equal ({!Ast_util.equal_skeleton_expr}) and each
+    has at least one literal leaf, so they differ only in the literal
+    slots their variant fills: the executor compiles [b_build] of the
+    first member once and runs the members as fill-window → eval →
+    classify. *)
 type batch = {
   b_pattern : Pattern_id.t;
   b_origin : string;
-  b_skeleton : Ast.stmt;  (** first member's full statement *)
-  b_slots : Ast.expr array;  (** [Ast_util.fold_slots] of the skeleton *)
-  b_lo : int;  (** varying window start in [b_slots] *)
-  b_n : int;  (** varying window width *)
-  b_vecs : Ast.expr array list;  (** one window vector per case, in order *)
+  b_build : Ast.expr -> Ast.stmt;
+  b_members : Ast.expr list;  (** the planted variants, in order *)
 }
 
 (** The unit of work, executed by {!Detector.run}: a pattern-less
     statement (a seed replay or a baseline tool's statement, counted
     under pattern ["seed"]), a scenario (a skeleton-varying case or a
-    stateful scenario), or a whole skeleton-sharing family. *)
+    stateful scenario), or a run of a skeleton-sharing family. *)
 type work = Seed of Ast.stmt | Single of scenario | Batched of batch
 
 val batch_size : batch -> int
 val work_size : work -> int
 
-val batch_stmt : batch -> Ast.expr array -> Ast.stmt
-(** [batch_stmt b vec] reconstructs one member's full statement from
-    the skeleton and its window vector — structurally equal to what
-    {!generate} emits for that member. Only called off
-    the compiled hot path: PoC pretty-printing, interpreted families,
-    tests. *)
-
 val split_batch : batch -> int -> batch * batch
 (** [split_batch b k] splits the member list at [k] (clamped), sharing
-    the skeleton — how the budgeted enumeration cuts a family at a
+    the builder — how the budgeted enumeration cuts a run at a
     budget-share boundary without re-deriving it. *)
 
 val generate_work :
@@ -112,9 +105,9 @@ val generate_work :
   work Seq.t
 (** The batched driver over the same position families as {!generate}.
     When {!Pattern_id.shares_skeleton} holds (P1.1–P1.4, P2.3, P3.1),
-    each family becomes [Batched] items — runs of consecutive
-    same-shaped variants, and a family of one for each variant that
-    cannot join a run; otherwise (P2.1, P2.2, P3.2, P3.3) each case is a
-    [Single]. Flattening the batches with {!batch_stmt} reproduces
+    each family becomes [Batched] runs: maximal runs of consecutive
+    skeleton-equal variants with at least one literal leaf, and a run of
+    one for each other variant; otherwise (P2.1, P2.2, P3.2, P3.3) each
+    case is a [Single]. Flattening the runs with [b_build] reproduces
     {!generate}'s stream element for element — same statements, same
     order. *)

@@ -51,7 +51,7 @@ let split_budget b n =
    and the unconsumed rest of the stream ([None] when the stream ran
    dry). A [Batched] item counts as its member count; one that would
    overshoot the share is split at the boundary and its tail becomes
-   the stream's next item, so budget shares cut families at exactly
+   the stream's next item, so budget shares cut runs at exactly
    the same case index a per-case enumeration would have stopped at. *)
 let drain_share emit works n =
   let rec go works taken =
@@ -183,7 +183,7 @@ let work_streams ~tel ~registry ~seeds ~patterns ~stateful =
    Generation reads nothing but the immutable seeds and registry, so
    repeating it on each domain is safe, and no case ever crosses a
    domain. Ownership is per whole item — a seed statement, a scenario or
-   an entire family batch goes to the shard with the fewest cases so
+   an entire family run goes to the shard with the fewest cases so
    far, lowest index on ties — and every worker computes the same
    assignment. Shard [s] runs on worker [s mod jobs]; worker 0 is the
    calling domain, so [jobs - 1] domains are spawned.
@@ -206,7 +206,7 @@ let per_shard ~shards ~create campaign =
 let merge_shards merge_into ~dst parts =
   if Array.length parts > 1 then Array.iter (fun p -> merge_into ~dst p) parts
 
-let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
+let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
     ?(compile = true) ?(compact = true) ?(stateful = true) ?(shards = 1) ?jobs
     prof =
   let shards = Stdlib.max 1 shards in
@@ -216,7 +216,7 @@ let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
     | None -> shards
   in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
-  let cov = match cov with Some c -> c | None -> Coverage.create () in
+  let cov = Coverage.create () in
   let profile = Profile.create () in
   let dialect = prof.Dialect.id in
   let t0 = Telemetry.now_ns () in
@@ -385,35 +385,11 @@ let fuzz ?budget ?cov ?telemetry ?timeseries ?(patterns = Pattern_id.all)
     ~false_positives:(sum Detector.false_positives)
     ~fp_signatures ~known_crashes:(sum Detector.known_crashes) ~bugs
 
-let fuzz_all ?budget ?telemetry ?timeseries ?compile ?compact ?stateful
-    ?(jobs = 1) ?(shards = 1) () =
-  if jobs <= 1 then
-    List.map
-      (fun prof ->
-        fuzz ?budget ?telemetry ?timeseries ?compile ?compact ?stateful ~shards
-          prof)
-      Dialect.all
-  else begin
-    (* each campaign records into a private collector on its own domain;
-       the caller's collector receives the merged aggregates afterwards,
-       in dialect order, so shared-collector totals match a sequential
-       [fuzz_all] (per-case events are not replayed into the shared
-       sink — pass a sink per campaign, or run sequentially, to
-       stream them) *)
-    let results =
-      Pool.with_pool
-        (Stdlib.min jobs (List.length Dialect.all))
-        (fun pool ->
-          Pool.run pool
-            (List.map
-               (fun prof () ->
-                 fuzz ?budget ?timeseries ?compile ?compact ?stateful ~shards
-                   prof)
-               Dialect.all))
-    in
-    Option.iter
-      (fun tel ->
-        List.iter (fun r -> Telemetry.merge_into ~dst:tel r.telemetry) results)
-      telemetry;
-    results
-  end
+let fuzz_all ?budget ?stateful ?(jobs = 1) ?(shards = 1) () =
+  let campaign prof = fuzz ?budget ?stateful ~shards prof in
+  if jobs <= 1 then List.map campaign Dialect.all
+  else
+    Pool.with_pool
+      (Stdlib.min jobs (List.length Dialect.all))
+      (fun pool ->
+        Pool.run pool (List.map (fun prof () -> campaign prof) Dialect.all))

@@ -69,7 +69,6 @@ val split_budget : int -> int -> int list
 
 val fuzz :
   ?budget:int ->
-  ?cov:Sqlfun_coverage.Coverage.t ->
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
   ?patterns:Pattern_id.t list ->
@@ -100,13 +99,13 @@ val fuzz :
     [stage_verdicts] are zero; execute still counts every stateless
     crash-class verdict.
     Skeleton-sharing pattern families stream as slot-stream batches
-    ({!Patterns.generate_work} / {!Detector.run}): one skeleton
-    AST plus slot vectors per family run, with the telemetry span and
-    the skeleton's compile paid once per batch instead of once per
-    case; batch counters are reported on the collector
-    ({!Sqlfun_telemetry.Telemetry.batch_counts}). Under sharding a
-    family batch is one work item owned whole by one shard, so every
-    batch keeps the one-compile-per-family economics, and no plan
+    ({!Patterns.generate_work} / {!Detector.run}): one batch per run
+    of a family (its statement builder and planted values), with the
+    telemetry span and the skeleton's compile paid once per batch
+    instead of once per case; batch counters are reported on the
+    collector ({!Sqlfun_telemetry.Telemetry.batch_counts}). Under
+    sharding a run is one work item owned whole by one shard, so every
+    batch keeps the one-compile-per-run economics, and no plan
     outlives its batch. Compact
     construction/spill counts are credited to the campaign collector
     ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per worker
@@ -120,10 +119,10 @@ val fuzz :
     it) is the number of domains executing them, the calling domain
     included — [jobs - 1] are spawned. Every worker enumerates the
     whole case stream and executes the work items its shards own: a
-    seed statement, a scenario or a whole family batch goes to the
+    seed statement, a scenario or a whole family run goes to the
     shard with the fewest cases so far. [shards = 1] runs one worker
-    inline, recording straight into [cov], [telemetry] and the result
-    profile. Results are deterministic in [shards] and [jobs]: only
+    inline, recording straight into the result's coverage, [telemetry]
+    and profile. Results are deterministic in [shards] and [jobs]: only
     timings change. With [shards > 1] a [--trace]-style event sink on
     [telemetry] sees campaign-level spans but not per-case events
     (shard collectors are merged as aggregates). An exception raised
@@ -145,18 +144,11 @@ val fuzz :
 
 val fuzz_all :
   ?budget:int ->
-  ?telemetry:Sqlfun_telemetry.Telemetry.t ->
-  ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
-  ?compile:bool ->
-  ?compact:bool ->
   ?stateful:bool ->
   ?jobs:int ->
   ?shards:int ->
   unit ->
   result list
-(** One campaign per dialect, paper order. [jobs] (default 1) runs
-    campaigns on that many worker domains; [shards] is passed through
-    to each campaign. A shared [telemetry] yields cross-dialect
-    aggregates (counters stay keyed by dialect); with [jobs > 1] each
-    campaign records privately and the shared collector receives the
-    merged aggregates in dialect order. *)
+(** One campaign per dialect, paper order, each with a private
+    collector. [jobs] (default 1) runs campaigns on that many worker
+    domains; [shards] is passed through to each campaign. *)

@@ -1,12 +1,14 @@
 (* Closure compilation of SOFT case statements.
 
-   A SOFT case family shares one statement skeleton and varies only the
-   boundary-literal leaves (the variants of one Patterns position family).
-   [compile] lowers a family's skeleton once, at the start of its
-   batch, into a tree of closures with *argument slots* at those
-   literal positions; per case the detector then fills a reused slot
-   buffer (Ast_util.fold_slots) and runs the closure — no AST re-walk,
-   no per-node dispatch. The plan dies with its batch.
+   The members of one run of a Patterns position family share one
+   statement skeleton and vary only its boundary-literal leaves.
+   [compile] lowers the run's skeleton (the family's builder applied to
+   its first member) once, at the start of its batch, into a tree of
+   closures with *argument slots* at those literal positions
+   (Ast_util.fold_slots order); per member the detector then writes the
+   member's leaves (Ast_util.expr_slots) into the slot window of a
+   reused buffer and runs the closure — no AST re-walk, no per-node
+   dispatch. The plan dies with its batch.
 
    A slot holds the literal AST node itself (one of the six literal
    constructors), not just a payload string: boundary-argument sets mix

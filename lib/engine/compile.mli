@@ -1,16 +1,18 @@
 (** Closure compilation of SOFT case statements.
 
-    A case family shares one statement skeleton and varies only
-    boundary-literal leaves. [compile] lowers a supported statement
-    once into closures with *argument slots* at those positions. The
-    detector compiles a family's skeleton at the start of its batch,
-    fills a reused slot buffer per member
-    ({!Sqlfun_ast.Ast_util.fold_slots}) and runs the plan — no AST
-    re-walk per case — then drops the plan with the batch; nothing is
-    cached across batches. A slot carries the literal node itself, so NULL,
-    integer, string and blob boundary values at one position all share
-    the same plan (the slot closure dispatches on the constructor at
-    run time).
+    The members of one run of a position family share one statement
+    skeleton and vary only boundary-literal leaves. [compile] lowers a
+    supported statement once into closures with *argument slots* at
+    those positions. The detector compiles a run's skeleton (the
+    family's builder applied to its first member) at the start of its
+    batch, writes each member's leaves
+    ({!Sqlfun_ast.Ast_util.expr_slots}) into the slot window of a
+    reused buffer laid out in {!Sqlfun_ast.Ast_util.fold_slots} order
+    and runs the plan — no AST re-walk per case — then drops the plan
+    with the batch; nothing is cached across batches. A slot carries
+    the literal node itself, so NULL, integer, string and blob boundary
+    values at one position all share the same plan (the slot closure
+    dispatches on the constructor at run time).
 
     Compiled execution is observably identical to the interpreter:
     a plan is a second driver over {!Interp}'s node kernels, so values,

@@ -107,10 +107,3 @@ let restore c snap =
       Hashtbl.add c.tables key { tbl_name; columns; rows })
     snap
 
-let column_index t name =
-  let k = norm name in
-  let rec go i = function
-    | [] -> None
-    | col :: rest -> if norm col.col_name = k then Some i else go (i + 1) rest
-  in
-  go 0 t.columns

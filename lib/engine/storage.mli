@@ -35,8 +35,6 @@ val drop_table : catalog -> name:string -> if_exists:bool -> (unit, string) resu
 
 val append_row : table -> Value.t list -> unit
 
-val column_index : table -> string -> int option
-
 type snapshot
 (** An immutable copy of a catalog's table set. Pure data: it holds no
     reference to the source catalog, so it can be restored into a

@@ -186,7 +186,6 @@ let make specs =
   { by_func; all = specs; armed = false }
 
 let arm rt = rt.armed <- true
-let disarm rt = rt.armed <- false
 let is_armed rt = rt.armed
 let specs rt = rt.all
 

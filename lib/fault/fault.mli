@@ -100,7 +100,6 @@ val make : spec list -> runtime
 (** Starts disarmed. *)
 
 val arm : runtime -> unit
-val disarm : runtime -> unit
 val is_armed : runtime -> bool
 val specs : runtime -> spec list
 

@@ -61,17 +61,6 @@ let specs t =
   Hashtbl.fold (fun _ v acc -> v :: acc) t.tbl []
   |> List.sort (fun a b -> String.compare a.Func_sig.name b.Func_sig.name)
 
-let by_category t =
-  let cats = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun name spec ->
-      let cat = spec.Func_sig.category in
-      let existing = match Hashtbl.find_opt cats cat with Some l -> l | None -> [] in
-      Hashtbl.replace cats cat (name :: existing))
-    t.tbl;
-  Hashtbl.fold (fun cat names acc -> (cat, List.sort String.compare names) :: acc) cats []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
 let restrict t keep =
   let keep = List.map String.uppercase_ascii keep in
   let t' = create () in
@@ -163,11 +152,6 @@ let invoke ctx r args =
      end
    | Func_sig.Aggregate _ ->
      err "aggregate function %s used in scalar context" spec.Func_sig.name)
-
-let invoke_scalar ctx t name args =
-  match resolve t name with
-  | Some r -> invoke ctx r args
-  | None -> err "unknown function %s" (String.uppercase_ascii name)
 
 let is_aggregate t name =
   match resolve t name with

@@ -20,8 +20,6 @@ val names : t -> string list
 
 val size : t -> int
 val specs : t -> Func_sig.t list
-val by_category : t -> (string * string list) list
-(** Category -> sorted function names. *)
 
 val restrict : t -> string list -> t
 (** Keep only the named functions (a dialect's inventory). *)
@@ -75,10 +73,6 @@ val aggregate : Fn_ctx.t -> resolved -> distinct:bool -> Func_sig.agg_instance
 (** Instantiate aggregate state, recording ["fn/NAME"]. Each [step]
     re-runs the fault check on that row's arguments.
     @raise Fn_ctx.Sql_error for non-aggregates. *)
-
-val invoke_scalar : Fn_ctx.t -> t -> string -> Fault.arg list -> Value.t
-(** {!resolve} then {!invoke}.
-    @raise Fn_ctx.Sql_error for unknown functions, and as {!invoke}. *)
 
 val make_aggregate :
   Fn_ctx.t -> t -> string -> distinct:bool -> Func_sig.agg_instance

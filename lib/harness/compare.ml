@@ -62,8 +62,7 @@ let run_tool ?telemetry tool ~dialect ~budget =
   match tool with
   | Soft_tool ->
     let prof = Dialect.find_exn dialect in
-    let cov = Coverage.create () in
-    let r = Soft.Soft_runner.fuzz ~budget ~cov ?telemetry prof in
+    let r = Soft.Soft_runner.fuzz ~budget ?telemetry prof in
     {
       tool;
       dialect;

@@ -34,7 +34,6 @@ let make ~neg ~digits ~scale =
 
 let zero = make ~neg:false ~digits:"0" ~scale:0
 let one = make ~neg:false ~digits:"1" ~scale:0
-let minus_one = make ~neg:true ~digits:"1" ~scale:0
 
 let of_int64 i =
   if i >= 0L then make ~neg:false ~digits:(Int64.to_string i) ~scale:0

@@ -13,7 +13,6 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val make : neg:bool -> digits:string -> scale:int -> t
 (** [make ~neg ~digits ~scale] builds a decimal from a raw digit string

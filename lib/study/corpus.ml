@@ -34,16 +34,6 @@ let prereq_to_string = function
   | Empty_table -> "empty table"
   | Table_with_data -> "table with data"
 
-let root_cause_to_string = function
-  | Boundary_literal Extreme_numeric -> "boundary literal (extreme numeric)"
-  | Boundary_literal Empty_or_null -> "boundary literal (empty/NULL)"
-  | Boundary_literal Crafted_string -> "boundary literal (crafted string)"
-  | Boundary_casting -> "boundary type casting"
-  | Boundary_nested -> "boundary nested-function result"
-  | Config_cause -> "configuration"
-  | Table_definition -> "table definition"
-  | Syntax_structure -> "syntax structure"
-
 (* ----- the curated subset: bugs quoted in the paper, with real PoCs ----- *)
 
 let curated =

@@ -49,4 +49,3 @@ val all : entry list Lazy.t
 
 val stage_to_string : stage -> string
 val prereq_to_string : prereq -> string
-val root_cause_to_string : root_cause -> string

@@ -468,7 +468,18 @@ let test_compiled_matches_interpreter () =
             (fun lit ->
               let vec = Array.copy slots in
               vec.(i) <- lit;
-              let stmt = Ast_util.subst_slots skel vec in
+              (* the reference statement: the skeleton with its [i]-th
+                 slot node (found by physical identity) swapped for
+                 [lit]; its slot vector must then be [vec] *)
+              let stmt =
+                Ast_util.map_exprs
+                  (fun e -> if e == slots.(i) then lit else e)
+                  skel
+              in
+              if
+                Ast_util.fold_slots (fun acc e -> e :: acc) [] stmt
+                <> List.rev (Array.to_list vec)
+              then Alcotest.failf "%S: slot %d swap missed" sql i;
               let label = Sqlfun_ast.Sql_pp.stmt stmt in
               let got, got_steps =
                 observe ce (fun () -> Engine.exec_compiled ce plan vec)

@@ -567,13 +567,13 @@ let test_compact_campaign_identical () =
 
 let test_batch_stream_equivalence () =
   (* the slot-stream soundness bar at the generation layer: flattening
-     the batched work stream (reconstructing each member's AST from the
-     family skeleton plus its slot vector with [batch_stmt]) must
-     reproduce the per-case
-     generator's stream element for element — same pattern, same origin,
-     structurally equal statement — for every pattern on every dialect;
-     and an item is a batch exactly when its pattern shares a
-     skeleton. *)
+     the batched work stream (each member's statement built by its
+     run's [b_build]) must reproduce the per-case generator's stream
+     element for element — same pattern, same origin, structurally
+     equal statement — for every pattern on every dialect; and an item
+     is a batch exactly when its pattern shares a skeleton. This
+     guards the grouping and its order; the window-fill test guards
+     what the compiled path feeds each member. *)
   List.iter
     (fun prof ->
       let name = prof.Dialect.id in
@@ -594,13 +594,13 @@ let test_batch_stream_equivalence () =
                          name (Pattern_id.to_string pattern);
                      batched_total := !batched_total + Soft.Patterns.batch_size b;
                      Seq.map
-                       (fun vec ->
+                       (fun v ->
                          {
-                           Soft.Patterns.stmt = Soft.Patterns.batch_stmt b vec;
+                           Soft.Patterns.stmt = b.Soft.Patterns.b_build v;
                            pattern = b.Soft.Patterns.b_pattern;
                            origin = b.Soft.Patterns.b_origin;
                          })
-                       (List.to_seq b.Soft.Patterns.b_vecs)
+                       (List.to_seq b.Soft.Patterns.b_members)
                    | Soft.Patterns.Single sc ->
                      (* a skeleton-sharing case that could not join a
                         family is still a family of one *)
@@ -642,6 +642,91 @@ let test_batch_stream_equivalence () =
       Alcotest.(check bool) (name ^ ": batches formed") true
         (!batched_total > 0))
     Dialect.all
+
+(* What the compiled path feeds a run's members: the skeleton's slot
+   vector with the window overwritten by a member's leaves must be the
+   slot vector of the member's own statement, for every run of two or
+   more on every dialect. Every such run has a window. *)
+let test_batch_window_fill () =
+  let slots_of stmt =
+    List.rev (Ast_util.fold_slots (fun acc e -> e :: acc) [] stmt)
+  in
+  let members = ref 0 in
+  List.iter
+    (fun prof ->
+      let registry = Dialect.registry prof in
+      let seeds =
+        Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
+      in
+      List.iter
+        (fun pattern ->
+          Seq.iter
+            (function
+              | Soft.Patterns.Batched b when Soft.Patterns.batch_size b >= 2 ->
+                let ctx =
+                  Printf.sprintf "%s %s run from %s" prof.Dialect.id
+                    (Pattern_id.to_string pattern) b.Soft.Patterns.b_origin
+                in
+                (match Soft.Detector.window b with
+                 | None -> Alcotest.failf "%s: no slot window" ctx
+                 | Some w ->
+                   List.iter
+                     (fun m ->
+                       let filled = Array.copy w.Soft.Detector.slots in
+                       (match Ast_util.expr_slots m with
+                        | None -> Alcotest.failf "%s: member without slots" ctx
+                        | Some leaves ->
+                          if
+                            w.Soft.Detector.lo + List.length leaves
+                            > Array.length filled
+                          then
+                            Alcotest.failf "%s: window overruns the slots" ctx;
+                          List.iteri
+                            (fun j leaf ->
+                              filled.(w.Soft.Detector.lo + j) <- leaf)
+                            leaves);
+                       let want = b.Soft.Patterns.b_build m in
+                       if Array.to_list filled <> slots_of want then
+                         Alcotest.failf "%s: window fill differs from %s" ctx
+                           (Sql_pp.stmt want);
+                       incr members)
+                     b.Soft.Patterns.b_members)
+              | Soft.Patterns.Batched _ | Soft.Patterns.Single _
+              | Soft.Patterns.Seed _ ->
+                ())
+            (Soft.Patterns.generate_work ~registry ~seeds pattern))
+        (List.filter Pattern_id.shares_skeleton Pattern_id.all))
+    Dialect.all;
+  (* the property is vacuous unless runs formed *)
+  Alcotest.(check bool) "members filled" true (!members > 0)
+
+(* Every bug an exhaustive skeleton-sharing campaign finds — most of
+   them on compiled members, whose PoC the family's builder renders —
+   replays from its PoC alone on a fresh armed engine, at the same
+   fault site. *)
+let test_batched_pocs_replay_cold () =
+  let replayed = ref 0 in
+  List.iter
+    (fun prof ->
+      let r =
+        Soft.Soft_runner.fuzz
+          ~patterns:(List.filter Pattern_id.shares_skeleton Pattern_id.all)
+          ~stateful:false prof
+      in
+      List.iter
+        (fun (b : Soft.Detector.found_bug) ->
+          let site = b.Soft.Detector.spec.Fault.site in
+          let engine = Dialect.make_engine ~armed:true prof in
+          match Sqlfun_engine.Engine.exec_script engine b.Soft.Detector.poc with
+          | exception Fault.Crash spec ->
+            Alcotest.(check string) (site ^ ": replayed site") site
+              spec.Fault.site;
+            incr replayed
+          | _ -> Alcotest.failf "%s: PoC did not crash cold:\n%s" site
+                   b.Soft.Detector.poc)
+        r.Soft.Soft_runner.bugs)
+    Dialect.all;
+  Alcotest.(check bool) "bugs replayed" true (!replayed > 0)
 
 (* Each (dialect, pattern) stream of [Patterns.generate], pinned as its
    case count and a chained MD5 over every case's origin and printed
@@ -834,6 +919,10 @@ let suite =
         test_compact_campaign_identical;
       Alcotest.test_case "batch stream equivalence (all dialects)" `Slow
         test_batch_stream_equivalence;
+      Alcotest.test_case "batch window fill (all dialects)" `Slow
+        test_batch_window_fill;
+      Alcotest.test_case "batched PoCs replay cold (all dialects)" `Slow
+        test_batched_pocs_replay_cold;
       Alcotest.test_case "pattern streams pinned (all dialects)" `Slow
         test_pattern_streams_pinned;
       Alcotest.test_case "SOFT beats baselines (mariadb)" `Slow
