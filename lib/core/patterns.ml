@@ -312,9 +312,23 @@ let generate ?telemetry ~registry ~seeds pattern =
   |> Seq.concat_map (family_cases pattern)
   |> timed telemetry ~pattern:(Pattern_id.to_string pattern)
 
-(* ----- stateful scenarios: prerequisite synthesis ----- *)
+(* ----- stateful scenarios: prerequisite synthesis -----
+
+   A scenario kind is a stream of position families too: the builder of
+   one probe/prerequisite shape and the values planted through it.
+   [sf_build i v] is the scenario planting [v], the family's [i]-th
+   value; kinds A and D rotate their wrapper function by [i]. Every
+   family's probes share one call structure and differ only in a leaf
+   literal or in which unary wrapper they call, so the first probe's
+   positions count for each of the family's scenarios. [generate_scenarios]
+   and [scenario_positions] are two drivers over the same families. *)
 
 type scenario = { prereqs : Ast.stmt list; case : case }
+
+type scenario_family = {
+  sf_build : int -> Ast.expr -> scenario;
+  sf_values : Ast.expr list;  (** never empty *)
+}
 
 let stateless c = { prereqs = []; case = c }
 
@@ -351,120 +365,140 @@ let nth_round l i = List.nth l (i mod List.length l)
    back through a function. The 35-nines literal is parse-stage ground
    truth; 25/30-nines through a TEXT column are storage-stage ground
    truth; everything else reaches the probed function at execute stage
-   with [Column] provenance. *)
-let scen_stored ~registry () =
-  let fns = unary_wrappers registry in
-  if fns = [] then Seq.empty
+   with [Column] provenance. One family per column type. *)
+let scen_stored wrappers =
+  if wrappers = [] then Seq.empty
   else
     let tys =
       [ Ast.T_text; Ast.T_decimal (Some (38, 10)); Ast.T_bigint; Ast.T_double ]
     in
     let lits = pool_literals () in
     seq_of_list tys
-    |> Seq.concat_map (fun ty ->
-           seq_of_list lits
-           |> Seq.mapi (fun i lit ->
-                  let probe =
-                    select_from
-                      (Ast.call (nth_round fns i) [ Ast.Column (None, "v") ])
-                      "soft_sa"
-                  in
-                  {
-                    prereqs = [ create_tbl "soft_sa" ty; insert_into "soft_sa" lit ];
-                    case = case Pattern_id.P1_2 "scenario:stored" probe;
-                  }))
+    |> Seq.map (fun ty ->
+           {
+             sf_values = lits;
+             sf_build =
+               (fun i lit ->
+                 let probe =
+                   select_from
+                     (Ast.call (nth_round wrappers i) [ Ast.Column (None, "v") ])
+                     "soft_sa"
+                 in
+                 {
+                   prereqs = [ create_tbl "soft_sa" ty; insert_into "soft_sa" lit ];
+                   case = case Pattern_id.P1_2 "scenario:stored" probe;
+                 });
+           })
+
+(* The donor call with its first argument replaced by [lit]. *)
+let plant_first (donor : Ast.call) lit =
+  Ast.Call { donor with Ast.args = lit :: List.tl donor.Ast.args }
 
 (* Kind B — INSERT-position probe: the function expression sits inside
    the probe's VALUES clause, so its boundary result crosses the cast
-   into the column and then the storage layer. *)
+   into the column and then the storage layer. One family per donor
+   call. *)
 let scen_insert_position donor_calls =
   let lits = pool_literals () in
   seq_of_list donor_calls
-  |> Seq.concat_map (fun (donor : Ast.call) ->
-         seq_of_list lits
-         |> Seq.map (fun lit ->
-                let args = lit :: List.tl donor.Ast.args in
-                let probe =
-                  insert_into "soft_sb" (Ast.Call { donor with Ast.args })
-                in
-                {
-                  prereqs = [ create_tbl "soft_sb" Ast.T_text ];
-                  case = case Pattern_id.P1_2 "scenario:insert-position" probe;
-                }))
+  |> Seq.map (fun donor ->
+         {
+           sf_values = lits;
+           sf_build =
+             (fun _ lit ->
+               {
+                 prereqs = [ create_tbl "soft_sb" Ast.T_text ];
+                 case =
+                   case Pattern_id.P1_2 "scenario:insert-position"
+                     (insert_into "soft_sb" (plant_first donor lit));
+               });
+         })
 
 (* Kind C — WHERE-position probe: the function expression gates a scan
-   of a prerequisite table. *)
+   of a prerequisite table. One family per donor call. *)
 let scen_where_position donor_calls =
   let lits = pool_literals () in
   seq_of_list donor_calls
-  |> Seq.concat_map (fun (donor : Ast.call) ->
-         seq_of_list lits
-         |> Seq.map (fun lit ->
-                let args = lit :: List.tl donor.Ast.args in
-                let probe =
-                  select_from
-                    ~where:(Ast.Is_null (Ast.Call { donor with Ast.args }, true))
-                    (Ast.Column (None, "v"))
-                    "soft_sc"
-                in
-                {
-                  prereqs =
-                    [
-                      create_tbl "soft_sc" Ast.T_text;
-                      insert_into "soft_sc" (Ast.str_lit "x");
-                    ];
-                  case = case Pattern_id.P1_2 "scenario:where-position" probe;
-                }))
-
-(* Kind D — session state: the prerequisite advances `Fn_ctx` session
-   state (insert counters, sequences) and the probe reads it back
-   through a wrapping function, in the P3.2 style. *)
-let scen_session ~registry () =
-  let fns = unary_wrappers registry in
-  if fns = [] then Seq.empty
-  else
-    let last_id =
-      if not (Registry.mem registry "LAST_INSERT_ID") then Seq.empty
-      else
-        seq_of_list (Boundary_pool.int_literals ())
-        |> Seq.mapi (fun i lit ->
+  |> Seq.map (fun donor ->
+         {
+           sf_values = lits;
+           sf_build =
+             (fun _ lit ->
                let probe =
-                 Ast.select_expr
-                   (Ast.call (nth_round fns i) [ Ast.call "LAST_INSERT_ID" [] ])
-               in
-               {
-                 prereqs =
-                   [ create_tbl "soft_sd" Ast.T_bigint; insert_into "soft_sd" lit ];
-                 case = case Pattern_id.P3_2 "scenario:session" probe;
-               })
-    in
-    let sequences =
-      if
-        not (Registry.mem registry "NEXTVAL" && Registry.mem registry "LASTVAL")
-      then Seq.empty
-      else
-        seq_of_list fns
-        |> Seq.map (fun fn ->
-               let probe =
-                 Ast.select_expr
-                   (Ast.call fn [ Ast.call "LASTVAL" [ Ast.str_lit "soft_seq" ] ])
+                 select_from
+                   ~where:(Ast.Is_null (plant_first donor lit, true))
+                   (Ast.Column (None, "v"))
+                   "soft_sc"
                in
                {
                  prereqs =
                    [
-                     Ast.select_expr
-                       (Ast.call "NEXTVAL" [ Ast.str_lit "soft_seq" ]);
+                     create_tbl "soft_sc" Ast.T_text;
+                     insert_into "soft_sc" (Ast.str_lit "x");
                    ];
-                 case = case Pattern_id.P3_2 "scenario:sequence" probe;
-               })
+                 case = case Pattern_id.P1_2 "scenario:where-position" probe;
+               });
+         })
+
+(* Kind D — session state: the prerequisite advances `Fn_ctx` session
+   state (insert counters, sequences) and the probe reads it back
+   through a wrapping function, in the P3.2 style. Two families: the
+   integer literals inserted before [LAST_INSERT_ID()], and the wrapped
+   [LASTVAL] reads after a [NEXTVAL]. *)
+let scen_session ~registry wrappers =
+  if wrappers = [] then Seq.empty
+  else
+    let last_id =
+      if not (Registry.mem registry "LAST_INSERT_ID") then None
+      else
+        Some
+          {
+            sf_values = Boundary_pool.int_literals ();
+            sf_build =
+              (fun i lit ->
+                let probe =
+                  Ast.select_expr
+                    (Ast.call (nth_round wrappers i)
+                       [ Ast.call "LAST_INSERT_ID" [] ])
+                in
+                {
+                  prereqs =
+                    [ create_tbl "soft_sd" Ast.T_bigint; insert_into "soft_sd" lit ];
+                  case = case Pattern_id.P3_2 "scenario:session" probe;
+                });
+          }
     in
-    Seq.append last_id sequences
+    let sequences =
+      if
+        not (Registry.mem registry "NEXTVAL" && Registry.mem registry "LASTVAL")
+      then None
+      else
+        Some
+          {
+            sf_values =
+              List.map
+                (fun w -> Ast.call w [ Ast.call "LASTVAL" [ Ast.str_lit "soft_seq" ] ])
+                wrappers;
+            sf_build =
+              (fun _ read ->
+                {
+                  prereqs =
+                    [
+                      Ast.select_expr
+                        (Ast.call "NEXTVAL" [ Ast.str_lit "soft_seq" ]);
+                    ];
+                  case =
+                    case Pattern_id.P3_2 "scenario:sequence" (Ast.select_expr read);
+                });
+          }
+    in
+    Seq.append (Option.to_seq last_id) (Option.to_seq sequences)
 
 (* Kind E — extreme-typed columns: CREATE declares a decimal wider or
    deeper than any seed table, the INSERT drives a deep-scale value
    through the implicit cast, and the probe re-casts what was stored.
    Declared precision 40 is parse-stage ground truth; stored scale 18
-   is storage-stage ground truth. *)
+   is storage-stage ground truth. One family per column type. *)
 let scen_extreme_type () =
   let nines n = String.make n '9' in
   let tys = [ Ast.T_decimal (Some (40, 20)); Ast.T_decimal (Some (38, 18)) ] in
@@ -478,19 +512,38 @@ let scen_extreme_type () =
       Ast.Null;
     ]
   in
+  let probe =
+    select_from (Ast.Cast (Ast.Column (None, "v"), Ast.T_text)) "soft_se"
+  in
   seq_of_list tys
-  |> Seq.concat_map (fun ty ->
-         seq_of_list lits
-         |> Seq.map (fun lit ->
-                let probe =
-                  select_from
-                    (Ast.Cast (Ast.Column (None, "v"), Ast.T_text))
-                    "soft_se"
-                in
-                {
-                  prereqs = [ create_tbl "soft_se" ty; insert_into "soft_se" lit ];
-                  case = case Pattern_id.P2_1 "scenario:extreme-type" probe;
-                }))
+  |> Seq.map (fun ty ->
+         {
+           sf_values = lits;
+           sf_build =
+             (fun _ lit ->
+               {
+                 prereqs = [ create_tbl "soft_se" ty; insert_into "soft_se" lit ];
+                 case = case Pattern_id.P2_1 "scenario:extreme-type" probe;
+               });
+         })
+
+(* The five kinds' family streams, in interleave order. *)
+let scenario_kinds ~registry ~seeds =
+  (* the seeds' registered calls with an argument to plant at *)
+  let donor_calls =
+    List.filter
+      (fun (c : Ast.call) ->
+        Registry.mem registry c.Ast.fname && c.Ast.args <> [])
+      (Collector.donors seeds)
+  in
+  let wrappers = unary_wrappers registry in
+  [
+    scen_stored wrappers;
+    scen_insert_position donor_calls;
+    scen_where_position donor_calls;
+    scen_session ~registry wrappers;
+    scen_extreme_type ();
+  ]
 
 (* Round-robin interleave so a budget-truncated prefix still samples
    every scenario kind (and therefore every occurrence stage) early. *)
@@ -510,28 +563,28 @@ let interleave (streams : 'a Seq.t list) : 'a Seq.t =
   in
   go streams
 
+(* The scenario driver: one scenario per planted value. *)
+let family_scenarios f = Seq.mapi f.sf_build (seq_of_list f.sf_values)
+
 let generate_scenarios ?telemetry ~registry ~seeds () =
-  (* the seeds' registered calls with an argument to plant at *)
-  let donor_calls =
-    List.filter
-      (fun (c : Ast.call) ->
-        Registry.mem registry c.Ast.fname && c.Ast.args <> [])
-      (Collector.donors seeds)
-  in
-  interleave
-    [
-      scen_stored ~registry ();
-      scen_insert_position donor_calls;
-      scen_where_position donor_calls;
-      scen_session ~registry ();
-      scen_extreme_type ();
-    ]
+  scenario_kinds ~registry ~seeds
+  |> List.map (Seq.concat_map family_scenarios)
+  |> interleave
   |> timed telemetry ~pattern:"scenario"
 
-let count_scenario_positions scenarios =
-  Seq.fold_left
-    (fun acc sc -> acc + List.length (positions sc.case.stmt))
-    0 scenarios
+(* The counting driver: each family's first probe stands for all of
+   its values, so no scenario past a family's first is built. *)
+let family_positions f =
+  match f.sf_values with
+  | [] -> 0
+  | v :: _ ->
+    List.length f.sf_values * List.length (positions (f.sf_build 0 v).case.stmt)
+
+let scenario_positions ~registry ~seeds =
+  List.fold_left
+    (Seq.fold_left (fun acc f -> acc + family_positions f))
+    0
+    (scenario_kinds ~registry ~seeds)
 
 (* ----- slot-stream batches -----
 

@@ -11,7 +11,12 @@
     per variant, or the same cases cut into runs that carry the
     family's builder and the planted variants. Per Finding 3,
     seeds already containing more than two function expressions are not
-    expanded further by the nesting patterns. *)
+    expanded further by the nesting patterns.
+
+    The stateful scenario kinds are position families as well: a
+    probe/prerequisite builder and the values planted through it.
+    {!generate_scenarios} emits one scenario per planted value, and
+    {!scenario_positions} counts their slots per family. *)
 
 open Sqlfun_ast
 open Sqlfun_fault
@@ -55,17 +60,23 @@ val generate_scenarios :
   seeds:Collector.seed list ->
   unit ->
   scenario Seq.t
-(** The synthesized stateful stream, five kinds round-robin interleaved
-    (stored-boundary probes, INSERT-position and WHERE-position
-    substitutions, session/sequence state, extreme-typed columns) so a
+(** The synthesized stateful stream. Its five kinds (stored-boundary
+    probes, INSERT-position and WHERE-position substitutions,
+    session/sequence state, extreme-typed columns) are position
+    families too: each family is one probe/prerequisite builder and the
+    values planted through it, and the stream holds one scenario per
+    planted value. The kinds are round-robin interleaved so a
     budget-truncated prefix samples every kind — and therefore every
     occurrence stage (parse / execute / storage) — early.
     Deterministic: re-enumerating yields the identical stream. *)
 
-val count_scenario_positions : scenario Seq.t -> int
-(** Substitution slots across the scenario probes (INSERT/WHERE
-    expression positions included) — the stateful share of the CLI
-    "positions" line. Forces the sequence. *)
+val scenario_positions :
+  registry:Registry.t -> seeds:Collector.seed list -> int
+(** Substitution slots across the probes of {!generate_scenarios}
+    (INSERT/WHERE expression positions included) — the stateful share
+    of the CLI "positions" line. Counted per family, as its planted
+    values times the slots of its first probe, so no other scenario is
+    built. *)
 
 (** A slot-stream batch: one run of a position family. [b_build] is the
     family's statement builder and [b_members] are the variants it

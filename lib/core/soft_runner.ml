@@ -148,15 +148,11 @@ let mk_result ~prof ~seeds ~tel ~cov ~profile ~positions ~cases_executed
 
 (* The CLI "positions" line stays honest for stateful campaigns: the
    seed substitution slots plus the slots in every synthesized scenario
-   probe (INSERT/WHERE expression positions included). Counted from a
-   fresh untimed enumeration — the streams are pure, so this is the
-   same set of probes the campaign draws from. *)
+   probe (INSERT/WHERE expression positions included), counted per
+   scenario family without building the stream. *)
 let count_all_positions ~registry ~seeds ~stateful =
   Patterns.count_positions seeds
-  + (if stateful then
-       Patterns.count_scenario_positions
-         (Patterns.generate_scenarios ~registry ~seeds ())
-     else 0)
+  + (if stateful then Patterns.scenario_positions ~registry ~seeds else 0)
 
 (* The budgeted streams every worker enumerates: every pattern's
    stateless work in paper order — skeleton-sharing families as

@@ -25,7 +25,10 @@ open Sqlfun_dialects
 type result = {
   dialect : Dialect.profile;
   seeds_collected : int;
-  positions : int;           (** substitution slots found by the collector *)
+  positions : int;
+      (** substitution slots in the collected seeds, plus, when the
+          campaign is stateful, the slots in every scenario probe;
+          independent of budget, shards and jobs *)
   cases_executed : int;
   scenarios_executed : int;
       (** of {!cases_executed}, how many were stateful scenarios

@@ -294,18 +294,7 @@ let compile ~registry (stmt : Ast.stmt) : compiled =
       let projs =
         Array.of_list (List.map (compile_expr ~registry ~slot) exprs)
       in
-      let columns =
-        List.mapi
-          (fun i item ->
-            match item with
-            | Ast.Proj_expr (_, Some alias) -> alias
-            | Ast.Proj_expr (e, None) ->
-              (match e with
-               | Ast.Column (_, n) -> n
-               | _ -> Printf.sprintf "col%d" (i + 1))
-            | Ast.Proj_star -> assert false)
-          sel.Ast.projection
-      in
+      let columns = List.mapi Interp.projection_name sel.Ast.projection in
       Plan { n_slots = !slot; columns; projs }
     end
   | _ -> Fallback

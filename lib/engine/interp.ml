@@ -398,6 +398,18 @@ let scalar_of_rows rows =
   | (_ :: _ :: _) :: _ -> err "scalar subquery returned more than one column"
   | [] :: _ -> err "scalar subquery returned no columns"
 
+(* The first sixteen positional column names, built once: naming an
+   unaliased projection allocates nothing below seventeen columns. *)
+let positional_names = Array.init 16 (fun i -> Printf.sprintf "col%d" (i + 1))
+
+let projection_name i = function
+  | Ast.Proj_star -> "*"
+  | Ast.Proj_expr (_, Some alias) -> alias
+  | Ast.Proj_expr (Ast.Column (_, n), None) -> n
+  | Ast.Proj_expr (_, None) ->
+    if i < Array.length positional_names then positional_names.(i)
+    else Printf.sprintf "col%d" (i + 1)
+
 (* every function dispatch is an [eval] scope on its own spelling;
    nested calls in the argument list open their own scopes, so self-time
    pins to the function actually running. The one cached resolution
@@ -658,18 +670,7 @@ and exec_select env (sel : Ast.select) : result_set =
   let needs_aggregation =
     sel.Ast.group_by <> [] || List.exists (contains_aggregate env) (select_exprs sel)
   in
-  let proj_names =
-    List.mapi
-      (fun i item ->
-        match item with
-        | Ast.Proj_star -> "*"
-        | Ast.Proj_expr (_, Some alias) -> alias
-        | Ast.Proj_expr (e, None) ->
-          (match e with
-           | Ast.Column (_, n) -> n
-           | _ -> Printf.sprintf "col%d" (i + 1)))
-      sel.Ast.projection
-  in
+  let proj_names = List.mapi projection_name sel.Ast.projection in
   let plain bindings =
     List.filter (fun (k, _) -> not (String.contains k '.')) bindings
   in

@@ -85,6 +85,12 @@ val between : Value.t -> Value.t -> Value.t -> Value.t
 val scalar_of_rows : Value.t list list -> Value.t
 (** A scalar subquery's value from its result rows. *)
 
+val projection_name : int -> Ast.proj_item -> string
+(** The result-column name of projection item [i] (0-based): its
+    alias, a bare column's own name, ["*"] for a star, else
+    ["col<i+1>"]. The names of the first sixteen positions are shared
+    constants, so naming them allocates nothing. *)
+
 val enter_call :
   Sqlfun_telemetry.Profile.t -> string -> Registry.resolved option -> unit
 (** Open the call's [eval] profile frame; the driver closes it. *)

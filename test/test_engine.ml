@@ -40,7 +40,19 @@ let test_select_literals () =
   check_display e "SELECT NULL" "NULL";
   check_display e "SELECT TRUE" "TRUE";
   check_display e "SELECT 1.50" "1.50";
-  check_display e "SELECT -9999999999999999999999" "-9999999999999999999999"
+  check_display e "SELECT -9999999999999999999999" "-9999999999999999999999";
+  (* unaliased items are named by position, past the sixteen shared
+     names too; an alias keeps its position's number unused *)
+  let sql =
+    "SELECT 1, 2 AS two, "
+    ^ String.concat ", " (List.init 16 (fun i -> string_of_int (i + 3)))
+  in
+  match exec e sql with
+  | Engine.Rows { columns; _ } ->
+    Alcotest.(check (list string)) "positional names"
+      ("col1" :: "two" :: List.init 16 (fun i -> Printf.sprintf "col%d" (i + 3)))
+      columns
+  | Engine.Affected _ -> Alcotest.failf "expected rows for %S" sql
 
 let test_arithmetic () =
   let e = make_engine () in
@@ -375,6 +387,7 @@ let plan_skeletons =
     "SELECT DATE('2024-01-31') + INTERVAL 1 MONTH, \
      INTERVAL 2 DAY + DATE('2024-02-28'), DATE('2024-03-01') - INTERVAL 1 YEAR";
     "SELECT LENGTH(REPEAT('ab', 3000) || 'x'), 'y' || REPEAT('c', 5000)";
+    "SELECT 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, ABS(17)";
   ]
 
 let boundary_literals =

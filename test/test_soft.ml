@@ -246,20 +246,67 @@ let test_soft_beats_baselines_on_mariadb () =
   Alcotest.(check int) "SQUIRREL finds none" 0 squirrel.Sqlfun_harness.Compare.bugs;
   Alcotest.(check int) "SQLancer finds none" 0 sqlancer.Sqlfun_harness.Compare.bugs
 
+(* The forced-stream count that [Patterns.scenario_positions] replaced,
+   kept verbatim as its oracle: every scenario probe's (call, argument)
+   positions, summed over the whole stream. *)
+let positions stmt =
+  List.concat
+    (List.mapi
+       (fun ci (c : Ast.call) ->
+         List.mapi (fun ai arg -> (ci, ai, c, arg)) c.Ast.args)
+       (Ast_util.function_calls stmt))
+
+let count_scenario_positions scenarios =
+  Seq.fold_left
+    (fun acc (sc : Soft.Patterns.scenario) ->
+      acc + List.length (positions sc.Soft.Patterns.case.Soft.Patterns.stmt))
+    0 scenarios
+
+(* [Soft_runner.fuzz ~budget:0] positions, stateful / [~stateful:false] *)
+let campaign_positions =
+  [
+    ("postgresql", (29129, 371));
+    ("mysql", (30771, 413));
+    ("mariadb", (28301, 387));
+    ("clickhouse", (35737, 459));
+    ("monetdb", (13291, 171));
+    ("duckdb", (30316, 386));
+    ("virtuoso", (25704, 348));
+  ]
+
 let test_scenario_positions_counted () =
-  (* satellite: count_positions counts INSERT/UPDATE/WHERE substitution
-     slots, via the scenario probes that put calls there *)
+  (* the per-family count equals the forced-stream fold on every
+     dialect, and the campaign's positions line adds it to the seed
+     slots *)
+  List.iter
+    (fun prof ->
+      let registry = Dialect.registry prof in
+      let seeds =
+        Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
+      in
+      Alcotest.(check int)
+        (prof.Dialect.id ^ " family count = forced-stream fold")
+        (count_scenario_positions
+           (Soft.Patterns.generate_scenarios ~registry ~seeds ()))
+        (Soft.Patterns.scenario_positions ~registry ~seeds))
+    Dialect.all;
+  Alcotest.(check (list (pair string (pair int int))))
+    "campaign positions" campaign_positions
+    (List.map
+       (fun prof ->
+         let positions stateful =
+           (Soft.Soft_runner.fuzz ~budget:0 ~stateful prof)
+             .Soft.Soft_runner.positions
+         in
+         (prof.Dialect.id, (positions true, positions false)))
+       Dialect.all);
+  (* INSERT-position and WHERE-position probes specifically carry their
+     calls inside Insert rows / WHERE clauses — both must be seen *)
   let prof = Dialect.find_exn "mysql" in
   let registry = Dialect.registry prof in
   let seeds =
     Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
   in
-  let scenarios = Soft.Patterns.generate_scenarios ~registry ~seeds () in
-  let n = Soft.Patterns.count_scenario_positions scenarios in
-  Alcotest.(check bool) "scenario probes expose substitution slots" true
-    (n > 0);
-  (* INSERT-position and WHERE-position probes specifically carry their
-     calls inside Insert rows / WHERE clauses — both must be seen *)
   let kinds = Hashtbl.create 4 in
   Seq.iter
     (fun (sc : Soft.Patterns.scenario) ->
@@ -836,6 +883,51 @@ let test_pattern_streams_pinned () =
   Alcotest.(check (list (pair (pair string string) (pair int string))))
     "pattern streams" pattern_stream_pins actual
 
+(* Each dialect's [Patterns.generate_scenarios] stream, pinned as its
+   scenario count and a chained MD5 over every scenario's pattern,
+   origin, prerequisite SQL and probe SQL: the order of the round-robin
+   interleave is part of what is pinned. A deliberate change to a
+   scenario kind re-records the table and says why in CHANGES.md. *)
+let scenario_stream_pins =
+  [
+    ("postgresql", (18172, "2947fc0230869189ddaf15ad5466c6eb"));
+    ("mysql", (18726, "be6a1fca3bedf69f1c1c5c827e9f850a"));
+    ("mariadb", (17012, "a5b5de2d78ef63207121e0e6cef7650c"));
+    ("clickhouse", (21432, "e36356bbd9ef4c5ea1ce25443ada3957"));
+    ("monetdb", (8704, "d18da0e78d0fb32a23c2f3118778ffb3"));
+    ("duckdb", (18380, "b81410e17faca223f7600dc5c51a9857"));
+    ("virtuoso", (16020, "49c7a8d175aecdc964e3d091b4335cf1"));
+  ]
+
+let test_scenario_streams_pinned () =
+  let actual =
+    List.map
+      (fun prof ->
+        let registry = Dialect.registry prof in
+        let seeds =
+          Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
+        in
+        let n, d =
+          Seq.fold_left
+            (fun (n, d) (sc : Soft.Patterns.scenario) ->
+              let c = sc.Soft.Patterns.case in
+              ( n + 1,
+                Digest.string
+                  (String.concat "\t"
+                     [ d; Pattern_id.to_string c.Soft.Patterns.pattern;
+                       c.Soft.Patterns.origin;
+                       String.concat ";\n"
+                         (List.map Sql_pp.stmt sc.Soft.Patterns.prereqs);
+                       Sql_pp.stmt c.Soft.Patterns.stmt ]) ))
+            (0, Digest.string "")
+            (Soft.Patterns.generate_scenarios ~registry ~seeds ())
+        in
+        (prof.Dialect.id, (n, Digest.to_hex d)))
+      Dialect.all
+  in
+  Alcotest.(check (list (pair string (pair int string))))
+    "scenario streams" scenario_stream_pins actual
+
 (* ----- baselines ----- *)
 
 let test_baselines_generate_valid_statements () =
@@ -925,6 +1017,8 @@ let suite =
         test_batched_pocs_replay_cold;
       Alcotest.test_case "pattern streams pinned (all dialects)" `Slow
         test_pattern_streams_pinned;
+      Alcotest.test_case "scenario streams pinned (all dialects)" `Slow
+        test_scenario_streams_pinned;
       Alcotest.test_case "SOFT beats baselines (mariadb)" `Slow
         test_soft_beats_baselines_on_mariadb;
       Alcotest.test_case "baselines generate valid statements" `Quick
