@@ -66,17 +66,6 @@ let trace_arg =
            ~doc:"Stream telemetry events (spans, verdicts, bugs, FP \
                  signatures) to $(docv) as JSON lines.")
 
-let no_compile_arg =
-  Arg.(value & flag
-       & info [ "no-compile" ]
-           ~doc:"Disable closure compilation (every case is evaluated by \
-                 the AST interpreter, skeleton-sharing family members \
-                 from their reconstructed statements, instead of their \
-                 family's compiled plan). Verdicts, bug lists, FP \
-                 signatures and coverage are bit-identical with \
-                 compilation on or off; the flag exists to verify that \
-                 and to time it.")
-
 let no_compact_arg =
   Arg.(value & flag
        & info [ "no-compact" ]
@@ -202,7 +191,7 @@ let progress_renderer dialect_id =
     Mutex.unlock m
 
 let fuzz_cmd =
-  let run dialect budget jobs shards no_compile no_compact no_stateful verbose
+  let run dialect budget jobs shards no_compact no_stateful verbose
       report trace json profile_out timeseries_out progress =
     match resolve_dialect dialect with
     | Error msg ->
@@ -235,8 +224,8 @@ let fuzz_cmd =
           in
           let r =
             Soft.Soft_runner.fuzz ?budget ~telemetry:tel ?timeseries
-              ~compile:(not no_compile) ~compact:(not no_compact)
-              ~stateful:(not no_stateful) ~shards ~jobs prof
+              ~compact:(not no_compact) ~stateful:(not no_stateful) ~shards
+              ~jobs prof
           in
           if progress then prerr_newline ();
           Option.iter close_out ts_oc;
@@ -281,7 +270,7 @@ let fuzz_cmd =
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run a SOFT campaign against a simulated dialect")
     Term.(const run $ dialect_arg $ budget_arg 0 $ jobs_arg $ shards_arg
-          $ no_compile_arg $ no_compact_arg $ no_stateful_arg $ verbose
+          $ no_compact_arg $ no_stateful_arg $ verbose
           $ report $ trace_arg $ json_arg $ profile_arg $ timeseries_arg
           $ progress_arg)
 

@@ -285,159 +285,6 @@ let replace_nth_call stmt n replacement =
    polymorphic structural equality is exactly statement identity. *)
 let equal_stmt (a : Ast.stmt) (b : Ast.stmt) = a = b
 
-(* ----- slot-normalized skeletons -----
-
-   A statement *skeleton* is the statement with its literal leaves
-   ([Null]/[Bool_lit]/[Int_lit]/[Dec_lit]/[Str_lit]/[Hex_lit]) blanked
-   out — exactly the positions that a [Patterns] position family
-   varies when fanning one pattern into a case family. All six literal constructors collapse
-   into ONE slot tag: a boundary-argument set mixes NULL, integers,
-   strings and hex blobs at the same position, and keeping the
-   constructors distinct would give each literal kind its own skeleton
-   and shrink plan reuse by the size of the argument set. Literals
-   inside [Subquery]/[Exists]/[From_subquery] interiors are NOT slots:
-   P2.2 plants boundary arguments inside subqueries whose result shape
-   (and hence the enclosing statement's behavior) depends on those
-   payloads, so subquery interiors are compared in full and contribute
-   no slots.
-
-   [equal_skeleton_expr] is the run test [Patterns] groups cases
-   with: skeleton-equal expressions occupy interchangeable positions,
-   so a run shares one compiled plan. [fold_slots] extracts the
-   varying literal nodes in the compiler's slot order (pre-order,
-   projection → from → where → group_by → having → order_by), and
-   [expr_slots] the leaves one planted expression contributes. *)
-
-let rec eq_skel_expr a b =
-  match (a, b) with
-  | Star, Star -> true
-  (* slot positions: any literal matches any literal — the compiled
-     plan dispatches on the filled-in node's constructor at run time *)
-  | ( (Null | Bool_lit _ | Int_lit _ | Dec_lit _ | Str_lit _ | Hex_lit _),
-      (Null | Bool_lit _ | Int_lit _ | Dec_lit _ | Str_lit _ | Hex_lit _) ) ->
-    true
-  | Column (q1, c1), Column (q2, c2) -> q1 = q2 && c1 = c2
-  | Call c1, Call c2 ->
-    c1.fname = c2.fname && c1.distinct = c2.distinct
-    && eq_skel_list c1.args c2.args
-  | Cast (e1, t1), Cast (e2, t2) -> t1 = t2 && eq_skel_expr e1 e2
-  | Unop (o1, e1), Unop (o2, e2) -> o1 = o2 && eq_skel_expr e1 e2
-  | Binop (o1, a1, b1), Binop (o2, a2, b2) ->
-    o1 = o2 && eq_skel_expr a1 a2 && eq_skel_expr b1 b2
-  | Row e1, Row e2 | Array_lit e1, Array_lit e2 -> eq_skel_list e1 e2
-  | Case c1, Case c2 ->
-    eq_skel_opt c1.operand c2.operand
-    && List.compare_lengths c1.branches c2.branches = 0
-    && List.for_all2
-         (fun (w1, t1) (w2, t2) -> eq_skel_expr w1 w2 && eq_skel_expr t1 t2)
-         c1.branches c2.branches
-    && eq_skel_opt c1.else_ c2.else_
-  | In_list (e1, l1), In_list (e2, l2) ->
-    eq_skel_expr e1 e2 && eq_skel_list l1 l2
-  | Is_null (e1, n1), Is_null (e2, n2) -> n1 = n2 && eq_skel_expr e1 e2
-  | Between (e1, lo1, hi1), Between (e2, lo2, hi2) ->
-    eq_skel_expr e1 e2 && eq_skel_expr lo1 lo2 && eq_skel_expr hi1 hi2
-  (* subquery interiors must match in full *)
-  | Subquery q1, Subquery q2 | Exists q1, Exists q2 -> q1 = q2
-  | _, _ -> false
-
-and eq_skel_list l1 l2 =
-  List.compare_lengths l1 l2 = 0 && List.for_all2 eq_skel_expr l1 l2
-
-and eq_skel_opt o1 o2 =
-  match (o1, o2) with
-  | None, None -> true
-  | Some e1, Some e2 -> eq_skel_expr e1 e2
-  | _, _ -> false
-
-let rec slot_expr f acc = function
-  | (Null | Bool_lit _ | Int_lit _ | Dec_lit _ | Str_lit _ | Hex_lit _) as e
-    ->
-    f acc e
-  | Star | Column _ -> acc
-  | Call { args; _ } -> List.fold_left (slot_expr f) acc args
-  | Cast (e, _) | Unop (_, e) | Is_null (e, _) -> slot_expr f acc e
-  | Binop (_, a, b) -> slot_expr f (slot_expr f acc a) b
-  | Row es | Array_lit es -> List.fold_left (slot_expr f) acc es
-  | Case { operand; branches; else_ } ->
-    let acc =
-      match operand with Some e -> slot_expr f acc e | None -> acc
-    in
-    let acc =
-      List.fold_left
-        (fun acc (w, t) -> slot_expr f (slot_expr f acc w) t)
-        acc branches
-    in
-    (match else_ with Some e -> slot_expr f acc e | None -> acc)
-  | In_list (e, es) -> List.fold_left (slot_expr f) (slot_expr f acc e) es
-  | Between (e, lo, hi) ->
-    slot_expr f (slot_expr f (slot_expr f acc e) lo) hi
-  | Subquery _ | Exists _ -> acc
-
-let rec slot_from f acc = function
-  | From_table _ | From_subquery _ -> acc
-  | From_join { left; right; on; _ } ->
-    let acc = slot_from f (slot_from f acc left) right in
-    (match on with Some e -> slot_expr f acc e | None -> acc)
-
-let slot_select f acc s =
-  let acc =
-    List.fold_left
-      (fun acc -> function
-        | Proj_star -> acc
-        | Proj_expr (e, _) -> slot_expr f acc e)
-      acc s.projection
-  in
-  let acc = match s.from with Some fr -> slot_from f acc fr | None -> acc in
-  let acc = match s.where with Some e -> slot_expr f acc e | None -> acc in
-  let acc = List.fold_left (slot_expr f) acc s.group_by in
-  match s.having with Some e -> slot_expr f acc e | None -> acc
-
-let rec slot_body f acc = function
-  | Body_select s -> slot_select f acc s
-  | Body_union { left; right; _ } -> slot_body f (slot_body f acc left) right
-
-let slot_query f acc q =
-  let acc = slot_body f acc q.body in
-  List.fold_left
-    (fun acc { ord_expr; _ } -> slot_expr f acc ord_expr)
-    acc q.order_by
-
-let rec fold_slots f acc = function
-  | Select_stmt q -> slot_query f acc q
-  | Explain s -> fold_slots f acc s
-  | Create_table _ | Insert _ | Drop_table _ -> acc
-
-let equal_skeleton_expr = eq_skel_expr
-
-let expr_slots e =
-  let exception Unslotted in
-  let rec go acc = function
-    | (Null | Bool_lit _ | Int_lit _ | Dec_lit _ | Str_lit _ | Hex_lit _) as l
-      ->
-      l :: acc
-    | Star | Column _ -> acc
-    | Call { args; _ } -> List.fold_left go acc args
-    | Cast (e1, _) | Unop (_, e1) | Is_null (e1, _) -> go acc e1
-    | Binop (_, a, b) -> go (go acc a) b
-    | Row es | Array_lit es -> List.fold_left go acc es
-    | Case { operand; branches; else_ } ->
-      let acc = match operand with Some e -> go acc e | None -> acc in
-      let acc =
-        List.fold_left (fun acc (w, t) -> go (go acc w) t) acc branches
-      in
-      (match else_ with Some e -> go acc e | None -> acc)
-    | In_list (e1, es) -> List.fold_left go (go acc e1) es
-    | Between (e1, lo, hi) -> go (go (go acc e1) lo) hi
-    (* a subquery interior is opaque to the slot traversal: an
-       expression containing one cannot be described by a slot window
-       of the enclosing statement *)
-    | Subquery _ | Exists _ -> raise Unslotted
-  in
-  match go [] e with
-  | leaves -> Some (List.rev leaves)
-  | exception Unslotted -> None
-
 let referenced_tables stmt =
   let rec of_from acc = function
     | From_table (t, _) -> t :: acc

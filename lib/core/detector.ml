@@ -46,13 +46,9 @@ type t = {
   fp_signatures : (string, unit) Hashtbl.t;
   fp_buf : Buffer.t;  (* reused across FP-signature normalizations *)
   mutable found : found_bug list;  (* reversed *)
-  compile : bool;  (* [false] = --no-compile *)
-  mutable slot_buf : Ast.expr array;
-      (* reused across compiled executions; holds each case's literal
-         slot nodes. The only state a batch leaves behind. *)
 }
 
-let create ?cov ?telemetry ?profile ?(compile = true) ?(compact = true) prof =
+let create ?cov ?telemetry ?profile ?(compact = true) prof =
   let cov = match cov with Some c -> c | None -> Coverage.create () in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let xprof = match profile with Some p -> p | None -> Profile.create () in
@@ -86,8 +82,6 @@ let create ?cov ?telemetry ?profile ?(compile = true) ?(compact = true) prof =
     fp_signatures = Hashtbl.create 16;
     fp_buf = Buffer.create 128;
     found = [];
-    compile;
-    slot_buf = Array.make 16 Ast.Null;
   }
 
 (* A restart is the crash path: flush any streaming sinks first, so a
@@ -264,15 +258,13 @@ let step t it i ~poc exec =
    first error being the case's result — so session-state probes see
    their prerequisites' effects, and a prerequisite crash is the case's
    crash. The PoC is the whole statement list: a stateful bug must
-   replay standalone from a cold engine. With compilation on, every
-   interpreted case counts one compile fallback. *)
+   replay standalone from a cold engine. *)
 let interpret t it i ?(prereqs = []) stmt =
   step t it i
     ~poc:(fun () ->
       String.concat ";\n"
         (List.map Sql_pp.stmt (prereqs @ [ stmt ])))
     (fun () ->
-      if t.compile then Telemetry.compile_fallback t.tel;
       let rec go = function
         | [] -> Engine.exec_stmt t.engine stmt
         | p :: rest ->
@@ -282,124 +274,16 @@ let interpret t it i ?(prereqs = []) stmt =
       in
       go prereqs)
 
-(* ----- slot-stream batches -----
-
-   One batch = one run of a skeleton-sharing position family, and the
-   only way a case runs compiled: a variant that could not join a run
-   arrives as a run of one. The skeleton (the builder applied to the
-   first member), its compile, the constant-slot fill and the PoC
-   closure are paid once per run; the member loop is fill-window →
-   [step]. Soundness: within a run the skeleton and the non-window
-   slots are constant by construction (the members are skeleton-equal
-   variants planted at one position), so hoisting them cannot change
-   any member's verdict; and compiled execution is observably identical
-   to interpretation (values, provenance, tick counts, coverage, fault
-   checks — see compile.ml), so which members run compiled never
-   changes a verdict. Member ASTs are never materialized on the hot
-   path: the PoC of a crashing member, and every interpreted member, is
-   the family's builder applied to the member's planted value — the
-   statement the per-case generator emits. *)
-
-type window = { skeleton : Ast.stmt; slots : Ast.expr array; lo : int }
-
-(* A literal no real case ever contains, used to locate a run's slot
-   window: build the statement once with the sentinel planted, then
-   find it in the slot fold by physical identity. *)
-let batch_sentinel = Ast.Str_lit "\000soft-batch-sentinel\000"
-
-let window (b : Patterns.batch) =
-  match b.Patterns.b_members with
-  | [] -> None
-  | first :: _ -> (
-    let lo, _ =
-      Ast_util.fold_slots
-        (fun (lo, n) s -> ((if s == batch_sentinel then n else lo), n + 1))
-        (-1, 0)
-        (b.Patterns.b_build batch_sentinel)
-    in
-    let skeleton = b.Patterns.b_build first in
-    let slots =
-      Array.of_list
-        (List.rev (Ast_util.fold_slots (fun acc s -> s :: acc) [] skeleton))
-    in
-    (* the window must be exactly the first member's leaves: the builder
-       plants the variant subtree by reference, so physical equality
-       both checks contiguity and guards against a builder that copied
-       nodes *)
-    let rec fits i = function
-      | [] -> true
-      | leaf :: rest ->
-        i < Array.length slots && slots.(i) == leaf && fits (i + 1) rest
-    in
-    match Ast_util.expr_slots first with
-    | Some leaves when lo >= 0 && fits lo leaves -> Some { skeleton; slots; lo }
-    | Some _ | None -> None)
-
-(* A run of two or more members compiles its skeleton here; the plan
-   dies with the batch. [None] means interpret: --no-compile, a run of
-   one (nothing to share a plan with), a run without a slot window, or
-   a skeleton outside the compiled subset. A compiled run counts one
-   miss and [n - 1] hits, an interpreted member its own fallback, so
-   every case is counted exactly once. *)
-let run_plan t (b : Patterns.batch) n =
-  if not t.compile || n < 2 then None
-  else
-    let plan () =
-      match window b with
-      | None -> None
-      | Some w -> (
-        let registry = Engine.registry t.engine in
-        match Compile.compile ~registry w.skeleton with
-        (* a slot-count disagreement would mean a skeleton bug; never
-           let it corrupt a verdict — run the interpreter instead *)
-        | Compile.Plan plan when Compile.n_slots plan = Array.length w.slots ->
-          Some (w, plan)
-        | Compile.Plan _ | Compile.Fallback -> None)
-    in
-    match Profile.with_phase t.xprof Profile.Plan plan with
-    | None -> None
-    | Some _ as found ->
-      Telemetry.compile_miss t.tel;
-      for _ = 2 to n do Telemetry.compile_hit t.tel done;
-      found
-
+(* One position family, interpreted member by member: each member [v]
+   is the statement its family's builder makes of it, [b_build v] —
+   exactly the case the per-case generator emits — so a batch only
+   shares its "execute" span, verdict row and profiler root across the
+   family. *)
 let run_batch t it (b : Patterns.batch) n =
   Telemetry.batch_flush t.tel ~cases:n;
-  let build = b.Patterns.b_build in
-  match run_plan t b n with
-  | None ->
-    (* interpret members one by one, each built by the family's
-       builder — the reference path the compiled loop must match *)
-    List.iteri
-      (fun i v -> ignore (interpret t it i (build v)))
-      b.Patterns.b_members
-  | Some (w, plan) ->
-    let nslots = Array.length w.slots in
-    if Array.length t.slot_buf < nslots then
-      t.slot_buf <-
-        Array.make (Stdlib.max nslots (2 * Array.length t.slot_buf)) Ast.Null;
-    let buf = t.slot_buf in
-    (* constant slots land once; the member loop only rewrites the
-       varying window *)
-    Array.blit w.slots 0 buf 0 nslots;
-    (* one PoC closure for the whole batch: it reads the member out of
-       [cur], so clean cases allocate nothing *)
-    let cur = ref Ast.Null in
-    let poc () = Sql_pp.stmt (build !cur) in
-    (* [t.engine] is re-read each member: a crash restart replaces it
-       mid-batch, and the plan stays valid because the respawned engine
-       shares the same registry *)
-    let exec () = Engine.exec_compiled t.engine plan buf in
-    List.iteri
-      (fun i v ->
-        (* a member is skeleton-equal to the first, so its leaves fill
-           exactly the window *)
-        Option.iter
-          (List.iteri (fun j leaf -> buf.(w.lo + j) <- leaf))
-          (Ast_util.expr_slots v);
-        cur := v;
-        ignore (step t it i ~poc exec))
-      b.Patterns.b_members
+  List.iteri
+    (fun i v -> ignore (interpret t it i (b.Patterns.b_build v)))
+    b.Patterns.b_members
 
 let run t ?first_case (w : Patterns.work) =
   match w with

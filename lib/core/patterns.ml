@@ -330,8 +330,6 @@ type scenario_family = {
   sf_values : Ast.expr list;  (** never empty *)
 }
 
-let stateless c = { prereqs = []; case = c }
-
 (* Synthesized table shapes use one boundary-typed column [v]; the
    table name is per-kind and fixed — safe to reuse across scenarios
    because the detector restores the post-seed storage baseline after
@@ -586,21 +584,14 @@ let scenario_positions ~registry ~seeds =
     0
     (scenario_kinds ~registry ~seeds)
 
-(* ----- slot-stream batches -----
+(* ----- work items -----
 
-   For the skeleton-sharing patterns (P1.1–P1.4, P2.3, P3.1) the
-   batched driver cuts each position family into runs: maximal runs of
-   consecutive skeleton-equal variants with at least one slot leaf,
-   and every other variant (subquery-carrying, leafless like [Star], a
-   shape change) a run of one. A run keeps its family's statement
-   builder and its members, the planted variants in generation order,
-   so every member's statement is [b_build v], exactly what the
-   per-case driver emits, and flattening a work stream back to
-   statements reproduces that driver's stream element for element —
-   the equivalence the property tests pin down. Skeleton-equal members
-   differ only in their literal leaves, so the executor can compile a
-   run's skeleton once and fill each member's leaves into its slot
-   window. *)
+   The batched driver emits each position family as one work item: its
+   statement builder and every variant it plants, in generation order.
+   Member [v]'s statement is [b_build v], exactly what the per-case
+   driver emits for it, so flattening a work stream back to statements
+   reproduces that driver's stream element for element — the
+   equivalence the property tests pin down. *)
 
 type batch = {
   b_pattern : Pattern_id.t;
@@ -626,36 +617,14 @@ let split_batch b k =
   let first, rest = take_drop k [] b.b_members in
   ({ b with b_members = first }, { b with b_members = rest })
 
-(* A family's variants cut into runs, in order. *)
-let runs variants =
-  let close run out = if run = [] then out else List.rev run :: out in
-  let rec go out run shape = function
-    | [] -> List.rev (close run out)
-    | v :: rest -> (
-      match Ast_util.expr_slots v with
-      | None | Some [] -> go ([ v ] :: close run out) [] None rest
-      | Some _ -> (
-        match shape with
-        | Some s when Ast_util.equal_skeleton_expr s v ->
-          go out (v :: run) shape rest
-        | _ -> go (close run out) [ v ] (Some v) rest))
-  in
-  go [] [] None variants
-
 let generate_work ?telemetry ~registry ~seeds pattern : work Seq.t =
-  let family_work =
-    if Pattern_id.shares_skeleton pattern then fun f ->
-      List.to_seq (runs f.f_variants)
-      |> Seq.map (fun members ->
-             Batched
-               {
-                 b_pattern = pattern;
-                 b_origin = f.f_origin;
-                 b_build = f.f_build;
-                 b_members = members;
-               })
-    else fun f -> Seq.map (fun c -> Single (stateless c)) (family_cases pattern f)
-  in
   families ~registry ~seeds pattern
-  |> Seq.concat_map family_work
+  |> Seq.map (fun f ->
+         Batched
+           {
+             b_pattern = pattern;
+             b_origin = f.f_origin;
+             b_build = f.f_build;
+             b_members = f.f_variants;
+           })
   |> timed telemetry ~pattern:(Pattern_id.to_string pattern)

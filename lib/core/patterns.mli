@@ -8,8 +8,8 @@
     plants there, in generation order. P1.1 is the pool itself, one
     family of bare [SELECT <literal>] probes. {!generate} and
     {!generate_work} are two drivers over the same families: one case
-    per variant, or the same cases cut into runs that carry the
-    family's builder and the planted variants. Per Finding 3,
+    per variant, or one work item per family that carries the family's
+    builder and the planted variants. Per Finding 3,
     seeds already containing more than two function expressions are not
     expanded further by the nesting patterns.
 
@@ -78,15 +78,10 @@ val scenario_positions :
     values times the slots of its first probe, so no other scenario is
     built. *)
 
-(** A slot-stream batch: one run of a position family. [b_build] is the
-    family's statement builder and [b_members] are the variants it
-    plants, in generation order; member [v]'s statement is [b_build v],
-    the statement {!generate} emits for it. Members of a run of two or
-    more are skeleton-equal ({!Ast_util.equal_skeleton_expr}) and each
-    has at least one literal leaf, so they differ only in the literal
-    slots their variant fills: the executor compiles [b_build] of the
-    first member once and runs the members as fill-window → eval →
-    classify. *)
+(** One position family as a work item. [b_build] is the family's
+    statement builder and [b_members] are the variants it plants, in
+    generation order; member [v]'s statement is [b_build v], the
+    statement {!generate} emits for it. *)
 type batch = {
   b_pattern : Pattern_id.t;
   b_origin : string;
@@ -96,8 +91,8 @@ type batch = {
 
 (** The unit of work, executed by {!Detector.run}: a pattern-less
     statement (a seed replay or a baseline tool's statement, counted
-    under pattern ["seed"]), a scenario (a skeleton-varying case or a
-    stateful scenario), or a run of a skeleton-sharing family. *)
+    under pattern ["seed"]), a stateful scenario, or a position
+    family. *)
 type work = Seed of Ast.stmt | Single of scenario | Batched of batch
 
 val batch_size : batch -> int
@@ -105,7 +100,7 @@ val work_size : work -> int
 
 val split_batch : batch -> int -> batch * batch
 (** [split_batch b k] splits the member list at [k] (clamped), sharing
-    the builder — how the budgeted enumeration cuts a run at a
+    the builder — how the budgeted enumeration cuts a family at a
     budget-share boundary without re-deriving it. *)
 
 val generate_work :
@@ -114,11 +109,7 @@ val generate_work :
   seeds:Collector.seed list ->
   Pattern_id.t ->
   work Seq.t
-(** The batched driver over the same position families as {!generate}.
-    When {!Pattern_id.shares_skeleton} holds (P1.1–P1.4, P2.3, P3.1),
-    each family becomes [Batched] runs: maximal runs of consecutive
-    skeleton-equal variants with at least one literal leaf, and a run of
-    one for each other variant; otherwise (P2.1, P2.2, P3.2, P3.3) each
-    case is a [Single]. Flattening the runs with [b_build] reproduces
-    {!generate}'s stream element for element — same statements, same
-    order. *)
+(** The batched driver over the same position families as {!generate}:
+    one [Batched] item per family, for every pattern. Flattening the
+    items with [b_build] reproduces {!generate}'s stream element for
+    element — same statements, same order. *)

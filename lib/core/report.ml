@@ -50,15 +50,15 @@ let bug_to_markdown (b : Detector.found_bug) =
 (* Scenario counters and stage attribution are verdict facts, not
    throughput metadata: they are deterministic in shard/job count and
    toggle settings, so they live INSIDE [totals] and the CI determinism
-   diffs gate them. The compile, compact and batch counters are
-   throughput metadata, like [stages], and live OUTSIDE [totals]:
-   compile probes vary with shard count, compact construction/spill
-   counts with the [--no-compact] knob, and batch flush/member counts
-   with budget-share splits, while verdicts and bugs do not.
+   diffs gate them. The compact and batch counters are throughput
+   metadata, like [stages], and live OUTSIDE [totals]: compact
+   construction/spill counts vary with the [--no-compact] knob, and
+   batch flush/member counts with budget-share splits, while verdicts
+   and bugs do not.
    Determinism checks diff [totals], [verdicts], [bugs], [fp_signatures]
    and [families] across jobs/shards/toggle settings, and those must not
    see them. *)
-type home = Totals | Compile | Compact | Batch
+type home = Totals | Compact | Batch
 
 type row = {
   label : string;
@@ -73,8 +73,7 @@ let bugs_label = "bugs found"
 
 let summary (r : Soft_runner.result) =
   let tel = r.Soft_runner.telemetry in
-  let cc = Telemetry.compile_counts tel
-  and kc = Telemetry.compact_counts tel
+  let kc = Telemetry.compact_counts tel
   and bc = Telemetry.batch_counts tel
   and sv = r.Soft_runner.stage_verdicts in
   let row label home fields fmt =
@@ -107,17 +106,6 @@ let summary (r : Soft_runner.result) =
       ]
       "parse %d / execute %d / storage %d" sv.Detector.parse
       sv.Detector.execute sv.Detector.storage;
-    row "compiled families" Compile
-      (ints
-         [
-           ("hits", cc.Telemetry.c_hits);
-           ("misses", cc.Telemetry.c_misses);
-           ("fallbacks", cc.Telemetry.c_fallbacks);
-         ]
-      @ [ ("hit_rate", Json.Float (Telemetry.compile_hit_rate tel)) ])
-      "%d (%d members compiled, %d interpreted)" cc.Telemetry.c_misses
-      (cc.Telemetry.c_misses + cc.Telemetry.c_hits)
-      cc.Telemetry.c_fallbacks;
     row "compact values" Compact
       (ints
          [ ("hits", kc.Telemetry.k_hits); ("spills", kc.Telemetry.k_spills) ])
@@ -164,8 +152,7 @@ let summary_json s =
         Json.Obj
           (List.concat_map (fun r -> if r.home = home then r.fields else []) s)
       ))
-    [ (Totals, "totals"); (Compile, "compile"); (Compact, "compact");
-      (Batch, "batch") ]
+    [ (Totals, "totals"); (Compact, "compact"); (Batch, "batch") ]
 
 let campaign_to_markdown (r : Soft_runner.result) =
   let buf = Buffer.create 4096 in

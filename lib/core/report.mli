@@ -3,7 +3,7 @@
 
     A campaign's run statistics are stated once, as a {!summary}: the
     [fuzz] stdout lines, the [--report] markdown header and the
-    [--json] [totals]/[compile]/[compact]/[batch] objects all render
+    [--json] [totals]/[compact]/[batch] objects all render
     from it. Every bug renderer names the pattern a bug is credited to
     by {!Detector.pattern_tag} (["seed"] for a seed replay) and its
     paper family, ["seed replay"] for a seed. *)
@@ -21,10 +21,10 @@ val bug_to_markdown : Detector.found_bug -> string
 (** {1 Campaign summary} *)
 
 (** Where a row's values live in the [--json] snapshot: keys of
-    [totals], or of one of the throughput objects [compile], [compact]
-    and [batch], which sit outside [totals] because they vary with
-    shard count and toggle settings while verdicts do not. *)
-type home = Totals | Compile | Compact | Batch
+    [totals], or of one of the throughput objects [compact] and
+    [batch], which sit outside [totals] because they vary with budget
+    and toggle settings while verdicts do not. *)
+type home = Totals | Compact | Batch
 
 type row = {
   label : string;  (** e.g. ["statements executed"] *)
@@ -39,8 +39,8 @@ type summary = row list
     attribution and the verdict counts. *)
 
 val summary : Soft_runner.result -> summary
-(** The only summary code that reads the collector's compile, compact
-    and batch counters. *)
+(** The only summary code that reads the collector's compact and batch
+    counters. *)
 
 val summary_lines : summary -> string list
 (** ["label:   text"], labels padded to one column, in row order except

@@ -51,7 +51,7 @@ let split_budget b n =
    and the unconsumed rest of the stream ([None] when the stream ran
    dry). A [Batched] item counts as its member count; one that would
    overshoot the share is split at the boundary and its tail becomes
-   the stream's next item, so budget shares cut runs at exactly
+   the stream's next item, so budget shares cut families at exactly
    the same case index a per-case enumeration would have stopped at. *)
 let drain_share emit works n =
   let rec go works taken =
@@ -155,10 +155,9 @@ let count_all_positions ~registry ~seeds ~stateful =
   + (if stateful then Patterns.scenario_positions ~registry ~seeds else 0)
 
 (* The budgeted streams every worker enumerates: every pattern's
-   stateless work in paper order — skeleton-sharing families as
-   [Patterns.Batched] slot-stream runs, skeleton-varying cases as
-   [Single]s — then, by default, the synthesized stateful stream as an
-   eleventh source, whose scenarios are atomic [Single]s. *)
+   position families in paper order, one [Patterns.Batched] item each,
+   then, by default, the synthesized stateful stream as an eleventh
+   source, whose scenarios are atomic [Single]s. *)
 let work_streams ~tel ~registry ~seeds ~patterns ~stateful =
   List.map
     (fun p -> Patterns.generate_work ~telemetry:tel ~registry ~seeds p)
@@ -179,8 +178,8 @@ let work_streams ~tel ~registry ~seeds ~patterns ~stateful =
    Generation reads nothing but the immutable seeds and registry, so
    repeating it on each domain is safe, and no case ever crosses a
    domain. Ownership is per whole item — a seed statement, a scenario or
-   an entire family run goes to the shard with the fewest cases so
-   far, lowest index on ties — and every worker computes the same
+   an entire position family goes to the shard with the fewest cases
+   so far, lowest index on ties — and every worker computes the same
    assignment. Shard [s] runs on worker [s mod jobs]; worker 0 is the
    calling domain, so [jobs - 1] domains are spawned.
 
@@ -203,7 +202,7 @@ let merge_shards merge_into ~dst parts =
   if Array.length parts > 1 then Array.iter (fun p -> merge_into ~dst p) parts
 
 let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
-    ?(compile = true) ?(compact = true) ?(stateful = true) ?(shards = 1) ?jobs
+    ?(compact = true) ?(stateful = true) ?(shards = 1) ?jobs
     prof =
   let shards = Stdlib.max 1 shards in
   let jobs =
@@ -248,7 +247,7 @@ let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
             else begin
               let det =
                 Detector.create ~cov:shard_covs.(s) ~telemetry:shard_tels.(s)
-                  ~profile:shard_profiles.(s) ~compile ~compact prof
+                  ~profile:shard_profiles.(s) ~compact prof
               in
               let recorder =
                 Option.map

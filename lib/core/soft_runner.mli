@@ -75,7 +75,6 @@ val fuzz :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
   ?patterns:Pattern_id.t list ->
-  ?compile:bool ->
   ?compact:bool ->
   ?stateful:bool ->
   ?shards:int ->
@@ -89,11 +88,10 @@ val fuzz :
     [budget] cases whenever the patterns can supply them.
     [patterns] restricts the pattern set — the ablation knob. Seeds are
     executed first (sanity pass, not counted against the budget).
-    [compile] and [compact] (both default [true]) toggle the
-    detector's closure compilation and compact value representations
-    (see {!Detector.create}); both are throughput-only — verdicts,
-    bugs, coverage and FP signatures are bit-identical with either
-    off.
+    [compact] (default [true]) toggles the detector's compact value
+    representations (see {!Detector.create}); it is throughput-only —
+    verdicts, bugs, coverage and FP signatures are bit-identical with
+    it off.
     [stateful] (default [true]) appends the synthesized stateful
     scenario stream ({!Patterns.generate_scenarios}) as one extra
     budget stream; with [stateful:false] the campaign is bit-identical
@@ -101,15 +99,13 @@ val fuzz :
     never execute DDL/DML as cases, so the parse and storage counts of
     [stage_verdicts] are zero; execute still counts every stateless
     crash-class verdict.
-    Skeleton-sharing pattern families stream as slot-stream batches
-    ({!Patterns.generate_work} / {!Detector.run}): one batch per run
-    of a family (its statement builder and planted values), with the
-    telemetry span and the skeleton's compile paid once per batch
-    instead of once per case; batch counters are reported on the
-    collector ({!Sqlfun_telemetry.Telemetry.batch_counts}). Under
-    sharding a run is one work item owned whole by one shard, so every
-    batch keeps the one-compile-per-run economics, and no plan
-    outlives its batch. Compact
+    Every pattern streams one batch per position family
+    ({!Patterns.generate_work} / {!Detector.run}): the family's
+    statement builder and planted values, with the telemetry span paid
+    once per family instead of once per case; batch counters are
+    reported on the collector
+    ({!Sqlfun_telemetry.Telemetry.batch_counts}). Under sharding a
+    family is one work item owned whole by one shard. Compact
     construction/spill counts are credited to the campaign collector
     ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per worker
     domain.
@@ -122,7 +118,7 @@ val fuzz :
     it) is the number of domains executing them, the calling domain
     included — [jobs - 1] are spawned. Every worker enumerates the
     whole case stream and executes the work items its shards own: a
-    seed statement, a scenario or a whole family run goes to the
+    seed statement, a scenario or a whole position family goes to the
     shard with the fewest cases so far. [shards = 1] runs one worker
     inline, recording straight into the result's coverage, [telemetry]
     and profile. Results are deterministic in [shards] and [jobs]: only

@@ -59,7 +59,6 @@ let run t f x =
   | exception Fn_ctx.Resource_limit msg -> Error (Limit_hit msg)
 
 let exec_stmt t stmt = run t Interp.exec_stmt stmt
-let exec_compiled t plan slots = run t (Compile.exec plan) slots
 
 (* a [parse] scope around one parser entry point *)
 let parse t parser sql =

@@ -62,12 +62,6 @@ val exec_script : t -> string -> (outcome list, exec_error) result
 
 val exec_stmt : t -> Sqlfun_ast.Ast.stmt -> (outcome, exec_error) result
 
-val exec_compiled :
-  t -> Compile.plan -> Sqlfun_ast.Ast.expr array -> (outcome, exec_error) result
-(** Run a compiled plan with the given slot buffer (only the first
-    [Compile.n_slots plan] entries are read). Same error/crash contract
-    and per-statement step budget as {!exec_stmt}. *)
-
 val eval_expr_sql : t -> string -> (Value.t, exec_error) result
 (** Convenience: evaluate a standalone expression. *)
 

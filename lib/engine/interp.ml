@@ -242,18 +242,8 @@ let truthiness = function
   | _ -> Some true
 
 (* ----- node kernels: each expression node's rule over evaluated
-   operands, shared by [eval_expr] below and by Compile (see
-   interp.mli) ----- *)
-
-let literal_value (e : Ast.expr) =
-  match e with
-  | Ast.Null -> Value.Null
-  | Ast.Bool_lit b -> Value.Bool b
-  | Ast.Int_lit s -> value_of_int_lit s
-  | Ast.Dec_lit s -> value_of_dec_lit s
-  | Ast.Str_lit s -> Value.Str s
-  | Ast.Hex_lit b -> Value.Blob b
-  | _ -> invalid_arg "Interp.literal_value: not a literal"
+   operands; [eval_expr] below owns evaluation order, ticks,
+   provenance and profile frames ----- *)
 
 let column_arg row qual name =
   match row with

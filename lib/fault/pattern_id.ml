@@ -39,14 +39,12 @@ let family_to_string = function
   | Casting -> "boundary type castings"
   | Nested -> "boundary results of nested functions"
 
-(* Whether a pattern's case family shares one statement skeleton, i.e.
-   its members differ only in literal leaves. These are the patterns
-   whose families stream as batches and compile: one plan serves the
-   whole family. The others vary the skeleton itself per case — P2.1
-   bakes the CAST target type into the tree, P3.2/P3.3 change the
-   function nesting, P2.2 varies subquery interiors — so their families
-   are measured >90% skeleton-singletons and compiling them costs more
-   than interpreting. *)
+(* Whether a pattern's position families share one statement
+   skeleton, i.e. their members differ only in literal leaves. The
+   others vary the skeleton itself per case: P2.1 bakes the CAST target
+   type into the tree, P3.2/P3.3 change the function nesting, P2.2
+   varies subquery interiors. Execution does not depend on it: it
+   names the pattern subset the benchmark's `skeleton` workload runs. *)
 let shares_skeleton = function
   | P1_1 | P1_2 | P1_3 | P1_4 | P2_3 | P3_1 -> true
   | P2_1 | P2_2 | P3_2 | P3_3 -> false

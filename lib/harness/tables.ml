@@ -260,9 +260,13 @@ let table4_totals (results : Soft.Soft_runner.result list) =
   let by_kind k =
     count (fun (b : Soft.Detector.found_bug) -> b.Soft.Detector.spec.Fault.kind = k)
   in
+  (* a bug counts in the family of the pattern that found it, not of
+     its ledger credit; a seed-found bug counts in none *)
   let fam f =
     count (fun (b : Soft.Detector.found_bug) ->
-        Pattern_id.family b.Soft.Detector.spec.Fault.pattern = f)
+        match b.Soft.Detector.found_by with
+        | Some p -> Pattern_id.family p = f
+        | None -> false)
   in
   let fps =
     List.concat_map (fun r -> r.Soft.Soft_runner.fp_signatures) results

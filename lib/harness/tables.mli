@@ -23,7 +23,9 @@ val table4 : Soft.Soft_runner.result list -> string
 (** Bugs found by SOFT per dialect/category/kind/pattern/status. *)
 
 val table4_totals : Soft.Soft_runner.result list -> string
-(** §7.3's summary: per-kind counts, pattern-family counts, FP count. *)
+(** §7.3's summary: per-kind counts, pattern-family counts, FP count.
+    A bug counts in the family of the pattern that found it
+    ([found_by]); a seed-found bug counts in no family. *)
 
 val table5 : Compare.run list -> string
 val table6 : Compare.run list -> string

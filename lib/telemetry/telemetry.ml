@@ -206,22 +206,16 @@ type t = {
      never builds a compound key (no allocation after the first sighting) *)
   verdicts : (string, (string, verdict_row) Hashtbl.t) Hashtbl.t;
   mutable depth : int;
-  (* plan-compilation counters: hits reuse a cached compiled plan,
-     misses compile one, fallbacks execute through the interpreter
-     because the statement shape is outside the compiled subset *)
-  mutable compile_hits : int;
-  mutable compile_misses : int;
-  mutable compile_fallbacks : int;
   (* compact-representation counters: hits built a compact value
      (Range_arr/Rope_str) instead of materializing, spills materialized
      one because a consumer genuinely needed the elements/bytes.
      Throughput metadata only — never feeds a verdict. *)
   mutable compact_hits : int;
   mutable compact_spills : int;
-  (* batched-execution counters: one flush per family batch the
-     detector ran through the batched hot loop, and how many member
-     cases those batches carried. Throughput metadata only — the
-     determinism diff never includes them. *)
+  (* batched-execution counters: one flush per position family the
+     detector ran as one work item, and how many member cases those
+     batches carried. Throughput metadata only — the determinism diff
+     never includes them. *)
   mutable batch_flushes : int;
   mutable batch_cases : int;
   (* sink flushers, run on campaign end and on the crash/restart path so
@@ -235,9 +229,6 @@ let create ?(sink = Null) () =
     stages = Hashtbl.create 16;
     verdicts = Hashtbl.create 8;
     depth = 0;
-    compile_hits = 0;
-    compile_misses = 0;
-    compile_fallbacks = 0;
     compact_hits = 0;
     compact_spills = 0;
     batch_flushes = 0;
@@ -353,29 +344,17 @@ let reclassify_verdict t ~dialect ~pattern ~from_ ~to_ =
   row.counts.(i) <- row.counts.(i) - 1;
   row.counts.(j) <- row.counts.(j) + 1
 
-(* ----- retired memoization counters ----- *)
+(* ----- retired memoization and plan-compilation counters ----- *)
 
 type memo_counts = { hits : int; misses : int }
 
 let memo_counts _ = { hits = 0; misses = 0 }
 let memo_hit_rate _ = 0.
 
-(* ----- plan-compilation counters ----- *)
-
-let compile_hit t = t.compile_hits <- t.compile_hits + 1
-let compile_miss t = t.compile_misses <- t.compile_misses + 1
-let compile_fallback t = t.compile_fallbacks <- t.compile_fallbacks + 1
-
 type compile_counts = { c_hits : int; c_misses : int; c_fallbacks : int }
 
-let compile_counts t =
-  { c_hits = t.compile_hits; c_misses = t.compile_misses;
-    c_fallbacks = t.compile_fallbacks }
-
-let compile_hit_rate t =
-  let looked_up = t.compile_hits + t.compile_misses in
-  if looked_up = 0 then 0.
-  else float_of_int t.compile_hits /. float_of_int looked_up
+let compile_counts _ = { c_hits = 0; c_misses = 0; c_fallbacks = 0 }
+let compile_hit_rate _ = 0.
 
 (* ----- compact-representation counters ----- *)
 
@@ -420,9 +399,6 @@ let merge_into ~dst src =
             row.counts)
         per_dialect)
     src.verdicts;
-  dst.compile_hits <- dst.compile_hits + src.compile_hits;
-  dst.compile_misses <- dst.compile_misses + src.compile_misses;
-  dst.compile_fallbacks <- dst.compile_fallbacks + src.compile_fallbacks;
   dst.compact_hits <- dst.compact_hits + src.compact_hits;
   dst.compact_spills <- dst.compact_spills + src.compact_spills;
   dst.batch_flushes <- dst.batch_flushes + src.batch_flushes;

@@ -157,40 +157,21 @@ val bug_event :
 
 val fp_event : t -> dialect:string -> signature:string -> unit
 
-(** {1 Retired memoization counters}
+(** {1 Retired memoization and plan-compilation counters}
 
-    Verdict memoization is gone; these stay so that readers of the old
-    counters still build. Both always report zero. *)
+    Verdict memoization and closure compilation are gone; these stay so
+    that readers of the old counters still build. All always report
+    zero. *)
 
 type memo_counts = { hits : int; misses : int }
 
 val memo_counts : t -> memo_counts
 val memo_hit_rate : t -> float
 
-(** {1 Plan-compilation counters}
-
-    With compilation on, the detector counts every campaign case here
-    exactly once, so [hits + misses + fallbacks] equals the cases
-    executed: a {e miss} is a family whose skeleton compiled (its
-    first member), a {e hit} is a further member run on its family's
-    plan, and a {e fallback} is an interpreted case — a seed, a
-    skeleton-varying case, a stateful scenario, a family of one, or a
-    member of a family whose skeleton compiled to [Fallback]. A family
-    compiles at most once, so misses never exceed family batches. With
-    compilation off nothing is recorded. Like stage timings, these are
-    throughput metadata, not determinism-bearing totals. *)
-
-val compile_hit : t -> unit
-val compile_miss : t -> unit
-val compile_fallback : t -> unit
-
 type compile_counts = { c_hits : int; c_misses : int; c_fallbacks : int }
 
 val compile_counts : t -> compile_counts
-
 val compile_hit_rate : t -> float
-(** [hits / (hits + misses)], the share of compiled members that
-    reused their family's plan; [0.] before any family compiles. *)
 
 val compact_add : t -> hits:int -> spills:int -> unit
 (** Credits a delta of compact-representation constructions (hits) and
@@ -204,8 +185,8 @@ type compact_counts = { k_hits : int; k_spills : int }
 val compact_counts : t -> compact_counts
 
 val batch_flush : t -> cases:int -> unit
-(** Records one family batch run through the batched executor and the
-    [cases] member cases it carried. Throughput metadata, not
+(** Records one position family run as one work item and the [cases]
+    member cases it carried. Throughput metadata, not
     determinism-bearing totals. *)
 
 type batch_counts = { b_flushes : int; b_cases : int }

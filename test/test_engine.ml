@@ -356,182 +356,6 @@ let test_restart_respawns () =
   check_display e' "SELECT SUM(x) FROM r" "1";
   check_display e' "SELECT NEXTVAL('sq')" "1"
 
-(* ----- compiled plans against the interpreter -----
-
-   A family's compiled plan must be observably identical to
-   interpreting each member. Every slot of each skeleton below is
-   refilled with every boundary literal kind, one slot at a time; the
-   member runs as a compiled plan on one engine and as its
-   reconstructed statement on a twin engine. The outcome (typed values
-   or error), any crash, the hit-counted coverage, the profile's
-   per-function scope counts and the tick count must agree. Several
-   skeletons hold a constant subquery, [EXISTS] or [IN (SELECT ...)]
-   beside the varying slots: a campaign family can carry one, and no
-   other test runs those branches of the compiler. *)
-
-let plan_skeletons =
-  [
-    "SELECT ABS(ROUND(1.5, 1)), CONCAT('a', UPPER('b')), ABS(-7)";
-    "SELECT CAST(1 AS BIGINT), CAST('x' AS DATE), CAST(2 AS DECIMAL(10, 2))";
-    "SELECT -1, NOT 1, ~1, 1 + 2, 3 - 4, 3 * 4, 5 / 6, 7 % 8, 'a' || 'b'";
-    "SELECT 1 = 2, 1 <> 2, 1 < 2, 1 >= 2, 1 AND 0, 1 OR 0, 'a' LIKE 'b'";
-    "SELECT 1 & 2, 1 | 2, 1 ^ 2, 1 << 2, 8 >> 1, 1 IS NULL, 1 IS NOT NULL";
-    "SELECT CASE 1 WHEN 2 THEN 3 ELSE 4 END, CASE WHEN 1 THEN 2 END";
-    "SELECT 1 BETWEEN 2 AND 3, ABS(1) IN (2, 3, NULL)";
-    "SELECT ROW(1, 'a'), ARRAY[1, 2], CONVERT(1, CHAR)";
-    "SELECT ABS(1) + (SELECT 5), UPPER('a')";
-    "SELECT EXISTS (SELECT 1), LENGTH('a')";
-    "SELECT 1 IN (SELECT 2), 1 IN (3, (SELECT 4))";
-    "SELECT (SELECT 1 UNION SELECT 2), ABS(1)";
-    "SELECT NO_SUCH_FUNCTION(1), ABS(DISTINCT 1)";
-    "SELECT DATE('2024-01-31') + INTERVAL 1 MONTH, \
-     INTERVAL 2 DAY + DATE('2024-02-28'), DATE('2024-03-01') - INTERVAL 1 YEAR";
-    "SELECT LENGTH(REPEAT('ab', 3000) || 'x'), 'y' || REPEAT('c', 5000)";
-    "SELECT 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, ABS(17)";
-  ]
-
-let boundary_literals =
-  Sqlfun_ast.Ast.
-    [ Null; Bool_lit true; Bool_lit false; Int_lit "0"; Int_lit "-7";
-      Int_lit "9223372036854775807"; Int_lit "99999999999999999999";
-      Dec_lit "1.5"; Dec_lit "-0.000001"; Str_lit ""; Str_lit "abc";
-      Str_lit "2024-02-29"; Hex_lit ""; Hex_lit "\xff\x00" ]
-
-let test_compiled_matches_interpreter () =
-  let module Ast_util = Sqlfun_ast.Ast_util in
-  let module Coverage = Sqlfun_coverage.Coverage in
-  let module Profile = Sqlfun_telemetry.Profile in
-  let module Fault = Sqlfun_fault.Fault in
-  let registry = All_fns.registry () in
-  let abs_crash =
-    {
-      Fault.site = "test/abs/minus-seven";
-      dialect = "test";
-      func = "ABS";
-      category = "math";
-      kind = Sqlfun_fault.Bug_kind.Segv;
-      pattern = Sqlfun_fault.Pattern_id.P1_2;
-      status = Fault.Confirmed;
-      stage = Fault.Execute;
-      trigger = Fault.Arg_at (0, Fault.Int_is (-7L));
-      note = "";
-    }
-  in
-  let twin () =
-    let cov = Coverage.create () and prof = Profile.create () in
-    let fault = Fault.make [ abs_crash ] in
-    Fault.arm fault;
-    (Engine.create ~cov ~fault ~profile:prof ~registry ~dialect:"test" (),
-     cov, prof)
-  in
-  let ce, ccov, cprof = twin () and ie, icov, iprof = twin () in
-  let typed = function
-    | Engine.Rows rs ->
-      String.concat " | " rs.Interp.columns
-      :: List.map
-           (fun row ->
-             String.concat " | "
-               (List.map
-                  (fun v ->
-                    Value.ty_name (Value.type_of v) ^ ":" ^ Value.to_display v)
-                  row))
-           rs.Interp.rows
-      |> String.concat "\n"
-    | Engine.Affected n -> Printf.sprintf "affected %d" n
-  in
-  let observe e run =
-    let r =
-      match run () with
-      | Ok o -> "ok " ^ typed o
-      | Error err -> "error " ^ Engine.error_to_string err
-      | exception Fault.Crash spec -> "crash " ^ spec.Fault.site
-    in
-    (r, (Engine.context e).Fn_ctx.steps)
-  in
-  let fn_scopes prof =
-    List.filter_map
-      (fun (r : Profile.row) ->
-        if r.Profile.r_func = "" then None
-        else Some (r.Profile.r_func, r.Profile.r_count))
-      (Profile.rows prof)
-    |> List.sort compare
-  in
-  let crashes = ref 0 and errors = ref 0 and members = ref 0 in
-  List.iter
-    (fun sql ->
-      let skel =
-        match Sqlfun_parse.Parser.parse_stmt sql with
-        | Ok s -> s
-        | Error msg -> Alcotest.failf "parse %S: %s" sql msg
-      in
-      let slots =
-        Array.of_list
-          (List.rev (Ast_util.fold_slots (fun acc e -> e :: acc) [] skel))
-      in
-      let plan =
-        match Compile.compile ~registry skel with
-        | Compile.Plan p -> p
-        | Compile.Fallback -> Alcotest.failf "%S should compile" sql
-      in
-      Alcotest.(check int) (sql ^ ": slot count") (Array.length slots)
-        (Compile.n_slots plan);
-      Array.iteri
-        (fun i _ ->
-          List.iter
-            (fun lit ->
-              let vec = Array.copy slots in
-              vec.(i) <- lit;
-              (* the reference statement: the skeleton with its [i]-th
-                 slot node (found by physical identity) swapped for
-                 [lit]; its slot vector must then be [vec] *)
-              let stmt =
-                Ast_util.map_exprs
-                  (fun e -> if e == slots.(i) then lit else e)
-                  skel
-              in
-              if
-                Ast_util.fold_slots (fun acc e -> e :: acc) [] stmt
-                <> List.rev (Array.to_list vec)
-              then Alcotest.failf "%S: slot %d swap missed" sql i;
-              let label = Sqlfun_ast.Sql_pp.stmt stmt in
-              let got, got_steps =
-                observe ce (fun () -> Engine.exec_compiled ce plan vec)
-              in
-              let want, want_steps =
-                observe ie (fun () -> Engine.exec_stmt ie stmt)
-              in
-              incr members;
-              if String.starts_with ~prefix:"crash" want then incr crashes;
-              if String.starts_with ~prefix:"error" want then incr errors;
-              Alcotest.(check string) (label ^ ": outcome") want got;
-              Alcotest.(check int) (label ^ ": ticks") want_steps got_steps;
-              Alcotest.(check (list (pair string int)))
-                (label ^ ": coverage") (Coverage.points icov)
-                (Coverage.points ccov);
-              Alcotest.(check (list (pair string int)))
-                (label ^ ": function scopes") (fn_scopes iprof)
-                (fn_scopes cprof))
-            boundary_literals)
-        slots)
-    plan_skeletons;
-  (* the comparison is vacuous unless it reached crashes and errors *)
-  Alcotest.(check bool) "members ran" true (!members > 500);
-  Alcotest.(check bool) "some members crashed" true (!crashes > 0);
-  Alcotest.(check bool) "some members errored" true (!errors > 0)
-
-let test_aggregate_projections_fall_back () =
-  let registry = All_fns.registry () in
-  List.iter
-    (fun sql ->
-      match Sqlfun_parse.Parser.parse_stmt sql with
-      | Error msg -> Alcotest.failf "parse %S: %s" sql msg
-      | Ok stmt ->
-        (match Compile.compile ~registry stmt with
-         | Compile.Fallback -> ()
-         | Compile.Plan _ -> Alcotest.failf "%S compiled" sql))
-    [ "SELECT COUNT(1)"; "SELECT SUM(1) + 1"; "SELECT ABS(1), MAX('a')";
-      "SELECT 1 FROM t"; "SELECT DISTINCT 1"; "SELECT *"; "SELECT 1 LIMIT 1" ]
-
 let suite =
   ( "engine",
     [
@@ -558,8 +382,4 @@ let suite =
       Alcotest.test_case "script execution" `Quick test_script_execution;
       Alcotest.test_case "sequences" `Quick test_sequences;
       Alcotest.test_case "restart respawns" `Quick test_restart_respawns;
-      Alcotest.test_case "compiled plans match the interpreter" `Quick
-        test_compiled_matches_interpreter;
-      Alcotest.test_case "aggregate projections fall back" `Quick
-        test_aggregate_projections_fall_back;
     ] )

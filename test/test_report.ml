@@ -19,7 +19,6 @@ let contains hay needle =
 (* the snapshot's object holding a row's keys *)
 let home_key = function
   | Report.Totals -> "totals"
-  | Report.Compile -> "compile"
   | Report.Compact -> "compact"
   | Report.Batch -> "batch"
 
@@ -61,7 +60,7 @@ let test_one_summary () =
         row.Report.fields)
     s;
   Alcotest.(check int) "one line per row" (List.length s) (List.length lines);
-  (* the rows own every key of the four objects, each once and in the
+  (* the rows own every key of the three objects, each once and in the
      rows' order, so no count is rendered outside the summary *)
   List.iter
     (fun home ->
@@ -73,7 +72,7 @@ let test_one_summary () =
              else [])
            s)
         (List.map fst (home_obj json home)))
-    Report.[ Totals; Compile; Compact; Batch ];
+    Report.[ Totals; Compact; Batch ];
   (* rows the markdown header lacked before it rendered the summary *)
   List.iter
     (fun label ->
@@ -81,7 +80,7 @@ let test_one_summary () =
         (Printf.sprintf "markdown has %s" label)
         true
         (contains md ("\n- " ^ label ^ ":")))
-    [ "compiled families"; "batched cases"; "known crashes" ];
+    [ "batched cases"; "known crashes" ];
   Alcotest.(check bool) "bug count closes the stdout block" true
     (String.starts_with ~prefix:"bugs found:"
        (List.nth lines (List.length lines - 1)))

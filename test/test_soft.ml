@@ -468,97 +468,6 @@ let test_stateful_campaign_stages () =
   Alcotest.(check int) "no storage-stage verdicts when off" 0
     lsv.Soft.Detector.storage
 
-let test_compile_campaign_identical () =
-  (* the campaign's identity bar, over every dialect: the default run —
-     every skeleton-sharing family through the batched compiled
-     executor — against the interpreter reconstructing each member's
-     AST. Compiled execution is behaviour-invisible: identical verdict
-     JSON, bug lists, FP signatures, the full hit-counted coverage JSON
-     and fault sites. Only throughput metadata (timings, compile and
-     batch counters) may differ. The budget forces
-     {!Soft.Soft_runner.split_budget} shares through mid-family cuts, so
-     batch splitting is exercised too. *)
-  let open Sqlfun_telemetry in
-  let deterministic_keys =
-    [ "totals"; "verdicts"; "bugs"; "fp_signatures"; "families"; "coverage" ]
-  in
-  List.iter
-    (fun prof ->
-      let name = prof.Dialect.id in
-      let on = Soft.Soft_runner.fuzz ~budget:2_000 prof in
-      let off = Soft.Soft_runner.fuzz ~budget:2_000 ~compile:false prof in
-      let jon = Soft.Report.campaign_to_json on
-      and joff = Soft.Report.campaign_to_json off in
-      List.iter
-        (fun key ->
-          let get j =
-            match Json.member key j with
-            | Some v -> Json.to_string v
-            | None -> Alcotest.failf "%s: report lacks %S" name key
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: %s identical" name key)
-            (get joff) (get jon))
-        deterministic_keys;
-      let sites (r : Soft.Soft_runner.result) =
-        List.map
-          (fun (b : Soft.Detector.found_bug) ->
-            (b.Soft.Detector.spec.Fault.site, b.Soft.Detector.case_number))
-          r.Soft.Soft_runner.bugs
-      in
-      Alcotest.(check (list (pair string int)))
-        (name ^ ": fault sites identical")
-        (sites off) (sites on);
-      (* the property is vacuous unless compiled plans and batches
-         actually ran *)
-      let counts = Telemetry.compile_counts on.Soft.Soft_runner.telemetry in
-      Alcotest.(check bool)
-        (name ^ ": compiled plans were reused")
-        true
-        (counts.Telemetry.c_hits > 0);
-      let batches = Telemetry.batch_counts on.Soft.Soft_runner.telemetry in
-      Alcotest.(check bool)
-        (name ^ ": batches executed")
-        true (batches.Telemetry.b_cases > 0);
-      let counts_off =
-        Telemetry.compile_counts off.Soft.Soft_runner.telemetry
-      in
-      Alcotest.(check int)
-        (name ^ ": compile-off compiles no plan")
-        0
-        (counts_off.Telemetry.c_hits + counts_off.Telemetry.c_misses))
-    Dialect.all
-
-let test_interpreted_cases_count_fallbacks () =
-  (* without pattern streams a campaign is seed replays plus stateful
-     scenarios, all interpreted: each case counts exactly one compile
-     fallback, scenarios with prerequisites included *)
-  let module Telemetry = Sqlfun_telemetry.Telemetry in
-  let r = Soft.Soft_runner.fuzz ~patterns:[] (Dialect.find_exn "duckdb") in
-  Alcotest.(check bool) "scenarios ran" true
-    (r.Soft.Soft_runner.scenarios_executed > 0);
-  let counts = Telemetry.compile_counts r.Soft.Soft_runner.telemetry in
-  Alcotest.(check int) "one fallback per case" r.Soft.Soft_runner.cases_executed
-    counts.Telemetry.c_fallbacks
-
-let test_compile_counts_each_case_once () =
-  (* every case lands in exactly one compile counter: a family that
-     runs on its plan is one miss plus a hit per further member, and
-     every interpreted case — including the members of a family whose
-     skeleton compiles to [Fallback] — is one fallback. A family
-     compiles at most once, so misses cannot exceed family batches. *)
-  let module Telemetry = Sqlfun_telemetry.Telemetry in
-  let r = Soft.Soft_runner.fuzz (Dialect.find_exn "monetdb") in
-  let tel = r.Soft.Soft_runner.telemetry in
-  let c = Telemetry.compile_counts tel in
-  let b = Telemetry.batch_counts tel in
-  Alcotest.(check bool) "families compiled" true (c.Telemetry.c_misses > 0);
-  Alcotest.(check int) "hits + misses + fallbacks = cases"
-    r.Soft.Soft_runner.cases_executed
-    (c.Telemetry.c_hits + c.Telemetry.c_misses + c.Telemetry.c_fallbacks);
-  Alcotest.(check bool) "misses <= family batches" true
-    (c.Telemetry.c_misses <= b.Telemetry.b_flushes)
-
 let test_compact_campaign_identical () =
   (* the compact-representation soundness bar, over every dialect:
      range-array and rope-string values must be behaviour-invisible.
@@ -613,14 +522,13 @@ let test_compact_campaign_identical () =
   Alcotest.(check bool) "compact values were built" true (!total_hits > 0)
 
 let test_batch_stream_equivalence () =
-  (* the slot-stream soundness bar at the generation layer: flattening
-     the batched work stream (each member's statement built by its
-     run's [b_build]) must reproduce the per-case generator's stream
-     element for element — same pattern, same origin, structurally
-     equal statement — for every pattern on every dialect; and an item
-     is a batch exactly when its pattern shares a skeleton. This
-     guards the grouping and its order; the window-fill test guards
-     what the compiled path feeds each member. *)
+  (* the work-item soundness bar at the generation layer: every pattern
+     emits one [Batched] item per position family — each with members,
+     and no two consecutive items sharing a builder, so no family is
+     cut in two — and flattening the items (each member's statement
+     built by its family's [b_build]) reproduces the per-case
+     generator's stream element for element: same pattern, same
+     origin, structurally equal statement, on every dialect. *)
   List.iter
     (fun prof ->
       let name = prof.Dialect.id in
@@ -628,18 +536,23 @@ let test_batch_stream_equivalence () =
       let seeds =
         Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
       in
-      let batched_total = ref 0 in
       List.iter
         (fun pattern ->
+          let ctx = Printf.sprintf "%s %s" name (Pattern_id.to_string pattern) in
+          let prev = ref None and families = ref 0 in
           let flat =
             Soft.Patterns.generate_work ~registry ~seeds pattern
             |> Seq.concat_map (fun w ->
                    match w with
                    | Soft.Patterns.Batched b ->
-                     if not (Pattern_id.shares_skeleton pattern) then
-                       Alcotest.failf "%s %s: skeleton-varying Batched item"
-                         name (Pattern_id.to_string pattern);
-                     batched_total := !batched_total + Soft.Patterns.batch_size b;
+                     if b.Soft.Patterns.b_members = [] then
+                       Alcotest.failf "%s: family without members" ctx;
+                     (match !prev with
+                      | Some build when build == b.Soft.Patterns.b_build ->
+                        Alcotest.failf "%s: one family split across items" ctx
+                      | Some _ | None -> ());
+                     prev := Some b.Soft.Patterns.b_build;
+                     incr families;
                      Seq.map
                        (fun v ->
                          {
@@ -648,27 +561,18 @@ let test_batch_stream_equivalence () =
                            origin = b.Soft.Patterns.b_origin;
                          })
                        (List.to_seq b.Soft.Patterns.b_members)
-                   | Soft.Patterns.Single sc ->
-                     (* a skeleton-sharing case that could not join a
-                        family is still a family of one *)
-                     if Pattern_id.shares_skeleton pattern then
-                       Alcotest.failf "%s %s: skeleton-sharing Single item"
-                         name (Pattern_id.to_string pattern);
-                     Seq.return sc.Soft.Patterns.case
-                   | Soft.Patterns.Seed _ ->
-                     Alcotest.failf "%s %s: pattern stream yielded a Seed item"
-                       name (Pattern_id.to_string pattern))
+                   | Soft.Patterns.Single _ | Soft.Patterns.Seed _ ->
+                     Alcotest.failf "%s: pattern stream yielded a non-family item"
+                       ctx)
           in
           let plain = Soft.Patterns.generate ~registry ~seeds pattern in
           let rec go i flat plain =
             match (Seq.uncons flat, Seq.uncons plain) with
             | None, None -> ()
             | Some _, None | None, Some _ ->
-              Alcotest.failf "%s %s: streams diverge in length at case %d"
-                name (Pattern_id.to_string pattern) i
+              Alcotest.failf "%s: streams diverge in length at case %d" ctx i
             | Some (f, flat), Some (p, plain) ->
-              let ctx = Printf.sprintf "%s %s case %d" name
-                  (Pattern_id.to_string pattern) i in
+              let ctx = Printf.sprintf "%s case %d" ctx i in
               if f.Soft.Patterns.pattern <> p.Soft.Patterns.pattern then
                 Alcotest.failf "%s: pattern differs" ctx;
               Alcotest.(check string) (ctx ^ ": origin")
@@ -683,83 +587,20 @@ let test_batch_stream_equivalence () =
                   (Sql_pp.stmt p.Soft.Patterns.stmt);
               go (i + 1) flat plain
           in
-          go 1 flat plain)
-        Pattern_id.all;
-      (* the property is vacuous unless batches actually formed *)
-      Alcotest.(check bool) (name ^ ": batches formed") true
-        (!batched_total > 0))
+          go 1 flat plain;
+          (* the property is vacuous unless families formed *)
+          Alcotest.(check bool) (ctx ^ ": families formed") true (!families > 0))
+        Pattern_id.all)
     Dialect.all
 
-(* What the compiled path feeds a run's members: the skeleton's slot
-   vector with the window overwritten by a member's leaves must be the
-   slot vector of the member's own statement, for every run of two or
-   more on every dialect. Every such run has a window. *)
-let test_batch_window_fill () =
-  let slots_of stmt =
-    List.rev (Ast_util.fold_slots (fun acc e -> e :: acc) [] stmt)
-  in
-  let members = ref 0 in
-  List.iter
-    (fun prof ->
-      let registry = Dialect.registry prof in
-      let seeds =
-        Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
-      in
-      List.iter
-        (fun pattern ->
-          Seq.iter
-            (function
-              | Soft.Patterns.Batched b when Soft.Patterns.batch_size b >= 2 ->
-                let ctx =
-                  Printf.sprintf "%s %s run from %s" prof.Dialect.id
-                    (Pattern_id.to_string pattern) b.Soft.Patterns.b_origin
-                in
-                (match Soft.Detector.window b with
-                 | None -> Alcotest.failf "%s: no slot window" ctx
-                 | Some w ->
-                   List.iter
-                     (fun m ->
-                       let filled = Array.copy w.Soft.Detector.slots in
-                       (match Ast_util.expr_slots m with
-                        | None -> Alcotest.failf "%s: member without slots" ctx
-                        | Some leaves ->
-                          if
-                            w.Soft.Detector.lo + List.length leaves
-                            > Array.length filled
-                          then
-                            Alcotest.failf "%s: window overruns the slots" ctx;
-                          List.iteri
-                            (fun j leaf ->
-                              filled.(w.Soft.Detector.lo + j) <- leaf)
-                            leaves);
-                       let want = b.Soft.Patterns.b_build m in
-                       if Array.to_list filled <> slots_of want then
-                         Alcotest.failf "%s: window fill differs from %s" ctx
-                           (Sql_pp.stmt want);
-                       incr members)
-                     b.Soft.Patterns.b_members)
-              | Soft.Patterns.Batched _ | Soft.Patterns.Single _
-              | Soft.Patterns.Seed _ ->
-                ())
-            (Soft.Patterns.generate_work ~registry ~seeds pattern))
-        (List.filter Pattern_id.shares_skeleton Pattern_id.all))
-    Dialect.all;
-  (* the property is vacuous unless runs formed *)
-  Alcotest.(check bool) "members filled" true (!members > 0)
-
-(* Every bug an exhaustive skeleton-sharing campaign finds — most of
-   them on compiled members, whose PoC the family's builder renders —
-   replays from its PoC alone on a fresh armed engine, at the same
-   fault site. *)
+(* Every bug an exhaustive stateless campaign finds — all 132 ledger
+   bugs, each PoC rendered by its family's builder — replays from its
+   PoC alone on a fresh armed engine, at the same fault site. *)
 let test_batched_pocs_replay_cold () =
   let replayed = ref 0 in
   List.iter
     (fun prof ->
-      let r =
-        Soft.Soft_runner.fuzz
-          ~patterns:(List.filter Pattern_id.shares_skeleton Pattern_id.all)
-          ~stateful:false prof
-      in
+      let r = Soft.Soft_runner.fuzz ~stateful:false prof in
       List.iter
         (fun (b : Soft.Detector.found_bug) ->
           let site = b.Soft.Detector.spec.Fault.site in
@@ -773,7 +614,7 @@ let test_batched_pocs_replay_cold () =
                    b.Soft.Detector.poc)
         r.Soft.Soft_runner.bugs)
     Dialect.all;
-  Alcotest.(check bool) "bugs replayed" true (!replayed > 0)
+  Alcotest.(check int) "bugs replayed" 132 !replayed
 
 (* Each (dialect, pattern) stream of [Patterns.generate], pinned as its
    case count and a chained MD5 over every case's origin and printed
@@ -1001,18 +842,10 @@ let suite =
         test_scenario_crash_restores_baseline;
       Alcotest.test_case "stateful campaign stages (on/off)" `Slow
         test_stateful_campaign_stages;
-      Alcotest.test_case "compiled campaign identical (all dialects)" `Slow
-        test_compile_campaign_identical;
-      Alcotest.test_case "interpreted cases count fallbacks" `Quick
-        test_interpreted_cases_count_fallbacks;
-      Alcotest.test_case "compile counters count each case once" `Quick
-        test_compile_counts_each_case_once;
       Alcotest.test_case "compact campaign identical (all dialects)" `Slow
         test_compact_campaign_identical;
       Alcotest.test_case "batch stream equivalence (all dialects)" `Slow
         test_batch_stream_equivalence;
-      Alcotest.test_case "batch window fill (all dialects)" `Slow
-        test_batch_window_fill;
       Alcotest.test_case "batched PoCs replay cold (all dialects)" `Slow
         test_batched_pocs_replay_cold;
       Alcotest.test_case "pattern streams pinned (all dialects)" `Slow

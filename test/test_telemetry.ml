@@ -389,7 +389,7 @@ let test_fuzz_determinism_with_sink () =
     [ "campaign"; "collect"; "seed-replay"; "generate"; "execute" ];
   (* the executor contract: verdict bookkeeping is part of the execute
      stage, which opens one span per work item — a seed, a scenario or a
-     whole family batch, compiled or not, on any shard count — and every
+     position family, on any shard count — and every
      case is attributed to the detector-classify phase *)
   Alcotest.(check bool) "no detect stage" false
     (has_stage "detect"
@@ -411,8 +411,6 @@ let test_fuzz_determinism_with_sink () =
     (off.Soft.Soft_runner.cases_executed - batch.Telemetry.b_cases
    + batch.Telemetry.b_flushes)
     (execute_calls off);
-  Alcotest.(check int) "execute spans with --no-compile" (execute_calls off)
-    (execute_calls (Soft.Soft_runner.fuzz ~budget:600 ~compile:false prof));
   Alcotest.(check int) "execute spans at 2 shards" (execute_calls off)
     (execute_calls (Soft.Soft_runner.fuzz ~budget:600 ~shards:2 prof));
   let classified =
