@@ -17,8 +17,6 @@ type env = {
 type result_set = { columns : string list; rows : Value.t list list }
 type outcome = Rows of result_set | Affected of int
 
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
-
 (* ----- LIKE ----- *)
 
 let like_match ~pattern s =
@@ -56,12 +54,12 @@ let value_of_int_lit s =
     (* a literal too large for BIGINT becomes an exact decimal *)
     (match Decimal.of_string s with
      | Ok d -> Value.Dec d
-     | Error msg -> err "bad numeric literal: %s" msg)
+     | Error msg -> Fn_ctx.err "bad numeric literal: %s" msg)
 
 let value_of_dec_lit s =
   match Decimal.of_string s with
   | Ok d -> Value.Dec d
-  | Error msg -> err "bad numeric literal: %s" msg
+  | Error msg -> Fn_ctx.err "bad numeric literal: %s" msg
 
 (* ----- arithmetic ----- *)
 
@@ -80,18 +78,18 @@ let rec num_coerce ctx v =
      | Cast.Strict ->
        (match Decimal.of_string (String.trim s) with
         | Ok d -> Value.Dec d
-        | Error _ -> err "invalid input %S for numeric operation" s)
+        | Error _ -> Fn_ctx.err "invalid input %s for numeric operation" (Value.quote s))
      | Cast.Lenient ->
        (match Fn_ctx.cast_value ctx v (Ast.T_decimal None) with
         | Value.Dec d -> Value.Dec d
         | _ -> Value.Dec Decimal.zero))
-  | v -> err "cannot use %s in numeric operation" (Value.ty_name (Value.type_of v))
+  | v -> Fn_ctx.err "cannot use %s in numeric operation" (Value.ty_name (Value.type_of v))
 
 let arith ctx op a b =
   Fn_ctx.tick ~cost:(1 + ((Value.size_of a + Value.size_of b) / 8)) ctx;
   let fail_overflow () =
     match strictness ctx with
-    | Cast.Strict -> err "BIGINT value is out of range"
+    | Cast.Strict -> Fn_ctx.err "BIGINT value is out of range"
     | Cast.Lenient -> Value.Null
   in
   match (num_coerce ctx a, num_coerce ctx b) with
@@ -114,12 +112,12 @@ let arith ctx op a b =
      | Ast.Div ->
        if y' = 0.0 then
          (match strictness ctx with
-          | Cast.Strict -> err "division by zero"
+          | Cast.Strict -> Fn_ctx.err "division by zero"
           | Cast.Lenient -> Value.Null)
        else Value.Float (x' /. y')
      | Ast.Mod ->
        if y' = 0.0 then Value.Null else Value.Float (Float.rem x' y')
-     | _ -> err "bad float arithmetic operator")
+     | _ -> Fn_ctx.err "bad float arithmetic operator")
   | Value.Int x, Value.Int y ->
     (match op with
      | Ast.Add ->
@@ -127,7 +125,7 @@ let arith ctx op a b =
         | Some r -> Value.Int r
         | None ->
           (match strictness ctx with
-           | Cast.Strict -> err "BIGINT value is out of range"
+           | Cast.Strict -> Fn_ctx.err "BIGINT value is out of range"
            | Cast.Lenient ->
              Value.Dec (Decimal.add (Decimal.of_int64 x) (Decimal.of_int64 y))))
      | Ast.Sub ->
@@ -135,7 +133,7 @@ let arith ctx op a b =
         | Some r -> Value.Int r
         | None ->
           (match strictness ctx with
-           | Cast.Strict -> err "BIGINT value is out of range"
+           | Cast.Strict -> Fn_ctx.err "BIGINT value is out of range"
            | Cast.Lenient ->
              Value.Dec (Decimal.sub (Decimal.of_int64 x) (Decimal.of_int64 y))))
      | Ast.Mul ->
@@ -143,13 +141,13 @@ let arith ctx op a b =
         | Some r -> Value.Int r
         | None ->
           (match strictness ctx with
-           | Cast.Strict -> err "BIGINT value is out of range"
+           | Cast.Strict -> Fn_ctx.err "BIGINT value is out of range"
            | Cast.Lenient ->
              Value.Dec (Decimal.mul (Decimal.of_int64 x) (Decimal.of_int64 y))))
      | Ast.Div ->
        if y = 0L then
          (match strictness ctx with
-          | Cast.Strict -> err "division by zero"
+          | Cast.Strict -> Fn_ctx.err "division by zero"
           | Cast.Lenient -> Value.Null)
        else
          (match Decimal.div ~scale:4 (Decimal.of_int64 x) (Decimal.of_int64 y) with
@@ -158,13 +156,13 @@ let arith ctx op a b =
      | Ast.Mod ->
        if y = 0L then
          (match strictness ctx with
-          | Cast.Strict -> err "division by zero"
+          | Cast.Strict -> Fn_ctx.err "division by zero"
           | Cast.Lenient -> Value.Null)
        else
          (match Checked_int.rem x y with
           | Some r -> Value.Int r
           | None -> Value.Int 0L)
-     | _ -> err "bad integer arithmetic operator")
+     | _ -> Fn_ctx.err "bad integer arithmetic operator")
   | (Value.Dec _ | Value.Int _), (Value.Dec _ | Value.Int _) ->
     let dec_of = function
       | Value.Dec d -> d
@@ -173,7 +171,7 @@ let arith ctx op a b =
     in
     let x = dec_of (num_coerce ctx a) and y = dec_of (num_coerce ctx b) in
     if Decimal.precision x + Decimal.precision y > 20_000 then
-      err "numeric value too large for arithmetic";
+      Fn_ctx.err "numeric value too large for arithmetic";
     (match op with
      | Ast.Add -> Value.Dec (Decimal.add x y)
      | Ast.Sub -> Value.Dec (Decimal.sub x y)
@@ -184,20 +182,20 @@ let arith ctx op a b =
         | Some q -> Value.Dec q
         | None ->
           (match strictness ctx with
-           | Cast.Strict -> err "division by zero"
+           | Cast.Strict -> Fn_ctx.err "division by zero"
            | Cast.Lenient -> Value.Null))
      | Ast.Mod ->
        if Decimal.is_zero y then
          (match strictness ctx with
-          | Cast.Strict -> err "division by zero"
+          | Cast.Strict -> Fn_ctx.err "division by zero"
           | Cast.Lenient -> Value.Null)
        else
          (* x - trunc(x/y)*y *)
          (match Decimal.div ~scale:0 x y with
           | Some q -> Value.Dec (Decimal.sub x (Decimal.mul q y))
           | None -> Value.Null)
-     | _ -> err "bad decimal arithmetic operator")
-  | _, _ -> err "invalid operands for arithmetic"
+     | _ -> Fn_ctx.err "bad decimal arithmetic operator")
+  | _, _ -> Fn_ctx.err "invalid operands for arithmetic"
 
 let temporal_shift ctx dt iv sign =
   let iv = { iv with Calendar.amount = Int64.mul (Int64.of_int sign) iv.Calendar.amount } in
@@ -205,7 +203,7 @@ let temporal_shift ctx dt iv sign =
   | Some r -> Value.Datetime r
   | None ->
     (match strictness ctx with
-     | Cast.Strict -> err "datetime out of range"
+     | Cast.Strict -> Fn_ctx.err "datetime out of range"
      | Cast.Lenient -> Value.Null)
 
 let datetime_of_value v =
@@ -247,7 +245,7 @@ let truthiness = function
 
 let column_arg row qual name =
   match row with
-  | None -> err "no FROM clause: unknown column %s" name
+  | None -> Fn_ctx.err "no FROM clause: unknown column %s" name
   | Some bindings ->
     let key =
       String.lowercase_ascii
@@ -257,10 +255,10 @@ let column_arg row qual name =
        List.find_opt (fun (n, _) -> String.lowercase_ascii n = key) bindings
      with
      | Some (_, v) -> { Fault.value = v; prov = Fault.Prov.Column }
-     | None -> err "unknown column %s" name)
+     | None -> Fn_ctx.err "unknown column %s" name)
 
 let cast_arg ctx (inner : Fault.arg) ty =
-  if inner.Fault.prov = Fault.Prov.Star then err "cannot cast '*'";
+  if inner.Fault.prov = Fault.Prov.Star then Fn_ctx.err "cannot cast '*'";
   { Fault.value = Fn_ctx.cast_value ctx inner.Fault.value ty;
     prov = Fault.Prov.Cast }
 
@@ -287,7 +285,7 @@ let unop ctx op v =
      | _ ->
        (match Fn_ctx.cast_value ctx v Ast.T_bigint with
         | Value.Int i -> Value.Int (Int64.lognot i)
-        | _ -> err "bad operand for ~"))
+        | _ -> Fn_ctx.err "bad operand for ~"))
 
 let short_circuit op va =
   match op with
@@ -320,7 +318,7 @@ let binop ctx op va vb =
           | Ast.Gt -> c > 0
           | _ -> c >= 0)
      | None ->
-       err "cannot compare %s with %s"
+       Fn_ctx.err "cannot compare %s with %s"
          (Value.ty_name (Value.type_of va))
          (Value.ty_name (Value.type_of vb)))
   | Ast.Like ->
@@ -344,7 +342,7 @@ let binop ctx op va vb =
     let as_i v =
       match Fn_ctx.cast_value ctx v Ast.T_bigint with
       | Value.Int i -> i
-      | _ -> err "bad operand for bit operation"
+      | _ -> Fn_ctx.err "bad operand for bit operation"
     in
     (* OCaml evaluates application arguments right to left: [vb] is cast
        first, which fixes the order of cast errors and coverage hits *)
@@ -379,14 +377,14 @@ let between v lo hi =
   else
     match (Value.compare_values v lo, Value.compare_values v hi) with
     | Some c1, Some c2 -> Value.Bool (c1 >= 0 && c2 <= 0)
-    | _, _ -> err "BETWEEN: incomparable types"
+    | _, _ -> Fn_ctx.err "BETWEEN: incomparable types"
 
 let scalar_of_rows rows =
   match rows with
   | [] -> Value.Null
   | [ v ] :: _ -> v
-  | (_ :: _ :: _) :: _ -> err "scalar subquery returned more than one column"
-  | [] :: _ -> err "scalar subquery returned no columns"
+  | (_ :: _ :: _) :: _ -> Fn_ctx.err "scalar subquery returned more than one column"
+  | [] :: _ -> Fn_ctx.err "scalar subquery returned no columns"
 
 (* The first sixteen positional column names, built once: naming an
    unaliased projection allocates nothing below seventeen columns. *)
@@ -414,8 +412,8 @@ let apply_call ctx fname resolved distinct args =
   match resolved with
   | None ->
     (* DISTINCT on a non-aggregate (known or not) rejects first *)
-    if distinct then err "%s does not accept DISTINCT" fname
-    else err "unknown function %s" (String.uppercase_ascii fname)
+    if distinct then Fn_ctx.err "%s does not accept DISTINCT" fname
+    else Fn_ctx.err "unknown function %s" (String.uppercase_ascii fname)
   | Some r ->
     (match (Registry.spec r).Func_sig.kind with
      | Func_sig.Aggregate _ ->
@@ -427,7 +425,7 @@ let apply_call ctx fname resolved distinct args =
        inst.Func_sig.step args;
        { Fault.value = inst.Func_sig.final (); prov = Registry.prov r }
      | Func_sig.Scalar _ ->
-       if distinct then err "%s does not accept DISTINCT" fname;
+       if distinct then Fn_ctx.err "%s does not accept DISTINCT" fname;
        { Fault.value = Registry.invoke ctx r args; prov = Registry.prov r })
 
 (* ----- evaluation ----- *)
@@ -540,7 +538,7 @@ and rows_of_from env (f : Ast.from) :
        FROM source *)
     Profile.with_phase env.profile Profile.Storage (fun () ->
         match Storage.find_table env.catalog name with
-        | None -> err "no such table: %s" name
+        | None -> Fn_ctx.err "no such table: %s" name
         | Some t ->
           let cols = List.map (fun c -> c.Storage.col_name) t.Storage.columns in
           let keys =
@@ -667,7 +665,7 @@ and exec_select env (sel : Ast.select) : result_set =
   let expand_star r =
     match r with
     | Some bindings -> List.map snd (plain bindings)
-    | None -> err "SELECT * with no FROM clause"
+    | None -> Fn_ctx.err "SELECT * with no FROM clause"
   in
   let project_plain row =
     List.concat_map
@@ -888,7 +886,7 @@ and exec_body env (body : Ast.body) : result_set =
     let l = exec_body env left in
     let r = exec_body env right in
     if List.length l.columns <> List.length r.columns then
-      err "UNION operands have different column counts";
+      Fn_ctx.err "UNION operands have different column counts";
     (* UNION's implicit cast: the right side is coerced to the left side's
        value types (the paper's P2.2 source). *)
     let target_types =
@@ -966,16 +964,16 @@ and exec_query env (q : Ast.query) : result_set =
         | Ast.Int_lit s ->
           (match int_of_string_opt s with
            | Some i when i >= 1 && i <= List.length rs.columns -> i - 1
-           | Some _ | None -> err "ORDER BY position out of range")
+           | Some _ | None -> Fn_ctx.err "ORDER BY position out of range")
         | Ast.Column (_, name) ->
           let key = String.lowercase_ascii name in
           let rec find i = function
-            | [] -> err "ORDER BY: unknown column %s" name
+            | [] -> Fn_ctx.err "ORDER BY: unknown column %s" name
             | c :: rest ->
               if String.lowercase_ascii c = key then i else find (i + 1) rest
           in
           find 0 rs.columns
-        | _ -> err "ORDER BY supports column names and positions"
+        | _ -> Fn_ctx.err "ORDER BY supports column names and positions"
       in
       let keys = List.map (fun item -> (key_index item, item.Ast.asc)) items in
       let cmp r1 r2 =
@@ -1136,7 +1134,7 @@ let storage_stage_check env cast_row =
 (* INSERT: evaluate, default and cast each row, then hand it to storage *)
 let exec_insert env ins_table ins_columns rows =
   match Storage.find_table env.catalog ins_table with
-  | None -> err "no such table: %s" ins_table
+  | None -> Fn_ctx.err "no such table: %s" ins_table
   | Some t ->
     let ncols = List.length t.Storage.columns in
     let insert_one row_exprs =
@@ -1147,13 +1145,13 @@ let exec_insert env ins_table ins_columns rows =
       let full_row =
         if ins_columns = [] then begin
           if List.length provided <> ncols then
-            err "INSERT has %d values but table %s has %d columns"
+            Fn_ctx.err "INSERT has %d values but table %s has %d columns"
               (List.length provided) ins_table ncols;
           provided
         end
         else begin
           if List.length provided <> List.length ins_columns then
-            err "INSERT column/value count mismatch";
+            Fn_ctx.err "INSERT column/value count mismatch";
           List.map
             (fun col ->
               let rec find cs vs =
@@ -1181,7 +1179,7 @@ let exec_insert env ins_table ins_columns rows =
           (fun col v ->
             if Value.is_null v then begin
               if col.Storage.col_not_null then
-                err "column %s cannot be NULL" col.Storage.col_name;
+                Fn_ctx.err "column %s cannot be NULL" col.Storage.col_name;
               v
             end
             else Fn_ctx.cast_value env.ctx v col.Storage.col_type)
@@ -1236,7 +1234,7 @@ let exec_stmt env (stmt : Ast.stmt) : outcome =
     in
     (match Storage.create_table env.catalog ~name:tbl_name ~columns:cols ~if_not_exists with
      | Ok () -> Affected 0
-     | Error msg -> err "%s" msg)
+     | Error msg -> raise (Fn_ctx.Sql_error msg))
   | Ast.Insert { ins_table; ins_columns; rows } ->
     Profile.enter env.profile Profile.Storage;
     (match exec_insert env ins_table ins_columns rows with
@@ -1249,4 +1247,4 @@ let exec_stmt env (stmt : Ast.stmt) : outcome =
   | Ast.Drop_table { drop_name; if_exists } ->
     (match Storage.drop_table env.catalog ~name:drop_name ~if_exists with
      | Ok () -> Affected 0
-     | Error msg -> err "%s" msg)
+     | Error msg -> raise (Fn_ctx.Sql_error msg))

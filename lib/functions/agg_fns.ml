@@ -7,7 +7,6 @@ open Sqlfun_num
 open Sqlfun_fault
 
 let cat = "aggregate"
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 let aggregate = Func_sig.aggregate ~category:cat
 
 (* DISTINCT filtering keyed on the display rendering of the argument
@@ -92,14 +91,14 @@ let numeric_step ctx name acc v =
   | Value.Str s ->
     (* lenient dialects coerce; strict ones reject *)
     (match ctx.Fn_ctx.cast_cfg.Cast.strictness with
-     | Cast.Strict -> err "%s: string argument in numeric aggregate" name
+     | Cast.Strict -> Fn_ctx.err "%s: string argument in numeric aggregate" name
      | Cast.Lenient ->
        acc.rows <- Int64.add acc.rows 1L;
        let f = match float_of_string_opt s with Some f -> f | None -> 0.0 in
        acc.use_float <- true;
        acc.float_sum <- Decimal.to_float acc.dec_sum +. acc.float_sum +. f;
        acc.dec_sum <- Decimal.zero)
-  | v -> err "%s: cannot aggregate %s" name (Value.ty_name (Value.type_of v))
+  | v -> Fn_ctx.err "%s: cannot aggregate %s" name (Value.ty_name (Value.type_of v))
 
 let fresh_acc () =
   { dec_sum = Decimal.zero; float_sum = 0.0; use_float = false; rows = 0L }
@@ -158,7 +157,7 @@ let extremum_agg name keep =
               | b ->
                 (match Value.compare_values v b with
                  | Some c -> if keep c then best := v
-                 | None -> err "%s: incomparable values in aggregate" name));
+                 | None -> Fn_ctx.err "%s: incomparable values in aggregate" name));
         final = (fun () -> !best);
       })
 
@@ -222,7 +221,7 @@ let variance_core ctx name final_of =
           m2 := !m2 +. (delta *. (x -. !mean))
         | v ->
           Fn_ctx.point ctx (name ^ "/non-numeric");
-          err "%s: cannot aggregate %s" name (Value.ty_name (Value.type_of v)));
+          Fn_ctx.err "%s: cannot aggregate %s" name (Value.ty_name (Value.type_of v)));
     final = (fun () -> final_of !n !m2);
   }
 
@@ -274,7 +273,7 @@ let jsonb_object_agg_fn =
             match args with
             | [ k; v ] when fresh args ->
               if Value.is_null k.Fault.value then
-                err "JSONB_OBJECT_AGG: null key"
+                Fn_ctx.err "JSONB_OBJECT_AGG: null key"
               else begin
                 let key = Value.to_display k.Fault.value in
                 let jv =
@@ -290,7 +289,7 @@ let jsonb_object_agg_fn =
                 pairs := (key, jv) :: !pairs
               end
             | [ _; _ ] -> ()
-            | _ -> err "JSONB_OBJECT_AGG takes 2 arguments");
+            | _ -> Fn_ctx.err "JSONB_OBJECT_AGG takes 2 arguments");
         final = (fun () -> Value.Json (Sqlfun_data.Json.J_obj (List.rev !pairs)));
       })
 
@@ -309,7 +308,8 @@ let median_fn =
             | Value.Dec d -> xs := Decimal.to_float d :: !xs
             | Value.Float f -> xs := f :: !xs
             | Value.Bool b -> xs := (if b then 1.0 else 0.0) :: !xs
-            | v -> err "MEDIAN: cannot aggregate %s" (Value.ty_name (Value.type_of v)));
+            | v -> Fn_ctx.err "MEDIAN: cannot aggregate %s"
+                (Value.ty_name (Value.type_of v)));
         final =
           (fun () ->
             match List.sort Float.compare !xs with
@@ -339,7 +339,8 @@ let bit_agg name op init =
             | Value.Bool b ->
               any := true;
               acc := op !acc (if b then 1L else 0L)
-            | v -> err "%s: cannot aggregate %s" name (Value.ty_name (Value.type_of v)));
+            | v -> Fn_ctx.err "%s: cannot aggregate %s" name
+                (Value.ty_name (Value.type_of v)));
         final = (fun () -> if !any then Value.Int !acc else Value.Null);
       })
 

@@ -3,8 +3,6 @@
 
 open Sqlfun_value
 
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
-
 let arr_scalar = Func_sig.scalar ~category:"array"
 let map_scalar = Func_sig.scalar ~category:"map"
 
@@ -91,8 +89,8 @@ let array_slice_fn =
       let arr = Args.array_value ctx args 0 in
       let start = Args.small_int ctx args 1 in
       let len = Args.small_int ctx args 2 in
-      if start < 1 then err "ARRAY_SLICE: start must be >= 1";
-      if len < 0 then err "ARRAY_SLICE: negative length";
+      if start < 1 then Fn_ctx.err "ARRAY_SLICE: start must be >= 1";
+      if len < 0 then Fn_ctx.err "ARRAY_SLICE: negative length";
       match arr with
       | Value.Range_arr r ->
         (* O(1): a slice of an arithmetic sequence is one *)
@@ -150,7 +148,7 @@ let array_sort_fn =
         | Some c -> c
         | None ->
           Fn_ctx.point ctx "array-sort/incomparable";
-          err "ARRAY_SORT: incomparable elements"
+          Fn_ctx.err "ARRAY_SORT: incomparable elements"
       in
       Value.Arr (List.sort cmp vs))
 
@@ -169,7 +167,7 @@ let array_extremum name keep =
           (fun best v ->
             match Value.compare_values v best with
             | Some c -> if keep c then v else best
-            | None -> err "%s: incomparable elements" name)
+            | None -> Fn_ctx.err "%s: incomparable elements" name)
           first rest
       | _ -> assert false (* array_value returns Arr or Range_arr *))
 
@@ -278,7 +276,8 @@ let element_at_fn =
         let i = Args.small_int ctx args 1 in
         if i < 1 then Value.Null
         else (match List.nth_opt vs (i - 1) with Some v -> v | None -> Value.Null)
-      | v -> err "ELEMENT_AT: expected map or array, got %s" (Value.ty_name (Value.type_of v)))
+      | v -> Fn_ctx.err "ELEMENT_AT: expected map or array, got %s"
+          (Value.ty_name (Value.type_of v)))
 
 let map_from_arrays_fn =
   map_scalar "MAP_FROM_ARRAYS" ~min_args:2 ~max_args:(Some 2)
@@ -288,7 +287,7 @@ let map_from_arrays_fn =
       let ks = Args.array ctx args 0 in
       let vs = Args.array ctx args 1 in
       if Fn_ctx.branch ctx "map-from-arrays/len" (List.length ks <> List.length vs)
-      then err "MAP_FROM_ARRAYS: key and value arrays differ in length"
+      then Fn_ctx.err "MAP_FROM_ARRAYS: key and value arrays differ in length"
       else Value.Map (List.combine ks vs))
 
 let specs =

@@ -7,8 +7,6 @@ open Sqlfun_value
 open Sqlfun_num
 open Sqlfun_data
 
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
-
 (* ----- string ----- *)
 
 let str_scalar = Func_sig.scalar ~category:"string"
@@ -204,7 +202,7 @@ let float1 name f =
       let x = Args.float_ ctx args 0 in
       let r = f x in
       if Float.is_nan r && not (Float.is_nan x) then
-        err "%s: argument out of domain" name
+        Fn_ctx.err "%s: argument out of domain" name
       else Value.Float r)
 
 let cot_fn =
@@ -213,7 +211,8 @@ let cot_fn =
     (fun ctx args ->
       let x = Args.float_ ctx args 0 in
       let t = tan x in
-      if Fn_ctx.branch ctx "cot/zero" (t = 0.0) then err "COT: argument is a multiple of pi"
+      if Fn_ctx.branch ctx "cot/zero" (t = 0.0) then
+        Fn_ctx.err "COT: argument is a multiple of pi"
       else Value.Float (1.0 /. t))
 
 let sinh_fn = float1 "SINH" sinh
@@ -243,11 +242,11 @@ let lcm_fn =
       if a = 0L || b = 0L then Value.Int 0L
       else begin
         let rec gcd a b = if b = 0L then a else gcd b (Int64.rem a b) in
-        if a = Int64.min_int || b = Int64.min_int then err "LCM: overflow";
+        if a = Int64.min_int || b = Int64.min_int then Fn_ctx.err "LCM: overflow";
         let g = gcd (Int64.abs a) (Int64.abs b) in
         match Sqlfun_num.Checked_int.mul (Int64.div (Int64.abs a) g) (Int64.abs b) with
         | Some v -> Value.Int v
-        | None -> err "LCM: result exceeds BIGINT"
+        | None -> Fn_ctx.err "LCM: result exceeds BIGINT"
       end)
 
 (* ----- date ----- *)
@@ -275,7 +274,7 @@ let addtime_shift sign ctx args =
   let dt = Args.datetime ctx args 0 in
   let t = Args.str ctx args 1 in
   match Calendar.time_of_string t with
-  | None -> err "ADDTIME: bad time value %S" t
+  | None -> Fn_ctx.err "ADDTIME: bad time value %s" (Value.quote t)
   | Some time ->
     let seconds =
       (time.Calendar.hour * 3600) + (time.Calendar.minute * 60)
@@ -327,10 +326,10 @@ let period_add_fn =
       let year = Int64.to_int (Int64.div p 100L) in
       let month = Int64.to_int (Int64.rem p 100L) in
       if Fn_ctx.branch ctx "period-add/valid" (month < 1 || month > 12 || year < 1)
-      then err "PERIOD_ADD: bad period %Ld" p
+      then Fn_ctx.err "PERIOD_ADD: bad period %Ld" p
       else begin
         let total = (year * 12) + (month - 1) + n in
-        if total < 0 then err "PERIOD_ADD: period underflow"
+        if total < 0 then Fn_ctx.err "PERIOD_ADD: period underflow"
         else Value.Int (Int64.of_int (((total / 12) * 100) + (total mod 12) + 1))
       end)
 
@@ -423,7 +422,7 @@ let json_remove_fn =
              Json.J_arr (List.mapi (fun j v -> if j = i then remove v rest else v) vs)
            | _ -> doc)
       in
-      if path = [] then err "JSON_REMOVE: cannot remove the document root"
+      if path = [] then Fn_ctx.err "JSON_REMOVE: cannot remove the document root"
       else Value.Json (remove doc path))
 
 let json_search_fn =
@@ -503,7 +502,8 @@ let numeric_fold name fold_final =
               (match Decimal.of_string (Printf.sprintf "%.17g" f) with
                | Ok d -> (Decimal.add acc d, n + 1)
                | Error _ -> (acc, n))
-            | v -> err "%s: non-numeric element %s" name (Value.ty_name (Value.type_of v)))
+            | v -> Fn_ctx.err "%s: non-numeric element %s" name
+                (Value.ty_name (Value.type_of v)))
           (Decimal.zero, 0) vs
       in
       fold_final total count)
@@ -569,7 +569,7 @@ let try_cast_fn =
         | v -> Value.to_display v
       in
       match Conv_fns.type_of_string ty_name with
-      | None -> err "TRY_CAST: unknown target type %s" ty_name
+      | None -> Fn_ctx.err "TRY_CAST: unknown target type %s" ty_name
       | Some ty ->
         (try Fn_ctx.cast_value ctx (Args.value args 0) ty
          with Fn_ctx.Sql_error _ ->

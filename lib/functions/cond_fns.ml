@@ -4,7 +4,6 @@
 open Sqlfun_value
 
 let cat = "condition"
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 let scalar = Func_sig.scalar ~category:cat ~null_propagates:false
 
 let if_fn =
@@ -79,7 +78,7 @@ let interval_fn =
       (match n with
        | Value.Row _ | Value.Arr _ | Value.Map _ ->
          Fn_ctx.point ctx "interval/row-rejected";
-         err "INTERVAL: arguments must be comparable scalars"
+         Fn_ctx.err "INTERVAL: arguments must be comparable scalars"
        | _ -> ());
       if Value.is_null n then Value.Int (-1L)
       else begin
@@ -89,14 +88,14 @@ let interval_fn =
             let v = Args.value args i in
             (match v with
              | Value.Row _ | Value.Arr _ | Value.Map _ ->
-               err "INTERVAL: arguments must be comparable scalars"
+               Fn_ctx.err "INTERVAL: arguments must be comparable scalars"
              | _ -> ());
             match Value.compare_values v n with
             | Some c when c <= 0 -> go (i + 1) (count + 1)
             | Some _ -> count
             | None ->
               Fn_ctx.point ctx "interval/incomparable";
-              err "INTERVAL: incomparable argument types"
+              Fn_ctx.err "INTERVAL: incomparable argument types"
           end
         in
         Value.Int (Int64.of_int (go 1 0))

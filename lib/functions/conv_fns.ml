@@ -8,7 +8,6 @@ open Sqlfun_data
 open Sqlfun_ast
 
 let cat = "casting"
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 let scalar = Func_sig.scalar ~category:cat
 
 (* CONVERT(value, TYPE) — the type arrives as a column-reference-looking
@@ -47,7 +46,7 @@ let convert_fn =
       in
       match type_of_string ty_name with
       | Some ty -> Fn_ctx.cast_value ctx (Args.value args 0) ty
-      | None -> err "CONVERT: unknown target type %s" ty_name)
+      | None -> Fn_ctx.err "CONVERT: unknown target type %s" ty_name)
 
 let tostring_fn =
   scalar "TOSTRING" ~min_args:1 ~max_args:(Some 1) ~hints:[ Func_sig.H_any ]
@@ -74,7 +73,7 @@ let todecimalstring_fn =
       let d = Args.dec ctx args 0 in
       let digits = Args.small_int ctx args 1 in
       if Fn_ctx.branch ctx "todecimalstring/range" (digits < 0 || digits > 77)
-      then err "toDecimalString: requested precision out of range"
+      then Fn_ctx.err "toDecimalString: requested precision out of range"
       else Value.Str (Decimal.to_string (Decimal.round ~scale:digits d)))
 
 let bin_fn =
@@ -108,7 +107,7 @@ let conv_fn =
       let from_base = Args.small_int ctx args 1 in
       let to_base = Args.small_int ctx args 2 in
       if from_base < 2 || from_base > 36 || to_base < 2 || to_base > 36 then
-        err "CONV: base out of range 2..36";
+        Fn_ctx.err "CONV: base out of range 2..36";
       let digit c =
         if c >= '0' && c <= '9' then Char.code c - 48
         else if c >= 'a' && c <= 'z' then Char.code c - 87
@@ -215,11 +214,11 @@ let uuid_to_bin_fn =
       let hex =
         String.concat "" (String.split_on_char '-' (String.lowercase_ascii s))
       in
-      if String.length hex <> 32 then err "UUID_TO_BIN: malformed UUID"
+      if String.length hex <> 32 then Fn_ctx.err "UUID_TO_BIN: malformed UUID"
       else
         match Codec.hex_decode hex with
         | Some b -> Value.Blob b
-        | None -> err "UUID_TO_BIN: malformed UUID")
+        | None -> Fn_ctx.err "UUID_TO_BIN: malformed UUID")
 
 let bin_to_uuid_fn =
   scalar "BIN_TO_UUID" ~min_args:1 ~max_args:(Some 1) ~hints:[ Func_sig.H_any ]
@@ -227,7 +226,7 @@ let bin_to_uuid_fn =
     (fun ctx args ->
       let b = Args.blob ctx args 0 in
       if Fn_ctx.branch ctx "bin-to-uuid/length" (String.length b <> 16) then
-        err "BIN_TO_UUID: need exactly 16 bytes"
+        Fn_ctx.err "BIN_TO_UUID: need exactly 16 bytes"
       else begin
         let hex = String.lowercase_ascii (Codec.hex_encode b) in
         Value.Str

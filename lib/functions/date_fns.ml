@@ -5,7 +5,6 @@ open Sqlfun_value
 open Sqlfun_data
 
 let cat = "date"
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 let scalar = Func_sig.scalar ~category:cat
 
 let fixed_now =
@@ -84,8 +83,9 @@ let interval_of ctx args i =
   | Value.Str _ ->
     (match Fn_ctx.cast_value ctx (Args.value args i) Sqlfun_ast.Ast.T_interval_t with
      | Value.Interval iv -> iv
-     | _ -> err "argument %d is not an interval" (i + 1))
-  | v -> err "argument %d is not an interval (%s)" (i + 1) (Value.ty_name (Value.type_of v))
+     | _ -> Fn_ctx.err "argument %d is not an interval" (i + 1))
+  | v -> Fn_ctx.err "argument %d is not an interval (%s)" (i + 1)
+      (Value.ty_name (Value.type_of v))
 
 let date_shift name sign =
   scalar name ~min_args:2 ~max_args:(Some 2)
@@ -99,7 +99,7 @@ let date_shift name sign =
       | Some r -> Value.Datetime r
       | None ->
         Fn_ctx.point ctx "dateshift/out-of-range";
-        err "%s: resulting date out of range" name)
+        Fn_ctx.err "%s: resulting date out of range" name)
 
 let date_add_fn = date_shift "DATE_ADD" 1
 let adddate_fn = date_shift "ADDDATE" 1
@@ -286,7 +286,7 @@ let interval_lit_fn =
       let unit_str = Args.str ctx args 1 in
       match Calendar.unit_of_string unit_str with
       | Some unit_ -> Value.Interval { Calendar.amount; unit_ }
-      | None -> err "unknown interval unit %S" unit_str)
+      | None -> Fn_ctx.err "unknown interval unit %s" (Value.quote unit_str))
 
 let specs =
   [

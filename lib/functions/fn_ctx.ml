@@ -4,6 +4,8 @@ open Sqlfun_coverage
 exception Sql_error of string
 exception Resource_limit of string
 
+let err fmt = Printf.ksprintf (fun msg -> raise (Sql_error msg)) fmt
+
 type limits = { max_string_bytes : int; max_collection : int; max_steps : int }
 
 let default_limits =

@@ -13,6 +13,12 @@ exception Resource_limit of string
 (** The query was terminated for exhausting memory/step budgets — the
     paper's false-positive class (e.g. [REPEAT('a', 9999999999)]). *)
 
+val err : ('a, unit, string, 'b) format4 -> 'a
+(** [err fmt ...] raises {!Sql_error} with the formatted message. A
+    message that embeds an argument value quotes it through
+    {!Sqlfun_value.Value.quote}, so it holds at most
+    {!Sqlfun_value.Value.quote_max_bytes} bytes of it. *)
+
 type limits = {
   max_string_bytes : int;  (** per-value allocation cap *)
   max_collection : int;    (** max elements in produced arrays/maps *)

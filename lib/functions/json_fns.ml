@@ -7,7 +7,6 @@ open Sqlfun_data
 open Sqlfun_num
 
 let cat = "json"
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 let scalar = Func_sig.scalar ~category:cat
 
 let json_valid_fn =
@@ -85,7 +84,7 @@ let value_to_json ctx v =
     Json.J_num (Decimal.to_string d)
   | Value.Float f ->
     if Float.is_nan f || Float.abs f = Float.infinity then
-      err "cannot represent non-finite float in JSON"
+      Fn_ctx.err "cannot represent non-finite float in JSON"
     else Json.J_num (Printf.sprintf "%.17g" f)
   | other -> Json.J_str (Value.to_display other)
 
@@ -101,12 +100,12 @@ let json_object_fn =
     ~hints:[ Func_sig.H_str; Func_sig.H_any ] ~null_propagates:false
     ~examples:[ "JSON_OBJECT('k', 1)" ]
     (fun ctx args ->
-      if List.length args mod 2 <> 0 then err "JSON_OBJECT: odd number of arguments";
+      if List.length args mod 2 <> 0 then Fn_ctx.err "JSON_OBJECT: odd number of arguments";
       let rec pairs i acc =
         if i >= List.length args then List.rev acc
         else begin
           let k = Args.value args i in
-          if Value.is_null k then err "JSON_OBJECT: null key";
+          if Value.is_null k then Fn_ctx.err "JSON_OBJECT: null key";
           let key = Value.to_display k in
           pairs (i + 2) ((key, value_to_json ctx (Args.value args (i + 1))) :: acc)
         end
@@ -168,7 +167,7 @@ let column_create_fn =
     ~hints:[ Func_sig.H_str; Func_sig.H_any ] ~examples:[ "COLUMN_CREATE('x', 1)" ]
     (fun _ctx args ->
       if List.length args mod 2 <> 0 then
-        err "COLUMN_CREATE: odd number of arguments";
+        Fn_ctx.err "COLUMN_CREATE: odd number of arguments";
       let rec pairs i acc =
         if i >= List.length args then List.rev acc
         else

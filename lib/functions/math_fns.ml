@@ -7,7 +7,6 @@ open Sqlfun_value
 open Sqlfun_num
 
 let cat = "math"
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 let scalar = Func_sig.scalar ~category:cat
 
 (* the raw value: a compact one is never a number, so it answers [None]
@@ -27,7 +26,7 @@ let abs_fn =
          | Some v -> Value.Int v
          | None ->
            Fn_ctx.point ctx "abs/min-int";
-           err "ABS: integer overflow")
+           Fn_ctx.err "ABS: integer overflow")
       | Some (Value.Dec d) -> Value.Dec (Decimal.abs d)
       | Some (Value.Float f) -> Value.Float (Float.abs f)
       | Some (Value.Bool b) -> Value.Int (if b then 1L else 0L)
@@ -47,7 +46,7 @@ let round_fn =
       let places =
         match Args.int_opt ctx args 1 with Some p -> Int64.to_int p | None -> 0
       in
-      if places > 10_000 || places < -10_000 then err "ROUND: places out of range";
+      if places > 10_000 || places < -10_000 then Fn_ctx.err "ROUND: places out of range";
       match numeric args 0 with
       | Some (Value.Float f) ->
         let scale = 10.0 ** float_of_int places in
@@ -60,7 +59,7 @@ let round_fn =
           match Decimal.div ~scale:0 d (Decimal.of_string_exn ("1" ^ String.make p '0')) with
           | Some q ->
             Value.Dec (Decimal.mul q (Decimal.of_string_exn ("1" ^ String.make p '0')))
-          | None -> err "ROUND: internal scale error"
+          | None -> Fn_ctx.err "ROUND: internal scale error"
         end
         else Value.Dec (Decimal.round ~scale:places d))
 
@@ -68,7 +67,7 @@ let truncate_impl ctx args =
   let places =
     match Args.int_opt ctx args 1 with Some p -> Int64.to_int p | None -> 0
   in
-  if places > 10_000 || places < -10_000 then err "TRUNCATE: places out of range";
+  if places > 10_000 || places < -10_000 then Fn_ctx.err "TRUNCATE: places out of range";
   let d = Args.dec ctx args 0 in
   if places >= 0 then begin
     (* truncate toward zero: drop digits without rounding *)
@@ -94,8 +93,8 @@ let truncate_impl ctx args =
       (* drop the fractional part of the quotient, then scale back *)
       (match Decimal.to_int64 q with
        | Some i -> Value.Dec (Decimal.mul (Decimal.of_int64 i) unit_v)
-       | None -> err "TRUNCATE: overflow")
-    | None -> err "TRUNCATE: internal scale error"
+       | None -> Fn_ctx.err "TRUNCATE: overflow")
+    | None -> Fn_ctx.err "TRUNCATE: internal scale error"
   end
 
 let truncate_fn =
@@ -147,7 +146,7 @@ let float1 name f =
       let x = Args.float_ ctx args 0 in
       let r = f x in
       if Float.is_nan r && not (Float.is_nan x) then
-        err "%s: argument out of domain" name
+        Fn_ctx.err "%s: argument out of domain" name
       else Value.Float r)
 
 let sqrt_fn =
@@ -224,7 +223,7 @@ let pow_impl ctx args =
     let b = Args.float_ ctx args 0 and e = Args.float_ ctx args 1 in
     let r = b ** e in
     if Float.is_nan r && not (Float.is_nan b || Float.is_nan e) then
-      err "POWER: argument out of domain"
+      Fn_ctx.err "POWER: argument out of domain"
     else Value.Float r
 
 let pow_fn =
@@ -260,7 +259,7 @@ let div_fn =
       else
         match Checked_int.div a b with
         | Some q -> Value.Int q
-        | None -> err "DIV: integer overflow")
+        | None -> Fn_ctx.err "DIV: integer overflow")
 
 let pi_fn =
   scalar "PI" ~min_args:0 ~max_args:(Some 0) ~hints:[] ~examples:[ "PI()" ]
@@ -296,7 +295,7 @@ let extremum name keep =
             | Some c -> if keep c then v else best
             | None ->
               Fn_ctx.point ctx (String.lowercase_ascii name ^ "/incomparable");
-              err "%s: incomparable argument types" name)
+              Fn_ctx.err "%s: incomparable argument types" name)
           first rest)
 
 let greatest_fn = extremum "GREATEST" (fun c -> c > 0)
@@ -308,7 +307,7 @@ let gcd_fn =
     (fun ctx args ->
       let rec gcd a b = if b = 0L then a else gcd b (Int64.rem a b) in
       let a = Args.int_ ctx args 0 and b = Args.int_ ctx args 1 in
-      if a = Int64.min_int || b = Int64.min_int then err "GCD: overflow";
+      if a = Int64.min_int || b = Int64.min_int then Fn_ctx.err "GCD: overflow";
       Value.Int (gcd (Int64.abs a) (Int64.abs b)))
 
 let factorial_fn =
@@ -317,8 +316,8 @@ let factorial_fn =
     (fun ctx args ->
       let n = Args.int_ ctx args 0 in
       if Fn_ctx.branch ctx "factorial/neg" (n < 0L) then
-        err "FACTORIAL: negative argument"
-      else if n > 20L then err "FACTORIAL: result exceeds BIGINT"
+        Fn_ctx.err "FACTORIAL: negative argument"
+      else if n > 20L then Fn_ctx.err "FACTORIAL: result exceeds BIGINT"
       else begin
         let rec go acc i =
           if i > n then acc else go (Int64.mul acc i) (Int64.add i 1L)

@@ -72,8 +72,6 @@ let restrict t keep =
     keep;
   t'
 
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
-
 let resolve t name =
   match Hashtbl.find t.resolved name with
   | r -> r
@@ -131,14 +129,14 @@ let invoke ctx r args =
   (match spec.Func_sig.kind with
    | Func_sig.Scalar impl ->
      if not (Func_sig.arity_ok spec (List.length args)) then
-       err "%s takes %s arguments, got %d" spec.Func_sig.name
+       Fn_ctx.err "%s takes %s arguments, got %d" spec.Func_sig.name
          (match spec.Func_sig.max_args with
           | Some mx when mx = spec.Func_sig.min_args -> string_of_int mx
           | Some mx -> Printf.sprintf "%d..%d" spec.Func_sig.min_args mx
           | None -> Printf.sprintf "at least %d" spec.Func_sig.min_args)
          (List.length args)
      else if has_star args then
-       err "improper use of '*' in arguments of %s" spec.Func_sig.name
+       Fn_ctx.err "improper use of '*' in arguments of %s" spec.Func_sig.name
      else if spec.Func_sig.null_propagates && has_null args then Value.Null
      else begin
        (* work is charged in proportion to argument size, so REPEAT-built
@@ -151,7 +149,7 @@ let invoke ctx r args =
        impl ctx args
      end
    | Func_sig.Aggregate _ ->
-     err "aggregate function %s used in scalar context" spec.Func_sig.name)
+     Fn_ctx.err "aggregate function %s used in scalar context" spec.Func_sig.name)
 
 let is_aggregate t name =
   match resolve t name with
@@ -169,12 +167,12 @@ let aggregate ctx r ~distinct =
     let step args =
       Fault.check_specs fault faults args;
       if has_star args && spec.Func_sig.name <> "COUNT" then
-        err "improper use of '*' in arguments of %s" spec.Func_sig.name
+        Fn_ctx.err "improper use of '*' in arguments of %s" spec.Func_sig.name
       else if
         (not (Func_sig.arity_ok spec (List.length args)))
         && not (has_star args)
       then
-        err "%s: wrong number of arguments (%d)" spec.Func_sig.name
+        Fn_ctx.err "%s: wrong number of arguments (%d)" spec.Func_sig.name
           (List.length args)
       else begin
         let bytes =
@@ -185,9 +183,9 @@ let aggregate ctx r ~distinct =
       end
     in
     { Func_sig.step; final = inst.Func_sig.final }
-  | Func_sig.Scalar _ -> err "%s is not an aggregate function" spec.Func_sig.name
+  | Func_sig.Scalar _ -> Fn_ctx.err "%s is not an aggregate function" spec.Func_sig.name
 
 let make_aggregate ctx t name ~distinct =
   match resolve t name with
   | Some r -> aggregate ctx r ~distinct
-  | None -> err "unknown function %s" (String.uppercase_ascii name)
+  | None -> Fn_ctx.err "unknown function %s" (String.uppercase_ascii name)

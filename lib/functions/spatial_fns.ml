@@ -4,7 +4,6 @@
 open Sqlfun_value
 open Sqlfun_data
 
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 let geo_scalar = Func_sig.scalar ~category:"spatial"
 let xml_scalar = Func_sig.scalar ~category:"xml"
 
@@ -16,7 +15,7 @@ let st_geomfromtext_fn =
       | Ok g -> Value.Geom g
       | Error msg ->
         Fn_ctx.point ctx "geomfromtext/bad-wkt";
-        err "ST_GEOMFROMTEXT: %s" msg)
+        Fn_ctx.err "ST_GEOMFROMTEXT: %s" msg)
 
 let st_geomfromwkb_fn =
   geo_scalar "ST_GEOMFROMWKB" ~min_args:1 ~max_args:(Some 1)
@@ -27,7 +26,7 @@ let st_geomfromwkb_fn =
       | Ok g -> Value.Geom g
       | Error msg ->
         Fn_ctx.point ctx "geomfromwkb/invalid";
-        err "ST_GEOMFROMWKB: %s" msg)
+        Fn_ctx.err "ST_GEOMFROMWKB: %s" msg)
 
 let geometry_arg ctx args i =
   match Args.value args i with
@@ -35,7 +34,7 @@ let geometry_arg ctx args i =
   | Value.Str s ->
     (match Geometry.of_wkt s with
      | Ok g -> g
-     | Error msg -> err "argument %d: %s" (i + 1) msg)
+     | Error msg -> Fn_ctx.err "argument %d: %s" (i + 1) msg)
   | Value.Blob b ->
     (* A correct implementation validates blobs as WKB before use — raw
        address bytes from INET6_ATON fail here with a clean error. *)
@@ -43,8 +42,9 @@ let geometry_arg ctx args i =
      | Ok g -> g
      | Error msg ->
        Fn_ctx.point ctx "geo/blob-not-wkb";
-       err "argument %d is not valid WKB: %s" (i + 1) msg)
-  | v -> err "argument %d is not a geometry (%s)" (i + 1) (Value.ty_name (Value.type_of v))
+       Fn_ctx.err "argument %d is not valid WKB: %s" (i + 1) msg)
+  | v -> Fn_ctx.err "argument %d is not a geometry (%s)" (i + 1)
+      (Value.ty_name (Value.type_of v))
 
 let st_astext_fn =
   geo_scalar "ST_ASTEXT" ~min_args:1 ~max_args:(Some 1) ~hints:[ Func_sig.H_geo ]
@@ -61,7 +61,7 @@ let point_fn =
     ~hints:[ Func_sig.H_num; Func_sig.H_num ] ~examples:[ "POINT(1, 2)" ]
     (fun ctx args ->
       let x = Args.float_ ctx args 0 and y = Args.float_ ctx args 1 in
-      if Float.is_nan x || Float.is_nan y then err "POINT: NaN coordinate"
+      if Float.is_nan x || Float.is_nan y then Fn_ctx.err "POINT: NaN coordinate"
       else Value.Geom (Geometry.Point { Geometry.x; y }))
 
 let coord name pick =
@@ -72,7 +72,7 @@ let coord name pick =
       | Geometry.Point p -> Value.Float (pick p)
       | _ ->
         Fn_ctx.point ctx (String.lowercase_ascii name ^ "/non-point");
-        err "%s: argument is not a point" name)
+        Fn_ctx.err "%s: argument is not a point" name)
 
 let st_x_fn = coord "ST_X" (fun p -> p.Geometry.x)
 let st_y_fn = coord "ST_Y" (fun p -> p.Geometry.y)
@@ -162,7 +162,7 @@ let st_distance_fn =
       | Geometry.Point a, Geometry.Point b ->
         let dx = b.Geometry.x -. a.Geometry.x and dy = b.Geometry.y -. a.Geometry.y in
         Value.Float (Float.sqrt ((dx *. dx) +. (dy *. dy)))
-      | _, _ -> err "ST_DISTANCE: only point-to-point distance is supported")
+      | _, _ -> Fn_ctx.err "ST_DISTANCE: only point-to-point distance is supported")
 
 let envelope_fn =
   geo_scalar "ENVELOPE" ~min_args:1 ~max_args:(Some 1) ~hints:[ Func_sig.H_geo ]

@@ -6,7 +6,6 @@ open Sqlfun_data
 open Sqlfun_num
 
 let cat = "string"
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 
 let ret_str s = Value.Str s
 let ret_int i = Value.Int i
@@ -391,7 +390,7 @@ let chr_fn =
     ~examples:[ "CHR(65)" ]
     (fun ctx args ->
       let n = Args.int_ ctx args 0 in
-      if n < 0L || n > 255L then err "CHR argument out of byte range"
+      if n < 0L || n > 255L then Fn_ctx.err "CHR argument out of byte range"
       else ret_str (String.make 1 (Char.chr (Int64.to_int n))))
 
 let hex_fn =
@@ -459,7 +458,7 @@ let format_fn =
       let locale =
         match Args.value_opt args 2 with Some _ -> Args.str ctx args 2 | None -> "en_US"
       in
-      if places < 0 then err "FORMAT: negative decimal places";
+      if places < 0 then Fn_ctx.err "FORMAT: negative decimal places";
       if places > 10_000 then raise (Fn_ctx.Resource_limit "FORMAT precision too large");
       let thousand_sep, decimal_sep =
         if Fn_ctx.branch ctx "format/locale-de"
@@ -509,8 +508,8 @@ let split_part_fn =
       let s = Args.str ctx args 0 in
       let sep = Args.str ctx args 1 in
       let idx = Args.small_int ctx args 2 in
-      if sep = "" then err "SPLIT_PART: empty separator";
-      if idx <= 0 then err "SPLIT_PART: position must be positive";
+      if sep = "" then Fn_ctx.err "SPLIT_PART: empty separator";
+      if idx <= 0 then Fn_ctx.err "SPLIT_PART: position must be positive";
       (* every part is still ticked, but only part [idx] is copied *)
       let rec split k i part =
         Fn_ctx.tick ctx;
@@ -622,7 +621,7 @@ let regexp_compile ctx pattern =
   | Ok re -> re
   | Error msg ->
     Fn_ctx.point ctx "regexp/bad-pattern";
-    err "invalid regular expression: %s" msg
+    Fn_ctx.err "invalid regular expression: %s" msg
 
 let regexp_run ctx f =
   match f () with
@@ -686,7 +685,8 @@ let contains_fn =
       (match Args.value_opt args 2 with
        | Some (Value.Str _) | None -> ()
        | Some v ->
-         err "CONTAINS: bad options argument (%s)" (Value.ty_name (Value.type_of v)));
+         Fn_ctx.err "CONTAINS: bad options argument (%s)"
+             (Value.ty_name (Value.type_of v)));
       ret_int (if Substring.find hay needle 0 <> None then 1L else 0L))
 
 let bit_length_fn =

@@ -3,7 +3,6 @@
 
 open Sqlfun_value
 
-let err fmt = Printf.ksprintf (fun msg -> raise (Fn_ctx.Sql_error msg)) fmt
 let scalar = Func_sig.scalar ~category:"system"
 let seq_scalar = Func_sig.scalar ~category:"sequence"
 
@@ -47,7 +46,7 @@ let sleep_fn =
       (* simulated: charges the step budget instead of wall-clock time *)
       let seconds = Args.float_ ctx args 0 in
       if Fn_ctx.branch ctx "sleep/neg" (seconds < 0.0) then
-        err "SLEEP: negative duration"
+        Fn_ctx.err "SLEEP: negative duration"
       else begin
         let cost = int_of_float (Float.min (seconds *. 10_000.0) 1e9) in
         Fn_ctx.tick ~cost ctx;
@@ -59,7 +58,7 @@ let benchmark_fn =
     ~hints:[ Func_sig.H_int; Func_sig.H_any ] ~examples:[ "BENCHMARK(10, 1+1)" ]
     (fun ctx args ->
       let n = Args.int_ ctx args 0 in
-      if n < 0L then err "BENCHMARK: negative count"
+      if n < 0L then Fn_ctx.err "BENCHMARK: negative count"
       else begin
         Fn_ctx.tick ~cost:(Int64.to_int (Int64.min n 1_000_000_000L)) ctx;
         Value.Int 0L
@@ -103,7 +102,7 @@ let current_setting_fn =
       | "datestyle" -> Value.Str "ISO, MDY"
       | name ->
         Fn_ctx.point ctx "current-setting/unknown";
-        err "unrecognized configuration parameter %S" name)
+        Fn_ctx.err "unrecognized configuration parameter %s" (Value.quote name))
 
 (* ----- sequences (session-scoped state in the context) ----- *)
 
@@ -112,7 +111,7 @@ let nextval_fn =
     ~examples:[ "NEXTVAL('seq1')" ]
     (fun ctx args ->
       let name = Args.str ctx args 0 in
-      if name = "" then err "NEXTVAL: empty sequence name";
+      if name = "" then Fn_ctx.err "NEXTVAL: empty sequence name";
       let cur =
         match Hashtbl.find_opt ctx.Fn_ctx.sequences name with
         | Some v -> v
@@ -131,7 +130,7 @@ let lastval_fn =
       | Some v -> Value.Int v
       | None ->
         Fn_ctx.point ctx "lastval/undefined";
-        err "LASTVAL: sequence %S has no current value" name)
+        Fn_ctx.err "LASTVAL: sequence %s has no current value" (Value.quote name))
 
 let setval_fn =
   seq_scalar "SETVAL" ~min_args:2 ~max_args:(Some 2)
@@ -139,7 +138,7 @@ let setval_fn =
     (fun ctx args ->
       let name = Args.str ctx args 0 in
       let v = Args.int_ ctx args 1 in
-      if name = "" then err "SETVAL: empty sequence name";
+      if name = "" then Fn_ctx.err "SETVAL: empty sequence name";
       Hashtbl.replace ctx.Fn_ctx.sequences name v;
       Value.Int v)
 

@@ -120,7 +120,7 @@ let rec to_int_target cfg target v =
   | Value.Str s ->
     (match dec_of_string_lenient cfg s with
      | Some d -> from_dec d
-     | None -> Error (Invalid (Printf.sprintf "%S is not an integer" s)))
+     | None -> Error (Invalid (Value.quote s ^ " is not an integer")))
   | Value.Date d ->
     (* MySQL renders dates as YYYYMMDD integers *)
     Ok
@@ -185,7 +185,7 @@ let rec to_decimal ?(precision_cap = max_decimal_precision) cfg spec v =
   | Value.Str s ->
     (match dec_of_string_lenient cfg s with
      | Some d -> fit d
-     | None -> Error (Invalid (Printf.sprintf "%S is not a number" s)))
+     | None -> Error (Invalid (Value.quote s ^ " is not a number")))
   | Value.Null -> Ok Value.Null
   | Value.Blob _ | Value.Date _ | Value.Time _ | Value.Datetime _
   | Value.Interval _ | Value.Json _ | Value.Arr _ | Value.Map _ | Value.Row _
@@ -207,7 +207,7 @@ let rec to_float_target cfg v =
      | Some f -> Ok (Value.Float f)
      | None ->
        (match cfg.strictness with
-        | Strict -> Error (Invalid (Printf.sprintf "%S is not a float" s))
+        | Strict -> Error (Invalid (Value.quote s ^ " is not a float"))
         | Lenient ->
           (match lenient_numeric_prefix (String.trim s) with
            | Some p ->
@@ -255,7 +255,7 @@ let rec to_date cfg v =
      | Some d -> Ok (Value.Date d)
      | None ->
        (match cfg.strictness with
-        | Strict -> Error (Invalid (Printf.sprintf "%S is not a date" s))
+        | Strict -> Error (Invalid (Value.quote s ^ " is not a date"))
         | Lenient -> Ok Value.Null))
   | Value.Int i ->
     (match int_to_date i with
@@ -280,7 +280,7 @@ let to_time cfg v =
      | Some t -> Ok (Value.Time t)
      | None ->
        (match cfg.strictness with
-        | Strict -> Error (Invalid (Printf.sprintf "%S is not a time" s))
+        | Strict -> Error (Invalid (Value.quote s ^ " is not a time"))
         | Lenient -> Ok Value.Null))
   | Value.Null -> Ok Value.Null
   | _ -> Error (Unsupported (Value.ty_name (Value.type_of v) ^ " to TIME"))
@@ -303,7 +303,7 @@ let to_datetime cfg v =
      | Some dt -> Ok (Value.Datetime dt)
      | None ->
        (match cfg.strictness with
-        | Strict -> Error (Invalid (Printf.sprintf "%S is not a datetime" s))
+        | Strict -> Error (Invalid (Value.quote s ^ " is not a datetime"))
         | Lenient -> Ok Value.Null))
   | Value.Null -> Ok Value.Null
   | _ -> Error (Unsupported (Value.ty_name (Value.type_of v) ^ " to DATETIME"))
@@ -372,7 +372,7 @@ let to_inet cfg v =
      | Some a -> Ok (Value.Inet a)
      | None ->
        (match cfg.strictness with
-        | Strict -> Error (Invalid (Printf.sprintf "%S is not an address" s))
+        | Strict -> Error (Invalid (Value.quote s ^ " is not an address"))
         | Lenient -> Ok Value.Null))
   | Value.Blob b ->
     (match Inet.of_bytes b with
@@ -405,7 +405,7 @@ let to_uuid cfg v =
     if is_uuid_format s then Ok (Value.Uuid (String.lowercase_ascii s))
     else
       (match cfg.strictness with
-       | Strict -> Error (Invalid (Printf.sprintf "%S is not a UUID" s))
+       | Strict -> Error (Invalid (Value.quote s ^ " is not a UUID"))
        | Lenient -> Ok Value.Null)
   | Value.Null -> Ok Value.Null
   | _ -> Error (Unsupported (Value.ty_name (Value.type_of v) ^ " to UUID"))
@@ -444,11 +444,11 @@ let to_interval cfg v =
         | Some amount, Some unit_ -> Ok (Value.Interval { Calendar.amount; unit_ })
         | _, _ ->
           (match cfg.strictness with
-           | Strict -> Error (Invalid (Printf.sprintf "%S is not an interval" s))
+           | Strict -> Error (Invalid (Value.quote s ^ " is not an interval"))
            | Lenient -> Ok Value.Null))
      | _ ->
        (match cfg.strictness with
-        | Strict -> Error (Invalid (Printf.sprintf "%S is not an interval" s))
+        | Strict -> Error (Invalid (Value.quote s ^ " is not an interval"))
         | Lenient -> Ok Value.Null))
   | Value.Int i -> Ok (Value.Interval { Calendar.amount = i; unit_ = Calendar.Day })
   | Value.Null -> Ok Value.Null
@@ -477,7 +477,7 @@ let to_bool cfg v =
      | "f" | "false" | "0" | "no" | "off" -> Ok (Value.Bool false)
      | _ ->
        (match cfg.strictness with
-        | Strict -> Error (Invalid (Printf.sprintf "%S is not a boolean" s))
+        | Strict -> Error (Invalid (Value.quote s ^ " is not a boolean"))
         | Lenient ->
           (match lenient_numeric_prefix (String.trim s) with
            | Some p ->

@@ -577,3 +577,19 @@ let rec depth_of = function
     1 + List.fold_left (fun m (_, v) -> Stdlib.max m (depth_of v)) 0 kvs
 
 let pp fmt v = Format.pp_print_string fmt (to_display v)
+
+let quote_max_bytes = 64
+
+(* one allocation for the result: a message is built for every
+   rejected case *)
+let quote s =
+  let n = String.length s in
+  let short = n <= quote_max_bytes in
+  let e = String.escaped (if short then s else String.sub s 0 quote_max_bytes) in
+  let tail = if short then "\"" else "\"... (" ^ string_of_int n ^ " bytes)" in
+  let el = String.length e and tl = String.length tail in
+  let b = Bytes.create (1 + el + tl) in
+  Bytes.set b 0 '"';
+  Bytes.blit_string e 0 b 1 el;
+  Bytes.blit_string tail 0 b (1 + el) tl;
+  Bytes.unsafe_to_string b

@@ -182,3 +182,17 @@ val depth_of : t -> int
 (** Structural nesting depth across arrays/rows/maps/JSON/XML. *)
 
 val pp : Format.formatter -> t -> unit
+
+val quote_max_bytes : int
+(** 64: the most bytes of an argument an error message quotes. *)
+
+val quote : string -> string
+(** An argument as an error message quotes it. A string of at most
+    {!quote_max_bytes} bytes renders exactly as [Printf.sprintf "%S"]
+    does. A longer one renders its first {!quote_max_bytes} bytes in
+    that form, then a marker with its full length
+    ([{|"..."... (2460000 bytes)|}] with the 64 bytes inside the
+    quotes), so a message never copies a
+    boundary-sized argument: the output is at most 290 bytes. Messages
+    are not identity keys (DESIGN.md, "Compact-representation
+    soundness"). *)

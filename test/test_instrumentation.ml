@@ -1,9 +1,11 @@
 (* Instrumentation handles: the cast point table, the per-engine
    handles a function resolution keeps (coverage cell, profiler stats
    record, fault specs), the allocation guard that keeps per-event
-   formatting and hashing out of the call and cast paths, and the spill
+   formatting and hashing out of the call and cast paths, the spill
    guard that keeps boundary-sized ranges unspilled where they are
-   rejected or rendered. *)
+   rejected or rendered, the message guard that keeps boundary-sized
+   strings out of error messages, and the allocation ratchet over a
+   whole campaign. *)
 
 open Sqlfun_engine
 open Sqlfun_functions
@@ -245,27 +247,39 @@ let test_allocation_guard () =
     Alcotest.failf "an interpreted ABS(-1) call allocates %.1f words"
       (call -. no_call)
 
+(* [f ()] and the words it allocates on the minor heap and directly on
+   the major heap (major minus promoted). Emptying the minor heap at
+   both ends makes both counts exact; without it the minor count moved
+   by up to a minor heap's size from one window to the next. *)
+let minor_and_direct_major f =
+  Gc.minor ();
+  let mi0, pr0, ma0 = Gc.counters () in
+  let r = f () in
+  Gc.minor ();
+  let mi1, pr1, ma1 = Gc.counters () in
+  (r, mi1 -. mi0, ma1 -. ma0 -. (pr1 -. pr0))
+
+let outcome = function
+  | Ok o -> Engine.outcome_to_string o
+  | Error err -> Engine.error_to_string err
+
+let engine d =
+  Sqlfun_dialects.Dialect.make_engine ~armed:true (Sqlfun_dialects.Dialect.find_exn d)
+
 (* words allocated on either heap by [f ()] (a promoted word is counted
    once, at its minor allocation) and the compact spills it adds *)
 let words_and_spills f =
   let s0 = Value.Compact.read () in
-  let mi0, pr0, ma0 = Gc.counters () in
-  let r = f () in
-  let mi1, pr1, ma1 = Gc.counters () in
-  (r, mi1 -. mi0 +. (ma1 -. ma0) -. (pr1 -. pr0), (Value.Compact.since s0).spills)
+  let r, minor, major = minor_and_direct_major f in
+  (r, minor +. major, (Value.Compact.since s0).spills)
 
 let test_spill_guard () =
   (* A boundary-sized RANGE that a scalar argument rejects, or that a
      TEXT column renders, is answered from first/step/len: no spill, and
      a word count well below its cells. Spilling them cost 5.9M, 1.7M
-     and 1.45M words; these statements take 47, 38 and 243k. Of the
-     INSERT's words, 86k are the rendered string and most of the rest
-     is the fresh engine's first statement. The outcomes are the boxed
-     path's. *)
-  let outcome = function
-    | Ok o -> Engine.outcome_to_string o
-    | Error err -> Engine.error_to_string err
-  in
+     and 1.45M words; these statements take 335, 262 and 86k, nearly
+     all of the INSERT's being the rendered string. The outcomes are
+     the boxed path's. *)
   let check e (sql, want, bound) =
     let stmt = parse sql in
     let got, words, spills = words_and_spills (fun () -> Engine.exec_stmt e stmt) in
@@ -273,9 +287,6 @@ let test_spill_guard () =
     Alcotest.(check int) (sql ^ " spills") 0 spills;
     if words > bound then
       Alcotest.failf "%s allocates %.0f words (bound %.0f)" sql words bound
-  in
-  let engine d =
-    Sqlfun_dialects.Dialect.make_engine ~armed:true (Sqlfun_dialects.Dialect.find_exn d)
   in
   let ch = engine "clickhouse" in
   List.iter (check ch)
@@ -288,6 +299,54 @@ let test_spill_guard () =
   match Engine.exec_sql duck "SELECT LENGTH(v) FROM t" with
   | Ok o -> Alcotest.(check string) "rendered length" "col1\n688883" (Engine.outcome_to_string o)
   | Error err -> Alcotest.fail (Engine.error_to_string err)
+
+let test_message_guard () =
+  (* A strict cast error quotes at most 64 bytes of its argument
+     (Value.quote). Quoting the whole flattened SPACE(2460000) cost
+     ~1.76M words, most of it straight on the major heap; what is left
+     is the 310k-word flatten itself, which the lenient dialect pays
+     too. PERIOD_ADD's 202305-byte argument is flattened in 25k words. *)
+  let check (d, sql, want, bound) =
+    let e = engine d in
+    (* a fresh engine's first statement pays one-time set-up *)
+    run e (parse "SELECT 1");
+    let stmt = parse sql in
+    let got, words, _ = words_and_spills (fun () -> Engine.exec_stmt e stmt) in
+    Alcotest.(check string) (d ^ ": " ^ sql) want (outcome got);
+    if words > bound then
+      Alcotest.failf "%s on %s allocates %.0f words (bound %.0f)" sql d words bound
+  in
+  let not_an_integer n =
+    Printf.sprintf "ERROR: invalid cast: %S... (%d bytes) is not an integer"
+      (String.make 64 ' ') n
+  in
+  List.iter check
+    [ ("clickhouse", "SELECT FROM_DAYS(SPACE(2460000))", not_an_integer 2460000, 4e5);
+      ("mysql", "SELECT FROM_DAYS(SPACE(2460000))", "col1\nNULL", 4e5);
+      ("clickhouse", "SELECT PERIOD_ADD(SPACE(202305), 3)", not_an_integer 202305, 4e4) ]
+
+let test_allocation_ratchet () =
+  (* Exhaustive monetdb at 1x1 (55,207 cases) allocates the same number
+     of words in every run, so a per-case allocation added anywhere on
+     the campaign path shows here exactly. The recorded counts are
+     OCaml 5.1.1's; the first campaign in a process also pays lazy
+     global set-up, so the second is measured. A change that raises a
+     count on purpose re-records it (CHANGES.md says how). *)
+  if Sys.ocaml_version <> "5.1.1" then Alcotest.skip ();
+  let campaign () =
+    Soft.Soft_runner.fuzz ~shards:1 ~jobs:1
+      (Sqlfun_dialects.Dialect.find_exn "monetdb")
+  in
+  ignore (campaign ());
+  let _, minor, major = minor_and_direct_major campaign in
+  Printf.printf "minor words %.0f, direct major words %.0f\n" minor major;
+  let check what got recorded =
+    if got > recorded then
+      Alcotest.failf "exhaustive monetdb allocates %.0f %s (recorded %.0f)" got
+        what recorded
+  in
+  check "minor words" minor 30_462_689.;
+  check "direct major words" major 832_237.
 
 let suite =
   ( "instrumentation",
@@ -303,4 +362,6 @@ let suite =
       Alcotest.test_case "switch opens a sibling scope" `Quick test_switch;
       Alcotest.test_case "allocation guard" `Quick test_allocation_guard;
       Alcotest.test_case "spill guard" `Quick test_spill_guard;
+      Alcotest.test_case "message guard" `Quick test_message_guard;
+      Alcotest.test_case "allocation ratchet" `Quick test_allocation_ratchet;
     ] )

@@ -228,6 +228,34 @@ let test_compact_thresholds () =
   Alcotest.(check int) "spill counted once (cached)" 1
     fin.Value.Compact.spills
 
+(* an error message quotes an argument as [%S] does up to 64 bytes,
+   and a longer one as a bounded prefix and its length *)
+let test_quote () =
+  let same s =
+    let want = Printf.sprintf "%S" s in
+    Alcotest.(check string) want want (Value.quote s)
+  in
+  for c = 0 to 255 do same (String.make 1 (Char.chr c)) done;
+  for n = 0 to Value.quote_max_bytes do
+    same (String.make n ' ');
+    same (String.init n (fun i -> Char.chr (((i * 37) + (n * 11)) land 255)))
+  done;
+  let big = String.make 2_460_000 ' ' in
+  Alcotest.(check string) "prefix and length"
+    (Printf.sprintf "%S... (2460000 bytes)" (String.sub big 0 64))
+    (Value.quote big);
+  List.iter
+    (fun c ->
+      let q = Value.quote (String.make 2_460_000 c) in
+      if String.length q > 289 then
+        Alcotest.failf "quoting 2.46 MB of %C takes %d bytes" c (String.length q))
+    [ ' '; '\000'; '\255'; '"' ]
+
+let prop_quote_short =
+  QCheck.Test.make ~name:"quote is %S up to 64 bytes" ~count:500
+    QCheck.(string_of_size (Gen.int_range 0 Value.quote_max_bytes))
+    (fun s -> Value.quote s = Printf.sprintf "%S" s)
+
 let suite =
   ( "value",
     [
@@ -239,6 +267,8 @@ let suite =
       Alcotest.test_case "depth and size" `Quick test_depth_and_size;
       Alcotest.test_case "compact thresholds and spill" `Quick
         test_compact_thresholds;
+      Alcotest.test_case "quote" `Quick test_quote;
+      QCheck_alcotest.to_alcotest prop_quote_short;
       QCheck_alcotest.to_alcotest prop_antisym;
       QCheck_alcotest.to_alcotest prop_transitive;
       QCheck_alcotest.to_alcotest prop_range_observational;
