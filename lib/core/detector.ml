@@ -254,61 +254,60 @@ let step t it i ~poc exec =
     ~case_number (verdict_class verdict);
   verdict
 
-(* One interpreted case: [prereqs] then [stmt] on one session, the
-   first error being the case's result — so session-state probes see
-   their prerequisites' effects, and a prerequisite crash is the case's
-   crash. The PoC is the whole statement list: a stateful bug must
-   replay standalone from a cold engine. *)
-let interpret t it i ?(prereqs = []) stmt =
+(* [prereqs] then [stmt] on one session, the first error being the
+   result. *)
+let rec exec_all engine stmt = function
+  | [] -> Engine.exec_stmt engine stmt
+  | p :: rest ->
+    (match Engine.exec_stmt engine p with
+     | Ok _ -> exec_all engine stmt rest
+     | Error _ as e -> e)
+
+(* One interpreted case: [prereqs] then [stmt] on one session — so
+   session-state probes see their prerequisites' effects, and a
+   prerequisite crash is the case's crash. The PoC is the whole
+   statement list: a stateful bug must replay standalone from a cold
+   engine. *)
+let interpret t it i ~prereqs stmt =
   step t it i
     ~poc:(fun () ->
       String.concat ";\n"
         (List.map Sql_pp.stmt (prereqs @ [ stmt ])))
-    (fun () ->
-      let rec go = function
-        | [] -> Engine.exec_stmt t.engine stmt
-        | p :: rest ->
-          (match Engine.exec_stmt t.engine p with
-           | Ok _ -> go rest
-           | Error _ as e -> e)
-      in
-      go prereqs)
+    (fun () -> exec_all t.engine stmt prereqs)
 
-(* One position family, interpreted member by member: each member [v]
-   is the statement its family's builder makes of it, [b_build v] —
-   exactly the case the per-case generator emits — so a batch only
-   shares its "execute" span, verdict row and profiler root across the
-   family. *)
-let run_batch t it (b : Patterns.batch) n =
-  Telemetry.batch_flush t.tel ~cases:n;
-  List.iteri
-    (fun i v -> ignore (interpret t it i (b.Patterns.b_build v)))
-    b.Patterns.b_members
+(* A family's member [i]. A case with prerequisites is a stateful
+   scenario; afterwards the engine's storage is back at the post-seed
+   baseline — by the crash respawn if it crashed, explicitly otherwise
+   — so no scenario observes another's tables. *)
+let run_member t it i (c : Patterns.case) =
+  match c.Patterns.prereqs with
+  | [] -> ignore (interpret t it i ~prereqs:[] c.Patterns.stmt)
+  | prereqs ->
+    t.scenarios <- t.scenarios + 1;
+    t.prereq_stmts <- t.prereq_stmts + List.length prereqs;
+    (match interpret t it i ~prereqs c.Patterns.stmt with
+     | New_bug _ | Dup_bug _ | Known_crash _ -> ()
+     | Passed | Clean_error _ | False_positive _ ->
+       Storage.restore (Engine.catalog t.engine) t.baseline)
+
+(* Members [i], [i + 1], … of family [f], planting [vs]. *)
+let rec run_members t it (f : Patterns.family) i = function
+  | [] -> ()
+  | v :: vs ->
+    run_member t it i (f.Patterns.f_build i v);
+    run_members t it f (i + 1) vs
 
 let run t ?first_case (w : Patterns.work) =
   match w with
   | Patterns.Seed stmt ->
-    with_item t ?first_case None (fun it -> ignore (interpret t it 0 stmt))
-  | Patterns.Single { Patterns.prereqs = []; case } ->
-    with_item t ?first_case (Some case.Patterns.pattern) (fun it ->
-        ignore (interpret t it 0 case.Patterns.stmt))
-  | Patterns.Single { Patterns.prereqs; case } ->
-    (* a stateful scenario is one case. Afterwards the engine's storage
-       is back at the post-seed baseline — by the crash respawn if the
-       scenario crashed, explicitly otherwise — so no scenario observes
-       another's tables *)
-    t.scenarios <- t.scenarios + 1;
-    t.prereq_stmts <- t.prereq_stmts + List.length prereqs;
-    with_item t ?first_case (Some case.Patterns.pattern) (fun it ->
-        match interpret t it 0 ~prereqs case.Patterns.stmt with
-        | New_bug _ | Dup_bug _ | Known_crash _ -> ()
-        | Passed | Clean_error _ | False_positive _ ->
-          Storage.restore (Engine.catalog t.engine) t.baseline)
-  | Patterns.Batched b ->
-    let n = Patterns.batch_size b in
-    if n > 0 then
-      with_item t ?first_case (Some b.Patterns.b_pattern) (fun it ->
-          run_batch t it b n)
+    with_item t ?first_case None (fun it ->
+        ignore (interpret t it 0 ~prereqs:[] stmt))
+  | Patterns.Family f ->
+    (* a family shares its "execute" span, verdict row and profiler
+       root across its members *)
+    with_item t ?first_case (Some f.Patterns.f_pattern) (fun it ->
+        Telemetry.batch_flush t.tel ~cases:(List.length f.Patterns.f_members);
+        run_members t it f 0 f.Patterns.f_members)
 
 let run_sql t sql =
   with_item t None (fun it ->

@@ -75,19 +75,17 @@ val run : t -> ?first_case:int -> Patterns.work -> unit
 
     - [Seed stmt] interprets one statement, counted under pattern
       ["seed"].
-    - [Single] interprets a scenario as one case. A bare probe
-      ([prereqs = []]) is one statement. Otherwise the prerequisites
-      and the probe run in order on one session (so session-state
-      probes see their prerequisites' effects), and the engine's
-      storage is returned to the post-seed baseline afterwards — by the
-      crash respawn if the scenario crashed, explicitly otherwise. A
-      clean prerequisite failure is the scenario's verdict; a
-      prerequisite crash is a found bug whose PoC is the whole
-      statement list (replayable standalone from a cold engine).
-    - [Batched] runs one position family (under a budget, the part
-      of one that fits a share): each member [v] is interpreted as
-      [b_build v], the statement {!Patterns.generate} emits for it,
-      in member order; its PoC is that statement printed.
+    - [Family f] runs one position family (under a budget, the part of
+      one that fits a share), member by member: member [i] planting [v]
+      is the case [f_build i v], the case {!Patterns.generate} or
+      {!Patterns.generate_scenarios} emits for it. Its prerequisites
+      and probe run in order on one session (so session-state probes
+      see their prerequisites' effects); the first error is the case's
+      result, and a prerequisite crash is a found bug whose PoC is the
+      whole statement list (replayable standalone from a cold engine).
+      A case with prerequisites is a stateful scenario: afterwards the
+      engine's storage is back at the post-seed baseline — by the
+      crash respawn if it crashed, explicitly otherwise.
 
     [first_case] makes the item's case [i] global case
     [first_case + i] on bug records and verdict events. Shard workers
@@ -120,8 +118,8 @@ val dup_crashes : t -> int
     timeseries' dup-bug count. *)
 
 val scenarios_executed : t -> int
-(** Stateful scenarios admitted (prerequisites non-empty) — one per
-    [Single] item {!run} executed that was not a bare probe. *)
+(** Stateful scenarios admitted: the family members {!run} executed
+    whose case has prerequisites. *)
 
 val prereq_statements : t -> int
 (** Prerequisite statements admitted across all stateful scenarios. *)

@@ -2,7 +2,12 @@ open Sqlfun_ast
 open Sqlfun_fault
 open Sqlfun_functions
 
-type case = { stmt : Ast.stmt; pattern : Pattern_id.t; origin : string }
+type case = {
+  prereqs : Ast.stmt list;
+  stmt : Ast.stmt;
+  pattern : Pattern_id.t;
+  origin : string;
+}
 
 (* ----- substitution plumbing ----- *)
 
@@ -36,8 +41,6 @@ let count_positions seeds =
     0 seeds
 
 let seq_of_list = List.to_seq
-
-let case pattern origin stmt = { stmt; pattern; origin }
 
 (* Seeds with more than two function expressions are kept out of the
    nesting and argument-swapping patterns (Finding 3). *)
@@ -216,21 +219,35 @@ let unary_wrappers registry =
 
 (* ----- position families -----
 
-   A pattern is a stream of position families: for each position it
-   plants at (an argument of a call, or for P2.3 the call itself), the
-   seed's SQL, the statement builder for that position, and the
-   variants it plants there in generation order. [generate] and
+   Every generated case belongs to a position family: a pattern, the
+   SQL it was derived from, a builder that makes member [i]'s case
+   from its planted value, and the planted values in generation order.
+   A pattern has one family per position it plants at (an argument of
+   a call, or for P2.3 the call itself); its cases have no
+   prerequisites and its builder ignores [i]. [generate] and
    [generate_work] are two drivers over the same families. *)
 
 type family = {
+  f_pattern : Pattern_id.t;
   f_origin : string;
-  f_build : Ast.expr -> Ast.stmt;
-  f_variants : Ast.expr list;  (** never empty *)
+  f_build : int -> Ast.expr -> case;
+  f_members : Ast.expr list;  (** never empty *)
 }
 
-let family origin build = function
+type work = Seed of Ast.stmt | Family of family
+
+(* A pattern's family at one position: [build v] is the seed with [v]
+   planted there. *)
+let family pattern origin build = function
   | [] -> None
-  | variants -> Some { f_origin = origin; f_build = build; f_variants = variants }
+  | members ->
+    Some
+      {
+        f_pattern = pattern;
+        f_origin = origin;
+        f_build = (fun _ v -> { prereqs = []; stmt = build v; pattern; origin });
+        f_members = members;
+      }
 
 (* The families of every seed; [at stmt origin] lists one seed's. *)
 let seed_families seeds at =
@@ -241,27 +258,30 @@ let seed_families seeds at =
 
 (* One family per argument position: [variants_of call arg] lists the
    replacement arguments planted there. *)
-let arg_families seeds variants_of =
+let arg_families pattern seeds variants_of =
   seed_families seeds (fun stmt origin ->
       seq_of_list (positions stmt)
       |> Seq.filter_map (fun (ci, ai, call, arg) ->
-             family origin (with_arg stmt ci call ai) (variants_of call arg)))
+             family pattern origin (with_arg stmt ci call ai)
+               (variants_of call arg)))
 
 let families ~registry ~seeds pattern =
   match pattern with
   | Pattern_id.P1_1 ->
     (* a bare SELECT * probe is not a function test *)
     Option.to_seq
-      (family "pool" Ast.select_expr
+      (family pattern "pool" Ast.select_expr
          (List.filter (fun l -> l <> Ast.Star) (Boundary_pool.all ())))
-  | Pattern_id.P1_2 -> arg_families seeds (fun _ _ -> Boundary_pool.all ())
-  | Pattern_id.P1_3 -> arg_families seeds (fun _ arg -> p1_3_variants_of arg)
-  | Pattern_id.P1_4 -> arg_families seeds (fun _ arg -> p1_4_variants_of arg)
+  | Pattern_id.P1_2 -> arg_families pattern seeds (fun _ _ -> Boundary_pool.all ())
+  | Pattern_id.P1_3 ->
+    arg_families pattern seeds (fun _ arg -> p1_3_variants_of arg)
+  | Pattern_id.P1_4 ->
+    arg_families pattern seeds (fun _ arg -> p1_4_variants_of arg)
   | Pattern_id.P2_1 ->
-    arg_families seeds (fun _ arg ->
+    arg_families pattern seeds (fun _ arg ->
         List.map (fun ty -> Ast.Cast (arg, ty)) Boundary_pool.cast_targets)
   | Pattern_id.P2_2 ->
-    arg_families seeds (fun _ arg ->
+    arg_families pattern seeds (fun _ arg ->
         if arg = Ast.Star then []
         else
           List.concat_map
@@ -280,13 +300,13 @@ let families ~registry ~seeds pattern =
                match Registry.find registry c.Ast.fname with
                | None -> None
                | Some spec ->
-                 family origin (replace_call stmt ci)
+                 family pattern origin (replace_call stmt ci)
                    (p2_3_variants_of spec c donor_arglists)))
   | Pattern_id.P3_1 ->
-    arg_families (small_seeds seeds) (fun _ arg -> p3_1_variants_of arg)
+    arg_families pattern (small_seeds seeds) (fun _ arg -> p3_1_variants_of arg)
   | Pattern_id.P3_2 ->
     let wrappers = unary_wrappers registry in
-    arg_families (small_seeds seeds) (fun _ arg ->
+    arg_families pattern (small_seeds seeds) (fun _ arg ->
         if arg = Ast.Star then []
         else List.map (fun w -> Ast.call w [ arg ]) wrappers)
   | Pattern_id.P3_3 ->
@@ -295,40 +315,62 @@ let families ~registry ~seeds pattern =
         (fun (c : Ast.call) -> Registry.mem registry c.Ast.fname)
         (Collector.donors seeds)
     in
-    arg_families (small_seeds seeds) (fun (call : Ast.call) _ ->
+    arg_families pattern (small_seeds seeds) (fun (call : Ast.call) _ ->
         List.filter_map
           (fun (donor : Ast.call) ->
             if donor.Ast.fname = call.Ast.fname then None
             else Some (Ast.Call donor))
           donor_calls)
 
-(* The per-case driver: one case per variant. *)
-let family_cases pattern f =
-  seq_of_list f.f_variants
-  |> Seq.map (fun v -> case pattern f.f_origin (f.f_build v))
+(* The per-case driver: one case per member. *)
+let family_cases f = Seq.mapi f.f_build (seq_of_list f.f_members)
 
 let generate ?telemetry ~registry ~seeds pattern =
   families ~registry ~seeds pattern
-  |> Seq.concat_map (family_cases pattern)
+  |> Seq.concat_map family_cases
   |> timed telemetry ~pattern:(Pattern_id.to_string pattern)
+
+(* The work driver: one work item per family. *)
+let generate_work ?telemetry ~registry ~seeds pattern =
+  families ~registry ~seeds pattern
+  |> Seq.map (fun f -> Family f)
+  |> timed telemetry ~pattern:(Pattern_id.to_string pattern)
+
+let work_size = function Seed _ -> 1 | Family f -> List.length f.f_members
+
+(* [f]'s builder for its members from index [k] on: a family's part
+   keeps building the cases of the whole family. *)
+let from k f = fun i v -> f.f_build (k + i) v
+
+let split_family f k =
+  let rec take_drop k acc = function
+    | rest when k = 0 -> (List.rev acc, rest)
+    | [] -> (List.rev acc, [])
+    | v :: rest -> take_drop (k - 1) (v :: acc) rest
+  in
+  let first, rest = take_drop k [] f.f_members in
+  ( { f with f_members = first },
+    { f with f_build = from (List.length first) f; f_members = rest } )
 
 (* ----- stateful scenarios: prerequisite synthesis -----
 
-   A scenario kind is a stream of position families too: the builder of
-   one probe/prerequisite shape and the values planted through it.
-   [sf_build i v] is the scenario planting [v], the family's [i]-th
+   A scenario kind is a stream of position families too: one
+   probe/prerequisite shape and the values planted through it. Member
+   [i]'s case is the prerequisites then the probe for the [i]-th
    value; kinds A and D rotate their wrapper function by [i]. Every
    family's probes share one call structure and differ only in a leaf
    literal or in which unary wrapper they call, so the first probe's
-   positions count for each of the family's scenarios. [generate_scenarios]
-   and [scenario_positions] are two drivers over the same families. *)
+   positions count for each of the family's scenarios. *)
 
-type scenario = { prereqs : Ast.stmt list; case : case }
-
-type scenario_family = {
-  sf_build : int -> Ast.expr -> scenario;
-  sf_values : Ast.expr list;  (** never empty *)
-}
+(* [prereqs i v] and [probe i v] are member [i]'s statements. *)
+let stateful_family pattern origin ~prereqs ~probe members =
+  {
+    f_pattern = pattern;
+    f_origin = origin;
+    f_build =
+      (fun i v -> { prereqs = prereqs i v; stmt = probe i v; pattern; origin });
+    f_members = members;
+  }
 
 (* Synthesized table shapes use one boundary-typed column [v]; the
    table name is per-kind and fixed — safe to reuse across scenarios
@@ -373,20 +415,14 @@ let scen_stored wrappers =
     let lits = pool_literals () in
     seq_of_list tys
     |> Seq.map (fun ty ->
-           {
-             sf_values = lits;
-             sf_build =
-               (fun i lit ->
-                 let probe =
-                   select_from
-                     (Ast.call (nth_round wrappers i) [ Ast.Column (None, "v") ])
-                     "soft_sa"
-                 in
-                 {
-                   prereqs = [ create_tbl "soft_sa" ty; insert_into "soft_sa" lit ];
-                   case = case Pattern_id.P1_2 "scenario:stored" probe;
-                 });
-           })
+           stateful_family Pattern_id.P1_2 "scenario:stored"
+             ~prereqs:(fun _ lit ->
+               [ create_tbl "soft_sa" ty; insert_into "soft_sa" lit ])
+             ~probe:(fun i _ ->
+               select_from
+                 (Ast.call (nth_round wrappers i) [ Ast.Column (None, "v") ])
+                 "soft_sa")
+             lits)
 
 (* The donor call with its first argument replaced by [lit]. *)
 let plant_first (donor : Ast.call) lit =
@@ -400,17 +436,10 @@ let scen_insert_position donor_calls =
   let lits = pool_literals () in
   seq_of_list donor_calls
   |> Seq.map (fun donor ->
-         {
-           sf_values = lits;
-           sf_build =
-             (fun _ lit ->
-               {
-                 prereqs = [ create_tbl "soft_sb" Ast.T_text ];
-                 case =
-                   case Pattern_id.P1_2 "scenario:insert-position"
-                     (insert_into "soft_sb" (plant_first donor lit));
-               });
-         })
+         stateful_family Pattern_id.P1_2 "scenario:insert-position"
+           ~prereqs:(fun _ _ -> [ create_tbl "soft_sb" Ast.T_text ])
+           ~probe:(fun _ lit -> insert_into "soft_sb" (plant_first donor lit))
+           lits)
 
 (* Kind C — WHERE-position probe: the function expression gates a scan
    of a prerequisite table. One family per donor call. *)
@@ -418,25 +447,15 @@ let scen_where_position donor_calls =
   let lits = pool_literals () in
   seq_of_list donor_calls
   |> Seq.map (fun donor ->
-         {
-           sf_values = lits;
-           sf_build =
-             (fun _ lit ->
-               let probe =
-                 select_from
-                   ~where:(Ast.Is_null (plant_first donor lit, true))
-                   (Ast.Column (None, "v"))
-                   "soft_sc"
-               in
-               {
-                 prereqs =
-                   [
-                     create_tbl "soft_sc" Ast.T_text;
-                     insert_into "soft_sc" (Ast.str_lit "x");
-                   ];
-                 case = case Pattern_id.P1_2 "scenario:where-position" probe;
-               });
-         })
+         stateful_family Pattern_id.P1_2 "scenario:where-position"
+           ~prereqs:(fun _ _ ->
+             [ create_tbl "soft_sc" Ast.T_text; insert_into "soft_sc" (Ast.str_lit "x") ])
+           ~probe:(fun _ lit ->
+             select_from
+               ~where:(Ast.Is_null (plant_first donor lit, true))
+               (Ast.Column (None, "v"))
+               "soft_sc")
+           lits)
 
 (* Kind D — session state: the prerequisite advances `Fn_ctx` session
    state (insert counters, sequences) and the probe reads it back
@@ -450,21 +469,13 @@ let scen_session ~registry wrappers =
       if not (Registry.mem registry "LAST_INSERT_ID") then None
       else
         Some
-          {
-            sf_values = Boundary_pool.int_literals ();
-            sf_build =
-              (fun i lit ->
-                let probe =
-                  Ast.select_expr
-                    (Ast.call (nth_round wrappers i)
-                       [ Ast.call "LAST_INSERT_ID" [] ])
-                in
-                {
-                  prereqs =
-                    [ create_tbl "soft_sd" Ast.T_bigint; insert_into "soft_sd" lit ];
-                  case = case Pattern_id.P3_2 "scenario:session" probe;
-                });
-          }
+          (stateful_family Pattern_id.P3_2 "scenario:session"
+             ~prereqs:(fun _ lit ->
+               [ create_tbl "soft_sd" Ast.T_bigint; insert_into "soft_sd" lit ])
+             ~probe:(fun i _ ->
+               Ast.select_expr
+                 (Ast.call (nth_round wrappers i) [ Ast.call "LAST_INSERT_ID" [] ]))
+             (Boundary_pool.int_literals ()))
     in
     let sequences =
       if
@@ -472,23 +483,13 @@ let scen_session ~registry wrappers =
       then None
       else
         Some
-          {
-            sf_values =
-              List.map
+          (stateful_family Pattern_id.P3_2 "scenario:sequence"
+             ~prereqs:(fun _ _ ->
+               [ Ast.select_expr (Ast.call "NEXTVAL" [ Ast.str_lit "soft_seq" ]) ])
+             ~probe:(fun _ read -> Ast.select_expr read)
+             (List.map
                 (fun w -> Ast.call w [ Ast.call "LASTVAL" [ Ast.str_lit "soft_seq" ] ])
-                wrappers;
-            sf_build =
-              (fun _ read ->
-                {
-                  prereqs =
-                    [
-                      Ast.select_expr
-                        (Ast.call "NEXTVAL" [ Ast.str_lit "soft_seq" ]);
-                    ];
-                  case =
-                    case Pattern_id.P3_2 "scenario:sequence" (Ast.select_expr read);
-                });
-          }
+                wrappers))
     in
     Seq.append (Option.to_seq last_id) (Option.to_seq sequences)
 
@@ -515,15 +516,10 @@ let scen_extreme_type () =
   in
   seq_of_list tys
   |> Seq.map (fun ty ->
-         {
-           sf_values = lits;
-           sf_build =
-             (fun _ lit ->
-               {
-                 prereqs = [ create_tbl "soft_se" ty; insert_into "soft_se" lit ];
-                 case = case Pattern_id.P2_1 "scenario:extreme-type" probe;
-               });
-         })
+         stateful_family Pattern_id.P2_1 "scenario:extreme-type"
+           ~prereqs:(fun _ lit -> [ create_tbl "soft_se" ty; insert_into "soft_se" lit ])
+           ~probe:(fun _ _ -> probe)
+           lits)
 
 (* The five kinds' family streams, in interleave order. *)
 let scenario_kinds ~registry ~seeds =
@@ -561,70 +557,35 @@ let interleave (streams : 'a Seq.t list) : 'a Seq.t =
   in
   go streams
 
-(* The scenario driver: one scenario per planted value. *)
-let family_scenarios f = Seq.mapi f.sf_build (seq_of_list f.sf_values)
-
-let generate_scenarios ?telemetry ~registry ~seeds () =
+(* The kinds' family streams, each family expanded into a stream by
+   [f], then interleaved element by element. *)
+let scenario_stream ?telemetry ~registry ~seeds f =
   scenario_kinds ~registry ~seeds
-  |> List.map (Seq.concat_map family_scenarios)
+  |> List.map (Seq.concat_map f)
   |> interleave
   |> timed telemetry ~pattern:"scenario"
+
+let generate_scenarios ?telemetry ~registry ~seeds () =
+  scenario_stream ?telemetry ~registry ~seeds family_cases
+
+(* Member [i] as a one-member family of its own, built, like every
+   family member, only when it is run. *)
+let generate_scenario_work ?telemetry ~registry ~seeds () =
+  scenario_stream ?telemetry ~registry ~seeds (fun f ->
+      Seq.mapi
+        (fun i v -> Family { f with f_build = from i f; f_members = [ v ] })
+        (seq_of_list f.f_members))
 
 (* The counting driver: each family's first probe stands for all of
    its values, so no scenario past a family's first is built. *)
 let family_positions f =
-  match f.sf_values with
+  match f.f_members with
   | [] -> 0
   | v :: _ ->
-    List.length f.sf_values * List.length (positions (f.sf_build 0 v).case.stmt)
+    List.length f.f_members * List.length (positions (f.f_build 0 v).stmt)
 
 let scenario_positions ~registry ~seeds =
   List.fold_left
     (Seq.fold_left (fun acc f -> acc + family_positions f))
     0
     (scenario_kinds ~registry ~seeds)
-
-(* ----- work items -----
-
-   The batched driver emits each position family as one work item: its
-   statement builder and every variant it plants, in generation order.
-   Member [v]'s statement is [b_build v], exactly what the per-case
-   driver emits for it, so flattening a work stream back to statements
-   reproduces that driver's stream element for element — the
-   equivalence the property tests pin down. *)
-
-type batch = {
-  b_pattern : Pattern_id.t;
-  b_origin : string;
-  b_build : Ast.expr -> Ast.stmt;
-  b_members : Ast.expr list;
-}
-
-type work = Seed of Ast.stmt | Single of scenario | Batched of batch
-
-let batch_size b = List.length b.b_members
-
-let work_size = function
-  | Seed _ | Single _ -> 1
-  | Batched b -> batch_size b
-
-let split_batch b k =
-  let rec take_drop k acc = function
-    | rest when k = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | v :: rest -> take_drop (k - 1) (v :: acc) rest
-  in
-  let first, rest = take_drop k [] b.b_members in
-  ({ b with b_members = first }, { b with b_members = rest })
-
-let generate_work ?telemetry ~registry ~seeds pattern : work Seq.t =
-  families ~registry ~seeds pattern
-  |> Seq.map (fun f ->
-         Batched
-           {
-             b_pattern = pattern;
-             b_origin = f.f_origin;
-             b_build = f.f_build;
-             b_members = f.f_variants;
-           })
-  |> timed telemetry ~pattern:(Pattern_id.to_string pattern)

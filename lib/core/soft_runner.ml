@@ -49,7 +49,7 @@ let split_budget b n =
 (* [drain_share emit works n] forces work items through [emit] until
    exactly [n] cases have been emitted; returns how many were emitted
    and the unconsumed rest of the stream ([None] when the stream ran
-   dry). A [Batched] item counts as its member count; one that would
+   dry). A [Family] item counts as its member count; one that would
    overshoot the share is split at the boundary and its tail becomes
    the stream's next item, so budget shares cut families at exactly
    the same case index a per-case enumeration would have stopped at. *)
@@ -61,18 +61,14 @@ let drain_share emit works n =
       | None -> (taken, None)
       | Some (w, rest) ->
         let size = Patterns.work_size w in
-        if taken + size <= n then begin
-          emit w;
-          go rest (taken + size)
-        end
-        else
-          (match w with
-           | Patterns.Seed _ | Patterns.Single _ ->
-             assert false (* size 1 always fits *)
-           | Patterns.Batched b ->
-             let head, tail = Patterns.split_batch b (n - taken) in
-             emit (Patterns.Batched head);
-             (n, Some (Seq.cons (Patterns.Batched tail) rest)))
+        (match w with
+         | Patterns.Family f when taken + size > n ->
+           let head, tail = Patterns.split_family f (n - taken) in
+           emit (Patterns.Family head);
+           (n, Some (Seq.cons (Patterns.Family tail) rest))
+         | _ ->
+           emit w;
+           go rest (taken + size))
   in
   go works 0
 
@@ -155,19 +151,14 @@ let count_all_positions ~registry ~seeds ~stateful =
   + (if stateful then Patterns.scenario_positions ~registry ~seeds else 0)
 
 (* The budgeted streams every worker enumerates: every pattern's
-   position families in paper order, one [Patterns.Batched] item each,
-   then, by default, the synthesized stateful stream as an eleventh
-   source, whose scenarios are atomic [Single]s. *)
+   position families in paper order, then, by default, the synthesized
+   stateful stream as an eleventh source, one scenario per item. *)
 let work_streams ~tel ~registry ~seeds ~patterns ~stateful =
   List.map
     (fun p -> Patterns.generate_work ~telemetry:tel ~registry ~seeds p)
     patterns
   @ (if stateful then
-       [
-         Seq.map
-           (fun sc -> Patterns.Single sc)
-           (Patterns.generate_scenarios ~telemetry:tel ~registry ~seeds ());
-       ]
+       [ Patterns.generate_scenario_work ~telemetry:tel ~registry ~seeds () ]
      else [])
 
 (* ----- the campaign: producer-free shards -----
@@ -177,11 +168,12 @@ let work_streams ~tel ~registry ~seeds ~patterns ~stateful =
    globally, and executes only the work items its shards own.
    Generation reads nothing but the immutable seeds and registry, so
    repeating it on each domain is safe, and no case ever crosses a
-   domain. Ownership is per whole item — a seed statement, a scenario or
-   an entire position family goes to the shard with the fewest cases
-   so far, lowest index on ties — and every worker computes the same
-   assignment. Shard [s] runs on worker [s mod jobs]; worker 0 is the
-   calling domain, so [jobs - 1] domains are spawned.
+   domain. Ownership is per whole item — a seed statement or an entire
+   position family (a scenario is a one-member family) goes to the
+   shard with the fewest cases so far, lowest index on ties — and every
+   worker computes the same assignment. A worker builds the cases of
+   the items it owns only. Shard [s] runs on worker [s mod jobs];
+   worker 0 is the calling domain, so [jobs - 1] domains are spawned.
 
    Each shard runs a private engine/detector/coverage/telemetry —
    engines are mutable and crash-restart, so nothing is shared between

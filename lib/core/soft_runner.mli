@@ -99,13 +99,15 @@ val fuzz :
     never execute DDL/DML as cases, so the parse and storage counts of
     [stage_verdicts] are zero; execute still counts every stateless
     crash-class verdict.
-    Every pattern streams one batch per position family
-    ({!Patterns.generate_work} / {!Detector.run}): the family's
-    statement builder and planted values, with the telemetry span paid
-    once per family instead of once per case; batch counters are
-    reported on the collector
-    ({!Sqlfun_telemetry.Telemetry.batch_counts}). Under sharding a
-    family is one work item owned whole by one shard. Compact
+    Every case after the seed replay is a position family's member
+    ({!Patterns.family}, run by {!Detector.run}): every pattern streams
+    one work item per family ({!Patterns.generate_work}), with the
+    telemetry span paid once per family instead of once per case, and
+    the scenario stream one one-member item per scenario
+    ({!Patterns.generate_scenario_work}); batch counters are reported
+    on the collector ({!Sqlfun_telemetry.Telemetry.batch_counts}).
+    Under sharding a family is one work item owned whole by one shard,
+    and a worker builds only the cases of the items it owns. Compact
     construction/spill counts are credited to the campaign collector
     ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per worker
     domain.
@@ -118,8 +120,8 @@ val fuzz :
     it) is the number of domains executing them, the calling domain
     included — [jobs - 1] are spawned. Every worker enumerates the
     whole case stream and executes the work items its shards own: a
-    seed statement, a scenario or a whole position family goes to the
-    shard with the fewest cases so far. [shards = 1] runs one worker
+    seed statement or a whole position family goes to the shard with
+    the fewest cases so far. [shards = 1] runs one worker
     inline, recording straight into the result's coverage, [telemetry]
     and profile. Results are deterministic in [shards] and [jobs]: only
     timings change. With [shards > 1] a [--trace]-style event sink on

@@ -186,8 +186,8 @@ val compact_counts : t -> compact_counts
 
 val batch_flush : t -> cases:int -> unit
 (** Records one position family run as one work item and the [cases]
-    member cases it carried. Throughput metadata, not
-    determinism-bearing totals. *)
+    member cases it carried; a stateful scenario is a one-member
+    family. Throughput metadata, not determinism-bearing totals. *)
 
 type batch_counts = { b_flushes : int; b_cases : int }
 

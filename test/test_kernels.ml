@@ -326,11 +326,14 @@ let prop_nested_display =
 (* Minor words one call allocates. A result above 256 words goes
    straight to the major heap, so a kernel that allocates nothing per
    byte shows a small constant here, while one [String.sub] per
-   position or one [Printf] per byte shows tens of thousands. *)
+   position or one [Printf] per byte shows tens of thousands. Emptying
+   the minor heap at both ends of the window makes the count exact. *)
 let minor_words f =
   ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
   int_of_float (Gc.minor_words () -. before)
 
 let test_allocation_guard () =

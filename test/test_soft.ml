@@ -258,8 +258,8 @@ let positions stmt =
 
 let count_scenario_positions scenarios =
   Seq.fold_left
-    (fun acc (sc : Soft.Patterns.scenario) ->
-      acc + List.length (positions sc.Soft.Patterns.case.Soft.Patterns.stmt))
+    (fun acc (c : Soft.Patterns.case) ->
+      acc + List.length (positions c.Soft.Patterns.stmt))
     0 scenarios
 
 (* [Soft_runner.fuzz ~budget:0] positions, stateful / [~stateful:false] *)
@@ -309,8 +309,7 @@ let test_scenario_positions_counted () =
   in
   let kinds = Hashtbl.create 4 in
   Seq.iter
-    (fun (sc : Soft.Patterns.scenario) ->
-      let c = sc.Soft.Patterns.case in
+    (fun (c : Soft.Patterns.case) ->
       let slots =
         List.length (Ast_util.function_calls c.Soft.Patterns.stmt)
       in
@@ -333,25 +332,14 @@ let test_scenario_crash_restores_baseline () =
   let seeds =
     Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
   in
-  let crashed = ref None in
   let crashes () =
     List.length (Soft.Detector.bugs det) + Soft.Detector.dup_crashes det
   in
-  let run_stream scenarios =
-    Seq.iter
-      (fun sc ->
-        let before = crashes () in
-        Soft.Detector.run det (Soft.Patterns.Single sc);
-        if
-          crashes () > before && !crashed = None
-          && sc.Soft.Patterns.prereqs <> []
-        then crashed := Some sc)
-      scenarios
-  in
-  run_stream (Soft.Patterns.generate_scenarios ~registry ~seeds ());
-  (match !crashed with
-   | None -> Alcotest.fail "no stateful scenario crashed (vacuous test)"
-   | Some _ -> ());
+  Seq.iter
+    (Soft.Detector.run det)
+    (Soft.Patterns.generate_scenario_work ~registry ~seeds ());
+  if crashes () = 0 then
+    Alcotest.fail "no stateful scenario crashed (vacuous test)";
   (* the detector's engine is back to the post-seed baseline: none of
      the scenario tables survived the crash restart or the restores *)
   List.iter
@@ -521,14 +509,58 @@ let test_compact_campaign_identical () =
   (* the property is vacuous unless compact values actually flowed *)
   Alcotest.(check bool) "compact values were built" true (!total_hits > 0)
 
+(* [flat] equals [plain] element for element: same pattern, same
+   origin, structurally equal prerequisites and probe. *)
+let check_same_cases ctx flat plain =
+  let stmts (c : Soft.Patterns.case) =
+    c.Soft.Patterns.prereqs @ [ c.Soft.Patterns.stmt ]
+  in
+  let sql c = String.concat ";\n" (List.map Sql_pp.stmt (stmts c)) in
+  let rec go i flat plain =
+    match (Seq.uncons flat, Seq.uncons plain) with
+    | None, None -> ()
+    | Some _, None | None, Some _ ->
+      Alcotest.failf "%s: streams diverge in length at case %d" ctx i
+    | Some ((f : Soft.Patterns.case), flat), Some ((p : Soft.Patterns.case), plain) ->
+      let ctx = Printf.sprintf "%s case %d" ctx i in
+      if f.Soft.Patterns.pattern <> p.Soft.Patterns.pattern then
+        Alcotest.failf "%s: pattern differs" ctx;
+      Alcotest.(check string) (ctx ^ ": origin")
+        p.Soft.Patterns.origin f.Soft.Patterns.origin;
+      let fs = stmts f and ps = stmts p in
+      if
+        List.length fs <> List.length ps
+        || not (List.for_all2 Ast_util.equal_stmt fs ps)
+      then
+        Alcotest.failf "%s: reconstructed case differs:\n  %s\n  %s" ctx
+          (sql f) (sql p);
+      go (i + 1) flat plain
+  in
+  go 1 flat plain
+
+(* A work stream's family items, flattened: member [i] of family [f]
+   is [f.f_build i v]. [check f] vets each family first. *)
+let flatten ctx check works =
+  Seq.concat_map
+    (function
+      | Soft.Patterns.Family f ->
+        check f;
+        Seq.mapi f.Soft.Patterns.f_build (List.to_seq f.Soft.Patterns.f_members)
+      | Soft.Patterns.Seed _ ->
+        Alcotest.failf "%s: stream yielded a seed item" ctx)
+    works
+
 let test_batch_stream_equivalence () =
   (* the work-item soundness bar at the generation layer: every pattern
-     emits one [Batched] item per position family — each with members,
+     emits one [Family] item per position family — each with members,
      and no two consecutive items sharing a builder, so no family is
-     cut in two — and flattening the items (each member's statement
-     built by its family's [b_build]) reproduces the per-case
-     generator's stream element for element: same pattern, same
-     origin, structurally equal statement, on every dialect. *)
+     cut in two — and the scenario stream emits every scenario as a
+     one-member [Family], so its item sizes (which decide shard
+     ownership) are the old per-scenario ones. Flattening either work
+     stream (each member's case built by its family's [f_build])
+     reproduces its per-case generator's stream element for element:
+     same pattern, same origin, structurally equal prerequisites and
+     probe, on every dialect. *)
   List.iter
     (fun prof ->
       let name = prof.Dialect.id in
@@ -540,57 +572,35 @@ let test_batch_stream_equivalence () =
         (fun pattern ->
           let ctx = Printf.sprintf "%s %s" name (Pattern_id.to_string pattern) in
           let prev = ref None and families = ref 0 in
-          let flat =
-            Soft.Patterns.generate_work ~registry ~seeds pattern
-            |> Seq.concat_map (fun w ->
-                   match w with
-                   | Soft.Patterns.Batched b ->
-                     if b.Soft.Patterns.b_members = [] then
-                       Alcotest.failf "%s: family without members" ctx;
-                     (match !prev with
-                      | Some build when build == b.Soft.Patterns.b_build ->
-                        Alcotest.failf "%s: one family split across items" ctx
-                      | Some _ | None -> ());
-                     prev := Some b.Soft.Patterns.b_build;
-                     incr families;
-                     Seq.map
-                       (fun v ->
-                         {
-                           Soft.Patterns.stmt = b.Soft.Patterns.b_build v;
-                           pattern = b.Soft.Patterns.b_pattern;
-                           origin = b.Soft.Patterns.b_origin;
-                         })
-                       (List.to_seq b.Soft.Patterns.b_members)
-                   | Soft.Patterns.Single _ | Soft.Patterns.Seed _ ->
-                     Alcotest.failf "%s: pattern stream yielded a non-family item"
-                       ctx)
+          let check (f : Soft.Patterns.family) =
+            if f.Soft.Patterns.f_members = [] then
+              Alcotest.failf "%s: family without members" ctx;
+            (match !prev with
+             | Some build when build == f.Soft.Patterns.f_build ->
+               Alcotest.failf "%s: one family split across items" ctx
+             | Some _ | None -> ());
+            prev := Some f.Soft.Patterns.f_build;
+            incr families
           in
-          let plain = Soft.Patterns.generate ~registry ~seeds pattern in
-          let rec go i flat plain =
-            match (Seq.uncons flat, Seq.uncons plain) with
-            | None, None -> ()
-            | Some _, None | None, Some _ ->
-              Alcotest.failf "%s: streams diverge in length at case %d" ctx i
-            | Some (f, flat), Some (p, plain) ->
-              let ctx = Printf.sprintf "%s case %d" ctx i in
-              if f.Soft.Patterns.pattern <> p.Soft.Patterns.pattern then
-                Alcotest.failf "%s: pattern differs" ctx;
-              Alcotest.(check string) (ctx ^ ": origin")
-                p.Soft.Patterns.origin f.Soft.Patterns.origin;
-              if
-                not
-                  (Ast_util.equal_stmt f.Soft.Patterns.stmt
-                     p.Soft.Patterns.stmt)
-              then
-                Alcotest.failf "%s: reconstructed AST differs:\n  %s\n  %s" ctx
-                  (Sql_pp.stmt f.Soft.Patterns.stmt)
-                  (Sql_pp.stmt p.Soft.Patterns.stmt);
-              go (i + 1) flat plain
-          in
-          go 1 flat plain;
+          check_same_cases ctx
+            (flatten ctx check
+               (Soft.Patterns.generate_work ~registry ~seeds pattern))
+            (Soft.Patterns.generate ~registry ~seeds pattern);
           (* the property is vacuous unless families formed *)
           Alcotest.(check bool) (ctx ^ ": families formed") true (!families > 0))
-        Pattern_id.all)
+        Pattern_id.all;
+      let ctx = name ^ " scenarios" and items = ref 0 in
+      let check (f : Soft.Patterns.family) =
+        if List.length f.Soft.Patterns.f_members <> 1 then
+          Alcotest.failf "%s: item %d has %d members" ctx !items
+            (List.length f.Soft.Patterns.f_members);
+        incr items
+      in
+      check_same_cases ctx
+        (flatten ctx check
+           (Soft.Patterns.generate_scenario_work ~registry ~seeds ()))
+        (Soft.Patterns.generate_scenarios ~registry ~seeds ());
+      Alcotest.(check bool) (ctx ^ ": scenarios formed") true (!items > 0))
     Dialect.all
 
 (* Every bug an exhaustive stateless campaign finds — all 132 ledger
@@ -750,15 +760,14 @@ let test_scenario_streams_pinned () =
         in
         let n, d =
           Seq.fold_left
-            (fun (n, d) (sc : Soft.Patterns.scenario) ->
-              let c = sc.Soft.Patterns.case in
+            (fun (n, d) (c : Soft.Patterns.case) ->
               ( n + 1,
                 Digest.string
                   (String.concat "\t"
                      [ d; Pattern_id.to_string c.Soft.Patterns.pattern;
                        c.Soft.Patterns.origin;
                        String.concat ";\n"
-                         (List.map Sql_pp.stmt sc.Soft.Patterns.prereqs);
+                         (List.map Sql_pp.stmt c.Soft.Patterns.prereqs);
                        Sql_pp.stmt c.Soft.Patterns.stmt ]) ))
             (0, Digest.string "")
             (Soft.Patterns.generate_scenarios ~registry ~seeds ())
