@@ -603,14 +603,19 @@ let test_batch_stream_equivalence () =
       Alcotest.(check bool) (ctx ^ ": scenarios formed") true (!items > 0))
     Dialect.all
 
-(* Every bug an exhaustive stateless campaign finds — all 132 ledger
-   bugs, each PoC rendered by its family's builder — replays from its
-   PoC alone on a fresh armed engine, at the same fault site. *)
+(* The exhaustive default campaigns (scenario stream on) at 1x1, run
+   once and shared by the cold replay and the fingerprint. *)
+let exhaustive_campaigns =
+  lazy (List.map (fun prof -> (prof, Soft.Soft_runner.fuzz prof)) Dialect.all)
+
+(* Every bug an exhaustive campaign finds — the 132 ledger bugs and the
+   14 staged ones, each PoC rendered by its family's builder (a
+   scenario's PoC is its prerequisites then its probe) — replays from
+   its PoC alone on a fresh armed engine, at the same fault site. *)
 let test_batched_pocs_replay_cold () =
   let replayed = ref 0 in
   List.iter
-    (fun prof ->
-      let r = Soft.Soft_runner.fuzz ~stateful:false prof in
+    (fun (prof, (r : Soft.Soft_runner.result)) ->
       List.iter
         (fun (b : Soft.Detector.found_bug) ->
           let site = b.Soft.Detector.spec.Fault.site in
@@ -623,8 +628,226 @@ let test_batched_pocs_replay_cold () =
           | _ -> Alcotest.failf "%s: PoC did not crash cold:\n%s" site
                    b.Soft.Detector.poc)
         r.Soft.Soft_runner.bugs)
-    Dialect.all;
-  Alcotest.(check int) "bugs replayed" 132 !replayed
+    (Lazy.force exhaustive_campaigns);
+  Alcotest.(check int) "bugs replayed" 146 !replayed
+
+(* The campaign fingerprint: for each dialect, exhaustive and at
+   [--budget 20000], both at 1x1, the bug and case counts and an MD5 of
+   every behaviour key — the snapshot's [totals], [verdicts], [bugs]
+   (case numbers and PoCs), [fp_signatures], [families] and hit-counted
+   [coverage], the compact hits, and every profile key's call count.
+   Every field is a program count, independent of timing and of the
+   OCaml version. A change that claims equal behaviour leaves this
+   table as it is; a deliberate change re-records it (the failure
+   prints the measured row) and says why in CHANGES.md. *)
+let fingerprint_keys =
+  [ "totals"; "verdicts"; "bugs"; "fp_signatures"; "families"; "coverage";
+    "compact"; "profile" ]
+
+let campaign_fingerprints =
+  [
+    (("postgresql", "exhaustive"), ((3, 205291),
+      [ "6e113ca16c611c751648e54af6ee3049";
+        "3122ab4e6adbb872cc9b8e9ce6de903a";
+        "459176ea361364aa33761adf1926836a";
+        "dc5814b671e1e55514e9f06756da6947";
+        "db510c173343242b4b3c087bd16516e1";
+        "925755f36d31bbb964bbb2a215b92d23";
+        "b2f627fff19fda463cb386442eac2b3d";
+        "2c1aff0fc9dab979d7a75bbf0a99c99d" ]));
+    (("mysql", "exhaustive"), ((18, 230484),
+      [ "70777a164e018d7cea80b3eba5fa9fdd";
+        "01f8669a4f5f5ac9f0ee0acd0103ce32";
+        "b9a562038228386b77148b4b4a3835ec";
+        "2dd914199193bff7abbcdb53659737fb";
+        "d1c7e7a2685289231acb805aee983c8a";
+        "737b78160cb09e1b46c0bab556fc5075";
+        "dc6a70712a252123c40d2adba6a11d84";
+        "5a0d81921b599ef49fad277e0e775d4a" ]));
+    (("mariadb", "exhaustive"), ((26, 195941),
+      [ "0a841c382766aab57bb43adb9b89db16";
+        "097576f9d829f8e714b7cf08e09348ec";
+        "c9e379de0acd77452ea72e8ebc818f92";
+        "2dd914199193bff7abbcdb53659737fb";
+        "5fdf45c3ddcc60b80b51eb9d7d78ce58";
+        "8ed251773188e40c3fb660fa6a27e47f";
+        "6766aa2750c19aad2fa1b32f36ed4aee";
+        "75a4e85d63198cdc4a106851ef9859c3" ]));
+    (("clickhouse", "exhaustive"), ((8, 287047),
+      [ "1dbe7b67a90d38d49eb75caef571938b";
+        "13510edd865c0a20d1ae432f9e9552ea";
+        "98e4d0f68909c0941dd06af4aa6e2ae5";
+        "718db9bc7a724b54ca3692498b66b403";
+        "bb8933716c405d1752c100173a0f49e7";
+        "45941f24fa78a69ce722329f2c0fb7e4";
+        "08419be897405321542838d77f855226";
+        "2e25ab2d315019b8769d290759cc2c7e" ]));
+    (("monetdb", "exhaustive"), ((21, 55207),
+      [ "e6f228f9cdc1bf06c22cc92cabc0ce38";
+        "43d9fe07e32909e9992b652805551b11";
+        "c0041e3c9c28e1834a64e2f14410a4e4";
+        "5cff7379153fe9cf145a85194ae2b9b9";
+        "bd744a3b492ec1d0b1976e555575e2d8";
+        "de4764e99d040018a7636f09d4f6f3c6";
+        "37bc2f75bf1bcfe8450a1a41c200364c";
+        "180f60644417a72718615018b064b7dd" ]));
+    (("duckdb", "exhaustive"), ((23, 209374),
+      [ "528c47cf71a82e9ea82fac22c2868dea";
+        "fb42eaab3a83817d7fc25d2fead0047d";
+        "b8ad7a8bccd39d452b562db242c27fbd";
+        "dc5814b671e1e55514e9f06756da6947";
+        "3ac36f71a834b458bb1b5f692d231fbd";
+        "b9935057f002d11a7b5e8007d4299d69";
+        "3a0772443a0739141292a5429b952fe6";
+        "74c5717c44e2a459eb18098f1bbdd185" ]));
+    (("virtuoso", "exhaustive"), ((47, 171424),
+      [ "0f9cc357f91462cc2f2865bb06cd05a2";
+        "5549aef5e2c8010e27caf6175fdef63e";
+        "63c6c25fcc539fe5eef0deab5d323164";
+        "2dd914199193bff7abbcdb53659737fb";
+        "37f136cfdf2e7e3debac845813e62054";
+        "66008cc85fe5fb90f7e88384d989aa9d";
+        "07563a3fe3bbe7e3ba84431ad9d055af";
+        "ea6a233fc15f97effbbce85e0227db45" ]));
+    (("postgresql", "20000"), ((2, 20241),
+      [ "d6f7550e6734c2dea63dd9863f61218b";
+        "1e854417dda334e6a3152f1f1bb9fc19";
+        "73b31d9abd8683bfcc95346d21bf1385";
+        "2b7fca16265b2a58af61f9ceb4ce5f5d";
+        "58dd3fa1a8ef9237cc54f8074cf70fd0";
+        "a60abc28253406e8f2f350fd315f6b6b";
+        "b534ba68236ba543ae44b22bd110a1d6";
+        "7780a1995a88e419b9e70650ad376c10" ]));
+    (("mysql", "20000"), ((8, 20244),
+      [ "f00ca7398bceac0a8943b8f47543ea73";
+        "30d7b8658b39b44739c06268cedbb668";
+        "3da6df18c0b6ac0bfe6529abaf2c78f6";
+        "39bab4da8118b2a29e8d4772aba64d39";
+        "966ebef9edb32b6762b00ada17007554";
+        "26824cb78a42d2b91b6106643fc72bd8";
+        "30bb3825e8f631cc6075c0f87bb4978c";
+        "a940b8f2a80804303951d345ef542a4c" ]));
+    (("mariadb", "20000"), ((11, 20224),
+      [ "1c8a65d2bbddf3b21a7088181d381499";
+        "67dc49e1e3e3bfaf85a457f0bcea4fc0";
+        "bdcdc40381679567faca806d23aeb8c3";
+        "39bab4da8118b2a29e8d4772aba64d39";
+        "e06b7b82e8014d7c3d70b9367d8b7a26";
+        "e84740f37212b86c702d8ba5efd9562f";
+        "647bba344396e7c8170902bcf2e15551";
+        "ef74073bfec35737dd4a84f893747b09" ]));
+    (("clickhouse", "20000"), ((5, 20278),
+      [ "d08b6715221a4a9a43cb9d58dce46f7d";
+        "171a2fe37e6f2213b014d118f60f1714";
+        "c3c30c42b493ec23c42575cf259386a5";
+        "2355b2ccaab1f989888a762f5b0024c6";
+        "c35095ffdb4201c657561e2cf1d3bbcb";
+        "d33af87fb7402466e8c0cc1394f0523c";
+        "8b16ebc056e613024c057be590b542eb";
+        "f8c078b008e20d44882b10aef1fbb5ca" ]));
+    (("monetdb", "20000"), ((19, 20117),
+      [ "5a3c35810226a78b16d0648819f1e3cd";
+        "4b252dd4410c82bd55d6734f281aa0c5";
+        "ea3dd831b8fa7b652322880cdd4f0f60";
+        "4c9f7f34062ca056c6f25553c58be4e4";
+        "b586bba2f6b7f418f0d0b3b3622817a5";
+        "a6d1c6f872a8f2101561ab97d0ce4ed0";
+        "d96409bf894217686ba124d7356686c9";
+        "fbb086b2d20221c45abf2d546b18c7a7" ]));
+    (("duckdb", "20000"), ((17, 20236),
+      [ "4f1feff027be0680b36a78573c6f4e0b";
+        "7d31a3aa7b1268e1b407a0968721c9d0";
+        "24045e0d95d677ccee808c0417ae510b";
+        "2b7fca16265b2a58af61f9ceb4ce5f5d";
+        "97e50be7a17d26bdbfd65ddbce1e2a43";
+        "b10c64937c788e5d2837c0a35c355662";
+        "98b297950041a42470269d56260243a1";
+        "5de8a923c127dde697e06a71677d2884" ]));
+    (("virtuoso", "20000"), ((26, 20210),
+      [ "d2d25e7db33c497dc70b474ceb43a97d";
+        "1f33578551cc2329a34ed39dc83979f0";
+        "2519e3549d61dfd5901c4e5bf842c01d";
+        "39bab4da8118b2a29e8d4772aba64d39";
+        "d3a9d9bd98d3d09ab9a04518c33e44c1";
+        "015efd0f8f450cc1540ac9c4b1182807";
+        "d07e70efcfab08731a97e7b91be644de";
+        "0dcfc613f64f9da9207f0f7a3894909a" ]));
+  ]
+
+let fingerprint (r : Soft.Soft_runner.result) =
+  let open Sqlfun_telemetry in
+  let json = Soft.Report.campaign_to_json r in
+  let member k =
+    match Json.member k json with
+    | Some v -> Json.to_string v
+    | None -> Alcotest.failf "snapshot lacks %S" k
+  in
+  let compact =
+    string_of_int (Telemetry.compact_counts r.Soft.Soft_runner.telemetry).Telemetry.k_hits
+  in
+  (* profile rows come sorted by self time; only the key and count are
+     program facts *)
+  let profile =
+    List.map
+      (fun (row : Profile.row) ->
+        Printf.sprintf "%s/%s/%s %d" row.Profile.r_dialect row.Profile.r_func
+          (Profile.phase_to_string row.Profile.r_phase) row.Profile.r_count)
+      (Profile.rows r.Soft.Soft_runner.profile)
+    |> List.sort String.compare |> String.concat "\n"
+  in
+  List.map
+    (fun k ->
+      let text =
+        match k with "compact" -> compact | "profile" -> profile | k -> member k
+      in
+      Digest.to_hex (Digest.string text))
+    fingerprint_keys
+
+let test_campaign_fingerprint () =
+  let budgeted =
+    List.map
+      (fun prof -> (prof, Soft.Soft_runner.fuzz ~budget:20_000 prof))
+      Dialect.all
+  in
+  let rows =
+    List.concat_map
+      (fun (mode, campaigns) ->
+        List.map
+          (fun (prof, (r : Soft.Soft_runner.result)) ->
+            ( (prof.Dialect.id, mode),
+              ( (List.length r.Soft.Soft_runner.bugs, r.Soft.Soft_runner.cases_executed),
+                fingerprint r ) ))
+          campaigns)
+      [ ("exhaustive", Lazy.force exhaustive_campaigns); ("20000", budgeted) ]
+  in
+  let sum mode f =
+    List.fold_left
+      (fun acc ((_, m), (counts, _)) -> if m = mode then acc + f counts else acc)
+      0 rows
+  in
+  Alcotest.(check int) "exhaustive bugs" 146 (sum "exhaustive" fst);
+  Alcotest.(check int) "exhaustive cases" 1_354_768 (sum "exhaustive" snd);
+  Alcotest.(check int) "bugs at --budget 20000" 88 (sum "20000" fst);
+  let show ((d, mode), ((bugs, cases), digests)) =
+    Printf.sprintf "    ((%S, %S), ((%d, %d),\n      [ %s ]));" d mode bugs
+      cases
+      (String.concat ";\n        " (List.map (Printf.sprintf "%S") digests))
+  in
+  if rows <> campaign_fingerprints then
+    prerr_endline
+      ("measured fingerprints:\n" ^ String.concat "\n" (List.map show rows));
+  Alcotest.(check int) "fingerprint rows"
+    (List.length campaign_fingerprints) (List.length rows);
+  List.iter2
+    (fun ((d, mode), ((bugs, cases), digests)) (_, ((bugs', cases'), digests')) ->
+      let ctx what = Printf.sprintf "%s %s: %s" d mode what in
+      Alcotest.(check int) (ctx "bugs") bugs bugs';
+      Alcotest.(check int) (ctx "cases") cases cases';
+      List.iter2
+        (fun (k, want) got -> Alcotest.(check string) (ctx k) want got)
+        (List.combine fingerprint_keys digests)
+        digests')
+    campaign_fingerprints rows
 
 (* Each (dialect, pattern) stream of [Patterns.generate], pinned as its
    case count and a chained MD5 over every case's origin and printed
@@ -857,6 +1080,8 @@ let suite =
         test_batch_stream_equivalence;
       Alcotest.test_case "batched PoCs replay cold (all dialects)" `Slow
         test_batched_pocs_replay_cold;
+      Alcotest.test_case "campaign fingerprint (all dialects)" `Slow
+        test_campaign_fingerprint;
       Alcotest.test_case "pattern streams pinned (all dialects)" `Slow
         test_pattern_streams_pinned;
       Alcotest.test_case "scenario streams pinned (all dialects)" `Slow
