@@ -72,18 +72,16 @@ let ablations () =
     let detector = Soft.Detector.create prof in
     (* each kept case runs as a one-member family of its own *)
     Seq.iter
-      (function
-        | Soft.Patterns.Family f ->
-          List.iteri
-            (fun i v ->
-              let case = f.Soft.Patterns.f_build i v in
-              if pool_filter case then
-                Soft.Detector.run detector
-                  (Soft.Patterns.Family
-                     { f with f_build = (fun _ _ -> case); f_members = [ v ] }))
-            f.Soft.Patterns.f_members
-        | Soft.Patterns.Seed _ -> ())
-      (Soft.Patterns.generate_work ~registry ~seeds Pattern_id.P1_2);
+      (fun (f : Soft.Patterns.family) ->
+        List.iteri
+          (fun i v ->
+            let case = f.Soft.Patterns.f_build i v in
+            if pool_filter case then
+              Soft.Detector.run detector
+                (Soft.Patterns.Family
+                   { f with f_build = (fun _ _ -> case); f_members = [ v ] }))
+          f.Soft.Patterns.f_members)
+      (Soft.Patterns.families ~registry ~seeds Pattern_id.P1_2);
     Printf.printf "  %-22s %d bugs\n" label
       (List.length (Soft.Detector.bugs detector))
   in

@@ -66,7 +66,8 @@ let () =
   in
   let cases =
     List.to_seq Pattern_id.all
-    |> Seq.concat_map (Soft.Patterns.generate ~registry ~seeds)
+    |> Seq.concat_map (Soft.Patterns.families ~registry ~seeds)
+    |> Seq.concat_map Soft.Patterns.family_cases
   in
   let found = ref None in
   let executed = ref 0 in

@@ -306,7 +306,6 @@ let run t ?first_case (w : Patterns.work) =
     (* a family shares its "execute" span, verdict row and profiler
        root across its members *)
     with_item t ?first_case (Some f.Patterns.f_pattern) (fun it ->
-        Telemetry.batch_flush t.tel ~cases:(List.length f.Patterns.f_members);
         run_members t it f 0 f.Patterns.f_members)
 
 let run_sql t sql =

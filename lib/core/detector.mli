@@ -77,12 +77,12 @@ val run : t -> ?first_case:int -> Patterns.work -> unit
       ["seed"].
     - [Family f] runs one position family (under a budget, the part of
       one that fits a share), member by member: member [i] planting [v]
-      is the case [f_build i v], the case {!Patterns.generate} or
-      {!Patterns.generate_scenarios} emits for it. Its prerequisites
-      and probe run in order on one session (so session-state probes
-      see their prerequisites' effects); the first error is the case's
-      result, and a prerequisite crash is a found bug whose PoC is the
-      whole statement list (replayable standalone from a cold engine).
+      is the case [f_build i v] (see {!Patterns.family_cases}). Its
+      prerequisites and probe run in order on one session (so
+      session-state probes see their prerequisites' effects); the first
+      error is the case's result, and a prerequisite crash is a found
+      bug whose PoC is the whole statement list (replayable standalone
+      from a cold engine).
       A case with prerequisites is a stateful scenario: afterwards the
       engine's storage is back at the post-seed baseline — by the
       crash respawn if it crashed, explicitly otherwise.

@@ -224,8 +224,7 @@ let unary_wrappers registry =
    from its planted value, and the planted values in generation order.
    A pattern has one family per position it plants at (an argument of
    a call, or for P2.3 the call itself); its cases have no
-   prerequisites and its builder ignores [i]. [generate] and
-   [generate_work] are two drivers over the same families. *)
+   prerequisites and its builder ignores [i]. *)
 
 type family = {
   f_pattern : Pattern_id.t;
@@ -265,7 +264,7 @@ let arg_families pattern seeds variants_of =
              family pattern origin (with_arg stmt ci call ai)
                (variants_of call arg)))
 
-let families ~registry ~seeds pattern =
+let pattern_families ~registry ~seeds pattern =
   match pattern with
   | Pattern_id.P1_1 ->
     (* a bare SELECT * probe is not a function test *)
@@ -322,18 +321,10 @@ let families ~registry ~seeds pattern =
             else Some (Ast.Call donor))
           donor_calls)
 
-(* The per-case driver: one case per member. *)
 let family_cases f = Seq.mapi f.f_build (seq_of_list f.f_members)
 
-let generate ?telemetry ~registry ~seeds pattern =
-  families ~registry ~seeds pattern
-  |> Seq.concat_map family_cases
-  |> timed telemetry ~pattern:(Pattern_id.to_string pattern)
-
-(* The work driver: one work item per family. *)
-let generate_work ?telemetry ~registry ~seeds pattern =
-  families ~registry ~seeds pattern
-  |> Seq.map (fun f -> Family f)
+let families ?telemetry ~registry ~seeds pattern =
+  pattern_families ~registry ~seeds pattern
   |> timed telemetry ~pattern:(Pattern_id.to_string pattern)
 
 let work_size = function Seed _ -> 1 | Family f -> List.length f.f_members
@@ -557,24 +548,18 @@ let interleave (streams : 'a Seq.t list) : 'a Seq.t =
   in
   go streams
 
-(* The kinds' family streams, each family expanded into a stream by
-   [f], then interleaved element by element. *)
-let scenario_stream ?telemetry ~registry ~seeds f =
+(* The kinds' family streams, each member [i] split off as a
+   one-member family of its own (built, like every family member, only
+   when it is run), then interleaved scenario by scenario. *)
+let scenario_families ?telemetry ~registry ~seeds () =
   scenario_kinds ~registry ~seeds
-  |> List.map (Seq.concat_map f)
+  |> List.map
+       (Seq.concat_map (fun f ->
+            Seq.mapi
+              (fun i v -> { f with f_build = from i f; f_members = [ v ] })
+              (seq_of_list f.f_members)))
   |> interleave
   |> timed telemetry ~pattern:"scenario"
-
-let generate_scenarios ?telemetry ~registry ~seeds () =
-  scenario_stream ?telemetry ~registry ~seeds family_cases
-
-(* Member [i] as a one-member family of its own, built, like every
-   family member, only when it is run. *)
-let generate_scenario_work ?telemetry ~registry ~seeds () =
-  scenario_stream ?telemetry ~registry ~seeds (fun f ->
-      Seq.mapi
-        (fun i v -> Family { f with f_build = from i f; f_members = [ v ] })
-        (seq_of_list f.f_members))
 
 (* The counting driver: each family's first probe stands for all of
    its values, so no scenario past a family's first is built. *)

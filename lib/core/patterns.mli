@@ -15,10 +15,10 @@
     with boundary-typed columns, INSERTs carrying boundary literals,
     session/sequence setups), then the probe.
 
-    Each stream has two drivers over the same families: one case per
-    member ({!generate}, {!generate_scenarios}), or work items that
-    carry the families ({!generate_work}, {!generate_scenario_work}).
-    {!scenario_positions} counts the scenarios' slots per family. *)
+    Both streams are streams of families ({!families},
+    {!scenario_families}); {!family_cases} turns a family into its
+    cases. {!scenario_positions} counts the scenarios' slots per
+    family. *)
 
 open Sqlfun_ast
 open Sqlfun_fault
@@ -35,9 +35,8 @@ type case = {
 }
 
 (** One position family. Member [i] plants the [i]-th value [v] of
-    [f_members], and its case is [f_build i v]: the case {!generate} or
-    {!generate_scenarios} emits for it. Only scenario kinds that rotate
-    a wrapper function read [i]. *)
+    [f_members], and its case is [f_build i v]. Only scenario kinds that
+    rotate a wrapper function read [i]. *)
 type family = {
   f_pattern : Pattern_id.t;
   f_origin : string;
@@ -59,63 +58,47 @@ val split_family : family -> int -> family * family
     without re-deriving it. The second part's member [i] is [f]'s
     member [k + i] and builds the same case. *)
 
-val generate :
-  ?telemetry:Sqlfun_telemetry.Telemetry.t ->
-  registry:Registry.t ->
-  seeds:Collector.seed list ->
-  Pattern_id.t ->
-  case Seq.t
-(** Cases for one pattern: the per-case driver, one case per member of
-    each position family. [P1_1] yields the pool itself as bare
-    [SELECT <literal>] probes. With [telemetry], forcing each element
-    out of the lazy sequence is timed as a ["generate"] span tagged
-    with the pattern — generation is interleaved with execution, so
-    this is the only honest way to attribute its cost. *)
+val family_cases : family -> case Seq.t
+(** Its members' cases, in order: [f_build i v] for the [i]-th planted
+    value [v]. *)
 
-val generate_work :
+val families :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   registry:Registry.t ->
   seeds:Collector.seed list ->
   Pattern_id.t ->
-  work Seq.t
-(** The work driver over the same families as {!generate}: one
-    [Family] item per position family. Flattening the items reproduces
-    {!generate}'s stream element for element. *)
+  family Seq.t
+(** One pattern's position families, in generation order. [P1_1] is
+    one family, the pool itself as bare [SELECT <literal>] probes. With
+    [telemetry], forcing each family out of the lazy sequence is timed
+    as a ["generate"] span tagged with the pattern — generation is
+    interleaved with execution, so this is the only honest way to
+    attribute its cost. *)
 
 val count_positions : Collector.seed list -> int
 (** Number of (call, argument) substitution slots across the seeds —
     reported by the CLI and exercised in tests. *)
 
-val generate_scenarios :
+val scenario_families :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   registry:Registry.t ->
   seeds:Collector.seed list ->
   unit ->
-  case Seq.t
-(** The synthesized stateful stream, one case (a scenario) per planted
-    value. Its five kinds (stored-boundary probes, INSERT-position and
+  family Seq.t
+(** The synthesized stateful stream, one one-member family (a
+    scenario) per planted value; its case is built only when it runs.
+    Its five kinds (stored-boundary probes, INSERT-position and
     WHERE-position substitutions, session/sequence state,
     extreme-typed columns) are streams of position families, and the
-    kinds are round-robin interleaved, case by case, so a
+    kinds are round-robin interleaved, scenario by scenario, so a
     budget-truncated prefix samples every kind — and therefore every
     occurrence stage (parse / execute / storage) — early.
     Deterministic: re-enumerating yields the identical stream. *)
 
-val generate_scenario_work :
-  ?telemetry:Sqlfun_telemetry.Telemetry.t ->
-  registry:Registry.t ->
-  seeds:Collector.seed list ->
-  unit ->
-  work Seq.t
-(** The work driver over {!generate_scenarios}' families: each scenario
-    is a one-member [Family] item, in the same interleaved order, so
-    flattening the items reproduces {!generate_scenarios} element for
-    element. Its case is built only when the item runs. *)
-
 val scenario_positions :
   registry:Registry.t -> seeds:Collector.seed list -> int
-(** Substitution slots across the probes of {!generate_scenarios}
+(** Substitution slots across the probes of {!scenario_families}
     (INSERT/WHERE expression positions included) — the stateful share
-    of the CLI "positions" line. Counted per family, as its planted
-    values times the slots of its first probe, so no other scenario is
-    built. *)
+    of the CLI "positions" line. Counted per kind family, as its
+    planted values times the slots of its first probe, so no other
+    scenario is built. *)

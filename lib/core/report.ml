@@ -50,15 +50,14 @@ let bug_to_markdown (b : Detector.found_bug) =
 (* Scenario counters and stage attribution are verdict facts, not
    throughput metadata: they are deterministic in shard/job count and
    toggle settings, so they live INSIDE [totals] and the CI determinism
-   diffs gate them. The compact and batch counters are throughput
-   metadata, like [stages], and live OUTSIDE [totals]: compact
-   construction/spill counts vary with the [--no-compact] knob, and
-   batch flush/member counts with budget-share splits, while verdicts
-   and bugs do not.
+   diffs gate them. The compact counters are throughput metadata, like
+   [stages], and live OUTSIDE [totals]: compact construction/spill
+   counts vary with the [--no-compact] knob while verdicts and bugs do
+   not.
    Determinism checks diff [totals], [verdicts], [bugs], [fp_signatures]
    and [families] across jobs/shards/toggle settings, and those must not
    see them. *)
-type home = Totals | Compact | Batch
+type home = Totals | Compact
 
 type row = {
   label : string;
@@ -74,7 +73,6 @@ let bugs_label = "bugs found"
 let summary (r : Soft_runner.result) =
   let tel = r.Soft_runner.telemetry in
   let kc = Telemetry.compact_counts tel
-  and bc = Telemetry.batch_counts tel
   and sv = r.Soft_runner.stage_verdicts in
   let row label home fields fmt =
     Printf.ksprintf (fun text -> { label; text; home; fields }) fmt
@@ -110,10 +108,6 @@ let summary (r : Soft_runner.result) =
       (ints
          [ ("hits", kc.Telemetry.k_hits); ("spills", kc.Telemetry.k_spills) ])
       "%d built, %d spilled" kc.Telemetry.k_hits kc.Telemetry.k_spills;
-    row "batched cases" Batch
-      (ints
-         [ ("flushes", bc.Telemetry.b_flushes); ("cases", bc.Telemetry.b_cases) ])
-      "%d (%d family batches)" bc.Telemetry.b_cases bc.Telemetry.b_flushes;
     row "passed / clean errors" Totals
       (ints
          [
@@ -152,7 +146,7 @@ let summary_json s =
         Json.Obj
           (List.concat_map (fun r -> if r.home = home then r.fields else []) s)
       ))
-    [ (Totals, "totals"); (Compact, "compact"); (Batch, "batch") ]
+    [ (Totals, "totals"); (Compact, "compact") ]
 
 let campaign_to_markdown (r : Soft_runner.result) =
   let buf = Buffer.create 4096 in
@@ -263,7 +257,7 @@ let campaign_to_json (r : Soft_runner.result) =
   let p = r.Soft_runner.dialect in
   Json.Obj
     ([
-       ("schema", Json.Str "soft-telemetry/1");
+       ("schema", Json.Str "soft-telemetry/2");
        ("kind", Json.Str "campaign");
        ("dialect", Json.Str p.Dialect.id);
        ("version", Json.Str p.Dialect.version);

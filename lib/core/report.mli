@@ -3,10 +3,10 @@
 
     A campaign's run statistics are stated once, as a {!summary}: the
     [fuzz] stdout lines, the [--report] markdown header and the
-    [--json] [totals]/[compact]/[batch] objects all render
-    from it. Every bug renderer names the pattern a bug is credited to
-    by {!Detector.pattern_tag} (["seed"] for a seed replay) and its
-    paper family, ["seed replay"] for a seed. *)
+    [--json] [totals] and [compact] objects all render from it. Every
+    bug renderer names the pattern a bug is credited to by
+    {!Detector.pattern_tag} (["seed"] for a seed replay) and its paper
+    family, ["seed replay"] for a seed. *)
 
 (** {1 Bugs} *)
 
@@ -21,10 +21,10 @@ val bug_to_markdown : Detector.found_bug -> string
 (** {1 Campaign summary} *)
 
 (** Where a row's values live in the [--json] snapshot: keys of
-    [totals], or of one of the throughput objects [compact] and
-    [batch], which sit outside [totals] because they vary with budget
-    and toggle settings while verdicts do not. *)
-type home = Totals | Compact | Batch
+    [totals], or of the throughput object [compact], which sits outside
+    [totals] because it varies with the [--no-compact] toggle while
+    verdicts do not. *)
+type home = Totals | Compact
 
 type row = {
   label : string;  (** e.g. ["statements executed"] *)
@@ -35,11 +35,11 @@ type row = {
 }
 
 type summary = row list
-(** In [totals] key order; the throughput rows sit between the stage
+(** In [totals] key order; the throughput row sits between the stage
     attribution and the verdict counts. *)
 
 val summary : Soft_runner.result -> summary
-(** The only summary code that reads the collector's compact and batch
+(** The only summary code that reads the collector's compact
     counters. *)
 
 val summary_lines : summary -> string list
@@ -59,4 +59,4 @@ val campaign_to_json : Soft_runner.result -> Sqlfun_telemetry.Json.t
     execute-stage attribution ([profile], outside [totals] like all
     wall-time bookkeeping), per-pattern-family and per-pattern verdict
     counters, the bug list with PoCs, FP signatures, and the coverage
-    slice. Schema tag: ["soft-telemetry/1"]. *)
+    slice. Schema tag: ["soft-telemetry/2"]. *)

@@ -46,31 +46,32 @@ let split_budget b n =
     List.init n (fun i -> if i < extra then base + 1 else base)
   end
 
-(* [drain_share emit works n] forces work items through [emit] until
+(* [drain_share emit families n] forces families through [emit] until
    exactly [n] cases have been emitted; returns how many were emitted
    and the unconsumed rest of the stream ([None] when the stream ran
-   dry). A [Family] item counts as its member count; one that would
-   overshoot the share is split at the boundary and its tail becomes
-   the stream's next item, so budget shares cut families at exactly
-   the same case index a per-case enumeration would have stopped at. *)
-let drain_share emit works n =
-  let rec go works taken =
-    if taken >= n then (taken, Some works)
+   dry). A family counts as its member count; one that would overshoot
+   the share is split at the boundary and its tail becomes the stream's
+   next family, so budget shares cut families at exactly the case
+   index a per-case enumeration would have stopped at. *)
+let drain_share emit families n =
+  let rec go families taken =
+    if taken >= n then (taken, Some families)
     else
-      match Seq.uncons works with
+      match Seq.uncons families with
       | None -> (taken, None)
-      | Some (w, rest) ->
-        let size = Patterns.work_size w in
-        (match w with
-         | Patterns.Family f when taken + size > n ->
-           let head, tail = Patterns.split_family f (n - taken) in
-           emit (Patterns.Family head);
-           (n, Some (Seq.cons (Patterns.Family tail) rest))
-         | _ ->
-           emit w;
-           go rest (taken + size))
+      | Some ((f : Patterns.family), rest) ->
+        let size = List.length f.Patterns.f_members in
+        if taken + size > n then begin
+          let head, tail = Patterns.split_family f (n - taken) in
+          emit head;
+          (n, Some (Seq.cons tail rest))
+        end
+        else begin
+          emit f;
+          go rest (taken + size)
+        end
   in
-  go works 0
+  go families 0
 
 (* The budgeted enumeration every worker repeats — each MUST emit the
    same stream in the same order, or sharding would change results.
@@ -82,7 +83,7 @@ let drain_share emit works n =
    round either spends budget or removes a dry stream. *)
 let emit_budgeted ~budget ~streams ~emit =
   match budget with
-  | None -> List.iter (fun cases -> Seq.iter emit cases) streams
+  | None -> List.iter (Seq.iter emit) streams
   | Some b ->
     let live = ref streams in
     let remaining = ref b in
@@ -91,10 +92,10 @@ let emit_budgeted ~budget ~streams ~emit =
       live :=
         List.concat
           (List.map2
-             (fun cases share ->
-               if share = 0 then [ cases ]
+             (fun families share ->
+               if share = 0 then [ families ]
                else begin
-                 let taken, rest = drain_share emit cases share in
+                 let taken, rest = drain_share emit families share in
                  remaining := !remaining - taken;
                  match rest with Some s -> [ s ] | None -> []
                end)
@@ -152,14 +153,15 @@ let count_all_positions ~registry ~seeds ~stateful =
 
 (* The budgeted streams every worker enumerates: every pattern's
    position families in paper order, then, by default, the synthesized
-   stateful stream as an eleventh source, one scenario per item. *)
-let work_streams ~tel ~registry ~seeds ~patterns ~stateful =
+   stateful stream as an eleventh source, one scenario per family. *)
+let family_streams ~tel ~registry ~seeds ~patterns ~stateful =
   List.map
-    (fun p -> Patterns.generate_work ~telemetry:tel ~registry ~seeds p)
+    (fun p -> Patterns.families ~telemetry:tel ~registry ~seeds p)
     patterns
-  @ (if stateful then
-       [ Patterns.generate_scenario_work ~telemetry:tel ~registry ~seeds () ]
-     else [])
+  @
+  if stateful then
+    [ Patterns.scenario_families ~telemetry:tel ~registry ~seeds () ]
+  else []
 
 (* ----- the campaign: producer-free shards -----
 
@@ -286,8 +288,8 @@ let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
             seeds);
       emit_budgeted ~budget
         ~streams:
-          (work_streams ~tel:span_tel ~registry ~seeds ~patterns ~stateful)
-        ~emit;
+          (family_streams ~tel:span_tel ~registry ~seeds ~patterns ~stateful)
+        ~emit:(fun f -> emit (Patterns.Family f));
       Array.iter
         (Option.iter (fun (_, r) -> Option.iter Timeseries.finalize r))
         local;

@@ -93,22 +93,21 @@ val fuzz :
     verdicts, bugs, coverage and FP signatures are bit-identical with
     it off.
     [stateful] (default [true]) appends the synthesized stateful
-    scenario stream ({!Patterns.generate_scenarios}) as one extra
+    scenario stream ({!Patterns.scenario_families}) as one extra
     budget stream; with [stateful:false] the campaign is bit-identical
     to the historical single-statement pipeline. The stateless streams
     never execute DDL/DML as cases, so the parse and storage counts of
     [stage_verdicts] are zero; execute still counts every stateless
     crash-class verdict.
     Every case after the seed replay is a position family's member
-    ({!Patterns.family}, run by {!Detector.run}): every pattern streams
-    one work item per family ({!Patterns.generate_work}), with the
-    telemetry span paid once per family instead of once per case, and
-    the scenario stream one one-member item per scenario
-    ({!Patterns.generate_scenario_work}); batch counters are reported
-    on the collector ({!Sqlfun_telemetry.Telemetry.batch_counts}).
-    Under sharding a family is one work item owned whole by one shard,
-    and a worker builds only the cases of the items it owns. Compact
-    construction/spill counts are credited to the campaign collector
+    ({!Patterns.family}), and each family is one work item, run by
+    {!Detector.run} under one ["execute"] span: every pattern streams
+    its position families ({!Patterns.families}), and the scenario
+    stream one one-member family per scenario. The ["generate"] span is
+    likewise paid once per family, not once per case. Under sharding a
+    family is owned whole by one shard, and a worker builds only the
+    cases of the families it owns. Compact construction/spill counts
+    are credited to the campaign collector
     ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per worker
     domain.
     [telemetry] plugs in a shared collector/sink; without it a private
@@ -121,9 +120,9 @@ val fuzz :
     included — [jobs - 1] are spawned. Every worker enumerates the
     whole case stream and executes the work items its shards own: a
     seed statement or a whole position family goes to the shard with
-    the fewest cases so far. [shards = 1] runs one worker
-    inline, recording straight into the result's coverage, [telemetry]
-    and profile. Results are deterministic in [shards] and [jobs]: only
+    the fewest cases so far. [shards = 1] runs one worker inline,
+    recording straight into the result's coverage, [telemetry] and
+    profile. Results are deterministic in [shards] and [jobs]: only
     timings change. With [shards > 1] a [--trace]-style event sink on
     [telemetry] sees campaign-level spans but not per-case events
     (shard collectors are merged as aggregates). An exception raised

@@ -165,7 +165,8 @@ let table3 () =
       in
       let registry = Sqlfun_functions.All_fns.registry () in
       let cases =
-        Soft.Patterns.generate ~registry ~seeds pattern
+        Soft.Patterns.families ~registry ~seeds pattern
+        |> Seq.concat_map Soft.Patterns.family_cases
         |> Seq.take 3 |> List.of_seq
       in
       List.iter

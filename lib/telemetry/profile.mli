@@ -87,8 +87,8 @@ val owns : t -> fn_stats -> bool
 
 val root_stats : t -> fn_stats
 (** The anonymous-function ([""]) record of the current dialect —
-    what a depth-0 {!enter} charges. The batched member loop opens one
-    root scope per engine round-trip with it. Re-resolve after
+    what a depth-0 {!enter} charges. The detector's per-case step opens
+    one root scope per engine round-trip with it. Re-resolve after
     {!set_dialect}. *)
 
 val enter_with : t -> fn_stats -> phase -> unit

@@ -212,12 +212,6 @@ type t = {
      Throughput metadata only — never feeds a verdict. *)
   mutable compact_hits : int;
   mutable compact_spills : int;
-  (* batched-execution counters: one flush per position family the
-     detector ran as one work item, and how many member cases those
-     batches carried. Throughput metadata only — the determinism diff
-     never includes them. *)
-  mutable batch_flushes : int;
-  mutable batch_cases : int;
   (* sink flushers, run on campaign end and on the crash/restart path so
      abnormal termination cannot truncate a JSONL stream mid-campaign *)
   mutable flushers : (unit -> unit) list;
@@ -231,8 +225,6 @@ let create ?(sink = Null) () =
     depth = 0;
     compact_hits = 0;
     compact_spills = 0;
-    batch_flushes = 0;
-    batch_cases = 0;
     flushers = [];
   }
 
@@ -344,7 +336,7 @@ let reclassify_verdict t ~dialect ~pattern ~from_ ~to_ =
   row.counts.(i) <- row.counts.(i) - 1;
   row.counts.(j) <- row.counts.(j) + 1
 
-(* ----- retired memoization and plan-compilation counters ----- *)
+(* ----- retired memoization, plan-compilation and batch counters ----- *)
 
 type memo_counts = { hits : int; misses : int }
 
@@ -356,6 +348,10 @@ type compile_counts = { c_hits : int; c_misses : int; c_fallbacks : int }
 let compile_counts _ = { c_hits = 0; c_misses = 0; c_fallbacks = 0 }
 let compile_hit_rate _ = 0.
 
+type batch_counts = { b_flushes : int; b_cases : int }
+
+let batch_counts _ = { b_flushes = 0; b_cases = 0 }
+
 (* ----- compact-representation counters ----- *)
 
 let compact_add t ~hits ~spills =
@@ -366,17 +362,6 @@ type compact_counts = { k_hits : int; k_spills : int }
 
 let compact_counts t =
   { k_hits = t.compact_hits; k_spills = t.compact_spills }
-
-(* ----- batched-execution counters ----- *)
-
-let batch_flush t ~cases =
-  t.batch_flushes <- t.batch_flushes + 1;
-  t.batch_cases <- t.batch_cases + cases
-
-type batch_counts = { b_flushes : int; b_cases : int }
-
-let batch_counts t =
-  { b_flushes = t.batch_flushes; b_cases = t.batch_cases }
 
 (* ----- merging (shard -> campaign aggregation) ----- *)
 
@@ -400,9 +385,7 @@ let merge_into ~dst src =
         per_dialect)
     src.verdicts;
   dst.compact_hits <- dst.compact_hits + src.compact_hits;
-  dst.compact_spills <- dst.compact_spills + src.compact_spills;
-  dst.batch_flushes <- dst.batch_flushes + src.batch_flushes;
-  dst.batch_cases <- dst.batch_cases + src.batch_cases
+  dst.compact_spills <- dst.compact_spills + src.compact_spills
 
 let merge a b =
   let t = create () in

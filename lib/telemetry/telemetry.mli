@@ -157,11 +157,11 @@ val bug_event :
 
 val fp_event : t -> dialect:string -> signature:string -> unit
 
-(** {1 Retired memoization and plan-compilation counters}
+(** {1 Retired memoization, plan-compilation and batch counters}
 
-    Verdict memoization and closure compilation are gone; these stay so
-    that readers of the old counters still build. All always report
-    zero. *)
+    Verdict memoization, closure compilation and the per-family batch
+    counters are gone; these stay so that readers of the old counters
+    still build. All always report zero. *)
 
 type memo_counts = { hits : int; misses : int }
 
@@ -173,6 +173,15 @@ type compile_counts = { c_hits : int; c_misses : int; c_fallbacks : int }
 val compile_counts : t -> compile_counts
 val compile_hit_rate : t -> float
 
+type batch_counts = { b_flushes : int; b_cases : int }
+
+val batch_counts : t -> batch_counts
+(** Every case after the seed replay is a family member and every
+    family one work item, so [b_cases] only restated [cases_executed -
+    seeds_collected], and [b_flushes] the ["execute"] stage's calls
+    minus [seeds_collected]. perfbench is its only reader; ROADMAP item
+    2, which drops perfbench's batch metrics, deletes it. *)
+
 val compact_add : t -> hits:int -> spills:int -> unit
 (** Credits a delta of compact-representation constructions (hits) and
     materializations (spills) measured on an engine's domain (see
@@ -183,15 +192,6 @@ val compact_add : t -> hits:int -> spills:int -> unit
 type compact_counts = { k_hits : int; k_spills : int }
 
 val compact_counts : t -> compact_counts
-
-val batch_flush : t -> cases:int -> unit
-(** Records one position family run as one work item and the [cases]
-    member cases it carried; a stateful scenario is a one-member
-    family. Throughput metadata, not determinism-bearing totals. *)
-
-type batch_counts = { b_flushes : int; b_cases : int }
-
-val batch_counts : t -> batch_counts
 
 val reclassify_verdict :
   t ->

@@ -20,7 +20,6 @@ let contains hay needle =
 let home_key = function
   | Report.Totals -> "totals"
   | Report.Compact -> "compact"
-  | Report.Batch -> "batch"
 
 let home_obj json home =
   match Json.member (home_key home) json with
@@ -60,7 +59,7 @@ let test_one_summary () =
         row.Report.fields)
     s;
   Alcotest.(check int) "one line per row" (List.length s) (List.length lines);
-  (* the rows own every key of the three objects, each once and in the
+  (* the rows own every key of both objects, each once and in the
      rows' order, so no count is rendered outside the summary *)
   List.iter
     (fun home ->
@@ -72,7 +71,7 @@ let test_one_summary () =
              else [])
            s)
         (List.map fst (home_obj json home)))
-    Report.[ Totals; Compact; Batch ];
+    Report.[ Totals; Compact ];
   (* rows the markdown header lacked before it rendered the summary *)
   List.iter
     (fun label ->
@@ -80,7 +79,7 @@ let test_one_summary () =
         (Printf.sprintf "markdown has %s" label)
         true
         (contains md ("\n- " ^ label ^ ":")))
-    [ "batched cases"; "known crashes" ];
+    [ "known crashes" ];
   Alcotest.(check bool) "bug count closes the stdout block" true
     (String.starts_with ~prefix:"bugs found:"
        (List.nth lines (List.length lines - 1)))

@@ -62,8 +62,17 @@ let test_donors_distinct () =
 
 (* ----- patterns ----- *)
 
+(* A pattern's cases: its family stream, flattened. *)
+let pattern_cases ~registry ~seeds pattern =
+  Soft.Patterns.families ~registry ~seeds pattern
+  |> Seq.concat_map Soft.Patterns.family_cases
+
+let scenario_cases ~registry ~seeds =
+  Soft.Patterns.scenario_families ~registry ~seeds ()
+  |> Seq.concat_map Soft.Patterns.family_cases
+
 let gen dialect pattern =
-  Soft.Patterns.generate ~registry:(registry_of dialect) ~seeds:(seeds_for dialect)
+  pattern_cases ~registry:(registry_of dialect) ~seeds:(seeds_for dialect)
     pattern
   |> List.of_seq
 
@@ -286,8 +295,7 @@ let test_scenario_positions_counted () =
       in
       Alcotest.(check int)
         (prof.Dialect.id ^ " family count = forced-stream fold")
-        (count_scenario_positions
-           (Soft.Patterns.generate_scenarios ~registry ~seeds ()))
+        (count_scenario_positions (scenario_cases ~registry ~seeds))
         (Soft.Patterns.scenario_positions ~registry ~seeds))
     Dialect.all;
   Alcotest.(check (list (pair string (pair int int))))
@@ -315,7 +323,7 @@ let test_scenario_positions_counted () =
       in
       if slots > 0 then
         Hashtbl.replace kinds c.Soft.Patterns.origin ())
-    (Soft.Patterns.generate_scenarios ~registry ~seeds ());
+    (scenario_cases ~registry ~seeds);
   Alcotest.(check bool) "INSERT-position probes counted" true
     (Hashtbl.mem kinds "scenario:insert-position");
   Alcotest.(check bool) "WHERE-position probes counted" true
@@ -336,8 +344,8 @@ let test_scenario_crash_restores_baseline () =
     List.length (Soft.Detector.bugs det) + Soft.Detector.dup_crashes det
   in
   Seq.iter
-    (Soft.Detector.run det)
-    (Soft.Patterns.generate_scenario_work ~registry ~seeds ());
+    (fun f -> Soft.Detector.run det (Soft.Patterns.Family f))
+    (Soft.Patterns.scenario_families ~registry ~seeds ());
   if crashes () = 0 then
     Alcotest.fail "no stateful scenario crashed (vacuous test)";
   (* the detector's engine is back to the post-seed baseline: none of
@@ -538,29 +546,29 @@ let check_same_cases ctx flat plain =
   in
   go 1 flat plain
 
-(* A work stream's family items, flattened: member [i] of family [f]
-   is [f.f_build i v]. [check f] vets each family first. *)
-let flatten ctx check works =
-  Seq.concat_map
-    (function
-      | Soft.Patterns.Family f ->
-        check f;
-        Seq.mapi f.Soft.Patterns.f_build (List.to_seq f.Soft.Patterns.f_members)
-      | Soft.Patterns.Seed _ ->
-        Alcotest.failf "%s: stream yielded a seed item" ctx)
-    works
+(* A family cut in two at a budget-share boundary runs the cases the
+   whole family would have: the parts' cases, in order, are the
+   family's. *)
+let check_split ctx (f : Soft.Patterns.family) =
+  let n = List.length f.Soft.Patterns.f_members in
+  if n > 1 then begin
+    let head, tail = Soft.Patterns.split_family f (n / 2) in
+    check_same_cases ctx
+      (Seq.append (Soft.Patterns.family_cases head)
+         (Soft.Patterns.family_cases tail))
+      (Soft.Patterns.family_cases f)
+  end
 
 let test_batch_stream_equivalence () =
   (* the work-item soundness bar at the generation layer: every pattern
-     emits one [Family] item per position family — each with members,
-     and no two consecutive items sharing a builder, so no family is
-     cut in two — and the scenario stream emits every scenario as a
-     one-member [Family], so its item sizes (which decide shard
-     ownership) are the old per-scenario ones. Flattening either work
-     stream (each member's case built by its family's [f_build])
-     reproduces its per-case generator's stream element for element:
-     same pattern, same origin, structurally equal prerequisites and
-     probe, on every dialect. *)
+     streams one family per position — each with members, and no two
+     consecutive families sharing a builder, so no family is cut in
+     two — and the scenario stream streams every scenario as a
+     one-member family, so its item sizes (which decide shard
+     ownership) are the per-scenario ones. A family split where a
+     budget share ends runs the same cases as the whole family, on
+     every dialect. What the cases are is pinned by the stream pins
+     below. *)
   List.iter
     (fun prof ->
       let name = prof.Dialect.id in
@@ -572,34 +580,29 @@ let test_batch_stream_equivalence () =
         (fun pattern ->
           let ctx = Printf.sprintf "%s %s" name (Pattern_id.to_string pattern) in
           let prev = ref None and families = ref 0 in
-          let check (f : Soft.Patterns.family) =
-            if f.Soft.Patterns.f_members = [] then
-              Alcotest.failf "%s: family without members" ctx;
-            (match !prev with
-             | Some build when build == f.Soft.Patterns.f_build ->
-               Alcotest.failf "%s: one family split across items" ctx
-             | Some _ | None -> ());
-            prev := Some f.Soft.Patterns.f_build;
-            incr families
-          in
-          check_same_cases ctx
-            (flatten ctx check
-               (Soft.Patterns.generate_work ~registry ~seeds pattern))
-            (Soft.Patterns.generate ~registry ~seeds pattern);
+          Seq.iter
+            (fun (f : Soft.Patterns.family) ->
+              if f.Soft.Patterns.f_members = [] then
+                Alcotest.failf "%s: family without members" ctx;
+              (match !prev with
+               | Some build when build == f.Soft.Patterns.f_build ->
+                 Alcotest.failf "%s: one family split across items" ctx
+               | Some _ | None -> ());
+              prev := Some f.Soft.Patterns.f_build;
+              incr families;
+              check_split ctx f)
+            (Soft.Patterns.families ~registry ~seeds pattern);
           (* the property is vacuous unless families formed *)
           Alcotest.(check bool) (ctx ^ ": families formed") true (!families > 0))
         Pattern_id.all;
       let ctx = name ^ " scenarios" and items = ref 0 in
-      let check (f : Soft.Patterns.family) =
-        if List.length f.Soft.Patterns.f_members <> 1 then
-          Alcotest.failf "%s: item %d has %d members" ctx !items
-            (List.length f.Soft.Patterns.f_members);
-        incr items
-      in
-      check_same_cases ctx
-        (flatten ctx check
-           (Soft.Patterns.generate_scenario_work ~registry ~seeds ()))
-        (Soft.Patterns.generate_scenarios ~registry ~seeds ());
+      Seq.iter
+        (fun (f : Soft.Patterns.family) ->
+          if List.length f.Soft.Patterns.f_members <> 1 then
+            Alcotest.failf "%s: item %d has %d members" ctx !items
+              (List.length f.Soft.Patterns.f_members);
+          incr items)
+        (Soft.Patterns.scenario_families ~registry ~seeds ());
       Alcotest.(check bool) (ctx ^ ": scenarios formed") true (!items > 0))
     Dialect.all
 
@@ -849,12 +852,11 @@ let test_campaign_fingerprint () =
         digests')
     campaign_fingerprints rows
 
-(* Each (dialect, pattern) stream of [Patterns.generate], pinned as its
-   case count and a chained MD5 over every case's origin and printed
-   statement. The batch equivalence test compares two drivers over one
-   pattern definition, so only this pin notices a changed definition.
-   A deliberate change to a pattern re-records the table and says why
-   in CHANGES.md. *)
+(* Each (dialect, pattern) family stream, flattened into its cases and
+   pinned as its case count and a chained MD5 over every case's origin
+   and printed statement. This pin is the reference for the pattern
+   definitions: nothing else notices a changed one. A deliberate change
+   to a pattern re-records the table and says why in CHANGES.md. *)
 let pattern_stream_pins =
   [
     (("postgresql", "P1.1"), (41, "7aefff6586b288f0096c172e935cf32e"));
@@ -948,7 +950,7 @@ let test_pattern_streams_pinned () =
                          [ d; c.Soft.Patterns.origin;
                            Sql_pp.stmt c.Soft.Patterns.stmt ]) ))
                 (0, Digest.string "")
-                (Soft.Patterns.generate ~registry ~seeds pattern)
+                (pattern_cases ~registry ~seeds pattern)
             in
             ((prof.Dialect.id, Pattern_id.to_string pattern), (n, Digest.to_hex d)))
           Pattern_id.all)
@@ -957,8 +959,8 @@ let test_pattern_streams_pinned () =
   Alcotest.(check (list (pair (pair string string) (pair int string))))
     "pattern streams" pattern_stream_pins actual
 
-(* Each dialect's [Patterns.generate_scenarios] stream, pinned as its
-   scenario count and a chained MD5 over every scenario's pattern,
+(* Each dialect's scenario stream, flattened into its cases and pinned
+   as its scenario count and a chained MD5 over every scenario's pattern,
    origin, prerequisite SQL and probe SQL: the order of the round-robin
    interleave is part of what is pinned. A deliberate change to a
    scenario kind re-records the table and says why in CHANGES.md. *)
@@ -993,7 +995,7 @@ let test_scenario_streams_pinned () =
                          (List.map Sql_pp.stmt c.Soft.Patterns.prereqs);
                        Sql_pp.stmt c.Soft.Patterns.stmt ]) ))
             (0, Digest.string "")
-            (Soft.Patterns.generate_scenarios ~registry ~seeds ())
+            (scenario_cases ~registry ~seeds)
         in
         (prof.Dialect.id, (n, Digest.to_hex d)))
       Dialect.all

@@ -328,6 +328,16 @@ let test_verdict_counters () =
 
 (* ----- determinism: sink on vs off must not change verdicts ----- *)
 
+(* The ["execute"] stage's call count. *)
+let execute_calls (r : Soft.Soft_runner.result) =
+  match
+    List.find_opt
+      (fun s -> s.Telemetry.stage = "execute")
+      r.Soft.Soft_runner.timings
+  with
+  | Some s -> s.Telemetry.calls
+  | None -> 0
+
 let test_fuzz_determinism_with_sink () =
   let prof = Dialect.find_exn "mariadb" in
   let off = Soft.Soft_runner.fuzz ~budget:600 prof in
@@ -388,29 +398,14 @@ let test_fuzz_determinism_with_sink () =
            off.Soft.Soft_runner.timings))
     [ "campaign"; "collect"; "seed-replay"; "generate"; "execute" ];
   (* the executor contract: verdict bookkeeping is part of the execute
-     stage, which opens one span per work item — a seed, a scenario or a
-     position family, on any shard count — and every
-     case is attributed to the detector-classify phase *)
+     stage, whose span count does not depend on the shard count (see
+     [test_execute_span_per_item] for what it counts), and every case is
+     attributed to the detector-classify phase *)
   Alcotest.(check bool) "no detect stage" false
     (has_stage "detect"
      || List.exists
           (fun s -> s.Telemetry.stage = "detect")
           off.Soft.Soft_runner.timings);
-  let execute_calls (r : Soft.Soft_runner.result) =
-    match
-      List.find_opt
-        (fun s -> s.Telemetry.stage = "execute")
-        r.Soft.Soft_runner.timings
-    with
-    | Some s -> s.Telemetry.calls
-    | None -> 0
-  in
-  let batch = Telemetry.batch_counts off.Soft.Soft_runner.telemetry in
-  Alcotest.(check bool) "batches ran" true (batch.Telemetry.b_flushes > 0);
-  Alcotest.(check int) "one execute span per work item"
-    (off.Soft.Soft_runner.cases_executed - batch.Telemetry.b_cases
-   + batch.Telemetry.b_flushes)
-    (execute_calls off);
   Alcotest.(check int) "execute spans at 2 shards" (execute_calls off)
     (execute_calls (Soft.Soft_runner.fuzz ~budget:600 ~shards:2 prof));
   let classified =
@@ -425,6 +420,42 @@ let test_fuzz_determinism_with_sink () =
   Alcotest.(check int) "every case classified under the root key"
     off.Soft.Soft_runner.cases_executed classified
 
+let test_execute_span_per_item () =
+  (* an exhaustive campaign runs one work item per seed, per pattern
+     family and per scenario, and opens one execute span for each: the
+     counts come from the [Patterns] streams themselves, not from
+     anything the detector records *)
+  let prof = Dialect.find_exn "monetdb" in
+  let r = Soft.Soft_runner.fuzz ~jobs:1 ~shards:1 prof in
+  let registry = Dialect.registry prof in
+  let seeds = Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds () in
+  let count (items, members) (f : Soft.Patterns.family) =
+    (items + 1, members + List.length f.Soft.Patterns.f_members)
+  in
+  let families, members =
+    List.fold_left
+      (fun acc p ->
+        Seq.fold_left count acc (Soft.Patterns.families ~registry ~seeds p))
+      (0, 0) Sqlfun_fault.Pattern_id.all
+  in
+  let scenarios, scenario_members =
+    Seq.fold_left count (0, 0)
+      (Soft.Patterns.scenario_families ~registry ~seeds ())
+  in
+  let n_seeds = List.length seeds in
+  Alcotest.(check int) "seeds collected" n_seeds
+    r.Soft.Soft_runner.seeds_collected;
+  Alcotest.(check int) "scenarios are one-member families" scenarios
+    scenario_members;
+  Alcotest.(check int) "scenarios executed" scenarios
+    r.Soft.Soft_runner.scenarios_executed;
+  Alcotest.(check int) "one case per seed and family member"
+    (n_seeds + members + scenarios)
+    r.Soft.Soft_runner.cases_executed;
+  Alcotest.(check int) "one execute span per work item"
+    (n_seeds + families + scenarios)
+    (execute_calls r)
+
 (* ----- snapshot artifacts ----- *)
 
 let test_campaign_snapshot_json () =
@@ -435,7 +466,7 @@ let test_campaign_snapshot_json () =
   match Json.of_string (Json.to_string j) with
   | Error e -> Alcotest.failf "snapshot unparseable: %s" e
   | Ok j ->
-    Alcotest.(check (option string)) "schema" (Some "soft-telemetry/1")
+    Alcotest.(check (option string)) "schema" (Some "soft-telemetry/2")
       (Json.str_member "schema" j);
     Alcotest.(check (option string)) "dialect" (Some "mysql")
       (Json.str_member "dialect" j);
@@ -726,6 +757,8 @@ let suite =
       Alcotest.test_case "verdict counters" `Quick test_verdict_counters;
       Alcotest.test_case "fuzz determinism with sink" `Quick
         test_fuzz_determinism_with_sink;
+      Alcotest.test_case "one execute span per work item" `Quick
+        test_execute_span_per_item;
       Alcotest.test_case "campaign snapshot json" `Quick
         test_campaign_snapshot_json;
       Alcotest.test_case "coverage to_json" `Quick test_coverage_to_json;
