@@ -60,20 +60,25 @@ let resolve_parallelism ~jobs ~shards =
   let shards = if shards = 0 then jobs else shards in
   (jobs, shards)
 
+(* [Domain.spawn] fails only after the domains that fit are running, so
+   a command that needs more than the runtime has is refused before it
+   spawns any *)
+let within_domain_limit needed run =
+  let limit = Sqlfun_parallel.Pool.max_domains in
+  if needed > limit then
+    `Error
+      ( true,
+        Printf.sprintf
+          "--jobs and --shards need %d domains at once; the OCaml runtime \
+           runs at most %d, the main domain included"
+          needed limit )
+  else `Ok (run ())
+
 let trace_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
            ~doc:"Stream telemetry events (spans, verdicts, bugs, FP \
                  signatures) to $(docv) as JSON lines.")
-
-let no_compact_arg =
-  Arg.(value & flag
-       & info [ "no-compact" ]
-           ~doc:"Disable compact value representations (RANGE results \
-                 and repeated/padded strings are materialized eagerly \
-                 instead of lazily). Verdicts, bug lists and FP \
-                 signatures are bit-identical with compaction on or \
-                 off; the flag exists to verify that and to time it.")
 
 let no_stateful_arg =
   Arg.(value & flag
@@ -191,15 +196,17 @@ let progress_renderer dialect_id =
     Mutex.unlock m
 
 let fuzz_cmd =
-  let run dialect budget jobs shards no_compact no_stateful verbose
+  let run dialect budget jobs shards no_stateful verbose
       report trace json profile_out timeseries_out progress =
+    let jobs, shards = resolve_parallelism ~jobs ~shards in
+    within_domain_limit (Soft.Soft_runner.fuzz_domains ~jobs ~shards)
+    @@ fun () ->
     match resolve_dialect dialect with
     | Error msg ->
       prerr_endline msg;
       1
     | Ok prof ->
       let budget = if budget = 0 then None else Some budget in
-      let jobs, shards = resolve_parallelism ~jobs ~shards in
       with_telemetry ~trace ~json (fun tel ->
           let ts_oc = Option.map open_out timeseries_out in
           Option.iter
@@ -224,8 +231,7 @@ let fuzz_cmd =
           in
           let r =
             Soft.Soft_runner.fuzz ?budget ~telemetry:tel ?timeseries
-              ~compact:(not no_compact) ~stateful:(not no_stateful) ~shards
-              ~jobs prof
+              ~stateful:(not no_stateful) ~shards ~jobs prof
           in
           if progress then prerr_newline ();
           Option.iter close_out ts_oc;
@@ -269,10 +275,11 @@ let fuzz_cmd =
   in
   Cmd.v
     (Cmd.info "fuzz" ~doc:"Run a SOFT campaign against a simulated dialect")
-    Term.(const run $ dialect_arg $ budget_arg 0 $ jobs_arg $ shards_arg
-          $ no_compact_arg $ no_stateful_arg $ verbose
-          $ report $ trace_arg $ json_arg $ profile_arg $ timeseries_arg
-          $ progress_arg)
+    Term.(ret
+            (const run $ dialect_arg $ budget_arg 0 $ jobs_arg $ shards_arg
+             $ no_stateful_arg $ verbose
+             $ report $ trace_arg $ json_arg $ profile_arg $ timeseries_arg
+             $ progress_arg))
 
 let study_cmd =
   let run () =
@@ -301,9 +308,6 @@ let compare_cmd =
 
 let tables_cmd =
   let run budget jobs shards =
-    print_string (Sqlfun_harness.Tables.table3 ());
-    print_newline ();
-    let budget = if budget = 0 then None else Some budget in
     (* dialect campaigns parallelise across domains; tables are rendered
        from the merged per-dialect results, so the output is identical
        at any job count. Shards default to 1 here: campaign jobs are
@@ -313,6 +317,11 @@ let tables_cmd =
       if jobs = 0 then Domain.recommended_domain_count () else jobs
     in
     let shards = if shards = 0 then 1 else shards in
+    within_domain_limit (Soft.Soft_runner.fuzz_all_domains ~jobs ~shards)
+    @@ fun () ->
+    print_string (Sqlfun_harness.Tables.table3 ());
+    print_newline ();
+    let budget = if budget = 0 then None else Some budget in
     print_string
       (Sqlfun_harness.Tables.campaign_section
          (Sqlfun_harness.Tables.paper_campaigns ?budget ~jobs ~shards ()));
@@ -320,7 +329,7 @@ let tables_cmd =
   in
   Cmd.v
     (Cmd.info "tables" ~doc:"Regenerate Tables 3-4 and Figure 2")
-    Term.(const run $ budget_arg 0 $ jobs_arg $ shards_arg)
+    Term.(ret (const run $ budget_arg 0 $ jobs_arg $ shards_arg))
 
 let dialects_cmd =
   let run () =

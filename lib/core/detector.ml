@@ -48,7 +48,7 @@ type t = {
   mutable found : found_bug list;  (* reversed *)
 }
 
-let create ?cov ?telemetry ?profile ?(compact = true) prof =
+let create ?cov ?telemetry ?profile prof =
   let cov = match cov with Some c -> c | None -> Coverage.create () in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
   let xprof = match profile with Some p -> p | None -> Profile.create () in
@@ -58,7 +58,7 @@ let create ?cov ?telemetry ?profile ?(compact = true) prof =
   let engine =
     Telemetry.with_span tel ~dialect:prof.Dialect.id "restart-after-crash"
       (fun () ->
-        Dialect.make_engine ~cov ~armed:true ~compact ~profile:xprof prof)
+        Dialect.make_engine ~cov ~armed:true ~profile:xprof prof)
   in
   {
     prof;

@@ -34,7 +34,6 @@ val create :
   ?cov:Sqlfun_coverage.Coverage.t ->
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?profile:Sqlfun_telemetry.Profile.t ->
-  ?compact:bool ->
   Dialect.profile ->
   t
 (** Arms an engine for the profile: builds the dialect's registry and
@@ -59,12 +58,7 @@ val create :
     stream events. Each work item is timed as one ["execute"] span
     (engine round-trips and verdict bookkeeping of all its cases); the
     arming and every crash respawn are one ["restart-after-crash"] span
-    each; every verdict bumps the dialect x pattern x class counter.
-
-    [compact] (default [true]) enables the compact value
-    representations ({!Sqlfun_value.Value.Range_arr}/[Rope_str]) inside
-    the engine; verdicts, coverage and fault sites are
-    representation-independent either way. *)
+    each; every verdict bumps the dialect x pattern x class counter. *)
 
 val run : t -> ?first_case:int -> Patterns.work -> unit
 (** Execute one work item — every case SOFT's oracle classifies goes

@@ -47,16 +47,12 @@ let bug_to_markdown (b : Detector.found_bug) =
 
 (* ----- the campaign summary: one row list, rendered three ways ----- *)
 
-(* Scenario counters and stage attribution are verdict facts, not
-   throughput metadata: they are deterministic in shard/job count and
-   toggle settings, so they live INSIDE [totals] and the CI determinism
-   diffs gate them. The compact counters are throughput metadata, like
-   [stages], and live OUTSIDE [totals]: compact construction/spill
-   counts vary with the [--no-compact] knob while verdicts and bugs do
-   not.
-   Determinism checks diff [totals], [verdicts], [bugs], [fp_signatures]
-   and [families] across jobs/shards/toggle settings, and those must not
-   see them. *)
+(* Scenario counters and stage attribution are verdict facts,
+   deterministic in shard/job count and toggle settings, so they live
+   INSIDE [totals] and the CI determinism diffs gate them. The compact
+   counters live OUTSIDE [totals]: they count how values were
+   represented, which moves with the compaction thresholds while
+   verdicts and bugs do not. *)
 type home = Totals | Compact
 
 type row = {

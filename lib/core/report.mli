@@ -21,9 +21,8 @@ val bug_to_markdown : Detector.found_bug -> string
 (** {1 Campaign summary} *)
 
 (** Where a row's values live in the [--json] snapshot: keys of
-    [totals], or of the throughput object [compact], which sits outside
-    [totals] because it varies with the [--no-compact] toggle while
-    verdicts do not. *)
+    [totals], or of the object [compact], which sits outside [totals]
+    because it counts value representations, not verdicts. *)
 type home = Totals | Compact
 
 type row = {

@@ -195,13 +195,15 @@ let per_shard ~shards ~create campaign =
 let merge_shards merge_into ~dst parts =
   if Array.length parts > 1 then Array.iter (fun p -> merge_into ~dst p) parts
 
+let fuzz_domains ~jobs ~shards =
+  Stdlib.max 1 (Stdlib.min jobs (Stdlib.max 1 shards))
+
 let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
-    ?(compact = true) ?(stateful = true) ?(shards = 1) ?jobs
-    prof =
+    ?(stateful = true) ?(shards = 1) ?jobs prof =
   let shards = Stdlib.max 1 shards in
   let jobs =
     match jobs with
-    | Some j -> Stdlib.max 1 (Stdlib.min j shards)
+    | Some j -> fuzz_domains ~jobs:j ~shards
     | None -> shards
   in
   let tel = match telemetry with Some t -> t | None -> Telemetry.create () in
@@ -241,7 +243,7 @@ let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
             else begin
               let det =
                 Detector.create ~cov:shard_covs.(s) ~telemetry:shard_tels.(s)
-                  ~profile:shard_profiles.(s) ~compact prof
+                  ~profile:shard_profiles.(s) prof
               in
               let recorder =
                 Option.map
@@ -373,6 +375,11 @@ let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
     ~clean_errors:(sum Detector.clean_errors)
     ~false_positives:(sum Detector.false_positives)
     ~fp_signatures ~known_crashes:(sum Detector.known_crashes) ~bugs
+
+let fuzz_all_domains ~jobs ~shards =
+  let campaign = Stdlib.max 1 shards in
+  if jobs <= 1 then campaign
+  else 1 + (Stdlib.min jobs (List.length Dialect.all) * campaign)
 
 let fuzz_all ?budget ?stateful ?(jobs = 1) ?(shards = 1) () =
   let campaign prof = fuzz ?budget ?stateful ~shards prof in

@@ -75,7 +75,6 @@ val fuzz :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   ?timeseries:Sqlfun_telemetry.Timeseries.cfg ->
   ?patterns:Pattern_id.t list ->
-  ?compact:bool ->
   ?stateful:bool ->
   ?shards:int ->
   ?jobs:int ->
@@ -88,10 +87,6 @@ val fuzz :
     [budget] cases whenever the patterns can supply them.
     [patterns] restricts the pattern set — the ablation knob. Seeds are
     executed first (sanity pass, not counted against the budget).
-    [compact] (default [true]) toggles the detector's compact value
-    representations (see {!Detector.create}); it is throughput-only —
-    verdicts, bugs, coverage and FP signatures are bit-identical with
-    it off.
     [stateful] (default [true]) appends the synthesized stateful
     scenario stream ({!Patterns.scenario_families}) as one extra
     budget stream; with [stateful:false] the campaign is bit-identical
@@ -152,3 +147,13 @@ val fuzz_all :
 (** One campaign per dialect, paper order, each with a private
     collector. [jobs] (default 1) runs campaigns on that many worker
     domains; [shards] is passed through to each campaign. *)
+
+val fuzz_domains : jobs:int -> shards:int -> int
+(** The domains [fuzz ~jobs ~shards] runs at once, the calling one
+    included: one per job, jobs capped at the shard count. Spawns
+    nothing. *)
+
+val fuzz_all_domains : jobs:int -> shards:int -> int
+(** The domains [fuzz_all ~jobs ~shards] runs at once, the calling one
+    included: with [jobs > 1], up to one campaign domain per dialect,
+    each running a campaign with one job per shard. Spawns nothing. *)

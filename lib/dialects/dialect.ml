@@ -60,7 +60,7 @@ let load_seeds engine p =
          && (String.sub u 0 6 = "CREATE" || String.sub u 0 6 = "INSERT"))
        p.seeds)
 
-let make_engine ?cov ?(armed = false) ?limits ?compact ?profile:prof p =
+let make_engine ?cov ?(armed = false) ?limits ?profile:prof p =
   let fault =
     Sqlfun_fault.Fault.make
       (Bug_ledger.for_dialect p.id @ Bug_ledger.staged_for_dialect p.id)
@@ -70,7 +70,7 @@ let make_engine ?cov ?(armed = false) ?limits ?compact ?profile:prof p =
     { Cast.strictness = p.strictness; json_max_depth = p.json_max_depth }
   in
   let engine =
-    Engine.create ?cov ~fault ~cast_cfg ?limits ?compact ?profile:prof
+    Engine.create ?cov ~fault ~cast_cfg ?limits ?profile:prof
       ~registry:(registry p) ~dialect:p.id ()
   in
   load_seeds engine p;

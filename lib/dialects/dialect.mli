@@ -26,7 +26,6 @@ val make_engine :
   ?cov:Sqlfun_coverage.Coverage.t ->
   ?armed:bool ->
   ?limits:Sqlfun_functions.Fn_ctx.limits ->
-  ?compact:bool ->
   ?profile:Sqlfun_telemetry.Profile.t ->
   profile ->
   Engine.t

@@ -11,8 +11,8 @@ type exec_error =
 
 type outcome = Interp.outcome = Rows of Interp.result_set | Affected of int
 
-let create ?cov ?fault ?cast_cfg ?limits ?compact ?profile ~registry ~dialect () =
-  let ctx = Fn_ctx.create ?cov ?fault ?cast_cfg ?limits ?compact ~dialect () in
+let create ?cov ?fault ?cast_cfg ?limits ?profile ~registry ~dialect () =
+  let ctx = Fn_ctx.create ?cov ?fault ?cast_cfg ?limits ~dialect () in
   let profile =
     match profile with Some p -> p | None -> Profile.create ()
   in
@@ -35,7 +35,7 @@ let restart t snap =
   let ctx =
     Fn_ctx.create ~cov:old.Fn_ctx.cov ~fault:old.Fn_ctx.fault
       ~cast_cfg:old.Fn_ctx.cast_cfg ~limits:old.Fn_ctx.limits
-      ~compact:old.Fn_ctx.compact ~dialect:old.Fn_ctx.dialect ()
+      ~dialect:old.Fn_ctx.dialect ()
   in
   let catalog =
     Storage.create_catalog ~profile:(Storage.profile t.env.Interp.catalog) ()

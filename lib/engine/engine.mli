@@ -24,7 +24,6 @@ val create :
   ?fault:Sqlfun_fault.Fault.runtime ->
   ?cast_cfg:Cast.config ->
   ?limits:Fn_ctx.limits ->
-  ?compact:bool ->
   ?profile:Sqlfun_telemetry.Profile.t ->
   registry:Registry.t ->
   dialect:string ->
@@ -33,10 +32,7 @@ val create :
 (** [profile] receives execute-stage attribution (parse / plan / eval /
     storage scopes); a fresh private profiler when omitted. The detector
     passes its campaign profiler, and {!restart} keeps it, so a
-    respawned engine charges the same keys. [compact] (default true)
-    enables the compact value representations
-    ({!Sqlfun_value.Value.Range_arr}/[Rope_str]) on producer hot paths;
-    verdicts are representation-independent either way. *)
+    respawned engine charges the same keys. *)
 
 val restart : t -> Storage.snapshot -> t
 (** [restart t snap] respawns the server after a crash: a fresh session

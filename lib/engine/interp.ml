@@ -325,8 +325,7 @@ let binop ctx op va vb =
     Value.Bool (like_match ~pattern:(Value.to_display vb) (Value.to_display va))
   | Ast.Concat ->
     (match (Value.str_bytes va, Value.str_bytes vb) with
-     | Some la, Some lb
-       when ctx.Fn_ctx.compact && la + lb >= Value.Compact.min_str_bytes ->
+     | Some la, Some lb when la + lb >= Value.Compact.min_str_bytes ->
        (* both operands are strings, so the byte total — and the cap
           check it feeds — is exactly the flat concatenation's; the
           result stays compact *)

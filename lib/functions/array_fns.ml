@@ -216,7 +216,7 @@ let range_fn =
         raise (Fn_ctx.Resource_limit "RANGE too large")
       else begin
         let len = Int64.to_int span in
-        if ctx.Fn_ctx.compact && len >= Value.Compact.min_array_len then
+        if len >= Value.Compact.min_array_len then
           (* O(1): the whole sequence is (first, step, len); cells
              materialize only if a consumer genuinely walks them *)
           Value.range_arr ~first:lo ~step:1L ~len

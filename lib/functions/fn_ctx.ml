@@ -17,14 +17,13 @@ type t = {
   cast_cfg : Cast.config;
   limits : limits;
   dialect : string;
-  compact : bool;
   mutable steps : int;
   sequences : (string, int64) Hashtbl.t;
   mutable last_insert_id : int64;
   mutable row_count : int;
 }
 
-let create ?cov ?fault ?cast_cfg ?limits ?(compact = true) ~dialect () =
+let create ?cov ?fault ?cast_cfg ?limits ~dialect () =
   {
     cov = (match cov with Some c -> c | None -> Coverage.create ());
     fault = (match fault with Some f -> f | None -> Sqlfun_fault.Fault.make []);
@@ -34,7 +33,6 @@ let create ?cov ?fault ?cast_cfg ?limits ?(compact = true) ~dialect () =
        | None -> { Cast.strictness = Cast.Strict; json_max_depth = Some 512 });
     limits = (match limits with Some l -> l | None -> default_limits);
     dialect;
-    compact;
     steps = 0;
     sequences = Hashtbl.create 8;
     last_insert_id = 0L;

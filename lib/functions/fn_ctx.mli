@@ -33,11 +33,6 @@ type t = {
   cast_cfg : Cast.config;
   limits : limits;
   dialect : string;
-  compact : bool;
-      (** build compact value representations (range arrays, rope
-          strings) on the boundary-value hot paths; [false] forces the
-          boxed spellings everywhere — observably identical, the knob
-          exists so the CI diff can prove it *)
   mutable steps : int;
   sequences : (string, int64) Hashtbl.t;
       (** session sequence state for NEXTVAL/LASTVAL *)
@@ -50,7 +45,6 @@ val create :
   ?fault:Sqlfun_fault.Fault.runtime ->
   ?cast_cfg:Cast.config ->
   ?limits:limits ->
-  ?compact:bool ->
   dialect:string ->
   unit ->
   t

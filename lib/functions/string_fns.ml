@@ -56,7 +56,7 @@ let concat_fn =
           0 parts
       in
       Fn_ctx.alloc_check ctx total;
-      if ctx.Fn_ctx.compact && total >= Value.Compact.min_str_bytes then
+      if total >= Value.Compact.min_str_bytes then
         (* O(1) per part: chain the pieces as a rope; a rope part from
            an inner REPEAT stays unflattened *)
         List.fold_left
@@ -244,7 +244,7 @@ let repeat_fn =
              repeat loop this replaces ran zero iterations there, so
              the result is the empty string, not an error *)
           ret_str ""
-        else if ctx.Fn_ctx.compact && slen * n >= Value.Compact.min_str_bytes then
+        else if slen * n >= Value.Compact.min_str_bytes then
           (* O(1): the result is (segment, count); bytes materialize
              only if a consumer genuinely reads them *)
           Value.str_rope_rep s n
@@ -301,7 +301,7 @@ let pad_impl side ctx args =
   if Fn_ctx.branch ctx "pad/short" (target <= String.length s) then
     if target < 0 then ret_str "" else ret_str (String.sub s 0 target)
   else if pad = "" then ret_str s
-  else if ctx.Fn_ctx.compact && target >= Value.Compact.min_str_bytes then begin
+  else if target >= Value.Compact.min_str_bytes then begin
     (* O(1): filler = whole repetitions of [pad] plus a prefix remnant,
        chained around [s] as a rope — same bytes the blit path writes *)
     Fn_ctx.alloc_check ctx target;
@@ -372,7 +372,7 @@ let space_fn =
         if n > Int64.of_int ctx.Fn_ctx.limits.max_string_bytes then
           raise (Fn_ctx.Resource_limit "SPACE result exceeds cap");
         let n = Int64.to_int n in
-        if ctx.Fn_ctx.compact && n >= Value.Compact.min_str_bytes then
+        if n >= Value.Compact.min_str_bytes then
           Value.str_rope_rep " " n
         else ret_str (String.make n ' ')
       end)

@@ -63,6 +63,8 @@ let create n =
 
 let size t = Array.length t.domains
 
+let max_domains = 128
+
 let submit t f =
   let h = { h_mutex = Mutex.create (); h_cond = Condition.create (); state = Pending } in
   let finish state =

@@ -19,6 +19,13 @@ val create : int -> t
 val size : t -> int
 (** Number of worker domains. *)
 
+val max_domains : int
+(** Domains the OCaml 5.1 runtime can run at once, the main domain
+    included ([Max_domains] in [caml/domain.h] on 64-bit hosts).
+    [Domain.spawn] fails past it only after the domains that fit are
+    running, so a domain count taken from user input is checked against
+    it before any spawn. *)
+
 type 'a handle
 
 val submit : t -> (unit -> 'a) -> 'a handle

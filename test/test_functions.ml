@@ -517,47 +517,93 @@ let test_tail_array_cond () =
 
 (* ----- compact representations ----- *)
 
-let no_compact_engine =
-  lazy
-    (Engine.create ~registry:(All_fns.registry ()) ~compact:false
-       ~cast_cfg:{ Cast.strictness = Cast.Strict; json_max_depth = Some 512 }
-       ~dialect:"unit-nocompact" ())
+(* Expected values are built from Stdlib alone, so the eager path below
+   each compaction threshold and the compact path at and above it are
+   checked against the same independent reference. *)
 
-let eval_boxed expr =
-  match Engine.eval_expr_sql (Lazy.force no_compact_engine) expr with
-  | Ok v -> Value.to_display v
-  | Error err -> "!" ^ Engine.error_to_string err
+let str_rep s n = String.concat "" (List.init n (fun _ -> s))
 
-(* the default engine builds compact values on these shapes; the
-   no-compact engine materializes eagerly — every display must agree *)
+(* [n] bytes cycling through [pad], as LPAD/RPAD fill *)
+let cycle pad n = String.init n (fun i -> pad.[i mod String.length pad])
+
+let ints lo hi = List.init (hi - lo) (fun i -> lo + i)
+let arr_display cells = "[" ^ String.concat ", " (List.map string_of_int cells) ^ "]"
+
+let utf8_chars s =
+  String.fold_left
+    (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1) 0 s
+
+(* whether the default engine builds [expr] as a compact value *)
+let compact_built expr =
+  match Engine.eval_expr_sql (Lazy.force strict_engine) expr with
+  | Ok (Value.Range_arr _ | Value.Rope_str _) -> true
+  | Ok _ | Error _ -> false
+
+(* display plus the byte and character counts of a string expression *)
+let check_str expr expected =
+  check expr expected;
+  check ("LENGTH(" ^ expr ^ ")") (string_of_int (String.length expected));
+  check ("CHAR_LENGTH(" ^ expr ^ ")") (string_of_int (utf8_chars expected))
+
+(* display plus the cell count of an array expression *)
+let check_arr expr cells =
+  check expr (arr_display cells);
+  check ("ARRAY_LENGTH(" ^ expr ^ ")") (string_of_int (List.length cells))
+
 let test_compact_observational () =
+  check_arr "RANGE(500)" (ints 0 500);
+  check_arr "ARRAY_REVERSE(RANGE(300))" (List.rev (ints 0 300));
+  check_arr "ARRAY_SLICE(RANGE(1000), 5, 600)" (ints 4 604);
+  check_arr "ARRAY_SLICE(RANGE(1000), 900, 500)" (ints 899 1000);
+  check "ELEMENT_AT(RANGE(2000), 1999)" "1998";
+  check "ARRAY_ELEMENT(RANGE(2000), -1)" "1999";
+  check "ARRAY_MIN(RANGE(5000))" "0";
+  check "ARRAY_MAX(RANGE(5000))" "4999";
+  check "ARRAY_LENGTH(RANGE(5000))" "5000";
+  check_str "REPEAT('ab', 3000)" (str_rep "ab" 3000);
+  check_str "REPEAT('\xc3\xa9', 3000)" (str_rep "\xc3\xa9" 3000);
+  check_str "LPAD('x', 5000, 'ab')" (cycle "ab" 4999 ^ "x");
+  check_str "RPAD('x', 5000, 'yz')" ("x" ^ cycle "yz" 4999);
+  check_str "SPACE(5000)" (String.make 5000 ' ');
+  check_str "CONCAT(REPEAT('a', 3000), REPEAT('b', 3000))"
+    (String.make 3000 'a' ^ String.make 3000 'b');
+  check_str "UPPER(REPEAT('ab', 3000))" (str_rep "AB" 3000);
+  check_str "SUBSTRING(REPEAT('abc', 2000), 5999, 4)" "bc";
+  check_str "REVERSE(REPEAT('ab', 2500))" (str_rep "ba" 2500);
+  (* both sides of each threshold: one below takes the eager code, the
+     threshold and one above build the compact value *)
+  let bytes = Value.Compact.min_str_bytes in
   List.iter
-    (fun expr -> Alcotest.(check string) expr (eval_boxed expr) (eval expr))
-    [
-      "RANGE(500)";
-      "ARRAY_REVERSE(RANGE(300))";
-      "ARRAY_SLICE(RANGE(1000), 5, 600)";
-      "ARRAY_SLICE(RANGE(1000), 900, 500)";
-      "ELEMENT_AT(RANGE(2000), 1999)";
-      "ARRAY_ELEMENT(RANGE(2000), -1)";
-      "ARRAY_MIN(RANGE(5000))";
-      "ARRAY_MAX(RANGE(5000))";
-      "ARRAY_LENGTH(RANGE(5000))";
-      "REPEAT('ab', 3000)";
-      "LENGTH(REPEAT('ab', 3000))";
-      "CHAR_LENGTH(REPEAT('\xc3\xa9', 3000))";
-      "LPAD('x', 5000, 'ab')";
-      "RPAD('x', 5000, 'yz')";
-      "LENGTH(SPACE(5000))";
-      "CONCAT(REPEAT('a', 3000), REPEAT('b', 3000))";
-      "UPPER(REPEAT('ab', 3000))";
-      "SUBSTRING(REPEAT('abc', 2000), 5999, 4)";
-      "REVERSE(REPEAT('ab', 2500))";
-    ]
+    (fun n ->
+      List.iter
+        (fun (expr, expected) ->
+          Alcotest.(check bool) (expr ^ " compact") (n >= bytes) (compact_built expr);
+          check_str expr expected)
+        [ (Printf.sprintf "REPEAT('a', %d)" n, String.make n 'a');
+          (Printf.sprintf "SPACE(%d)" n, String.make n ' ');
+          (Printf.sprintf "LPAD('x', %d, 'abc')" n, cycle "abc" (n - 1) ^ "x");
+          (Printf.sprintf "RPAD('x', %d, 'abc')" n, "x" ^ cycle "abc" (n - 1));
+          (Printf.sprintf "LPAD('\xc3\xa9', %d, 'ab')" n,
+           cycle "ab" (n - 2) ^ "\xc3\xa9");
+          (Printf.sprintf "CONCAT(REPEAT('a', %d), 'b')" (n - 1),
+           String.make (n - 1) 'a' ^ "b");
+          (Printf.sprintf "REPEAT('a', %d) || 'b'" (n - 1),
+           String.make (n - 1) 'a' ^ "b") ])
+    [ bytes - 1; bytes; bytes + 1 ];
+  let cells = Value.Compact.min_array_len in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (expr, expected) ->
+          Alcotest.(check bool) (expr ^ " compact") (n >= cells) (compact_built expr);
+          check_arr expr expected)
+        [ (Printf.sprintf "RANGE(%d)" n, ints 0 n);
+          (Printf.sprintf "RANGE(7, %d)" (n + 7), ints 7 (n + 7)) ])
+    [ cells - 1; cells; cells + 1 ]
 
 (* spill paths exactly at the resource caps: at-cap succeeds through
-   the compact path with the same totals the boxed path enforces, one
-   past the cap raises the same resource error *)
+   the compact path with the same totals the eager path enforces, one
+   past the cap raises the resource error *)
 let test_compact_resource_boundaries () =
   check "ARRAY_LENGTH(RANGE(1000000))" "1000000";
   check_err "RANGE(1000001)";
@@ -570,13 +616,7 @@ let test_compact_resource_boundaries () =
   check "LENGTH(LPAD('x', 8000000, 'ab'))" "8000000";
   check_err "LPAD('x', 8000001, 'ab')";
   check "LENGTH(SPACE(8000000))" "8000000";
-  check_err "SPACE(8000001)";
-  (* the no-compact engine enforces the identical boundaries *)
-  Alcotest.(check string) "boxed at-cap repeat" "8000000"
-    (eval_boxed "LENGTH(REPEAT('ab', 4000000))");
-  Alcotest.(check bool) "boxed over-cap repeat errors" true
-    (String.length (eval_boxed "REPEAT('ab', 4000001)") > 0
-     && (eval_boxed "REPEAT('ab', 4000001)").[0] = '!')
+  check_err "SPACE(8000001)"
 
 let suite =
   ( "functions",

@@ -415,6 +415,34 @@ let test_fuzz_all_parallel_deterministic () =
         (result_key a = result_key b))
     seq par
 
+(* The domain counts the CLI refuses past the runtime's limit, computed
+   without spawning: [fuzz] runs one domain per job (jobs capped at the
+   shard count); [fuzz_all] runs one campaign domain per dialect, each
+   with one job per shard. *)
+let test_domain_counts () =
+  let open Soft.Soft_runner in
+  let within n = n <= Pool.max_domains in
+  Alcotest.(check int) "runtime limit" 128 Pool.max_domains;
+  Alcotest.(check int) "fuzz 200x200" 200 (fuzz_domains ~jobs:200 ~shards:200);
+  Alcotest.(check bool) "fuzz 200x200 refused" false
+    (within (fuzz_domains ~jobs:200 ~shards:200));
+  Alcotest.(check int) "fuzz jobs capped by shards" 4
+    (fuzz_domains ~jobs:200 ~shards:4);
+  Alcotest.(check bool) "fuzz 128x128 accepted" true
+    (within (fuzz_domains ~jobs:128 ~shards:128));
+  Alcotest.(check bool) "fuzz 129x129 refused" false
+    (within (fuzz_domains ~jobs:129 ~shards:129));
+  Alcotest.(check int) "tables 7 jobs x 20 shards" 141
+    (fuzz_all_domains ~jobs:7 ~shards:20);
+  Alcotest.(check bool) "tables 7x20 refused" false
+    (within (fuzz_all_domains ~jobs:7 ~shards:20));
+  Alcotest.(check int) "tables 7 jobs x 18 shards" 127
+    (fuzz_all_domains ~jobs:7 ~shards:18);
+  Alcotest.(check int) "tables jobs capped by dialects" 8
+    (fuzz_all_domains ~jobs:50 ~shards:1);
+  Alcotest.(check int) "tables 1 job: one campaign at a time" 200
+    (fuzz_all_domains ~jobs:1 ~shards:200)
+
 let suite =
   ( "parallel",
     [
@@ -446,4 +474,6 @@ let suite =
         test_failing_worker_propagates;
       Alcotest.test_case "parallel fuzz_all deterministic" `Slow
         test_fuzz_all_parallel_deterministic;
+      Alcotest.test_case "domain counts past the runtime limit" `Quick
+        test_domain_counts;
     ] )

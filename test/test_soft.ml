@@ -464,59 +464,6 @@ let test_stateful_campaign_stages () =
   Alcotest.(check int) "no storage-stage verdicts when off" 0
     lsv.Soft.Detector.storage
 
-let test_compact_campaign_identical () =
-  (* the compact-representation soundness bar, over every dialect:
-     range-array and rope-string values must be behaviour-invisible.
-     Compaction cannot even shift coverage hit counts — every branch
-     probe and tick survives on the compact paths — so the full
-     coverage JSON (hit counts included) is held identical, not just
-     the point set. *)
-  let open Sqlfun_telemetry in
-  let deterministic_keys =
-    [ "totals"; "verdicts"; "bugs"; "fp_signatures"; "families"; "coverage" ]
-  in
-  let total_hits = ref 0 in
-  List.iter
-    (fun prof ->
-      let name = prof.Dialect.id in
-      let on = Soft.Soft_runner.fuzz ~budget:2_000 ~compact:true prof in
-      let off = Soft.Soft_runner.fuzz ~budget:2_000 ~compact:false prof in
-      let jon = Soft.Report.campaign_to_json on
-      and joff = Soft.Report.campaign_to_json off in
-      List.iter
-        (fun key ->
-          let get j =
-            match Json.member key j with
-            | Some v -> Json.to_string v
-            | None -> Alcotest.failf "%s: report lacks %S" name key
-          in
-          Alcotest.(check string)
-            (Printf.sprintf "%s: %s identical" name key)
-            (get joff) (get jon))
-        deterministic_keys;
-      Alcotest.(check (list (pair string int)))
-        (name ^ ": coverage points identical")
-        (Sqlfun_coverage.Coverage.points off.Soft.Soft_runner.coverage)
-        (Sqlfun_coverage.Coverage.points on.Soft.Soft_runner.coverage);
-      let sites (r : Soft.Soft_runner.result) =
-        List.map
-          (fun (b : Soft.Detector.found_bug) ->
-            (b.Soft.Detector.spec.Fault.site, b.Soft.Detector.case_number))
-          r.Soft.Soft_runner.bugs
-      in
-      Alcotest.(check (list (pair string int)))
-        (name ^ ": fault sites identical")
-        (sites off) (sites on);
-      let kon = Telemetry.compact_counts on.Soft.Soft_runner.telemetry in
-      total_hits := !total_hits + kon.Telemetry.k_hits;
-      let koff = Telemetry.compact_counts off.Soft.Soft_runner.telemetry in
-      Alcotest.(check int)
-        (name ^ ": compact-off builds no compact values")
-        0 koff.Telemetry.k_hits)
-    Dialect.all;
-  (* the property is vacuous unless compact values actually flowed *)
-  Alcotest.(check bool) "compact values were built" true (!total_hits > 0)
-
 (* [flat] equals [plain] element for element: same pattern, same
    origin, structurally equal prerequisites and probe. *)
 let check_same_cases ctx flat plain =
@@ -1076,8 +1023,6 @@ let suite =
         test_scenario_crash_restores_baseline;
       Alcotest.test_case "stateful campaign stages (on/off)" `Slow
         test_stateful_campaign_stages;
-      Alcotest.test_case "compact campaign identical (all dialects)" `Slow
-        test_compact_campaign_identical;
       Alcotest.test_case "batch stream equivalence (all dialects)" `Slow
         test_batch_stream_equivalence;
       Alcotest.test_case "batched PoCs replay cold (all dialects)" `Slow
