@@ -81,7 +81,8 @@ let ablations () =
                 (Soft.Patterns.Family
                    { f with f_build = (fun _ _ -> case); f_members = [ v ] }))
           f.Soft.Patterns.f_members)
-      (Soft.Patterns.families ~registry ~seeds Pattern_id.P1_2);
+      (Soft.Patterns.families ~registry ~seeds
+         ~donors:(Soft.Collector.donors seeds) Pattern_id.P1_2);
     Printf.printf "  %-22s %d bugs\n" label
       (List.length (Soft.Detector.bugs detector))
   in

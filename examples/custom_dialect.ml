@@ -66,7 +66,9 @@ let () =
   in
   let cases =
     List.to_seq Pattern_id.all
-    |> Seq.concat_map (Soft.Patterns.families ~registry ~seeds)
+    |> Seq.concat_map
+         (Soft.Patterns.families ~registry ~seeds
+            ~donors:(Soft.Collector.donors seeds))
     |> Seq.concat_map Soft.Patterns.family_cases
   in
   let found = ref None in

@@ -25,8 +25,11 @@ val collect :
     With [telemetry], the whole scan is timed as one ["collect"] span. *)
 
 val donors : seed list -> Ast.call list
-(** Every distinct function-call expression found in the seeds — the
-    donor set for Patterns 2.3, 3.2 and 3.3. *)
+(** Every distinct function-call expression found in the seeds, in
+    seed order, deduplicated on its printed SQL — the donor set that
+    P2.3, P3.3 and the INSERT/WHERE-position scenarios plant from. It
+    prints every seed call, so a campaign computes it once, next to its
+    seeds, and passes it to every stream that needs it. *)
 
 val prerequisites : string list -> string list
 (** The CREATE/INSERT statements of a suite, preserved in order. *)

@@ -233,8 +233,10 @@ let step t it i ~poc exec =
   Sqlfun_functions.Fn_ctx.reset_session (Engine.context t.engine);
   (* root attribution frame around the round-trip only: whatever the
      engine's named scopes (parse/plan/eval/storage) don't claim of it
-     is charged to [other]. Crashes are turned into data here and
-     nowhere else. *)
+     is charged to [other]. The case's scopes are timed only when its
+     global number is sampled; every scope still counts. Crashes are
+     turned into data here and nowhere else. *)
+  Profile.begin_case t.xprof case_number;
   Profile.enter_with t.xprof it.root Profile.Other;
   let outcome =
     match exec () with
@@ -250,6 +252,7 @@ let step t it i ~poc exec =
       outcome
   in
   Profile.exit t.xprof;
+  Profile.end_case t.xprof;
   Telemetry.count_verdict_row t.tel it.vrow ~dialect ~pattern:it.pat
     ~case_number (verdict_class verdict);
   verdict

@@ -48,7 +48,12 @@ val create :
     {!Sqlfun_telemetry.Profile}): a root scope around every engine
     round-trip catches unclaimed time as [other], the engine's own
     scopes charge parse/plan/eval/storage, and every case's verdict
-    bookkeeping runs under [detector-classify]. A private profiler is
+    bookkeeping runs under [detector-classify]. Each case is one
+    profiler case ({!Sqlfun_telemetry.Profile.begin_case}) under its
+    case number, so only one case in
+    {!Sqlfun_telemetry.Profile.sample_period} reads the clock: call
+    counts are exact, self-times are estimates. The arming seed load
+    runs outside any case and is timed exactly. A private profiler is
     created when omitted; its dialect context is set to this profile's
     id either way.
 

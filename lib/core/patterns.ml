@@ -146,13 +146,13 @@ let is_literal_expr = function
     true
   | _ -> false
 
-let p2_3_donor_arglists seeds =
+let p2_3_donor_arglists donors =
   List.filter_map
     (fun (c : Ast.call) ->
       if c.Ast.args <> [] && List.for_all is_literal_expr c.Ast.args then
         Some c.Ast.args
       else None)
-    (Collector.donors seeds)
+    donors
 
 (* The replacement-call variants one receiver admits, in donor order:
    each donor list truncated to the receiver's maximum arity, missing
@@ -264,7 +264,7 @@ let arg_families pattern seeds variants_of =
              family pattern origin (with_arg stmt ci call ai)
                (variants_of call arg)))
 
-let pattern_families ~registry ~seeds pattern =
+let pattern_families ~registry ~seeds ~donors pattern =
   match pattern with
   | Pattern_id.P1_1 ->
     (* a bare SELECT * probe is not a function test *)
@@ -292,7 +292,7 @@ let pattern_families ~registry ~seeds pattern =
     (* Only literal argument lists migrate between functions: P2.3 is
        about *format* mismatch of plain values (a date string landing in
        a JSON slot); nested calls as arguments are P3.3's territory. *)
-    let donor_arglists = p2_3_donor_arglists seeds in
+    let donor_arglists = p2_3_donor_arglists donors in
     seed_families (small_seeds seeds) (fun stmt origin ->
         seq_of_list (List.mapi (fun ci c -> (ci, c)) (Ast_util.function_calls stmt))
         |> Seq.filter_map (fun (ci, (c : Ast.call)) ->
@@ -312,7 +312,7 @@ let pattern_families ~registry ~seeds pattern =
     let donor_calls =
       List.filter
         (fun (c : Ast.call) -> Registry.mem registry c.Ast.fname)
-        (Collector.donors seeds)
+        donors
     in
     arg_families pattern (small_seeds seeds) (fun (call : Ast.call) _ ->
         List.filter_map
@@ -323,8 +323,8 @@ let pattern_families ~registry ~seeds pattern =
 
 let family_cases f = Seq.mapi f.f_build (seq_of_list f.f_members)
 
-let families ?telemetry ~registry ~seeds pattern =
-  pattern_families ~registry ~seeds pattern
+let families ?telemetry ~registry ~seeds ~donors pattern =
+  pattern_families ~registry ~seeds ~donors pattern
   |> timed telemetry ~pattern:(Pattern_id.to_string pattern)
 
 let work_size = function Seed _ -> 1 | Family f -> List.length f.f_members
@@ -513,13 +513,13 @@ let scen_extreme_type () =
            lits)
 
 (* The five kinds' family streams, in interleave order. *)
-let scenario_kinds ~registry ~seeds =
+let scenario_kinds ~registry ~donors =
   (* the seeds' registered calls with an argument to plant at *)
   let donor_calls =
     List.filter
       (fun (c : Ast.call) ->
         Registry.mem registry c.Ast.fname && c.Ast.args <> [])
-      (Collector.donors seeds)
+      donors
   in
   let wrappers = unary_wrappers registry in
   [
@@ -551,8 +551,8 @@ let interleave (streams : 'a Seq.t list) : 'a Seq.t =
 (* The kinds' family streams, each member [i] split off as a
    one-member family of its own (built, like every family member, only
    when it is run), then interleaved scenario by scenario. *)
-let scenario_families ?telemetry ~registry ~seeds () =
-  scenario_kinds ~registry ~seeds
+let scenario_families ?telemetry ~registry ~donors () =
+  scenario_kinds ~registry ~donors
   |> List.map
        (Seq.concat_map (fun f ->
             Seq.mapi
@@ -569,8 +569,8 @@ let family_positions f =
   | v :: _ ->
     List.length f.f_members * List.length (positions (f.f_build 0 v).stmt)
 
-let scenario_positions ~registry ~seeds =
+let scenario_positions ~registry ~donors =
   List.fold_left
     (Seq.fold_left (fun acc f -> acc + family_positions f))
     0
-    (scenario_kinds ~registry ~seeds)
+    (scenario_kinds ~registry ~donors)

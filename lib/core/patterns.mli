@@ -66,10 +66,13 @@ val families :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   registry:Registry.t ->
   seeds:Collector.seed list ->
+  donors:Ast.call list ->
   Pattern_id.t ->
   family Seq.t
 (** One pattern's position families, in generation order. [P1_1] is
-    one family, the pool itself as bare [SELECT <literal>] probes. With
+    one family, the pool itself as bare [SELECT <literal>] probes.
+    [donors] is {!Collector.donors}[ seeds], computed once per campaign
+    by the caller; P2.3 and P3.3 plant from it. With
     [telemetry], forcing each family out of the lazy sequence is timed
     as a ["generate"] span tagged with the pattern — generation is
     interleaved with execution, so this is the only honest way to
@@ -82,11 +85,14 @@ val count_positions : Collector.seed list -> int
 val scenario_families :
   ?telemetry:Sqlfun_telemetry.Telemetry.t ->
   registry:Registry.t ->
-  seeds:Collector.seed list ->
+  donors:Ast.call list ->
   unit ->
   family Seq.t
 (** The synthesized stateful stream, one one-member family (a
     scenario) per planted value; its case is built only when it runs.
+    The INSERT- and WHERE-position kinds plant into [donors]
+    ({!Collector.donors} of the campaign's seeds), the other kinds read
+    only the registry.
     Its five kinds (stored-boundary probes, INSERT-position and
     WHERE-position substitutions, session/sequence state,
     extreme-typed columns) are streams of position families, and the
@@ -95,8 +101,7 @@ val scenario_families :
     occurrence stage (parse / execute / storage) — early.
     Deterministic: re-enumerating yields the identical stream. *)
 
-val scenario_positions :
-  registry:Registry.t -> seeds:Collector.seed list -> int
+val scenario_positions : registry:Registry.t -> donors:Ast.call list -> int
 (** Substitution slots across the probes of {!scenario_families}
     (INSERT/WHERE expression positions included) — the stateful share
     of the CLI "positions" line. Counted per kind family, as its

@@ -6,6 +6,7 @@ module Profile = Sqlfun_telemetry.Profile
 module Timeseries = Sqlfun_telemetry.Timeseries
 module Pool = Sqlfun_parallel.Pool
 module Progress = Sqlfun_parallel.Progress
+module Claim = Sqlfun_parallel.Claim
 module Value = Sqlfun_value.Value
 
 type result = {
@@ -147,45 +148,50 @@ let mk_result ~prof ~seeds ~tel ~cov ~profile ~positions ~cases_executed
    seed substitution slots plus the slots in every synthesized scenario
    probe (INSERT/WHERE expression positions included), counted per
    scenario family without building the stream. *)
-let count_all_positions ~registry ~seeds ~stateful =
+let count_all_positions ~registry ~seeds ~donors ~stateful =
   Patterns.count_positions seeds
-  + (if stateful then Patterns.scenario_positions ~registry ~seeds else 0)
+  + (if stateful then Patterns.scenario_positions ~registry ~donors else 0)
 
 (* The budgeted streams every worker enumerates: every pattern's
    position families in paper order, then, by default, the synthesized
    stateful stream as an eleventh source, one scenario per family. *)
-let family_streams ~tel ~registry ~seeds ~patterns ~stateful =
+let family_streams ~tel ~registry ~seeds ~donors ~patterns ~stateful =
   List.map
-    (fun p -> Patterns.families ~telemetry:tel ~registry ~seeds p)
+    (fun p -> Patterns.families ~telemetry:tel ~registry ~seeds ~donors p)
     patterns
   @
   if stateful then
-    [ Patterns.scenario_families ~telemetry:tel ~registry ~seeds () ]
+    [ Patterns.scenario_families ~telemetry:tel ~registry ~donors () ]
   else []
 
 (* ----- the campaign: producer-free shards -----
 
    Every worker domain enumerates the whole deterministic stream itself
    (seed replay, then the budgeted pattern streams), numbering cases
-   globally, and executes only the work items its shards own.
-   Generation reads nothing but the immutable seeds and registry, so
+   globally, and executes only the work items it claims. Generation
+   reads nothing but the immutable seeds, donors and registry, so
    repeating it on each domain is safe, and no case ever crosses a
-   domain. Ownership is per whole item — a seed statement or an entire
-   position family (a scenario is a one-member family) goes to the
-   shard with the fewest cases so far, lowest index on ties — and every
-   worker computes the same assignment. A worker builds the cases of
-   the items it owns only. Shard [s] runs on worker [s mod jobs];
-   worker 0 is the calling domain, so [jobs - 1] domains are spawned.
+   domain. A work item is a seed statement or an entire position family
+   (a scenario is a one-member family). Shard [s] runs on worker
+   [s mod jobs]; worker 0 is the calling domain, so [jobs - 1] domains
+   are spawned. With one job, worker 0 runs every item, each on the
+   shard with the fewest cases so far, lowest index on ties. With more,
+   workers claim item indices from one shared counter ({!Claim}): a
+   worker runs each item it claimed on the least-loaded of its own
+   shards and skips the items its peers claimed, so a fast worker takes
+   more items and none idles while items remain. Which shard ran an
+   item then depends on scheduling; what the merge needs does not.
 
    Each shard runs a private engine/detector/coverage/telemetry —
    engines are mutable and crash-restart, so nothing is shared between
-   domains. Because a shard executes its items in enumeration order, it
-   sees its sub-stream in increasing global order, so merging is pure
-   bookkeeping afterwards: counters and histograms add, coverage points
-   union, and the New-vs-Dup split is re-derived by globally ordering
-   crash records on case number ([Detector.merge_bugs]). With one shard
-   the inline worker records straight into the campaign's coverage,
-   collector and profile, and there is nothing to merge. *)
+   domains. A worker's claims only increase and it runs them in
+   enumeration order, so every shard sees its sub-stream in increasing
+   global order, and merging is pure bookkeeping afterwards: counters
+   and histograms add, coverage points union, and the New-vs-Dup split
+   is re-derived by globally ordering crash records on case number
+   ([Detector.merge_bugs]). With one shard the inline worker records
+   straight into the campaign's coverage, collector and profile, and
+   there is nothing to merge. *)
 
 (* [shards] fresh per-shard recorders, or the campaign's own when it
    runs as a single shard *)
@@ -219,14 +225,18 @@ let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
      "campaign" stage itself shows up in [timings]; the flush guard runs
      even when a case raises, so streaming sinks survive an abnormal
      termination with the campaign's tail intact *)
-  let registry, seeds, detectors =
+  let registry, seeds, donors, detectors =
     Fun.protect ~finally:(fun () -> Telemetry.flush tel) @@ fun () ->
     Telemetry.with_span tel ~dialect "campaign" @@ fun () ->
     let registry = Dialect.registry prof in
     let seeds =
       Collector.collect ~telemetry:tel ~registry ~suite:prof.Dialect.seeds ()
     in
-    let worker w () =
+    (* the seeds' distinct calls, shared read-only by every worker's
+       P2.3, P3.3 and scenario streams and by the position count *)
+    let donors = Collector.donors seeds in
+    let claims = if jobs > 1 then Some (Claim.create ()) else None in
+    let run_worker w =
       (* engines are armed inside the worker domain, so even startup
          cost parallelises. Worker 0 times its campaign-level spans
          (seed replay, generation) on the campaign collector, so a
@@ -255,24 +265,30 @@ let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
               Some (det, recorder)
             end)
       in
+      let cursor = Option.map Claim.cursor claims in
       let loads = Array.make shards 0 in
-      let next = ref 0 in
-      (* [emit w] assigns the item's global case numbers to the
-         least-loaded shard and runs it when this worker owns it *)
-      let emit w =
-        let size = Patterns.work_size w in
-        let s = ref 0 in
-        for i = 1 to shards - 1 do
-          if loads.(i) < loads.(!s) then s := i
-        done;
-        let s = !s in
+      let next = ref 0 and index = ref 0 in
+      (* [emit item] numbers the item's cases globally and, when the item
+         is this worker's (always, with one job), runs it on the
+         least-loaded of the worker's shards, lowest index on ties *)
+      let emit item =
+        let size = Patterns.work_size item in
         let first_case = !next + 1 in
-        loads.(s) <- loads.(s) + size;
         next := !next + size;
-        match local.(s) with
-        | None -> ()
-        | Some (det, recorder) ->
-          Detector.run det ~first_case w;
+        let mine =
+          match cursor with None -> true | Some c -> Claim.mine c !index
+        in
+        incr index;
+        if mine then begin
+          let s = ref w and i = ref (w + jobs) in
+          while !i < shards do
+            if loads.(!i) < loads.(!s) then s := !i;
+            i := !i + jobs
+          done;
+          let s = !s in
+          loads.(s) <- loads.(s) + size;
+          let det, recorder = Option.get local.(s) in
+          Detector.run det ~first_case item;
           Option.iter
             (fun r ->
               for _ = 1 to size do
@@ -280,6 +296,7 @@ let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
                 Timeseries.tick r
               done)
             recorder
+        end
       in
       (* Sanity pass: the regression suite must run on the armed server
          too — the paper's tool replays the suite it scanned. *)
@@ -290,7 +307,8 @@ let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
             seeds);
       emit_budgeted ~budget
         ~streams:
-          (family_streams ~tel:span_tel ~registry ~seeds ~patterns ~stateful)
+          (family_streams ~tel:span_tel ~registry ~seeds ~donors ~patterns
+             ~stateful)
         ~emit:(fun f -> emit (Patterns.Family f));
       Array.iter
         (Option.iter (fun (_, r) -> Option.iter Timeseries.finalize r))
@@ -299,6 +317,21 @@ let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
       Telemetry.compact_add shard_tels.(w) ~hits:d.Value.Compact.hits
         ~spills:d.Value.Compact.spills;
       Array.map (Option.map fst) local
+    in
+    (* A worker that raises first stops the claims, so its peers stop at
+       their next claim instead of running the rest of the stream; a
+       peer that stops returns no detectors, and the failure is
+       re-raised below. *)
+    let worker w () =
+      match claims with
+      | None -> run_worker w
+      | Some c ->
+        (try run_worker w with
+         | Claim.Stopped -> [||]
+         | e ->
+           let bt = Printexc.get_raw_backtrace () in
+           Claim.stop c;
+           Printexc.raise_with_backtrace e bt)
     in
     let per_worker =
       if jobs = 1 then [ worker 0 () ]
@@ -316,7 +349,7 @@ let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
       Array.init shards (fun s ->
           Option.get (List.nth per_worker (s mod jobs)).(s))
     in
-    (registry, seeds, detectors)
+    (registry, seeds, donors, detectors)
   in
   (* deterministic merge, in shard order *)
   merge_shards Coverage.merge_into ~dst:cov shard_covs;
@@ -366,7 +399,7 @@ let fuzz ?budget ?telemetry ?timeseries ?(patterns = Pattern_id.all)
       detectors
   in
   mk_result ~prof ~seeds ~tel ~cov ~profile
-    ~positions:(count_all_positions ~registry ~seeds ~stateful)
+    ~positions:(count_all_positions ~registry ~seeds ~donors ~stateful)
     ~cases_executed:(sum Detector.executed)
     ~scenarios_executed:(sum Detector.scenarios_executed)
     ~prereq_statements:(sum Detector.prereq_statements)

@@ -100,8 +100,8 @@ val fuzz :
     its position families ({!Patterns.families}), and the scenario
     stream one one-member family per scenario. The ["generate"] span is
     likewise paid once per family, not once per case. Under sharding a
-    family is owned whole by one shard, and a worker builds only the
-    cases of the families it owns. Compact construction/spill counts
+    family runs whole on one shard, and a worker builds only the cases
+    of the families it runs. Compact construction/spill counts
     are credited to the campaign collector
     ({!Sqlfun_telemetry.Telemetry.compact_counts}) once per worker
     domain.
@@ -113,16 +113,21 @@ val fuzz :
     independent engine instances; [jobs] (default [shards], clamped to
     it) is the number of domains executing them, the calling domain
     included — [jobs - 1] are spawned. Every worker enumerates the
-    whole case stream and executes the work items its shards own: a
-    seed statement or a whole position family goes to the shard with
-    the fewest cases so far. [shards = 1] runs one worker inline,
-    recording straight into the result's coverage, [telemetry] and
-    profile. Results are deterministic in [shards] and [jobs]: only
-    timings change. With [shards > 1] a [--trace]-style event sink on
-    [telemetry] sees campaign-level spans but not per-case events
-    (shard collectors are merged as aggregates). An exception raised
-    on any worker propagates out of [fuzz] once every spawned domain
-    has been joined.
+    whole case stream. A work item is a seed statement or a whole
+    position family. With one job, each item goes to the shard with the
+    fewest cases so far. With more, workers claim items from a shared
+    counter ({!Sqlfun_parallel.Claim}) and run each claimed item on the
+    least-loaded of their own shards (shard [s] belongs to worker
+    [s mod jobs]), so which shard ran an item depends on scheduling.
+    [shards = 1] runs one worker inline, recording straight into the
+    result's coverage, [telemetry] and profile. Results are
+    deterministic in [shards] and [jobs]: only timings, and at
+    [jobs > 1] the per-shard split, change. With [shards > 1] a
+    [--trace]-style event sink on [telemetry] sees campaign-level spans
+    but not per-case events (shard collectors are merged as
+    aggregates). An exception raised on any worker stops its peers at
+    their next claim and propagates out of [fuzz] once every spawned
+    domain has been joined.
 
     [timeseries] enables periodic campaign snapshots
     ({!Sqlfun_telemetry.Timeseries}): every executed case ticks a

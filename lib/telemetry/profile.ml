@@ -76,6 +76,11 @@ type t = {
   mutable cur_fns : (string, fn_stats) Hashtbl.t;
   mutable stack : frame array;
   mutable depth : int;
+  (* what one closed scope adds to its self-time account per measured
+     nanosecond: 1 outside a case, [sample_period] inside a timed case,
+     0 inside an untimed one, where no clock is read *)
+  mutable scale : int;
+  mutable timed_cases : int;
 }
 
 let sentinel = fn_stats_create (Hashtbl.create 1) ""
@@ -99,6 +104,8 @@ let create () =
       cur_fns = Hashtbl.create 64;
       stack = Array.init 32 (fun _ -> fresh_frame ());
       depth = 0;
+      scale = 1;
+      timed_cases = 0;
     }
   in
   Hashtbl.add t.by_dialect "" t.cur_fns;
@@ -109,6 +116,30 @@ let set_dialect t dialect =
   t.cur_fns <- fns_for t dialect
 
 let depth t = t.depth
+
+(* ----- case sampling ----- *)
+
+let sample_period = 16
+
+(* Fibonacci hashing: the top 4 bits of the 63-bit product of [n] and
+   2^63 / phi (the literal wraps to a negative int; only the bits
+   matter). Consecutive numbers spread evenly over the 16 buckets, so
+   the timed cases fall one in 16 on any stretch of the stream without
+   lining up with a family's member index. *)
+let timed_case n = (n * 0x4F1BBCDCBFA53E0B) lsr 59 = 0
+
+let begin_case t n =
+  if timed_case n then begin
+    t.scale <- sample_period;
+    t.timed_cases <- t.timed_cases + 1
+  end
+  else t.scale <- 0
+
+let end_case t = t.scale <- 1
+let timed_cases t = t.timed_cases
+
+(* the scope clock: untimed cases read none *)
+let clock t = if t.scale > 0 then now_ns () else 0
 
 (* Hashtbl.find raises on miss instead of boxing an option, so the hit
    path — every sighting after the first — allocates nothing. *)
@@ -134,7 +165,7 @@ let push t stats phase =
   fr.fr_stats <- stats;
   fr.fr_phase <- phase_index phase;
   fr.fr_child <- 0;
-  fr.fr_start <- now_ns ();
+  fr.fr_start <- clock t;
   t.depth <- t.depth + 1
 
 let enter_fn t func phase = push t (fn_stats t func) phase
@@ -149,34 +180,36 @@ let enter t phase =
   push t stats phase
 
 (* charges the innermost frame as closed at [now]; the caller pops it
-   or reuses it *)
+   or reuses it. An untimed scope only counts. *)
 let charge t now =
   let fr = t.stack.(t.depth - 1) in
-  let dur = now - fr.fr_start in
-  let self = dur - fr.fr_child in
-  (* a clock hiccup or a child measured longer than its parent (ns
-     truncation) must not push a key negative *)
-  let self = if self < 0 then 0 else self in
   let i = fr.fr_phase in
   let s = fr.fr_stats in
   s.counts.(i) <- s.counts.(i) + 1;
-  s.selfs.(i) <- s.selfs.(i) + self;
-  if self > s.maxs.(i) then s.maxs.(i) <- self;
-  if t.depth > 1 then begin
-    let parent = t.stack.(t.depth - 2) in
-    parent.fr_child <- parent.fr_child + dur
+  if t.scale > 0 then begin
+    let dur = now - fr.fr_start in
+    let self = dur - fr.fr_child in
+    (* a clock hiccup or a child measured longer than its parent (ns
+       truncation) must not push a key negative *)
+    let self = if self < 0 then 0 else self in
+    s.selfs.(i) <- s.selfs.(i) + (t.scale * self);
+    if self > s.maxs.(i) then s.maxs.(i) <- self;
+    if t.depth > 1 then begin
+      let parent = t.stack.(t.depth - 2) in
+      parent.fr_child <- parent.fr_child + dur
+    end
   end
 
 let exit t =
   if t.depth > 0 then begin
-    charge t (now_ns ());
+    charge t (clock t);
     t.depth <- t.depth - 1
   end
 
 let switch t phase =
   if t.depth = 0 then enter t phase
   else begin
-    let now = now_ns () in
+    let now = clock t in
     charge t now;
     let fr = t.stack.(t.depth - 1) in
     fr.fr_phase <- phase_index phase;
@@ -307,6 +340,7 @@ let hottest ?(n = 10) t =
 (* ----- merging ----- *)
 
 let merge_into ~dst src =
+  dst.timed_cases <- dst.timed_cases + src.timed_cases;
   Hashtbl.iter
     (fun dialect fns ->
       let dfns = fns_for dst dialect in
@@ -393,6 +427,7 @@ let to_json ?(top = 10) t =
   Json.Obj
     [
       ("attribution", Json.Float (attribution t));
+      ("timed_cases", Json.Int t.timed_cases);
       ("attributed_ms", Json.Float (ms (attributed_ns t)));
       ("other_ms", Json.Float (ms (other_ns t)));
       ( "phase_totals",

@@ -14,9 +14,21 @@
     argument list) never double-charge. Per key the profiler keeps
     count / total-self / max-self.
 
-    Cost model: entering/exiting a scope is two monotonic-clock reads
-    plus in-place mutation of a preallocated frame; {!switch} between
-    sibling scopes shares one read. The per-function stats record is
+    {b Sampling.} Inside a campaign case ({!begin_case} … {!end_case})
+    only one case in {!sample_period} is timed, chosen by a fixed hash
+    of its global case number, so the timed set is the same at any
+    shard or job count. A timed case's scopes add {!sample_period}
+    times their measured self-time, and their max is the measured
+    value; an untimed case's scopes read no clock and add their call
+    count only. Counts are therefore exact and self-times are
+    estimates from the timed cases ({!timed_cases} says how many).
+    Scopes opened outside a case (engine arming, a seed load, direct
+    callers) are timed exactly.
+
+    Cost model: entering/exiting a timed scope is two monotonic-clock
+    reads plus in-place mutation of a preallocated frame; {!switch}
+    between sibling scopes shares one read; an untimed scope reads no
+    clock. The per-function stats record is
     allocated at a key's first sighting. Hot callers resolve it once
     ({!fn_stats}) and keep it, so a function scope ({!enter_with}) is a
     frame push with no lookup; only {!enter_fn} and a depth-0 {!enter}
@@ -107,6 +119,27 @@ val with_fn : t -> string -> phase -> (unit -> 'a) -> 'a
 val depth : t -> int
 (** Current scope nesting depth (0 = no open scope). For tests. *)
 
+(** {1 Case sampling} *)
+
+val sample_period : int
+(** 16: one campaign case in this many is timed. *)
+
+val timed_case : int -> bool
+(** [timed_case n] — whether the case with global number [n] is timed:
+    a fixed multiplicative hash of [n], true for one number in
+    {!sample_period} on any long stretch of numbers. *)
+
+val begin_case : t -> int -> unit
+(** [begin_case t n] makes the scopes up to the next {!end_case} those
+    of case [n]: timed and weighted by {!sample_period} when
+    {!timed_case}[ n], else counted only. Call it with no scope open. *)
+
+val end_case : t -> unit
+(** Back to exact timing, for scopes opened outside a case. *)
+
+val timed_cases : t -> int
+(** Cases {!begin_case} timed, summed by {!merge_into}. *)
+
 (** {1 Aggregate views} *)
 
 type row = {
@@ -152,7 +185,8 @@ val hottest : ?n:int -> t -> fn_total list
     self-time. *)
 
 val merge_into : dst:t -> t -> unit
-(** Per-key counter union: counts and totals add, maxes take the max.
+(** Per-key counter union: counts, totals and {!timed_cases} add,
+    maxes take the max.
     Commutative and associative with a fresh profiler as identity, so
     merged shard profiles are independent of shard count and completion
     order. The destination's dialect context and open scopes are
@@ -171,8 +205,9 @@ val folded_lines : t -> string list
 val write_folded : out_channel -> t -> unit
 
 val to_json : ?top:int -> t -> Json.t
-(** [{"attribution": f, "attributed_ms": f, "other_ms": f,
-    "phase_totals": {...}, "hottest": [...], "keys": [...]}] — [top]
+(** [{"attribution": f, "timed_cases": n, "attributed_ms": f,
+    "other_ms": f, "phase_totals": {...}, "hottest": [...],
+    "keys": [...]}] — [top]
     (default 10) bounds the [hottest] table; [keys] always carries
     every row. *)
 

@@ -349,7 +349,7 @@ let test_allocation_ratchet () =
       Alcotest.failf "exhaustive monetdb allocates %.0f %s (recorded %.0f)" got
         what recorded
   in
-  check "minor words" minor 30_430_602.;
+  check "minor words" minor 30_377_267.;
   check "direct major words" major 832_237.
 
 let suite =

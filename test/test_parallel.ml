@@ -8,6 +8,7 @@
    coverage and telemetry. *)
 
 module Pool = Sqlfun_parallel.Pool
+module Claim = Sqlfun_parallel.Claim
 module Coverage = Sqlfun_coverage.Coverage
 module Telemetry = Sqlfun_telemetry.Telemetry
 open Sqlfun_dialects
@@ -45,6 +46,56 @@ let test_pool_parallel_sum () =
         (Printf.sprintf "all 100 jobs ran at jobs=%d" jobs)
         (100 * 99 / 2) (Atomic.get counter))
     [ 1; 3; 8 ]
+
+(* ----- Claim ----- *)
+
+let test_claim_splits_by_speed () =
+  (* two workers walk the same 300 items and run the ones they claim;
+     worker 1 sleeps on each. Every index runs exactly once, each
+     worker sees its indices in strictly increasing order, and the
+     sleeper runs fewer items *)
+  let n = 300 in
+  let claims = Claim.create () in
+  let walk ~work () =
+    let c = Claim.cursor claims in
+    let mine = ref [] in
+    for i = 0 to n - 1 do
+      if Claim.mine c i then begin
+        work ();
+        mine := i :: !mine
+      end
+    done;
+    List.rev !mine
+  in
+  let fast, slow =
+    Pool.with_pool 1 (fun pool ->
+        let slow = Pool.submit pool (walk ~work:(fun () -> Unix.sleepf 0.001)) in
+        let fast =
+          walk ~work:(fun () -> ignore (Sys.opaque_identity (List.init 200 Fun.id))) ()
+        in
+        (fast, Pool.await slow))
+  in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | [ _ ] | [] -> true
+  in
+  Alcotest.(check bool) "fast worker's indices increase" true (increasing fast);
+  Alcotest.(check bool) "slow worker's indices increase" true (increasing slow);
+  Alcotest.(check (list int)) "every index runs exactly once"
+    (List.init n Fun.id)
+    (List.sort compare (fast @ slow));
+  Alcotest.(check bool)
+    (Printf.sprintf "slow worker runs fewer (%d vs %d)" (List.length slow)
+       (List.length fast))
+    true
+    (List.length slow < List.length fast);
+  (* after [stop], a cursor's next claim raises instead of claiming *)
+  let claims = Claim.create () in
+  let c = Claim.cursor claims in
+  Alcotest.(check bool) "first claim is item 0" true (Claim.mine c 0);
+  Claim.stop claims;
+  Alcotest.check_raises "a claim after stop raises" Claim.Stopped (fun () ->
+      ignore (Claim.mine c 1))
 
 (* ----- split_budget (satellite a) ----- *)
 
@@ -329,6 +380,49 @@ let test_batched_sharded_deterministic () =
         (execute_calls < r.Soft.Soft_runner.cases_executed))
     [ (3, 2); (4, 4) ]
 
+let test_timed_set_shard_invariant () =
+  (* the profiler times a case by its global number, so the timed set —
+     and with it timed_cases — is the same at any jobs x shards, and
+     every function key's call count stays exact (root keys differ:
+     each shard arms its own engine) *)
+  let module Profile = Sqlfun_telemetry.Profile in
+  let prof = Dialect.find_exn "mysql" in
+  let view (r : Soft.Soft_runner.result) =
+    let p = r.Soft.Soft_runner.profile in
+    ( Profile.timed_cases p,
+      List.sort compare
+        (List.filter_map
+           (fun (row : Profile.row) ->
+             if row.Profile.r_func = "" then None
+             else
+               Some
+                 ( row.Profile.r_func,
+                   Profile.phase_to_string row.Profile.r_phase,
+                   row.Profile.r_count ))
+           (Profile.rows p)) )
+  in
+  let seq = Soft.Soft_runner.fuzz ~budget:4000 ~shards:1 ~jobs:1 prof in
+  let timed, counts = view seq in
+  let expected =
+    Seq.length
+      (Seq.filter Profile.timed_case
+         (Seq.take seq.Soft.Soft_runner.cases_executed (Seq.ints 1)))
+  in
+  Alcotest.(check int) "1x1 times the sampled case numbers" expected timed;
+  Alcotest.(check bool) "function keys counted" true (counts <> []);
+  List.iter
+    (fun (jobs, shards) ->
+      let t, c =
+        view (Soft.Soft_runner.fuzz ~budget:4000 ~shards ~jobs prof)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%dx%d timed_cases" jobs shards)
+        timed t;
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%d function call counts" jobs shards)
+        true (counts = c))
+    [ (2, 2); (2, 4) ]
+
 let test_timeseries_final_snapshot_shard_invariant () =
   (* the campaign-final timeseries snapshot (shard = -1) is computed
      from the deterministically merged totals, so its
@@ -379,16 +473,26 @@ let test_failing_worker_propagates () =
      (shard 1) or on the inline worker 0 (shard 0) — without hanging on
      the other worker, and leaving nothing behind that stops the next
      campaign. The budget is well past the first snapshot, so the
-     surviving worker has thousands of cases left to run. *)
+     surviving worker has thousands of cases left to run; the failing
+     worker stops the claims, so the survivor finishes at most the item
+     it is running and the one it holds, a few snapshots' worth rather
+     than its whole share (about 100 snapshots). *)
   let module Timeseries = Sqlfun_telemetry.Timeseries in
   let prof = Dialect.find_exn "mariadb" in
   List.iter
     (fun bad ->
+      let failed = Atomic.make false and after = Atomic.make 0 in
       let cfg =
         {
           Timeseries.every_cases = 100;
           every_ms = 0;
-          emit = (fun s -> if s.Timeseries.shard = bad then failwith "emit");
+          emit =
+            (fun s ->
+              if s.Timeseries.shard = bad then begin
+                Atomic.set failed true;
+                failwith "emit"
+              end
+              else if Atomic.get failed then Atomic.incr after);
         }
       in
       Alcotest.check_raises
@@ -397,7 +501,12 @@ let test_failing_worker_propagates () =
         (fun () ->
           ignore
             (Soft.Soft_runner.fuzz ~budget:20000 ~timeseries:cfg ~shards:2
-               ~jobs:2 prof)))
+               ~jobs:2 prof));
+      let n = Atomic.get after in
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d failure stops its peer (%d snapshots after)"
+           bad n)
+        true (n <= 10))
     [ 1; 0 ];
   let seq = Soft.Soft_runner.fuzz ~budget:600 prof in
   let par = Soft.Soft_runner.fuzz ~budget:600 ~shards:2 ~jobs:2 prof in
@@ -451,6 +560,8 @@ let suite =
         test_pool_propagates_exceptions;
       Alcotest.test_case "pool drains at any job count" `Quick
         test_pool_parallel_sum;
+      Alcotest.test_case "claims split by speed" `Quick
+        test_claim_splits_by_speed;
       Alcotest.test_case "split_budget exact" `Quick test_split_budget_exact;
       Alcotest.test_case "split_budget qcheck" `Quick test_split_budget_qcheck;
       Alcotest.test_case "budget executed exactly" `Slow
@@ -468,6 +579,8 @@ let suite =
         test_stateful_sharded_deterministic;
       Alcotest.test_case "batched campaign shard-deterministic" `Slow
         test_batched_sharded_deterministic;
+      Alcotest.test_case "timed set shard-invariant" `Slow
+        test_timed_set_shard_invariant;
       Alcotest.test_case "timeseries final snapshot shard-invariant" `Slow
         test_timeseries_final_snapshot_shard_invariant;
       Alcotest.test_case "failing worker propagates" `Slow

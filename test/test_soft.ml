@@ -64,11 +64,13 @@ let test_donors_distinct () =
 
 (* A pattern's cases: its family stream, flattened. *)
 let pattern_cases ~registry ~seeds pattern =
-  Soft.Patterns.families ~registry ~seeds pattern
+  Soft.Patterns.families ~registry ~seeds
+    ~donors:(Soft.Collector.donors seeds) pattern
   |> Seq.concat_map Soft.Patterns.family_cases
 
 let scenario_cases ~registry ~seeds =
-  Soft.Patterns.scenario_families ~registry ~seeds ()
+  Soft.Patterns.scenario_families ~registry
+    ~donors:(Soft.Collector.donors seeds) ()
   |> Seq.concat_map Soft.Patterns.family_cases
 
 let gen dialect pattern =
@@ -296,7 +298,8 @@ let test_scenario_positions_counted () =
       Alcotest.(check int)
         (prof.Dialect.id ^ " family count = forced-stream fold")
         (count_scenario_positions (scenario_cases ~registry ~seeds))
-        (Soft.Patterns.scenario_positions ~registry ~seeds))
+        (Soft.Patterns.scenario_positions ~registry
+           ~donors:(Soft.Collector.donors seeds)))
     Dialect.all;
   Alcotest.(check (list (pair string (pair int int))))
     "campaign positions" campaign_positions
@@ -345,7 +348,8 @@ let test_scenario_crash_restores_baseline () =
   in
   Seq.iter
     (fun f -> Soft.Detector.run det (Soft.Patterns.Family f))
-    (Soft.Patterns.scenario_families ~registry ~seeds ());
+    (Soft.Patterns.scenario_families ~registry
+       ~donors:(Soft.Collector.donors seeds) ());
   if crashes () = 0 then
     Alcotest.fail "no stateful scenario crashed (vacuous test)";
   (* the detector's engine is back to the post-seed baseline: none of
@@ -523,6 +527,7 @@ let test_batch_stream_equivalence () =
       let seeds =
         Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds ()
       in
+      let donors = Soft.Collector.donors seeds in
       List.iter
         (fun pattern ->
           let ctx = Printf.sprintf "%s %s" name (Pattern_id.to_string pattern) in
@@ -538,7 +543,7 @@ let test_batch_stream_equivalence () =
               prev := Some f.Soft.Patterns.f_build;
               incr families;
               check_split ctx f)
-            (Soft.Patterns.families ~registry ~seeds pattern);
+            (Soft.Patterns.families ~registry ~seeds ~donors pattern);
           (* the property is vacuous unless families formed *)
           Alcotest.(check bool) (ctx ^ ": families formed") true (!families > 0))
         Pattern_id.all;
@@ -549,7 +554,7 @@ let test_batch_stream_equivalence () =
             Alcotest.failf "%s: item %d has %d members" ctx !items
               (List.length f.Soft.Patterns.f_members);
           incr items)
-        (Soft.Patterns.scenario_families ~registry ~seeds ());
+        (Soft.Patterns.scenario_families ~registry ~donors ());
       Alcotest.(check bool) (ctx ^ ": scenarios formed") true (!items > 0))
     Dialect.all
 

@@ -429,18 +429,20 @@ let test_execute_span_per_item () =
   let r = Soft.Soft_runner.fuzz ~jobs:1 ~shards:1 prof in
   let registry = Dialect.registry prof in
   let seeds = Soft.Collector.collect ~registry ~suite:prof.Dialect.seeds () in
+  let donors = Soft.Collector.donors seeds in
   let count (items, members) (f : Soft.Patterns.family) =
     (items + 1, members + List.length f.Soft.Patterns.f_members)
   in
   let families, members =
     List.fold_left
       (fun acc p ->
-        Seq.fold_left count acc (Soft.Patterns.families ~registry ~seeds p))
+        Seq.fold_left count acc
+          (Soft.Patterns.families ~registry ~seeds ~donors p))
       (0, 0) Sqlfun_fault.Pattern_id.all
   in
   let scenarios, scenario_members =
     Seq.fold_left count (0, 0)
-      (Soft.Patterns.scenario_families ~registry ~seeds ())
+      (Soft.Patterns.scenario_families ~registry ~donors ())
   in
   let n_seeds = List.length seeds in
   Alcotest.(check int) "seeds collected" n_seeds
@@ -627,18 +629,84 @@ let test_profile_folded_format () =
        (fun l -> String.length l >= 12 && String.sub l 0 12 = "soft;mysql;-")
        lines)
 
+let test_profile_case_sampling () =
+  (* inside a campaign case only sampled cases read the clock: a timed
+     case's scope adds sample_period times its measured self-time and
+     keeps the measured value as its max; an untimed case's scope adds
+     its count and no time; outside a case a scope is timed exactly *)
+  let first p = Option.get (Seq.find p (Seq.ints 1)) in
+  let timed = first Profile.timed_case
+  and untimed = first (fun n -> not (Profile.timed_case n)) in
+  let p = Profile.create () in
+  Profile.set_dialect p "mysql";
+  Profile.begin_case p timed;
+  Profile.with_fn p "UPPER" Profile.Eval spin;
+  Profile.end_case p;
+  let upper = find_row (Profile.rows p) "UPPER" Profile.Eval in
+  Alcotest.(check int) "timed scope counted" 1 upper.Profile.r_count;
+  Alcotest.(check bool) "timed scope measured" true (upper.Profile.r_max_ns > 0);
+  Alcotest.(check int) "timed self = 16 x measured max"
+    (Profile.sample_period * upper.Profile.r_max_ns)
+    upper.Profile.r_self_ns;
+  Profile.begin_case p untimed;
+  Profile.with_fn p "UPPER" Profile.Eval spin;
+  Profile.with_fn p "LOWER" Profile.Eval spin;
+  Profile.end_case p;
+  let rows = Profile.rows p in
+  let upper' = find_row rows "UPPER" Profile.Eval
+  and lower = find_row rows "LOWER" Profile.Eval in
+  Alcotest.(check int) "untimed scope counted" 2 upper'.Profile.r_count;
+  Alcotest.(check int) "untimed scope adds no time" upper.Profile.r_self_ns
+    upper'.Profile.r_self_ns;
+  Alcotest.(check int) "untimed max unchanged" upper.Profile.r_max_ns
+    upper'.Profile.r_max_ns;
+  Alcotest.(check (pair int int)) "untimed-only key: count, no time" (1, 0)
+    (lower.Profile.r_count, lower.Profile.r_self_ns);
+  Alcotest.(check int) "one case timed" 1 (Profile.timed_cases p);
+  (match Json.member "timed_cases" (Profile.to_json p) with
+   | Some (Json.Int n) -> Alcotest.(check int) "json timed_cases" 1 n
+   | _ -> Alcotest.fail "timed_cases missing from json");
+  Profile.with_fn p "LOWER" Profile.Eval spin;
+  let lower = find_row (Profile.rows p) "LOWER" Profile.Eval in
+  Alcotest.(check bool) "outside a case: timed exactly, self = max" true
+    (lower.Profile.r_self_ns > 0
+    && lower.Profile.r_self_ns = lower.Profile.r_max_ns);
+  (* one number in 16 is timed, on every residue of a family's member
+     index alike *)
+  let timed_in f = Seq.length (Seq.filter f (Seq.take 16_000 (Seq.ints 1))) in
+  Alcotest.(check int) "1000 of 16000 timed" 1000 (timed_in Profile.timed_case);
+  for r = 0 to 15 do
+    let k = timed_in (fun n -> n mod 16 = r && Profile.timed_case n) in
+    Alcotest.(check bool)
+      (Printf.sprintf "residue %d: %d of 1000 timed" r k)
+      true
+      (k >= 50 && k <= 75)
+  done
+
 let test_profile_attribution_on_fuzz () =
   (* the acceptance bar: >= 95% of profiled engine time charged to named
-     keys on a real campaign. 20000 cases profile ~120 ms of engine
-     time, ten times what 2000 cases did, so one descheduled slice
-     weighs a tenth as much against the bar (the ratio reads ~0.97).
+     keys on a real campaign, mysql's first 20000 cases. Only one case
+     in 16 is timed and a timed slice counts 16 times, so the campaign
+     runs 16 times into one profiler: its 1,265 timed cases are
+     measured 16 times over, ~100 ms of engine time, about what every
+     case of one unsampled campaign gave, so one descheduled slice
+     weighs about as much against the bar as it did then. (Exhaustive
+     campaigns read 0.92-0.95 with or without sampling; the bar is
+     kept on the prefix it was set on.)
      The earlier tests' garbage is collected first, so its marking
-     does not land in this campaign's scopes. *)
+     does not land in these campaigns' scopes. *)
   let prof = Dialect.find_exn "mysql" in
   Gc.full_major ();
-  let r = Soft.Soft_runner.fuzz ~budget:20000 prof in
-  let p = r.Soft.Soft_runner.profile in
+  let p = Profile.create () in
+  for _ = 1 to Profile.sample_period do
+    let r = Soft.Soft_runner.fuzz ~budget:20000 prof in
+    Profile.merge_into ~dst:p r.Soft.Soft_runner.profile
+  done;
   Alcotest.(check bool) "profiler saw the campaign" true (Profile.rows p <> []);
+  Printf.printf "%d cases timed, %.1f ms of engine time measured\n"
+    (Profile.timed_cases p)
+    (float_of_int (Profile.attributed_ns p + Profile.other_ns p)
+    /. float_of_int Profile.sample_period /. 1e6);
   let a = Profile.attribution p in
   Alcotest.(check bool)
     (Printf.sprintf "attribution %.4f >= 0.95" a)
@@ -769,6 +837,8 @@ let suite =
       Alcotest.test_case "profile merge" `Quick test_profile_merge;
       Alcotest.test_case "profile folded format" `Quick
         test_profile_folded_format;
+      Alcotest.test_case "profile case sampling" `Quick
+        test_profile_case_sampling;
       Alcotest.test_case "profile attribution on fuzz" `Quick
         test_profile_attribution_on_fuzz;
       Alcotest.test_case "timeseries cadence" `Quick test_timeseries_cadence;
